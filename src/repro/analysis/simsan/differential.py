@@ -1,10 +1,10 @@
 """Cross-backend differential checking against a dense reference.
 
-The simulator's three channel backends (dense matmul, sparse CSR
-segment-sum, bit-packed popcount) are bitwise identical by contract; this
-module is the runtime enforcement of that contract, and the certification
-hook any future backend (the ROADMAP's GPU operand) must pass.  Every
-sanitized round is recomputed on a **reference**
+The simulator's three channel backends (dense matmul, transmitter-driven
+sparse CSR bincount, bit-packed popcount) are bitwise identical by
+contract; this module is the runtime enforcement of that contract, and
+the certification hook any future backend (the ROADMAP's GPU operand)
+must pass.  Every sanitized round is recomputed on a **reference**
 :class:`~repro.sim.core.channel.DenseOperand` built from the ground-truth
 CSR adjacency — independently of whatever operand the engine is running —
 and compared bitwise against the active backend's output:

@@ -18,10 +18,10 @@ over ``--repeats`` calls.  Counts are asserted equal across backends
 throughput number.
 
 The same ``--max-operand-mib`` ceiling as the scale bench applies: cells
-whose operand alone (``8·n²`` dense, ``8·n·ceil(n/64)`` bit-packed) would
-exceed it are recorded as skipped, which is how the record shows dense
-stopping at n=8192 while bit-packed continues — the density win made
-measurable.
+whose operand alone (``8·n²`` dense, ``8·n·ceil(n/64)`` bit-packed,
+``8·(n+1) + 16·edges`` CSR) would exceed it are recorded as skipped,
+which is how the record shows dense stopping at n=8192 while bit-packed
+continues — the density win made measurable.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def _operand_bytes(backend: str, n: int, edges: int) -> int:
         return 8 * n * n
     if backend == "bitpacked":
         return 8 * n * (-(-n // 64))
-    # CSR: int64 indptr + two directed slots per undirected edge.
+    # Exactly the two arrays SparseOperand holds: int64 indptr (n + 1
+    # entries) and int64 indices (two directed slots per undirected edge).
     return 8 * (n + 1) + 16 * edges
 
 

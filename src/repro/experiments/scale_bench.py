@@ -68,8 +68,8 @@ DEFAULT_SIZES: tuple[int, ...] = (256, 1024, 4096, 16384)
 SCALE_BACKENDS: tuple[str, ...] = ("dense", "sparse", "bitpacked")
 
 #: Sparse families only: on these, edges grow ~linearly with n, so the
-#: CSR backend's Θ(edges)-per-round advantage is the whole story.  (star
-#: and dumbbell are contention stressors, not scaling ones.)
+#: CSR backend's Θ(Σ deg(tx) + n)-per-round advantage is the whole story.
+#: (star and dumbbell are contention stressors, not scaling ones.)
 SCALE_TOPOLOGIES: tuple[str, ...] = ("line", "grid", "gnp", "unit_disk")
 
 #: Rounds executed under tracemalloc to measure a cell's steady-state peak

@@ -111,8 +111,12 @@ class ProtocolParams:
     sparse_density_threshold: float = 0.25
     #: In ``"auto"`` mode, never go sparse below this network size: small
     #: matmuls are so cheap (especially batched) that the CSR kernel's
-    #: fixed gather/bincount overhead loses even on very sparse graphs —
-    #: measured crossover is n ≈ 200–1000 depending on family and batch.
+    #: fixed per-call overhead (a dozen small numpy calls, ~40–60 µs)
+    #: loses even on very sparse graphs.  Measured for the transmitter-
+    #: driven CSR kernel with 5% of radios transmitting (grid, gnp and
+    #: unit-disk, batch 1 and 8, one 2.1 GHz Xeon vCPU): dense still wins
+    #: at n ≤ 256 and sparse wins from n = 512, so 1024 is conservative;
+    #: the floor is kept until a benchmark workload covers n = 256–1024.
     sparse_min_n: int = 1024
     #: In ``"auto"`` mode, graphs too dense for the CSR backend switch from
     #: the float64 matmul to the bit-packed popcount kernel at or above

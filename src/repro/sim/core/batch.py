@@ -11,8 +11,9 @@ the same early-stop contract.
 (seed × topology × protocol) — in lock-step within one process.  Instances
 that share a topology (and channel backend) are grouped so their channel
 resolution collapses into a single batched kernel call per round — a
-``(batch, n) @ (n, n)`` matmul on the dense backend, one fused edge-list
-segment sum on the sparse one — and every instance exits the batch
+``(batch, n) @ (n, n)`` matmul on the dense backend, one ``bincount`` of
+length ``batch·n`` over the transmitters' CSR rows on the sparse one
+(Θ(Σ deg(tx) + batch·n) per round) — and every instance exits the batch
 individually the moment it completes or exhausts its round budget, so one
 slow straggler never costs the finished instances anything.
 
@@ -121,10 +122,11 @@ def resolve_channel_backend(network: RadioNetwork, params: ProtocolParams) -> st
     density and size: networks below ``params.sparse_min_n`` keep the BLAS
     matmul (which wins below the crossover even on sparse graphs); larger
     networks whose adjacency density ``2·edges / n²`` is at or below the
-    params threshold get the Θ(m)-per-round CSR kernel; denser ones get
-    the bit-packed popcount kernel from ``params.bitpacked_min_n`` nodes
-    up (same Θ(n²) work as dense, ~64× less operand memory) and the
-    matmul below it.  Every backend is bitwise-identical in results.
+    params threshold get the CSR kernel (Θ(Σ deg(tx) + n) per round);
+    denser ones get the bit-packed popcount kernel from
+    ``params.bitpacked_min_n`` nodes up (same Θ(n²) work as dense, ~64×
+    less operand memory) and the matmul below it.  Every backend is
+    bitwise-identical in results.
     """
     backend = params.channel_backend
     if backend != "auto":
@@ -288,7 +290,11 @@ class ArrayEngine:
 
     @property
     def backend(self) -> str:
-        """Which channel backend this engine runs on (``"dense"``/``"sparse"``)."""
+        """Which channel backend this engine runs on.
+
+        ``"dense"``, ``"sparse"`` or ``"bitpacked"`` — or the backend
+        name a wrapper operand reports.
+        """
         return self._operand.backend
 
     @property

@@ -16,10 +16,12 @@ Three interchangeable **kernel operands** implement those reductions:
   matrix; counts are one BLAS matmul (``transmit @ A``).  Θ(n²) memory and
   time per round regardless of the edge count.
 * :class:`SparseOperand` — the same graph as CSR neighbour arrays
-  (``indptr``/``indices``); counts are a gather plus one segment-sum
-  (``np.bincount`` over the edge list).  Θ(m) memory and time per round,
-  which is what lets the simulator past the dense-matmul wall on sparse
-  topologies (line/grid/gnp/unit-disk at n ≳ 4096).
+  (``indptr``/``indices``); the transmitters push into their neighbours:
+  counts are one ``np.bincount`` over the transmitters' CSR rows only.
+  Θ(m) memory and Θ(Σ deg(tx) + batch·n) time per round, which is what
+  lets the simulator past the dense-matmul wall on sparse topologies
+  (line/grid/gnp/unit-disk at n ≳ 4096) and makes a round in which few
+  radios transmit cheap.
 * :class:`BitOperand` — the adjacency bit-packed into an
   ``(n, ceil(n/64))`` uint64 word matrix; the per-round transmit mask is
   packed once into ``ceil(n/64)`` words and counts are ``AND`` +
@@ -214,86 +216,67 @@ class DenseOperand:
 
 
 class SparseOperand:
-    """Sparse CSR channel backend: neighbour counts via edge-list segment sums.
+    """Sparse CSR channel backend: transmitters push into their neighbours.
 
-    ``indices[indptr[v]:indptr[v+1]]`` lists node ``v``'s neighbours; one
-    round gathers the transmit mask at every edge's source endpoint and
-    ``np.bincount``-accumulates it at the edge's listener endpoint, so the
-    cost is Θ(batch · m) instead of the dense Θ(batch · n²) matmul.
+    ``indices[indptr[v]:indptr[v+1]]`` lists node ``v``'s neighbours.  One
+    round gathers only the transmitters' CSR rows and counts the neighbour
+    ids found there with one ``np.bincount``, so a round costs
+    Θ(Σ deg(tx) + batch·n) — the transmitters' degrees plus the output —
+    instead of the dense Θ(batch · n²) matmul or the Θ(batch · m) of
+    visiting every edge slot.  A ``(batch, n)`` mask is one bincount of
+    length ``batch·n``: each row's keys are offset into its private
+    ``[row·n, (row+1)·n)`` range.
     """
 
-    __slots__ = ("indptr", "indices", "n", "_rows", "_ids_f", "_keys")
+    __slots__ = ("indptr", "indices", "n")
 
     backend = "sparse"
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr, self.indices, self.n = _validate_csr(indptr, indices)
-        # Round-invariant pieces of the kernel, built once: the listener id
-        # owning each CSR slot (the bincount keys), the float64 sender ids,
-        # and (lazily) the batched key array — see :meth:`_segment_sum`.
-        self._rows = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
-        )
-        self._ids_f = self.indices.astype(np.float64)
-        self._keys: np.ndarray | None = None
 
-    def _segment_sum(self, weights: np.ndarray, shrink: bool = True) -> np.ndarray:
-        """Sum per-edge ``weights`` (..., m) into their listeners (..., n)."""
-        if weights.ndim == 1:
-            return np.bincount(
-                self._rows, weights=weights, minlength=self.n
-            ).astype(np.int64)
-        flat = weights.reshape(-1, weights.shape[-1])
-        batch = flat.shape[0]
-        # One flat bincount over batch-offset keys instead of a Python loop
-        # per instance: the rows shifted into each batch row's private
-        # [b·n, (b+1)·n) key range.  The raveled layout is row-major, so
-        # the keys for any smaller batch are a prefix of the largest array
-        # built so far — one cached array serves every batch size as
-        # instances retire.  The cache is bounded, not grow-only: once the
-        # live batch falls below half the cached size (instances retiring
-        # from a large fused group), the array is rebuilt at the current
-        # size so the peak-batch footprint is released instead of staying
-        # pinned for the operand's lifetime.  The half threshold means a
-        # batch draining one instance at a time rebuilds O(log batch)
-        # times, not every round.  Only the counts path may shrink
-        # (``shrink=True``): the sender pass runs on the clean-row subset
-        # of the same round's batch, and letting that smaller call shrink
-        # the cache would thrash it twice per round.
-        needed = batch * self._rows.size
-        if (
-            self._keys is None
-            or self._keys.size < needed
-            or (shrink and self._keys.size > 2 * needed)
-        ):
-            self._keys = (
-                self._rows[None, :] + (np.arange(batch) * self.n)[:, None]
-            ).ravel()
-        keys = self._keys[:needed]
-        out = np.bincount(keys, weights=flat.ravel(), minlength=batch * self.n)
-        return (
-            out.reshape(weights.shape[:-1] + (self.n,)).astype(np.int64)
+    def _push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transmitters' CSR slots: ``(keys, sender ids, degrees)``.
+
+        ``keys`` holds one listener per slot, indexing the raveled
+        ``(..., n)`` output; transmitter ``t`` owns ``degrees[t]``
+        consecutive keys.
+        """
+        flat = np.flatnonzero(tx)
+        senders = flat % self.n if tx.ndim > 1 else flat
+        starts = self.indptr[senders]
+        degrees = self.indptr[senders + 1] - starts
+        ends = np.cumsum(degrees)
+        # Expansion slot j of transmitter t is CSR slot
+        # starts[t] + j - (ends[t] - degrees[t]).
+        slots = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            starts - ends + degrees, degrees
         )
+        keys = self.indices[slots]
+        if tx.ndim > 1:
+            keys += np.repeat(flat - senders, degrees)
+        return keys, senders, degrees
 
     def prepare_transmit(self, transmit: np.ndarray) -> np.ndarray:
-        """Per-round operand form of the boolean transmit mask (float64 0/1)."""
-        return transmit.astype(np.float64)
+        """Per-round operand form of the transmit mask: the boolean mask."""
+        return transmit.astype(bool, copy=False)
 
     def transmit_counts(self, tx: np.ndarray) -> np.ndarray:
-        """Per-node transmitting-neighbour counts (``tx`` is float64 0/1)."""
-        if self.indices.size == 0:
-            return np.zeros(tx.shape[:-1] + (self.n,), dtype=np.int64)
-        return self._segment_sum(tx[..., self.indices])
-
-    def weighted_ids(self, tx: np.ndarray) -> np.ndarray:
-        """Id-weighted counts: for a count-1 listener, its unique sender's id."""
-        if self.indices.size == 0:
-            return np.zeros(tx.shape[:-1] + (self.n,), dtype=np.int64)
-        return self._segment_sum(tx[..., self.indices] * self._ids_f, shrink=False)
+        """Per-node transmitting-neighbour counts (``tx`` is boolean)."""
+        keys, _, _ = self._push(tx)
+        counts = np.bincount(keys, minlength=tx.size)
+        return counts.astype(np.int64, copy=False).reshape(tx.shape)
 
     def sender_ids(self, tx: np.ndarray, clean: np.ndarray) -> np.ndarray:
-        """Sender ids valid at ``clean`` positions (garbage elsewhere)."""
-        return self.weighted_ids(tx)
+        """Sender ids valid at ``clean`` positions (garbage elsewhere).
+
+        The id-weighted count: at a count-1 listener it is exactly the
+        unique sender's id (a float64 sum of one id, far below 2**53).
+        """
+        keys, senders, degrees = self._push(tx)
+        weights = np.repeat(senders.astype(np.float64), degrees)
+        ids = np.bincount(keys, weights=weights, minlength=tx.size)
+        return ids.astype(np.int64).reshape(tx.shape)
 
 
 class BitOperand:

@@ -14,7 +14,8 @@ from repro.sim.core import (
     round_stats,
 )
 from repro.sim.core import channel as channel_module
-from repro.sim.topology import RadioNetwork, gnp, line, star
+from repro.sim.core.channel import operand_from_csr
+from repro.sim.topology import RadioNetwork, from_spec, gnp, line, star
 
 
 def _operand(net):
@@ -106,6 +107,18 @@ class TestBatched:
             assert np.array_equal(
                 row.senders[single.clean], single.senders[single.clean]
             )
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "bitpacked"])
+    def test_batched_counts_match_per_row_counts(self, backend):
+        # One fused (batch, n) call must equal the rows counted one by one.
+        op = operand_from_csr(backend, *from_spec("grid", 16, seed=0).csr())
+        rng = np.random.default_rng(0)
+        transmit = rng.random((6, op.n)) < 0.5
+        batched = op.transmit_counts(op.prepare_transmit(transmit))
+        single = np.stack(
+            [op.transmit_counts(op.prepare_transmit(row)) for row in transmit]
+        )
+        assert np.array_equal(batched, single)
 
     def test_batch_shapes_carry_the_leading_axis(self):
         net = line(5)

@@ -21,8 +21,11 @@ from repro.experiments.broadcast_bench import main
 from repro.experiments.record import SCHEMA_VERSION
 from repro.experiments.engine_bench import main as engine_main
 from repro.experiments.multimessage_bench import main as multimessage_main
+from repro.experiments.kernel_bench import _operand_bytes
 from repro.experiments.kernel_bench import main as kernel_main
 from repro.experiments.scale_bench import main as scale_main
+from repro.sim.core import BitOperand, SparseOperand
+from repro.sim.topology import from_spec
 
 
 class TestSweep:
@@ -540,6 +543,17 @@ class TestKernelBench:
         bit = [e for e in record["results"] if e["backend"] == "bitpacked"]
         # n=64 and n=128 are word-aligned, so the ratio is exactly 64.
         assert [e["operand_ratio_vs_dense"] for e in bit] == [64.0, 64.0]
+
+    def test_operand_mib_is_the_operands_real_footprint(self):
+        # perf_gate compares operand_mib exactly, so the arithmetic must
+        # count precisely the arrays each operand holds.
+        net = from_spec("gnp", 128, seed=3)
+        sparse = SparseOperand(*net.csr())
+        bit = BitOperand(*net.csr())
+        assert _operand_bytes("sparse", net.n, net.num_edges) == (
+            sparse.indptr.nbytes + sparse.indices.nbytes
+        )
+        assert _operand_bytes("bitpacked", net.n, net.num_edges) == bit.words.nbytes
 
     def test_operand_ceiling_skips_dense_but_not_bitpacked(self):
         # 8·64² = 32 KiB dense vs 8·64·1 = 512 B packed: a 1 KiB ceiling

@@ -11,9 +11,8 @@ The load-bearing contracts, in order of importance:
   collisions, loss drops clean receptions — and every injection is
   counted in ``SimResult.faults``.
 
-Plus the two satellite regressions this PR pins: the batch fused path's
-error attribution/plan hygiene, and the sparse segment-sum key cache
-being bounded rather than grow-only.
+Plus a regression pin on the batch fused path's error attribution and
+plan hygiene.
 """
 
 import json
@@ -378,44 +377,6 @@ class TestFusedPathErrorHygiene:
         # the "without begin_round" error instead of applying stale masks.
         with pytest.raises(SimulationError, match="without begin_round"):
             engine.engines[0].complete_round(None)
-
-
-class TestSparseKeyCacheBound:
-    """Satellite regression: the batched segment-sum key cache shrinks when
-    the live batch does, instead of pinning the high-water allocation."""
-
-    def _operand(self):
-        net = from_spec("grid", 16, seed=0)
-        return select_kernel_operand(net, SPARSE)
-
-    def test_cache_rebuilds_below_half_of_cached_size(self):
-        op = self._operand()
-        m = op.indices.size
-        tx = np.ones((8, op.n), dtype=np.float64)
-        op.transmit_counts(tx)
-        assert op._keys.size == 8 * m  # high-water mark
-        op.transmit_counts(tx[:1])
-        assert op._keys.size == 1 * m  # released, not sliced
-
-    def test_cache_is_reused_within_the_hysteresis_band(self):
-        op = self._operand()
-        m = op.indices.size
-        tx = np.ones((4, op.n), dtype=np.float64)
-        op.transmit_counts(tx)
-        cached = op._keys
-        # Batch 3 >= half of 4: the prefix of the cached array serves it.
-        op.transmit_counts(tx[:3])
-        assert op._keys is cached
-        assert op._keys.size == 4 * m
-
-    def test_batched_counts_match_per_row_counts_after_shrink(self):
-        op = self._operand()
-        rng = np.random.default_rng(0)
-        tx = (rng.random((6, op.n)) < 0.5).astype(np.float64)
-        batched = op.transmit_counts(tx)
-        op.transmit_counts(tx[:2])  # 6 > 2·2: forces a shrink rebuild
-        single = np.stack([op.transmit_counts(tx[i]) for i in range(6)])
-        assert np.array_equal(batched, single)
 
 
 class TestDemoFaultKnobs:
