@@ -7,8 +7,9 @@ repo's load-bearing invariants at lint time instead of test time:
   which keep runs bitwise-reproducible;
 * the kernel-operand contract (SL003) and read-only cache discipline
   (SL004), which keep the dense/sparse/bitpacked backends interchangeable;
-* registry completeness (SL005) and ordered iteration in hot paths
-  (SL006), which keep the object/array execution paths equivalent.
+* oracle coverage (SL005) and ordered iteration in hot paths
+  (SL006), which keep every protocol checked against its per-node oracle
+  and its iteration order deterministic.
 
 Run it as ``python -m repro.analysis.simlint src tests``.  Suppress a
 single finding with a ``# simlint: disable=SL00X`` comment on the same

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Bump whenever a rule's behaviour changes, so stale caches self-invalidate.
-CACHE_VERSION = "simlint-1"
+CACHE_VERSION = "simlint-2"
 
 #: Directory names never descended into while expanding a directory
 #: argument.  ``fixtures`` keeps the deliberately-violating test corpus

@@ -1,11 +1,12 @@
-"""Registry-completeness rule (SL005): object/array parity + equivalence coverage.
+"""Oracle-coverage rule (SL005): every array protocol has an equivalence test.
 
-Every protocol exists twice — per-node object form
-(``@register_protocol``) and whole-network array form
-(``@register_array_protocol``) — and the repo's core guarantee is that
-the two are bitwise-identical on shared seeds.  That guarantee is only
-tested for protocols that (a) have both forms and (b) appear in an
-equivalence test module; this rule makes both conditions lintable.
+Each protocol is implemented once, as a whole-network array protocol
+(``@register_array_protocol``).  The repo's correctness guarantee is that
+it matches a per-node reference implementation (the test suite's oracles)
+bit for bit on shared seeds, and that the channel backends agree with one
+another.  Those checks live in the equivalence test modules, so a protocol
+whose name never shows up in one is unchecked; this rule makes that
+lintable.
 
 This is the one cross-file rule: each file contributes *facts* (names it
 registers, tokens of equivalence test modules) and the verdicts are
@@ -39,89 +40,60 @@ def _decorator_registration(node: ast.expr, register_name: str) -> str | None:
 
 
 class RegistryCompletenessRule(Rule):
-    """SL005 — object-form protocols need array twins and equivalence coverage."""
+    """SL005 — every registered array protocol needs an oracle (equivalence) test."""
 
     id = "SL005"
-    title = "protocol registry completeness"
+    title = "protocol oracle coverage"
     doc = (
-        "A protocol registered with @register_protocol(name) is only covered by\n"
-        "the repo's determinism guarantee when a matching\n"
-        "@register_array_protocol(name) exists and the name shows up in at\n"
-        "least one equivalence test module (tests/test_*equivalence*.py) —\n"
-        "that is where object/array and backend bitwise-identity is enforced.\n"
-        "This project-level rule fires on the registering line when either half\n"
-        "is missing.  The coverage check is skipped when no equivalence module\n"
-        "is part of the analyzed set (e.g. linting a single file).\n"
-        "Fix: add the array twin and extend an equivalence test; suppress a\n"
-        "deliberately object-only protocol with  # simlint: disable=SL005"
+        "A protocol registered with @register_array_protocol(name) is only\n"
+        "covered by the repo's correctness guarantee when the name shows up in\n"
+        "at least one equivalence test module (tests/test_*equivalence*.py) —\n"
+        "that is where oracle/array and backend bitwise-identity is enforced.\n"
+        "This project-level rule fires on the registering line when no such\n"
+        "module mentions the name.  The check is skipped when no equivalence\n"
+        "module is part of the analyzed set (e.g. linting a single file).\n"
+        "Fix: add the protocol to an equivalence test; suppress a deliberately\n"
+        "unchecked protocol with  # simlint: disable=SL005"
     )
 
     def begin_file(self, ctx: FileContext) -> None:
-        self._object: dict[str, int] = {}
-        self._array: list[str] = []
+        self._array: dict[str, int] = {}
 
     def visit_ClassDef(self, node: ast.ClassDef, ctx: FileContext) -> None:
         for decorator in node.decorator_list:
-            name = _decorator_registration(decorator, "register_protocol")
-            if name is not None:
-                self._object.setdefault(name, node.lineno)
             name = _decorator_registration(decorator, "register_array_protocol")
             if name is not None:
-                self._array.append(name)
+                self._array.setdefault(name, node.lineno)
 
     def end_file(self, ctx: FileContext) -> None:
-        if self._object:
-            ctx.facts["object_protocols"] = dict(sorted(self._object.items()))
         if self._array:
-            ctx.facts["array_protocols"] = sorted(set(self._array))
+            ctx.facts["array_protocols"] = dict(sorted(self._array.items()))
         if "equivalence" in ctx.basename and ctx.basename.startswith("test"):
             ctx.facts["equivalence_tokens"] = sorted(
                 set(_TOKEN_RE.findall(ctx.source.lower()))
             )
 
     def finalize(self, facts: dict[str, dict[str, Any]]) -> list[Finding]:
-        object_sites: dict[str, tuple[str, int]] = {}
-        array_names: set[str] = set()
-        equivalence_tokens: list[set[str]] = []
+        sites: dict[str, tuple[str, int]] = {}
+        equivalence_tokens: set[str] = set()
         for path in sorted(facts):
             file_facts = facts[path]
-            for name, line in file_facts.get("object_protocols", {}).items():
-                object_sites.setdefault(name, (path, int(line)))
-            array_names.update(file_facts.get("array_protocols", []))
-            tokens = file_facts.get("equivalence_tokens")
-            if tokens:
-                equivalence_tokens.append(set(tokens))
-        findings: list[Finding] = []
-        for name, (path, line) in sorted(object_sites.items()):
-            if name not in array_names:
-                findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=path,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"protocol {name!r} has no array counterpart "
-                            "(@register_array_protocol); the array path cannot "
-                            "run it and equivalence is untestable"
-                        ),
-                    )
-                )
-            elif equivalence_tokens and not any(
-                name.lower() in token
-                for tokens in equivalence_tokens
-                for token in tokens
-            ):
-                findings.append(
-                    Finding(
-                        rule=self.id,
-                        path=path,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"protocol {name!r} never appears in an equivalence "
-                            "test module; its object/array identity is unchecked"
-                        ),
-                    )
-                )
-        return findings
+            for name, line in file_facts.get("array_protocols", {}).items():
+                sites.setdefault(name, (path, int(line)))
+            equivalence_tokens.update(file_facts.get("equivalence_tokens", ()))
+        if not equivalence_tokens:
+            return []
+        return [
+            Finding(
+                rule=self.id,
+                path=path,
+                line=line,
+                col=0,
+                message=(
+                    f"protocol {name!r} never appears in an equivalence test "
+                    "module; it has no oracle test"
+                ),
+            )
+            for name, (path, line) in sorted(sites.items())
+            if not any(name.lower() in token for token in equivalence_tokens)
+        ]

@@ -39,7 +39,7 @@ class GlobalRngRule(Rule):
         "`random` module, `np.random.*` module-level functions (np.random.seed,\n"
         "np.random.rand, ...), or `np.random.default_rng()` called without an\n"
         "explicit seed — makes runs depend on interpreter history and breaks\n"
-        "bitwise reproducibility across execution paths.\n"
+        "bitwise reproducibility across backends and batch shapes.\n"
         "\n"
         "Allowed: numpy.random.SeedSequence / Generator / BitGenerator / PCG64,\n"
         "and default_rng(seed) with an explicit non-None seed.\n"

@@ -9,7 +9,7 @@ re-execution of the channel kernel against a dense reference operand
 
 Enablement (all three routes build the same :class:`Sanitizer`):
 
-* ``sanitize=True`` on ``Engine``/``ArrayEngine``/``BatchEngine`` and
+* ``sanitize=True`` on ``ArrayEngine``/``BatchEngine`` and
   the ``run_broadcast*`` runners;
 * ``--sanitize`` on the demo CLI;
 * ``REPRO_SANITIZE=1`` in the environment (e.g. for a whole pytest run)

@@ -5,8 +5,8 @@ families and seed batches, aggregate the outcomes, and emit JSON perf
 records (``BENCH_*.json``) that chart the repository's bench trajectory
 over time.  :mod:`repro.experiments.broadcast_bench` compares the Decay
 baseline against the paper's collision-detection broadcast;
-:mod:`repro.experiments.engine_bench` times the object execution path
-against the array-native batch engine over the same sweep;
+:mod:`repro.experiments.engine_bench` times the batch engine's
+throughput over one multi-seed sweep per protocol;
 :mod:`repro.experiments.multimessage_bench` sweeps the k-message pipeline
 across message counts and measures whether pipelining beats k sequential
 broadcasts; :mod:`repro.experiments.scale_bench` compares the dense,

@@ -1,19 +1,15 @@
-"""Object-path vs array-path throughput microbenchmark (``BENCH_engine.json``).
+"""Batch-engine throughput microbenchmark (``BENCH_engine.json``).
 
-For each protocol the harness runs the *same* multi-seed sweep twice —
-once through the classic per-node object engine, once through the
-array-native batch engine — and reports wall-clock rounds/sec for both
-paths plus the speedup.  The two paths execute bitwise-identical rounds on
-identical seeds (see ``tests/test_equivalence.py``), so the ratio isolates
-pure execution-core overhead: ``n`` Python method calls per round versus a
-handful of array operations::
+For each protocol the harness runs one multi-seed sweep through the
+array-native batch engine and reports wall-clock rounds/sec plus where
+the time went (the engine's act / channel / feedback phase timers)::
 
     python -m repro.experiments.engine_bench --n 256 --seeds 30 \
         --out BENCH_engine.json
 
-``--max-seconds`` turns the run into a smoke test: exit non-zero when the
-*array* path needs longer than the ceiling for its whole sweep (used by CI
-to catch vectorization regressions without gating merges).
+``--max-seconds`` turns the run into a smoke test: exit non-zero when a
+protocol's whole sweep takes longer than the ceiling (used by CI to catch
+vectorization regressions without gating merges).
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from repro.errors import AnalysisError, BroadcastFailure, TopologyError
 from repro.experiments.broadcast_bench import DEFAULT_PROTOCOLS, resolve_params
 from repro.experiments.record import bench_record, rounds_per_sec, write_bench
 from repro.sim import runners
-from repro.sim.runners import broadcast_runner, broadcast_spec, run_broadcast_batch
+from repro.sim.runners import broadcast_spec, run_broadcast_batch
 from repro.sim.topology import TOPOLOGY_NAMES, from_spec
 
 __all__ = ["bench_engines", "main"]
@@ -52,12 +48,12 @@ def bench_engines(
     preset: str = "fast",
     backend: str = "auto",
 ) -> dict:
-    """Time the object and array paths over the same sweep; return the record.
+    """Time the batch engine over one sweep per protocol; return the record.
 
-    Both paths run every (protocol, seed) instance to delivery or budget;
-    ``rounds`` counts the rounds actually executed (budget rounds for a
-    failed instance), so ``rounds_per_sec`` is genuine execution
-    throughput, not success-biased.
+    Every (protocol, seed) instance runs to delivery or budget; ``rounds``
+    counts the rounds actually executed (budget rounds for a failed
+    instance), so ``rounds_per_sec`` is genuine execution throughput, not
+    success-biased.
     """
     if n < 1:
         raise AnalysisError(f"need at least one node, got n={n}")
@@ -79,7 +75,7 @@ def bench_engines(
         nets = [from_spec(topology, n, seed=seed) for seed in range(seeds)]
     except TopologyError as exc:
         raise AnalysisError(f"cannot build {topology} with n={n}: {exc}") from exc
-    # Warm the topology caches so neither path pays BFS inside its timing.
+    # Warm the topology caches so the timed sweep does not pay for BFS.
     for net in nets:
         net.eccentricity()
 
@@ -88,35 +84,21 @@ def bench_engines(
         spec = broadcast_spec(protocol)
         budgets = [spec.budget_for(params, net, net.n, {}) for net in nets]
 
-        runner = broadcast_runner(protocol)
-        rounds_object = 0
-        completed_object = 0
-        t0 = time.perf_counter()
-        for seed, (net, budget) in enumerate(zip(nets, budgets)):
-            try:
-                result = runner(net, params, seed=seed)
-            except BroadcastFailure:
-                rounds_object += budget
-                continue
-            rounds_object += result.sim.rounds_run
-            completed_object += 1
-        object_seconds = time.perf_counter() - t0
-
-        rounds_array = 0
-        completed_array = 0
+        rounds = 0
+        completed = 0
         telemetry: dict = {}
         t0 = time.perf_counter()
         batch = run_broadcast_batch(
             protocol, nets, seeds=range(seeds), params=params, telemetry=telemetry
         )
-        array_seconds = time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
         sample_rounds: list[int] = []
         for result, budget in zip(batch, budgets):
             if isinstance(result, BroadcastFailure):
-                rounds_array += budget
+                rounds += budget
                 continue
-            rounds_array += result.sim.rounds_run
-            completed_array += 1
+            rounds += result.sim.rounds_run
+            completed += 1
             sample_rounds.append(result.rounds_to_delivery)
 
         entry = {
@@ -127,22 +109,13 @@ def bench_engines(
             "rounds_to_delivery_mean": (
                 round(statistics.mean(sample_rounds), 2) if sample_rounds else None
             ),
-            "object": _path_entry(rounds_object, object_seconds, completed_object, seeds),
             "array": {
-                **_path_entry(rounds_array, array_seconds, completed_array, seeds),
-                # Where the array path's time goes, from the engine's own
-                # phase timers (act / channel / feedback).
+                **_path_entry(rounds, seconds, completed, seeds),
+                # Where the time goes, from the engine's own phase timers
+                # (act / channel / feedback).
                 "phase_seconds": telemetry["phase_seconds"],
             },
         }
-        if rounds_array != rounds_object or completed_array != completed_object:
-            # The equivalence suite makes this unreachable; keep the record
-            # honest if a regression ever slips through.
-            entry["paths_diverged"] = True
-        if object_seconds > 0 and array_seconds > 0 and rounds_object:
-            entry["speedup_rounds_per_sec"] = round(
-                (rounds_array / array_seconds) / (rounds_object / object_seconds), 2
-            )
         results.append(entry)
 
     return bench_record(
@@ -160,7 +133,7 @@ def bench_engines(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.engine_bench",
-        description="Time the object vs array execution paths over one sweep.",
+        description="Time the batch engine over one multi-seed sweep per protocol.",
     )
     parser.add_argument("--n", type=int, default=256, help="nodes per network")
     parser.add_argument("--seeds", type=int, default=30, help="seeds per protocol")
@@ -178,14 +151,14 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=("auto", "dense", "sparse", "bitpacked"),
         default="auto",
-        help="channel-kernel backend for the array path (results identical)",
+        help="channel-kernel backend (results identical)",
     )
     parser.add_argument("--out", default="BENCH_engine.json", help="output JSON path")
     parser.add_argument(
         "--max-seconds",
         type=float,
         default=None,
-        help="smoke-test ceiling: fail if the array path's whole sweep "
+        help="smoke-test ceiling: fail if a protocol's whole sweep "
         "takes longer than this many seconds",
     )
     args = parser.parse_args(argv)
@@ -203,24 +176,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     path = write_bench(record, args.out)
     for entry in record["results"]:
-        speedup = entry.get("speedup_rounds_per_sec")
         print(
             f"{entry['protocol']:>6s} on {entry['topology']} n={entry['n']}: "
-            f"object={entry['object']['rounds_per_sec']} r/s "
-            f"array={entry['array']['rounds_per_sec']} r/s "
-            f"speedup={speedup}x"
+            f"array={entry['array']['rounds_per_sec']} r/s"
         )
     print(f"wrote {path}")
     if args.max_seconds is not None:
         slowest = max(entry["array"]["seconds"] for entry in record["results"])
         if slowest > args.max_seconds:
             print(
-                f"SMOKE FAIL: array path took {slowest:.2f}s > "
+                f"SMOKE FAIL: slowest sweep took {slowest:.2f}s > "
                 f"ceiling {args.max_seconds:.2f}s",
                 file=sys.stderr,
             )
             return 1
-        print(f"smoke OK: array path under {args.max_seconds:.2f}s ceiling")
+        print(f"smoke OK: every sweep under {args.max_seconds:.2f}s ceiling")
     return 0
 
 

@@ -133,11 +133,10 @@ def gate_engine(
 ) -> tuple[list[str], int]:
     """Compare engine-bench throughput cell by cell.
 
-    Cells match on (protocol, topology, n); both the object and array
-    paths are gated, so a regression in either execution core trips.
-    Returns (report lines, violation count); raises
-    :class:`AnalysisError` when no cells match at all — a vacuous gate
-    must not pass silently.
+    Cells match on (protocol, topology, n) and gate the ``array``
+    (batch-engine) throughput.  Returns (report lines, violation count);
+    raises :class:`AnalysisError` when no cells match at all — a vacuous
+    gate must not pass silently.
     """
     fresh_by_key = {
         (e["protocol"], e["topology"], e["n"]): e for e in fresh.get("results", ())
@@ -152,15 +151,14 @@ def gate_engine(
             lines.append(f"SKIP engine {'/'.join(map(str, key))}: no fresh cell")
             continue
         matched += 1
-        for path_name in ("object", "array"):
-            line, bad = _check_speed(
-                f"engine {'/'.join(map(str, key))} {path_name}",
-                entry.get(path_name, {}).get("rounds_per_sec"),
-                other.get(path_name, {}).get("rounds_per_sec"),
-                speed_tolerance,
-            )
-            lines.append(line)
-            violations += bad
+        line, bad = _check_speed(
+            f"engine {'/'.join(map(str, key))} array",
+            entry.get("array", {}).get("rounds_per_sec"),
+            other.get("array", {}).get("rounds_per_sec"),
+            speed_tolerance,
+        )
+        lines.append(line)
+        violations += bad
     if not matched:
         raise AnalysisError(
             "no engine cells matched between the committed and fresh records; "

@@ -1,7 +1,7 @@
 """Protocol parameters shared by every algorithm in the library.
 
 The paper states all phase lengths asymptotically (``Θ(log n)`` rounds per
-Decay phase, ``Θ(log^2 n)`` recruiting iterations, ...).  The hidden
+Decay phase, ``Θ(log n)`` layer slots per GHK backoff cycle, ...).  The hidden
 constants do not affect the asymptotic claims but completely determine the
 wall-clock cost of simulating the protocols, so every one of them is an
 explicit, documented knob on :class:`ProtocolParams`.
@@ -55,33 +55,12 @@ class ProtocolParams:
     #: Number of Decay phases needed for a w.h.p. guarantee, as a multiple of
     #: ``⌈log2 n⌉`` (paper: Θ(log n)).
     decay_whp_factor: float = 2.0
-    #: Number of recruiting iterations each transmit-probability exponent is
-    #: held, as a multiple of ``⌈log2 n⌉`` (paper: Θ(log n)).
-    recruiting_hold_factor: float = 1.0
-    #: Number of full probability sweeps in one Recruiting protocol run
-    #: (paper: Θ(log^2 n) total iterations, i.e. one sweep of Θ(log n) holds).
-    recruiting_sweeps: int = 1
-    #: Number of epochs per rank in the Bipartite Assignment algorithm, as a
-    #: multiple of ``⌈log2 n⌉`` (paper: Θ(log n)).
-    assignment_epochs_factor: float = 2.0
     #: Multiplicative slack applied to broadcast round budgets, e.g. the
     #: ``λ`` of Lemma 3.3 / Theorem 1.2.
     schedule_slack: float = 4.0
     #: Extra additive rounds granted to every broadcast budget; keeps tiny
     #: instances (D = 0 or 1) from being starved by integer truncation.
     schedule_slack_additive: int = 32
-    #: Number of rings used by the Theorem 1.1 / 1.3 decomposition, expressed
-    #: as the target ring width in BFS layers.  ``None`` means use the paper's
-    #: ``D / log^4 n`` (which is 1 ring for any practical simulated size).
-    ring_width: int | None = None
-    #: FEC expansion factor for inter-ring batch handoff (Theorem 1.3).
-    fec_expansion: float = 3.0
-    #: Multi-message batch size as a multiple of ``⌈log2 n⌉`` (paper: Θ(log n)
-    #: messages per generation in the unknown-topology setting).
-    batch_size_factor: float = 1.0
-    #: Maximum GST rank considered by the distributed construction, as an
-    #: additive offset over ``⌈log2 n⌉`` (ranks never exceed ``⌈log2 n⌉``).
-    max_rank_offset: int = 1
     #: Rounds between successive pipelined beep waves, which is also the
     #: layer-slot reuse period of the collision-detection broadcast.  Must be
     #: >= 3: with period 3 a node can tell its own layer's slot apart from
@@ -154,9 +133,6 @@ class ProtocolParams:
         return cls(
             decay_phase_factor=1.0,
             decay_whp_factor=1.0,
-            recruiting_hold_factor=0.5,
-            recruiting_sweeps=1,
-            assignment_epochs_factor=1.0,
             schedule_slack=3.0,
             schedule_slack_additive=24,
         )
@@ -183,43 +159,6 @@ class ProtocolParams:
     def decay_whp_rounds(self, n_bound: int) -> int:
         """Rounds of Decay for a w.h.p. delivery (Θ(log^2 n))."""
         return self.decay_whp_phases(n_bound) * self.decay_phase_length(n_bound)
-
-    def recruiting_hold(self, n_bound: int) -> int:
-        """Iterations each probability exponent is held in Recruiting."""
-        return max(1, math.ceil(self.recruiting_hold_factor * self.log_n(n_bound)))
-
-    def recruiting_iterations(self, n_bound: int) -> int:
-        """Total recruiting iterations (paper: Θ(log^2 n))."""
-        return max(
-            1,
-            self.recruiting_sweeps * self.recruiting_hold(n_bound) * self.log_n(n_bound),
-        )
-
-    def recruiting_iteration_rounds(self, n_bound: int) -> int:
-        """Rounds in one recruiting iteration: 2 + one Decay phase."""
-        return 2 + self.decay_phase_length(n_bound)
-
-    def recruiting_rounds(self, n_bound: int) -> int:
-        """Total rounds of one Recruiting protocol run (Θ(log^3 n))."""
-        return self.recruiting_iterations(n_bound) * self.recruiting_iteration_rounds(n_bound)
-
-    def assignment_epochs(self, n_bound: int) -> int:
-        """Epochs per rank in the Bipartite Assignment algorithm."""
-        return max(1, math.ceil(self.assignment_epochs_factor * self.log_n(n_bound)))
-
-    def max_rank(self, n_bound: int) -> int:
-        """Largest rank the distributed construction iterates over."""
-        return self.log_n(n_bound) + self.max_rank_offset
-
-    def batch_size(self, n_bound: int) -> int:
-        """Messages per RLNC generation in the unknown-topology setting."""
-        return max(1, math.ceil(self.batch_size_factor * self.log_n(n_bound)))
-
-    def broadcast_budget(self, diameter: int, n_bound: int, k_messages: int = 1) -> int:
-        """Round budget ``λ (D + k log n + log^2 n)`` with additive slack."""
-        log_n = self.log_n(n_bound)
-        base = diameter + k_messages * log_n + log_n * log_n
-        return int(math.ceil(self.schedule_slack * base)) + self.schedule_slack_additive
 
     def beepwave_rounds(self, eccentricity: int) -> int:
         """Rounds for one synchronization beep wave to cover the network.
@@ -296,12 +235,7 @@ class ProtocolParams:
         positive_fields = [
             "decay_phase_factor",
             "decay_whp_factor",
-            "recruiting_hold_factor",
-            "recruiting_sweeps",
-            "assignment_epochs_factor",
             "schedule_slack",
-            "fec_expansion",
-            "batch_size_factor",
             "ghk_backoff_factor",
             "multi_message_pipeline_factor",
             "fault_budget_slack",
@@ -311,10 +245,6 @@ class ProtocolParams:
                 raise ConfigurationError(f"ProtocolParams.{name} must be positive")
         if self.schedule_slack_additive < 0:
             raise ConfigurationError("schedule_slack_additive must be non-negative")
-        if self.ring_width is not None and self.ring_width < 1:
-            raise ConfigurationError("ring_width must be a positive number of layers")
-        if self.max_rank_offset < 0:
-            raise ConfigurationError("max_rank_offset must be non-negative")
         if not isinstance(self.wave_spacing, int) or self.wave_spacing < 3:
             raise ConfigurationError(
                 "wave_spacing must be an integer >= 3 (adjacent pipelined waves "

@@ -4,12 +4,11 @@ Layers, bottom-up:
 
 * :mod:`repro.sim.rng` — seeded per-node random streams (reproducibility);
 * :mod:`repro.sim.topology` — :class:`RadioNetwork` and graph generators;
-* :mod:`repro.sim.protocol` — the per-node protocol API and registry;
+* :mod:`repro.sim.faults` — crash windows, edge flips, message loss and
+  jammers, attachable to any run;
 * :mod:`repro.sim.core` — the array-native execution core: the batched
-  channel kernel, the :class:`ArrayProtocol` API, the object-protocol
-  adapter, and the single/batch array engines;
-* :mod:`repro.sim.engine` — the per-node object round loop, a shell over
-  the core's kernel and adapter;
+  channel kernel, the :class:`ArrayProtocol` API and registry, and the
+  single/batch array engines;
 * :mod:`repro.sim.decay` — the collision-blind Decay baseline (BGI 1992);
 * :mod:`repro.sim.beepwave` — the collision-detection beep-wave layer:
   1-bit pulses that advance one hop per round and synchronize the network;
@@ -17,17 +16,17 @@ Layers, bottom-up:
   wave: layered slot schedule + decay backoff, ``O(D + log^2 n)``;
 * :mod:`repro.sim.multi_message` — the k-message pipeline on the same
   schedule: one message per owned slot, ``O(D + k log n + log^2 n)``;
-* :mod:`repro.sim.runners` — driver dispatch, the shared driver preamble,
-  and the array-native batch execution API.
+* :mod:`repro.sim.runners` — the protocol specs and the run API,
+  :func:`run_broadcast` / :func:`run_broadcast_batch`.
+
+Each protocol has exactly one implementation, its :class:`ArrayProtocol`;
+the test suite keeps per-node reference forms of all four as oracles.
 """
 
 from repro.sim.beepwave import (
     WAVE_PULSE,
     BeepWaveArrayProtocol,
-    BeepWaveProtocol,
     BeepWaveResult,
-    in_layer_slot,
-    is_beep,
     run_beep_wave,
 )
 from repro.sim.core import (
@@ -43,7 +42,6 @@ from repro.sim.core import (
     CoinDeck,
     DenseOperand,
     FaultTotals,
-    ObjectProtocolAdapter,
     RoundPlan,
     SparseOperand,
     array_protocol_class,
@@ -53,8 +51,8 @@ from repro.sim.core import (
     resolve_channel_backend,
     select_kernel_operand,
 )
-from repro.sim.decay import DecayArrayProtocol, DecayProtocol, DecayResult, run_decay
-from repro.sim.engine import Engine, RoundStats, SimResult, run_until_all_informed
+from repro.sim.core.stats import RoundStats, SimResult
+from repro.sim.decay import DecayArrayProtocol, DecayResult
 from repro.sim.faults import (
     EdgeFlip,
     FaultSchedule,
@@ -63,38 +61,13 @@ from repro.sim.faults import (
     NodeCrash,
     sample_fault_schedule,
 )
-from repro.sim.ghk_broadcast import (
-    GHKArrayProtocol,
-    GHKBroadcastProtocol,
-    GHKResult,
-    run_ghk_broadcast,
-)
-from repro.sim.multi_message import (
-    MultiMessageArrayProtocol,
-    MultiMessageProtocol,
-    MultiMessageResult,
-    run_multi_message,
-)
-from repro.sim.protocol import (
-    Action,
-    ActionKind,
-    BroadcastProtocol,
-    Feedback,
-    FeedbackKind,
-    NodeContext,
-    Protocol,
-    available_protocols,
-    protocol_class,
-    register_protocol,
-)
+from repro.sim.ghk_broadcast import GHKArrayProtocol, GHKResult
+from repro.sim.multi_message import MultiMessageArrayProtocol, MultiMessageResult
 from repro.sim.rng import SeededStreams, node_streams, stream
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
-    BROADCAST_RUNNERS,
     BroadcastSpec,
-    broadcast_runner,
     broadcast_spec,
-    prepare_broadcast_engine,
     register_broadcast_spec,
     run_broadcast,
     run_broadcast_batch,
@@ -113,47 +86,33 @@ from repro.sim.topology import (
 )
 
 __all__ = [
-    "Action",
-    "ActionKind",
     "ArrayContext",
     "ArrayEngine",
     "ArrayProtocol",
     "BROADCAST_PROTOCOL_NAMES",
-    "BROADCAST_RUNNERS",
     "BatchEngine",
     "BitOperand",
     "BatchItem",
     "BatchOutcome",
     "BeepWaveArrayProtocol",
-    "BeepWaveProtocol",
     "BeepWaveResult",
     "BroadcastArrayProtocol",
-    "BroadcastProtocol",
     "BroadcastSpec",
     "ChannelRound",
     "CoinDeck",
     "DecayArrayProtocol",
-    "DecayProtocol",
     "DecayResult",
     "DenseOperand",
     "EdgeFlip",
-    "Engine",
     "FaultSchedule",
     "FaultState",
     "FaultTotals",
-    "Feedback",
-    "FeedbackKind",
     "GHKArrayProtocol",
-    "GHKBroadcastProtocol",
     "GHKResult",
     "Jammer",
     "MultiMessageArrayProtocol",
-    "MultiMessageProtocol",
     "MultiMessageResult",
-    "NodeContext",
     "NodeCrash",
-    "ObjectProtocolAdapter",
-    "Protocol",
     "RadioNetwork",
     "RoundPlan",
     "RoundStats",
@@ -164,32 +123,21 @@ __all__ = [
     "WAVE_PULSE",
     "array_protocol_class",
     "available_array_protocols",
-    "available_protocols",
-    "broadcast_runner",
     "broadcast_spec",
     "dumbbell",
     "from_spec",
     "gnp",
     "grid2d",
-    "in_layer_slot",
-    "is_beep",
     "line",
     "node_streams",
-    "prepare_broadcast_engine",
-    "protocol_class",
     "register_array_protocol",
     "register_broadcast_spec",
-    "register_protocol",
     "resolve_channel",
     "resolve_channel_backend",
     "ring",
     "run_beep_wave",
     "run_broadcast",
     "run_broadcast_batch",
-    "run_decay",
-    "run_ghk_broadcast",
-    "run_multi_message",
-    "run_until_all_informed",
     "sample_fault_schedule",
     "select_kernel_operand",
     "star",

@@ -18,18 +18,16 @@ The layer exports:
   pulse.  Pulses may be transmitted with any payload (receivers that only
   detect a collision never see it), so protocols stacked on the wave are
   free to piggyback real data on their pulses; the sentinel marks a pulse
-  that carries none.
-* :func:`is_beep` — the CD predicate: feedback counts as a beep iff it is
-  not silence.
-* :func:`in_layer_slot` — slot arithmetic for wave pipelining: with a
-  spacing of at least 3 rounds, layer ``d``'s repeat slots
-  (``round ≡ d  (mod spacing)``) never collide with the forward wave from
-  layer ``d - 1`` or the backward echo from layer ``d + 1``.
-* :class:`BeepWaveProtocol` / :func:`run_beep_wave` — the single-wave
-  protocol on its own, used to test the layer and to measure distances.
+  that carries none, and the broadcasts reject it as a message.
+* :class:`BeepWaveArrayProtocol` / :func:`run_beep_wave` — the
+  single-wave protocol on its own, used to test the layer and to measure
+  distances.  A beep is any non-silent outcome under collision detection.
 
-:mod:`repro.sim.ghk_broadcast` builds the paper's broadcast on top of
-these pieces.
+:mod:`repro.sim.ghk_broadcast` builds the paper's broadcast on top of the
+wave, adding a layered slot schedule: layer ``d`` owns the rounds
+``round ≡ d (mod spacing)``, and with a spacing of at least 3 its repeat
+slots never collide with the forward wave from layer ``d - 1`` or the
+backward echo from layer ``d + 1``.
 """
 
 from __future__ import annotations
@@ -46,23 +44,13 @@ from repro.sim.core.array_protocol import (
     RoundPlan,
     register_array_protocol,
 )
+from repro.sim.core.batch import ArrayEngine
 from repro.sim.core.channel import ChannelRound
-from repro.sim.engine import Engine, SimResult
-from repro.sim.protocol import (
-    Action,
-    Feedback,
-    FeedbackKind,
-    NodeContext,
-    Protocol,
-    register_protocol,
-)
+from repro.sim.core.stats import SimResult
 from repro.sim.topology import RadioNetwork
 
 __all__ = [
     "WAVE_PULSE",
-    "is_beep",
-    "in_layer_slot",
-    "BeepWaveProtocol",
     "BeepWaveArrayProtocol",
     "BeepWaveResult",
     "run_beep_wave",
@@ -80,69 +68,17 @@ class _WavePulse:
 WAVE_PULSE = _WavePulse()
 
 
-def is_beep(feedback: Feedback) -> bool:
-    """Whether a listening node with collision detection heard a beep.
-
-    Under collision detection both a clean message and a collision prove
-    that at least one neighbour transmitted; only silence is not a beep.
-    """
-    return feedback.kind is not FeedbackKind.SILENCE
-
-
-def in_layer_slot(round_index: int, wave_distance: int, spacing: int) -> bool:
-    """Whether ``round_index`` is a repeat slot of layer ``wave_distance``.
-
-    Layer ``d`` owns rounds ``d, d + spacing, d + 2·spacing, ...``; the
-    first of those is the node's sync-pulse relay, so only strictly later
-    rounds count as repeat slots.
-    """
-    return (
-        round_index > wave_distance
-        and (round_index - wave_distance) % spacing == 0
-    )
-
-
-@register_protocol("beepwave")
-class BeepWaveProtocol(Protocol):
-    """Propagate one synchronization beep wave and learn the BFS distance.
-
-    Listens until the first beep, records ``wave_distance`` as that round
-    plus one, relays the pulse exactly once in round ``wave_distance``, and
-    then sleeps.  Under collision detection the learned distances are the
-    exact BFS layers; without it the wave stalls (or detours) wherever two
-    relays collide, which :func:`run_beep_wave` lets you demonstrate.
-    """
-
-    def setup(self, ctx: NodeContext) -> None:
-        super().setup(ctx)
-        #: hop distance from the source, learned when the wave arrives.
-        self.wave_distance: int | None = 0 if ctx.is_source else None
-        self._pulse_sent = False
-
-    def act(self, round_index: int) -> Action:
-        if self.wave_distance is None:
-            return Action.listen()
-        if not self._pulse_sent and round_index >= self.wave_distance:
-            self._pulse_sent = True
-            return Action.transmit(WAVE_PULSE)
-        return Action.sleep()
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.wave_distance is None and is_beep(feedback):
-            self.wave_distance = feedback.round_index + 1
-
-    def finished(self) -> bool:
-        return self._pulse_sent
-
-
 @register_array_protocol("beepwave")
 class BeepWaveArrayProtocol(ArrayProtocol):
-    """Whole-network beep wave: all nodes' distances and pulses as arrays.
+    """Propagate one synchronization beep wave and learn BFS distances.
 
-    Mirrors :class:`BeepWaveProtocol` exactly (the protocol is coin-free,
-    so equivalence is purely a matter of reproducing the act/feedback
-    branches), with ``wave_distance == -1`` standing in for "not yet
-    reached".
+    Every node listens until its first beep, records ``wave_distance`` as
+    that round plus one, relays the pulse exactly once in round
+    ``wave_distance``, and then sleeps; ``wave_distance == -1`` stands in
+    for "not yet reached".  Under collision detection the learned
+    distances are the exact BFS layers; without it the wave stalls (or
+    detours) wherever two relays collide, which :func:`run_beep_wave`
+    lets you demonstrate.  The protocol is coin-free.
     """
 
     def setup(self, ctx: ArrayContext) -> None:
@@ -212,21 +148,20 @@ def run_beep_wave(
     the wave stall on any topology where relays collide.
     """
     params = params if params is not None else ProtocolParams.paper()
-    bound = n_bound if n_bound is not None else network.n
     if budget is None:
         budget = params.beepwave_rounds(network.eccentricity())
-    protocols = [BeepWaveProtocol() for _ in range(network.n)]
-    engine = Engine(
+    protocol = BeepWaveArrayProtocol()
+    engine = ArrayEngine(
         network,
-        protocols,
+        protocol,
         seed=seed,
         collision_detection=collision_detection,
         params=params,
-        n_bound=bound,
+        n_bound=n_bound,
         trace=trace,
     )
-    sim = engine.run(budget, stop_when=lambda eng: all(p.finished() for p in protocols))
-    unsynced = tuple(i for i, p in enumerate(protocols) if p.wave_distance is None)
+    sim = engine.run(budget, stop_when=lambda _: protocol.done())
+    unsynced = protocol.unsynchronized()
     if unsynced:
         raise BroadcastFailure(
             f"beep wave on {network.name} (seed={seed}) left {len(unsynced)} of "
@@ -242,6 +177,6 @@ def run_beep_wave(
         seed=seed,
         budget=budget,
         rounds_run=sim.rounds_run,
-        wave_distances=tuple(p.wave_distance for p in protocols),
+        wave_distances=protocol.wave_distances(),
         sim=sim,
     )

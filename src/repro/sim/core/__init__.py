@@ -3,22 +3,18 @@
 Layers, bottom-up:
 
 * :mod:`repro.sim.core.stats` — the ground-truth record types
-  (:class:`RoundStats`, :class:`SimResult`) shared by every execution path;
+  (:class:`RoundStats`, :class:`SimResult`) every run reports;
 * :mod:`repro.sim.core.channel` — the pure, batched channel kernel:
   adjacency matmul → silence/clean/collision outcome arrays + sender ids;
 * :mod:`repro.sim.core.array_protocol` — the :class:`ArrayProtocol` API
   (one instance holds all nodes' state as arrays) with per-node seeded
   randomness preserved via :class:`CoinDeck`, plus the array registry;
-* :mod:`repro.sim.core.adapter` — :class:`ObjectProtocolAdapter`, which
-  wraps per-node :class:`~repro.sim.protocol.Protocol` objects so the
-  existing object API runs unchanged on the core;
 * :mod:`repro.sim.core.batch` — :class:`ArrayEngine` (one instance) and
   :class:`BatchEngine` (many independent seed × topology × protocol
   instances, fused per-topology into batched kernel calls, with early
   exit per instance).
 """
 
-from repro.sim.core.adapter import ObjectProtocolAdapter
 from repro.sim.core.array_protocol import (
     ArrayContext,
     ArrayProtocol,
@@ -72,7 +68,6 @@ __all__ = [
     "DenseOperand",
     "FaultTotals",
     "KernelOperand",
-    "ObjectProtocolAdapter",
     "RoundObserver",
     "RoundPlan",
     "RoundStats",

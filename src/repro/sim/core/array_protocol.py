@@ -1,23 +1,23 @@
 """The array-native protocol API.
 
-An :class:`ArrayProtocol` is the vectorized counterpart of the per-node
-:class:`~repro.sim.protocol.Protocol`: **one** instance holds the state of
-*all* nodes as numpy arrays, returns whole-network action masks from
-:meth:`~ArrayProtocol.act`, and consumes the ground-truth
-:class:`~repro.sim.core.channel.ChannelRound` in
-:meth:`~ArrayProtocol.on_feedback`.  A round therefore costs a handful of
-array operations instead of ``n`` Python method calls.
+The paper states every algorithm as a per-node rule.  An
+:class:`ArrayProtocol` implements such a rule for the whole network at
+once: **one** instance holds the state of *all* nodes as numpy arrays,
+returns whole-network action masks from :meth:`~ArrayProtocol.act`, and
+consumes the ground-truth :class:`~repro.sim.core.channel.ChannelRound`
+in :meth:`~ArrayProtocol.on_feedback`.  A round therefore costs a handful
+of array operations instead of ``n`` Python method calls.
 
 Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
-node's coins from the same :class:`~repro.sim.rng.SeededStreams` node
-stream the object path uses, in chunks (numpy generators produce identical
-sequences whether drawn one value at a time or in blocks), so an array
-protocol that flips coins for the same node set in the same rounds as its
-object form is *bitwise identical* to it — same traces, same
-rounds-to-delivery, same failures.
+node's coins from that node's private
+:class:`~repro.sim.rng.SeededStreams` stream, in chunks (numpy generators
+produce identical sequences whether drawn one value at a time or in
+blocks).  A per-node implementation that calls ``rng.random()`` for the
+same nodes in the same rounds is therefore *bitwise identical* to the
+array form — same traces, same rounds-to-delivery, same failures — which
+is how the test suite's per-node oracles check the array protocols.
 
-A registry maps protocol names to their array forms, alongside (not
-replacing) the object-form registry in :mod:`repro.sim.protocol`.
+A registry maps protocol names to their array protocol classes.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ __all__ = [
 class ArrayContext:
     """Everything an array protocol knows before round 0.
 
-    The same information the object path splits across ``n``
-    :class:`~repro.sim.protocol.NodeContext` instances: the public size
-    bound, the source, shared parameters, the receivers' collision-detection
-    capability, and the full complement of per-node random streams.
+    The public size bound, the source, shared parameters, the receivers'
+    collision-detection capability, and the full complement of per-node
+    random streams.
     """
 
     n_nodes: int
@@ -84,11 +83,11 @@ class RoundPlan:
 class ArrayProtocol(ABC):
     """Base class for whole-network vectorized protocol state machines.
 
-    Lifecycle mirrors the object path: the engine calls :meth:`setup` once
-    before round 0, then for every round calls :meth:`act`, resolves the
-    channel, and calls :meth:`on_feedback` with the ground-truth
-    resolution (the protocol applies the collision-detection mapping
-    itself, via ``ctx.collision_detection``).
+    Lifecycle: the engine calls :meth:`setup` once before round 0, then
+    for every round calls :meth:`act`, resolves the channel, and calls
+    :meth:`on_feedback` with the ground-truth resolution (the protocol
+    applies the collision-detection mapping itself, via
+    ``ctx.collision_detection``).
     """
 
     #: registry name, set by :func:`register_array_protocol`.
@@ -114,9 +113,8 @@ class ArrayProtocol(ABC):
 class BroadcastArrayProtocol(ArrayProtocol):
     """Base for array-native single-message broadcast protocols.
 
-    Mirrors :class:`~repro.sim.protocol.BroadcastProtocol`: the payload is
-    injected at construction, and completion is an ``informed`` flag — here
-    a boolean array over all nodes, with ``informed_round[v]`` recording
+    The payload is injected at construction, and completion is an
+    ``informed`` flag — a boolean array over all nodes, with ``informed_round[v]`` recording
     when node ``v`` first received the message (0 for the source, -1 while
     uninformed).
     """
@@ -150,8 +148,8 @@ class CoinDeck:
 
     ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node,
     taken from that node's private generator — the *same* values, in the
-    same per-node order, that the object path's ``ctx.rng.random()`` calls
-    would produce.  Coins are pre-drawn per node in chunks so a round's
+    same per-node order, that per-node ``rng.random()`` calls would
+    produce.  Coins are pre-drawn per node in chunks so a round's
     draws cost two fancy-indexing operations plus an amortized
     ``1/chunk`` refill loop.
     """
@@ -178,7 +176,7 @@ class CoinDeck:
 
 
 # ---------------------------------------------------------------------- #
-# Registry (parallel to the object-form registry)
+# Registry
 # ---------------------------------------------------------------------- #
 _ARRAY_REGISTRY: dict[str, type[ArrayProtocol]] = {}
 
@@ -186,12 +184,7 @@ _ARRAY_REGISTRY: dict[str, type[ArrayProtocol]] = {}
 def register_array_protocol(
     name: str,
 ) -> Callable[[type[ArrayProtocol]], type[ArrayProtocol]]:
-    """Class decorator registering an :class:`ArrayProtocol` under ``name``.
-
-    Names are shared with the object-form registry by convention — the
-    array form of ``"decay"`` is registered as ``"decay"`` — but the two
-    registries are separate namespaces.
-    """
+    """Class decorator registering an :class:`ArrayProtocol` under ``name``."""
 
     def deco(cls: type[ArrayProtocol]) -> type[ArrayProtocol]:
         if not (isinstance(cls, type) and issubclass(cls, ArrayProtocol)):

@@ -2,10 +2,9 @@
 
 :class:`ArrayEngine` drives a single
 :class:`~repro.sim.core.array_protocol.ArrayProtocol` on one network with
-the shared channel kernel — the vectorized counterpart of
-:class:`~repro.sim.engine.Engine`, with the same round semantics, the same
-:class:`~repro.sim.core.stats.RoundStats` traces (when ``trace=True``), and
-the same early-stop contract.
+the shared channel kernel, recording
+:class:`~repro.sim.core.stats.RoundStats` traces when ``trace=True`` and
+stopping early on a caller's predicate.
 
 :class:`BatchEngine` steps many *independent* instances — any mix of
 (seed × topology × protocol) — in lock-step within one process.  Instances
@@ -465,8 +464,8 @@ class ArrayEngine:
     ) -> SimResult:
         """Run up to ``max_rounds`` rounds, stopping early if ``stop_when(engine)``.
 
-        Same contract as :meth:`repro.sim.engine.Engine.run`: the predicate
-        is evaluated before the first round and after every round.
+        The predicate is evaluated before the first round and after every
+        round, so a vacuously-satisfied goal costs zero rounds.
         """
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be non-negative, got {max_rounds}")

@@ -1,4 +1,4 @@
-"""The pure radio-channel kernel, shared by every execution path.
+"""The pure radio-channel kernel, shared by every engine and protocol.
 
 One round of the single-hop radio channel is three array operations:
 

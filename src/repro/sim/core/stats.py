@@ -2,10 +2,9 @@
 
 These are the ground-truth observables of a simulation — what actually
 happened on the channel, independent of what any node could perceive.
-Both execution paths (the per-node object :class:`~repro.sim.engine.Engine`
-and the array-native :class:`~repro.sim.core.batch.ArrayEngine`) emit the
-same record types, which is what makes the object-vs-array equivalence
-suite a plain ``==`` over traces.
+Every :class:`~repro.sim.core.batch.ArrayEngine` run emits these record
+types, whichever protocol, backend or batch shape produced it, which is
+what makes the equivalence suites a plain ``==`` over traces.
 
 Two telemetry records live alongside them:
 
@@ -13,8 +12,8 @@ Two telemetry records live alongside them:
   clean receptions, collisions heard, awake slots), the paper's implicit
   cost model made first-class.  Streamed as O(n) counters in the round
   loop, so every run carries them at no asymptotic cost, and
-  bitwise-identical across the object/array paths and dense/sparse
-  backends (the masks they sum are).
+  bitwise-identical across the channel backends (the masks they sum
+  are).
 * :class:`RunTelemetry` — wall-clock observables (rounds/sec, per-phase
   kernel timers).  Deliberately *not* part of :class:`SimResult`: wall
   time differs between runs that are otherwise bitwise identical, so it
@@ -161,7 +160,7 @@ class RunTelemetry:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Outcome of one engine run (either execution path)."""
+    """Outcome of one engine run."""
 
     rounds_run: int
     stopped_early: bool

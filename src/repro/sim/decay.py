@@ -15,21 +15,18 @@ Nodes that become informed mid-phase stay silent until the next phase
 boundary, matching the analysis.  The protocol never uses collision
 detection, so it behaves identically with and without it.
 
-The protocol exists in both execution forms: :class:`DecayProtocol` is the
-per-node object state machine, :class:`DecayArrayProtocol` holds every
-node's state as arrays and is driven by the array engines.  Both consume
-each node's private coin stream in the same order, so traces are bitwise
-identical on shared seeds.
+:class:`DecayArrayProtocol` holds every node's state as arrays and is
+driven by the array engines; run it with ``run_broadcast("decay", ...)``.
+Each transmitter draws its coin from its own private stream, so the
+per-node reference form the tests keep reproduces its traces bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.params import ProtocolParams
 from repro.sim.core.array_protocol import (
     ArrayContext,
     BroadcastArrayProtocol,
@@ -39,70 +36,18 @@ from repro.sim.core.array_protocol import (
 )
 from repro.sim.core.channel import ChannelRound
 from repro.sim.core.stats import SimResult
-from repro.sim.engine import run_until_all_informed
-from repro.sim.faults import FaultSchedule
-from repro.sim.protocol import (
-    Action,
-    BroadcastProtocol,
-    Feedback,
-    FeedbackKind,
-    NodeContext,
-    register_protocol,
-)
-from repro.sim.runners import (
-    BroadcastRun,
-    BroadcastSpec,
-    prepare_broadcast_engine,
-    register_broadcast_spec,
-)
-from repro.sim.topology import RadioNetwork
+from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
 
-__all__ = ["DecayProtocol", "DecayArrayProtocol", "DecayResult", "run_decay"]
-
-
-@register_protocol("decay")
-class DecayProtocol(BroadcastProtocol):
-    """Per-node Decay state machine."""
-
-    def setup(self, ctx: NodeContext) -> None:
-        super().setup(ctx)
-        self.phase_length = ctx.params.decay_phase_length(ctx.n_bound)
-        self.informed = ctx.is_source
-        self.message: Any = self._injected_message if ctx.is_source else None
-        self.informed_round: int | None = 0 if ctx.is_source else None
-        self._active = False
-
-    def act(self, round_index: int) -> Action:
-        if round_index % self.phase_length == 0:
-            # Phase boundary: every informed node (re-)joins the decay.
-            self._active = self.informed
-        if not self.informed:
-            return Action.listen()
-        if not self._active:
-            return Action.sleep()
-        # Stay active next round with probability 1/2 (decide now so the
-        # whole phase consumes a deterministic number of coins per node).
-        self._active = self.ctx.rng.random() < 0.5
-        return Action.transmit(self.message)
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if feedback.kind is FeedbackKind.MESSAGE and not self.informed:
-            self.informed = True
-            self.message = feedback.message
-            self.informed_round = round_index
-
-    def finished(self) -> bool:
-        return self.informed
+__all__ = ["DecayArrayProtocol", "DecayResult"]
 
 
 @register_array_protocol("decay")
 class DecayArrayProtocol(BroadcastArrayProtocol):
     """Whole-network Decay: all nodes' state as arrays, one act() per round.
 
-    Mirrors :class:`DecayProtocol` exactly — same phase boundaries, same
-    transmit set, and one coin per transmitting node per round drawn from
-    that node's private stream — so the two forms produce identical traces
-    on identical seeds.
+    Phase boundaries re-activate every informed node; each transmitter
+    then draws one coin per round from its private stream to decide
+    whether it stays active for the next round.
     """
 
     def setup(self, ctx: ArrayContext) -> None:
@@ -133,7 +78,7 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
 
 @dataclass(frozen=True)
 class DecayResult:
-    """Outcome of one successful :func:`run_decay`."""
+    """Outcome of one successful ``run_broadcast("decay", ...)``."""
 
     network: str
     n: int
@@ -150,52 +95,6 @@ class DecayResult:
     @property
     def phases_to_delivery(self) -> int:
         return -(-self.rounds_to_delivery // self.phase_length)
-
-
-def run_decay(
-    network: RadioNetwork,
-    params: ProtocolParams | None = None,
-    *,
-    seed: int = 0,
-    message: Any = "broadcast",
-    collision_detection: bool = False,
-    n_bound: int | None = None,
-    budget: int | None = None,
-    trace: bool = False,
-    faults: FaultSchedule | None = None,
-    sanitize: bool | None = None,
-) -> DecayResult:
-    """Broadcast ``message`` from the network's source via Decay.
-
-    Runs until every node is informed or the round budget (default:
-    :meth:`ProtocolParams.decay_broadcast_rounds` for the source
-    eccentricity) expires, in which case :class:`BroadcastFailure` is raised
-    carrying the undelivered node set.
-    """
-    prepared = prepare_broadcast_engine(
-        DECAY_SPEC,
-        network,
-        params,
-        seed=seed,
-        message=message,
-        collision_detection=collision_detection,
-        n_bound=n_bound,
-        budget=budget,
-        trace=trace,
-        faults=faults,
-        sanitize=sanitize,
-    )
-    sim = run_until_all_informed(prepared.engine, prepared.budget, label="Decay", seed=seed)
-    return DecayResult(
-        network=network.name,
-        n=network.n,
-        seed=seed,
-        budget=prepared.budget,
-        rounds_to_delivery=sim.rounds_run,
-        informed_rounds=tuple(p.informed_round for p in prepared.protocols),
-        phase_length=prepared.params.decay_phase_length(prepared.n_bound),
-        sim=sim,
-    )
 
 
 def _decay_array_result(run: BroadcastRun) -> DecayResult:
@@ -215,8 +114,6 @@ DECAY_SPEC = register_broadcast_spec(
     BroadcastSpec(
         name="decay",
         label="Decay",
-        runner=run_decay,
-        protocol_factory=DecayProtocol,
         array_factory=DecayArrayProtocol,
         budget_for=lambda params, net, bound, options: params.decay_broadcast_rounds(
             net.eccentricity(), bound

@@ -11,9 +11,7 @@ command doubles as a shell-scriptable smoke test.  ``--protocol decay``
 the paper's collision-detection broadcast, which always models collision
 detection regardless of the flag.
 
-Runs go through the array-native batch engine by default;
-``--engine object`` drives the classic per-node protocol objects instead
-(both paths produce identical results on the same seed).  ``--messages K``
+Runs go through the array-native batch engine.  ``--messages K``
 broadcasts ``K`` distinct messages with the k-message pipeline
 (``--protocol multimessage``), ``--budget`` overrides the round budget
 (handy for forcing a failure), ``--json`` emits one machine-readable JSON
@@ -133,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="model collision detection (Decay ignores it; ghk always has it)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("array", "object"),
-        default="array",
-        help="execution path: array-native batch engine (default) or "
-        "per-node protocol objects; results are identical",
-    )
-    parser.add_argument(
         "--backend",
         choices=("auto", "dense", "sparse", "bitpacked"),
         default="auto",
@@ -222,11 +213,7 @@ def _fault_totals_payload(sim: SimResult | None) -> dict | None:
 
 
 def _telemetry_payload(wall_seconds: float, rounds: int | None, engine_telemetry: dict) -> dict:
-    """Wall-clock observables: demo-level wall time plus engine phase timers.
-
-    ``phase_seconds`` is only available on the array path (the object
-    drivers own their engines), so it is ``None`` for ``--engine object``.
-    """
+    """Wall-clock observables: demo-level wall time plus engine phase timers."""
     rps = (
         round(rounds / wall_seconds, 1)
         if rounds and wall_seconds > 0
@@ -327,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     # to on this topology, so --backend auto payloads are self-describing.
     payload = {
         "protocol": args.protocol,
-        "engine": args.engine,
         "backend": args.backend,
         "backend_resolved": resolve_channel_backend(net, params),
         "topology": net.name,
@@ -354,12 +340,11 @@ def main(argv: list[str] | None = None) -> int:
             net,
             params,
             seed=args.seed,
-            engine=args.engine,
             collision_detection=collision_detection,
             budget=args.budget,
             trace=args.trace,
             options=options,
-            telemetry=engine_telemetry if args.engine == "array" else None,
+            telemetry=engine_telemetry,
             faults=faults,
             # None (not False) without the flag, so REPRO_SANITIZE still
             # opts un-flagged demo runs in.

@@ -29,8 +29,8 @@ count (no protocol consumes it).  All fault randomness is drawn from the
 engine's own stream (:attr:`~repro.sim.rng.SeededStreams.engine`), which
 node protocols never touch — so attaching an empty schedule, or none,
 leaves every run bitwise-identical to the fault-free simulator, and a
-faulted run is reproducible across the object/array execution paths and
-the dense/sparse channel backends alike.
+faulted run is reproducible across the dense/sparse channel backends
+(and between each protocol and its per-node test oracle) alike.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ class FaultState:
         # The loss coins are drawn once per round whenever the schedule
         # has a loss rate — independent of how many clean receptions this
         # round produced — so stream consumption (and therefore every
-        # later draw) is identical across execution paths and backends.
+        # later draw) is identical across protocol forms and backends.
         coins = self._rng.random(self._n) if self.schedule.loss_rate > 0.0 else None
         clean = channel.clean
         collided = channel.collided

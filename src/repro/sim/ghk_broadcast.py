@@ -31,12 +31,11 @@ contention, pipelined — the ``O(D + log^2 n)`` regime of the paper,
 against Decay's ``O((D + log n) log n)``.
 
 The protocol is *only correct with collision detection* (the wave stalls
-without it), so :func:`run_ghk_broadcast` and both protocol forms reject
-collision-blind channels with :class:`ConfigurationError`.
+without it), so ``run_broadcast("ghk", ...)`` and :class:`GHKArrayProtocol`
+reject collision-blind channels with :class:`ConfigurationError`.
 
-Like Decay, the protocol exists in both execution forms:
-:class:`GHKBroadcastProtocol` per node, :class:`GHKArrayProtocol` for the
-whole network at once, coin-for-coin identical on shared seeds.
+:class:`GHKArrayProtocol` runs the whole network at once; the per-node
+reference form the tests keep reproduces it coin for coin.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.params import ProtocolParams
-from repro.sim.beepwave import WAVE_PULSE, in_layer_slot, is_beep
+from repro.sim.beepwave import WAVE_PULSE
 from repro.sim.core.array_protocol import (
     ArrayContext,
     BroadcastArrayProtocol,
@@ -58,111 +56,18 @@ from repro.sim.core.array_protocol import (
 )
 from repro.sim.core.channel import ChannelRound
 from repro.sim.core.stats import SimResult
-from repro.sim.engine import run_until_all_informed
-from repro.sim.faults import FaultSchedule
-from repro.sim.protocol import (
-    Action,
-    BroadcastProtocol,
-    Feedback,
-    FeedbackKind,
-    NodeContext,
-    register_protocol,
-)
-from repro.sim.runners import (
-    BroadcastRun,
-    BroadcastSpec,
-    prepare_broadcast_engine,
-    register_broadcast_spec,
-)
-from repro.sim.topology import RadioNetwork
+from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
 
-__all__ = ["GHKBroadcastProtocol", "GHKArrayProtocol", "GHKResult", "run_ghk_broadcast"]
-
-
-@register_protocol("ghk")
-class GHKBroadcastProtocol(BroadcastProtocol):
-    """Per-node state machine of the collision-detection broadcast."""
-
-    def __init__(self, message: Any = "broadcast") -> None:
-        super().__init__(message)
-        if message is WAVE_PULSE:
-            # The sentinel marks a *content-free* pulse; a broadcast whose
-            # payload is the sentinel could never be recognised as
-            # delivered (on_feedback deliberately ignores it).
-            raise ConfigurationError(
-                "WAVE_PULSE is reserved for synchronization pulses and "
-                "cannot be the broadcast message"
-            )
-
-    def setup(self, ctx: NodeContext) -> None:
-        super().setup(ctx)
-        if not ctx.collision_detection:
-            raise ConfigurationError(
-                "GHKBroadcastProtocol requires collision detection: without it "
-                "the synchronization beep wave stalls at the first contended hop"
-            )
-        self.spacing = ctx.params.wave_spacing
-        self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
-        self.informed = ctx.is_source
-        self.message: Any = self._injected_message if ctx.is_source else None
-        self.informed_round: int | None = 0 if ctx.is_source else None
-        #: BFS layer, learned when the sync wave arrives (0 for the source).
-        self.wave_distance: int | None = 0 if ctx.is_source else None
-        self._pulse_sent = False
-        self._slots_since_informed = 0
-
-    # ------------------------------------------------------------------ #
-    # Round behaviour
-    # ------------------------------------------------------------------ #
-    def act(self, round_index: int) -> Action:
-        if self.wave_distance is None:
-            # Waiting for the sync wave; the first beep fixes our layer.
-            return Action.listen()
-        if not self._pulse_sent and round_index >= self.wave_distance:
-            # Relay the wave exactly once; piggyback the message if we have
-            # it so uncontended receivers are informed by the wave itself.
-            self._pulse_sent = True
-            return Action.transmit(self.message if self.informed else WAVE_PULSE)
-        if self.informed:
-            if in_layer_slot(round_index, self.wave_distance, self.spacing):
-                k = self._slots_since_informed % self.backoff_slots
-                self._slots_since_informed += 1
-                if self.ctx.rng.random() < 2.0 ** (-k):
-                    return Action.transmit(self.message)
-            return Action.sleep()
-        # Uninformed but synchronized: listen everywhere — the message may
-        # arrive from the previous layer's slot, from a same-layer
-        # neighbour, or even from behind.
-        return Action.listen()
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.wave_distance is None:
-            if is_beep(feedback):
-                self.wave_distance = feedback.round_index + 1
-            else:
-                return
-        if (
-            not self.informed
-            and feedback.kind is FeedbackKind.MESSAGE
-            and feedback.message is not WAVE_PULSE
-        ):
-            self.informed = True
-            self.message = feedback.message
-            self.informed_round = round_index
-
-    def finished(self) -> bool:
-        return self.informed
+__all__ = ["GHKArrayProtocol", "GHKResult"]
 
 
 @register_array_protocol("ghk")
 class GHKArrayProtocol(BroadcastArrayProtocol):
     """Whole-network GHK: wave, layer slots, and backoff as array state.
 
-    Mirrors :class:`GHKBroadcastProtocol` branch-for-branch — relay pulses
-    take precedence over layer slots, backoff coins are drawn only by
-    informed nodes in their owned slots, and a node can learn its layer and
-    the message from the same clean pulse — so the two forms produce
-    identical traces on identical seeds.
+    Relay pulses take precedence over layer slots, backoff coins are drawn
+    only by informed nodes in their owned slots, and a node can learn its
+    layer and the message from the same clean pulse.
     """
 
     def __init__(self, message: Any = "broadcast") -> None:
@@ -240,7 +145,7 @@ class GHKArrayProtocol(BroadcastArrayProtocol):
 
 @dataclass(frozen=True)
 class GHKResult:
-    """Outcome of one successful :func:`run_ghk_broadcast`."""
+    """Outcome of one successful ``run_broadcast("ghk", ...)``."""
 
     network: str
     n: int
@@ -255,64 +160,6 @@ class GHKResult:
     #: layer-slot reuse period used by this run.
     wave_spacing: int
     sim: SimResult
-
-
-def run_ghk_broadcast(
-    network: RadioNetwork,
-    params: ProtocolParams | None = None,
-    *,
-    seed: int = 0,
-    message: Any = "broadcast",
-    collision_detection: bool = True,
-    n_bound: int | None = None,
-    budget: int | None = None,
-    trace: bool = False,
-    faults: FaultSchedule | None = None,
-    sanitize: bool | None = None,
-) -> GHKResult:
-    """Broadcast ``message`` from the source with the GHK protocol.
-
-    Runs until every node is informed or the round budget (default:
-    :meth:`ProtocolParams.ghk_broadcast_rounds` for the source
-    eccentricity) expires, in which case :class:`BroadcastFailure` is
-    raised carrying the undelivered node set — the same contract as
-    :func:`repro.sim.decay.run_decay`, so sweeps can drive both uniformly.
-    """
-    if message is WAVE_PULSE:
-        raise ConfigurationError(
-            "WAVE_PULSE is reserved for synchronization pulses and cannot be "
-            "the broadcast message"
-        )
-    if not collision_detection:
-        raise ConfigurationError(
-            "run_ghk_broadcast models the paper's collision-detection setting; "
-            "use run_decay for the collision-blind baseline"
-        )
-    prepared = prepare_broadcast_engine(
-        GHK_SPEC,
-        network,
-        params,
-        seed=seed,
-        message=message,
-        collision_detection=True,
-        n_bound=n_bound,
-        budget=budget,
-        trace=trace,
-        faults=faults,
-        sanitize=sanitize,
-    )
-    sim = run_until_all_informed(prepared.engine, prepared.budget, label="GHK", seed=seed)
-    return GHKResult(
-        network=network.name,
-        n=network.n,
-        seed=seed,
-        budget=prepared.budget,
-        rounds_to_delivery=sim.rounds_run,
-        informed_rounds=tuple(p.informed_round for p in prepared.protocols),
-        wave_distances=tuple(p.wave_distance for p in prepared.protocols),
-        wave_spacing=prepared.params.wave_spacing,
-        sim=sim,
-    )
 
 
 def _ghk_array_result(run: BroadcastRun) -> GHKResult:
@@ -339,8 +186,6 @@ GHK_SPEC = register_broadcast_spec(
     BroadcastSpec(
         name="ghk",
         label="GHK",
-        runner=run_ghk_broadcast,
-        protocol_factory=GHKBroadcastProtocol,
         array_factory=GHKArrayProtocol,
         budget_for=lambda params, net, bound, options: params.ghk_broadcast_rounds(
             net.eccentricity(), bound

@@ -65,14 +65,13 @@ the role of the sequence tag any real multi-message protocol attaches,
 and ``want`` is the piggybacked request); the
 :data:`~repro.sim.beepwave.WAVE_PULSE` sentinel still marks a content-free
 pulse.  A node is *informed* once it holds **all** ``k`` messages — the
-completion predicate the drivers and the batch engine share with the
-single-message protocols.
+completion predicate the batch engine shares with the single-message
+protocols.
 
-Like every protocol in the repo, the broadcast exists in both execution
-forms — :class:`MultiMessageProtocol` per node,
-:class:`MultiMessageArrayProtocol` whole-network — coin-for-coin identical
-on shared seeds.  The protocol requires collision detection (the wave
-stalls without it).
+:class:`MultiMessageArrayProtocol` runs the whole network at once; drive
+it with ``run_broadcast("multimessage", ..., options={"k_messages": k})``.
+The per-node reference form the tests keep reproduces it coin for coin.
+The protocol requires collision detection (the wave stalls without it).
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.params import ProtocolParams
-from repro.sim.beepwave import WAVE_PULSE, in_layer_slot, is_beep
+from repro.sim.beepwave import WAVE_PULSE
 from repro.sim.core.array_protocol import (
     ArrayContext,
     BroadcastArrayProtocol,
@@ -94,30 +92,9 @@ from repro.sim.core.array_protocol import (
 )
 from repro.sim.core.channel import ChannelRound
 from repro.sim.core.stats import SimResult
-from repro.sim.engine import run_until_all_informed
-from repro.sim.faults import FaultSchedule
-from repro.sim.protocol import (
-    Action,
-    BroadcastProtocol,
-    Feedback,
-    FeedbackKind,
-    NodeContext,
-    register_protocol,
-)
-from repro.sim.runners import (
-    BroadcastRun,
-    BroadcastSpec,
-    prepare_broadcast_engine,
-    register_broadcast_spec,
-)
-from repro.sim.topology import RadioNetwork
+from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
 
-__all__ = [
-    "MultiMessageProtocol",
-    "MultiMessageArrayProtocol",
-    "MultiMessageResult",
-    "run_multi_message",
-]
+__all__ = ["MultiMessageArrayProtocol", "MultiMessageResult"]
 
 
 def _check_message_and_k(message: Any, k_messages: Any) -> int:
@@ -133,157 +110,16 @@ def _check_message_and_k(message: Any, k_messages: Any) -> int:
     return k_messages
 
 
-@register_protocol("multimessage")
-class MultiMessageProtocol(BroadcastProtocol):
-    """Per-node state machine of the k-message pipelined broadcast.
-
-    The source starts holding all ``k`` messages (payload ``i`` is the pair
-    ``(i, message)``); every other node collects them one clean receipt at
-    a time.  Slot-for-slot and coin-for-coin, ``k_messages=1`` reproduces
-    :class:`~repro.sim.ghk_broadcast.GHKBroadcastProtocol` exactly.
-    """
-
-    def __init__(self, message: Any = "broadcast", k_messages: int = 1) -> None:
-        super().__init__(message)
-        self.k_messages = _check_message_and_k(message, k_messages)
-
-    def setup(self, ctx: NodeContext) -> None:
-        super().setup(ctx)
-        if not ctx.collision_detection:
-            raise ConfigurationError(
-                "MultiMessageProtocol requires collision detection: without it "
-                "the synchronization beep wave stalls at the first contended hop"
-            )
-        self.spacing = ctx.params.wave_spacing
-        self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
-        k = self.k_messages
-        #: which of the k messages this node holds.
-        self.known: list[bool] = [ctx.is_source] * k
-        #: held payloads by message index (``None`` until received).
-        self.payloads: list[Any] = [
-            self._injected_message if ctx.is_source else None for _ in range(k)
-        ]
-        #: per-message arrival round (0 for the source, None while missing).
-        self.message_rounds: list[int | None] = [0 if ctx.is_source else None] * k
-        #: holds all k messages — the broadcast completion predicate.
-        self.informed = ctx.is_source
-        self.informed_round: int | None = 0 if ctx.is_source else None
-        #: BFS layer, learned when the sync wave arrives (0 for the source).
-        self.wave_distance: int | None = 0 if ctx.is_source else None
-        self._pulse_sent = False
-        self._slots_contended = 0
-        #: how many times this node has transmitted each message.
-        self._send_count: list[int] = [0] * k
-        #: held messages some overheard neighbour announced it was missing.
-        self._requested: list[bool] = [False] * k
-
-    # ------------------------------------------------------------------ #
-    # Message bookkeeping
-    # ------------------------------------------------------------------ #
-    def _lowest_missing(self) -> int:
-        """The piggybacked request: lowest missing index, -1 when complete."""
-        for index, held in enumerate(self.known):
-            if not held:
-                return index
-        return -1
-
-    def _next_held(self) -> int:
-        """Requested-first, least-sent-first selection (caller holds >= 1).
-
-        Candidates are the held-and-requested messages with the minimal
-        send count, or the held messages with the minimal send count when
-        nothing is requested; ties break uniformly at random (one coin,
-        drawn only when there are >= 2 candidates, so ``k_messages=1``
-        draws no selection coins at all).  The transmission is counted;
-        the request flag survives until observably served (see module
-        docstring).
-        """
-        pool = [
-            index
-            for index, (held, req) in enumerate(zip(self.known, self._requested))
-            if held and req
-        ]
-        if not pool:
-            pool = [index for index, held in enumerate(self.known) if held]
-        least = min(self._send_count[index] for index in pool)
-        candidates = [index for index in pool if self._send_count[index] == least]
-        if len(candidates) == 1:
-            chosen = candidates[0]
-        else:
-            chosen = candidates[int(self.ctx.rng.random() * len(candidates))]
-        self._send_count[chosen] += 1
-        return chosen
-
-    def _transmit_payload(self, index: int) -> tuple[int, Any, int]:
-        return (index, self.payloads[index], self._lowest_missing())
-
-    # ------------------------------------------------------------------ #
-    # Round behaviour
-    # ------------------------------------------------------------------ #
-    def act(self, round_index: int) -> Action:
-        if self.wave_distance is None:
-            # Waiting for the sync wave; the first beep fixes our layer.
-            return Action.listen()
-        if not self._pulse_sent and round_index >= self.wave_distance:
-            # Relay the wave exactly once, piggybacking a held message so
-            # uncontended receivers start collecting from the wave itself.
-            self._pulse_sent = True
-            if not any(self.known):
-                return Action.transmit(WAVE_PULSE)
-            return Action.transmit(self._transmit_payload(self._next_held()))
-        if any(self.known) and in_layer_slot(round_index, self.wave_distance, self.spacing):
-            if self.ctx.is_source:
-                # Layer 0 is a singleton by definition, so the source pumps
-                # a message in every owned slot — no contention, no coin.
-                return Action.transmit(self._transmit_payload(self._next_held()))
-            j = self._slots_contended % self.backoff_slots
-            self._slots_contended += 1
-            if self.ctx.rng.random() < 2.0 ** (-j):
-                return Action.transmit(self._transmit_payload(self._next_held()))
-        # Listen whenever not transmitting: missing messages may arrive from
-        # any neighbouring layer, and overheard requests steer selection.
-        return Action.listen()
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.wave_distance is None:
-            if is_beep(feedback):
-                self.wave_distance = feedback.round_index + 1
-            else:
-                return
-        if feedback.kind is not FeedbackKind.MESSAGE or feedback.message is WAVE_PULSE:
-            return
-        index, payload, want = feedback.message
-        if not self.known[index]:
-            self.known[index] = True
-            self.payloads[index] = payload
-            self.message_rounds[index] = round_index
-            if all(self.known):
-                self.informed = True
-                self.informed_round = round_index
-        # The heard message was just delivered in our neighbourhood: its
-        # request, if any, is served.
-        self._requested[index] = False
-        if want >= 0:
-            # The transmitter holds everything below its want, so those
-            # requests are settled; the want itself is live demand.
-            for i in range(want):
-                self._requested[i] = False
-            if self.known[want]:
-                self._requested[want] = True
-
-    def finished(self) -> bool:
-        return self.informed
-
-
 @register_array_protocol("multimessage")
 class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     """Whole-network k-message broadcast as array state.
 
-    Mirrors :class:`MultiMessageProtocol` branch-for-branch — relay pulses
-    take precedence over layer slots, exactly one backoff coin per owned
-    slot of a node holding >= 1 message, least-sent-first selection with
-    send counts bumped only on an actual transmission — so the two forms
-    produce identical traces on identical seeds.
+    Relay pulses take precedence over layer slots, exactly one backoff
+    coin is drawn per owned slot of a node holding >= 1 message, and
+    least-sent-first selection bumps send counts only on an actual
+    transmission.  The source starts holding all ``k`` messages; with
+    ``k_messages=1`` the protocol reproduces GHK slot for slot and coin
+    for coin.
     """
 
     def __init__(self, message: Any = "broadcast", k_messages: int = 1) -> None:
@@ -373,8 +209,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     def _select_least_sent(self, nodes: np.ndarray) -> np.ndarray:
         """Per-node requested-first, least-sent selection, random ties, counted.
 
-        Mirrors the object form's ``_next_held``: the pool is each node's
-        held-and-requested messages, falling back to all held messages when
+        The pool is each node's held-and-requested messages, falling back to all held messages when
         nothing is requested; candidates are the pool entries with the
         minimal send count; a node with >= 2 candidates draws one tie-break
         coin from its private stream (nodes with a unique candidate draw
@@ -449,7 +284,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
 
 @dataclass(frozen=True)
 class MultiMessageResult:
-    """Outcome of one successful :func:`run_multi_message`."""
+    """Outcome of one successful ``run_broadcast("multimessage", ...)``."""
 
     network: str
     n: int
@@ -468,70 +303,6 @@ class MultiMessageResult:
     #: layer-slot reuse period used by this run.
     wave_spacing: int
     sim: SimResult
-
-
-def run_multi_message(
-    network: RadioNetwork,
-    params: ProtocolParams | None = None,
-    *,
-    seed: int = 0,
-    message: Any = "broadcast",
-    k_messages: int = 1,
-    collision_detection: bool = True,
-    n_bound: int | None = None,
-    budget: int | None = None,
-    trace: bool = False,
-    faults: FaultSchedule | None = None,
-    sanitize: bool | None = None,
-) -> MultiMessageResult:
-    """Broadcast ``k_messages`` distinct messages from the source, pipelined.
-
-    Runs until every node holds all ``k`` messages or the round budget
-    (default: :meth:`ProtocolParams.ghk_multi_message_rounds` for the
-    source eccentricity) expires, in which case
-    :class:`~repro.errors.BroadcastFailure` is raised carrying the set of
-    nodes still missing at least one message — the same contract as the
-    single-message drivers, so sweeps drive all of them uniformly.
-    """
-    _check_message_and_k(message, k_messages)
-    if not collision_detection:
-        raise ConfigurationError(
-            "run_multi_message models the paper's collision-detection setting; "
-            "the k-message pipeline has no collision-blind counterpart here"
-        )
-    prepared = prepare_broadcast_engine(
-        MULTI_MESSAGE_SPEC,
-        network,
-        params,
-        seed=seed,
-        message=message,
-        collision_detection=True,
-        n_bound=n_bound,
-        budget=budget,
-        trace=trace,
-        options={"k_messages": k_messages},
-        faults=faults,
-        sanitize=sanitize,
-    )
-    sim = run_until_all_informed(
-        prepared.engine, prepared.budget, label="k-message GHK", seed=seed
-    )
-    return MultiMessageResult(
-        network=network.name,
-        n=network.n,
-        seed=seed,
-        budget=prepared.budget,
-        k_messages=k_messages,
-        rounds_to_delivery=sim.rounds_run,
-        informed_rounds=tuple(p.informed_round for p in prepared.protocols),
-        message_rounds=tuple(
-            tuple(-1 if r is None else r for r in p.message_rounds)
-            for p in prepared.protocols
-        ),
-        wave_distances=tuple(p.wave_distance for p in prepared.protocols),
-        wave_spacing=prepared.params.wave_spacing,
-        sim=sim,
-    )
 
 
 def _multi_message_array_result(run: BroadcastRun) -> MultiMessageResult:
@@ -560,8 +331,6 @@ MULTI_MESSAGE_SPEC = register_broadcast_spec(
     BroadcastSpec(
         name="multimessage",
         label="k-message GHK",
-        runner=run_multi_message,
-        protocol_factory=MultiMessageProtocol,
         array_factory=MultiMessageArrayProtocol,
         budget_for=lambda params, net, bound, options: params.ghk_multi_message_rounds(
             net.eccentricity(), bound, options.get("k_messages", 1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = ["SeededStreams", "node_streams", "stream"]
 
 
@@ -35,7 +37,7 @@ def node_streams(seed: int, count: int) -> tuple[np.random.Generator, ...]:
 
 
 class SeededStreams:
-    """The full complement of streams used by one :class:`~repro.sim.engine.Engine` run.
+    """The full complement of streams used by one :class:`~repro.sim.core.batch.ArrayEngine` run.
 
     ``nodes[i]`` is node *i*'s private stream; ``engine`` is reserved for the
     simulator itself (e.g. future adversarial channel noise) so that adding
@@ -43,6 +45,8 @@ class SeededStreams:
     """
 
     def __init__(self, seed: int, n_nodes: int) -> None:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         root = np.random.SeedSequence(seed)

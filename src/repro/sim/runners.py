@@ -1,29 +1,21 @@
-"""Broadcast driver dispatch, shared driver plumbing, and the batch API.
+"""Broadcast protocol specs and the run API.
 
-Three layers live here:
+Two layers live here:
 
 * **Specs.**  A :class:`BroadcastSpec` bundles everything a protocol needs
-  to be driven end-to-end — its object runner (``run_decay``,
-  ``run_ghk_broadcast``, ...), its array-protocol factory, its round-budget
+  to be driven end-to-end — its array-protocol factory, its round-budget
   rule, its collision-detection requirements, and its result builder.
   Algorithm modules register their spec at import time; the lookup
   functions lazily import them so ``runners`` never imports an algorithm
   module at its own import time (which would be circular — the algorithm
-  modules import the shared helpers below).
+  modules import the spec types below).
 
-* **Shared driver preamble.**  :func:`prepare_broadcast_engine` is the
-  once-copy-pasted head of every object-path ``run_*`` driver: resolve the
-  params preset, the public size bound, and the round budget; choose the
-  collision-detection setting; build one protocol instance per node; and
-  construct the :class:`~repro.sim.engine.Engine`.
-
-* **Batch execution.**  :func:`run_broadcast_batch` drives any number of
+* **Execution.**  :func:`run_broadcast_batch` drives any number of
   (network, seed) instances of one protocol through the array-native
   :class:`~repro.sim.core.batch.BatchEngine` — one process, per-topology
   fused kernel calls, early exit per instance — and returns per-instance
-  results; :func:`run_broadcast` is the single-instance convenience used
-  by the demo CLI.  Array runs are bitwise-equivalent to the object path
-  on the same seeds (see ``tests/test_equivalence.py``), just much faster.
+  results; :func:`run_broadcast` is the single-instance convenience that
+  raises on an undelivered run.
 
 Every result object exposes at least ``rounds_to_delivery``,
 ``informed_rounds``, ``budget`` and ``sim``, which is what the demo CLI
@@ -42,18 +34,13 @@ from repro.params import ProtocolParams
 from repro.sim.core.array_protocol import BroadcastArrayProtocol
 from repro.sim.core.batch import BatchEngine, BatchItem
 from repro.sim.core.stats import RoundStats, SimResult
-from repro.sim.engine import Engine
 from repro.sim.faults import FaultSchedule
-from repro.sim.protocol import BroadcastProtocol
 from repro.sim.topology import RadioNetwork
 
 __all__ = [
-    "BROADCAST_RUNNERS",
     "BROADCAST_PROTOCOL_NAMES",
     "BroadcastSpec",
-    "broadcast_runner",
     "broadcast_spec",
-    "prepare_broadcast_engine",
     "register_broadcast_spec",
     "run_broadcast",
     "run_broadcast_batch",
@@ -65,11 +52,6 @@ __all__ = [
 #: snapshot, if registrations may happen after your module loads).
 BROADCAST_PROTOCOL_NAMES: tuple[str, ...] = ()
 
-#: Broadcast object-path drivers by protocol name, populated by spec
-#: registration; each uses the collision-detection setting its protocol is
-#: designed for (Decay is collision-blind, GHK requires detection).
-BROADCAST_RUNNERS: dict[str, Callable[..., Any]] = {}
-
 
 @dataclass(frozen=True)
 class BroadcastSpec:
@@ -78,13 +60,8 @@ class BroadcastSpec:
     name: str
     #: human-readable label used in failure messages ("Decay", "GHK").
     label: str
-    #: the object-path driver (``run_decay``-shaped signature).
-    runner: Callable[..., Any]
-    #: per-node object protocol factory, called with ``message=...`` plus
-    #: any per-run options the spec declares in :attr:`option_names`.
-    protocol_factory: Callable[..., BroadcastProtocol]
     #: whole-network array protocol factory, called with ``message=...``
-    #: plus the same per-run options.
+    #: plus any per-run options the spec declares in :attr:`option_names`.
     array_factory: Callable[..., BroadcastArrayProtocol]
     #: default round budget: ``(params, network, n_bound, options) -> rounds``.
     budget_for: Callable[[ProtocolParams, RadioNetwork, int, Mapping[str, Any]], int]
@@ -161,7 +138,6 @@ def register_broadcast_spec(spec: BroadcastSpec) -> BroadcastSpec:
             f"broadcast protocol {spec.name!r} is already registered"
         )
     _SPECS[spec.name] = spec
-    BROADCAST_RUNNERS[spec.name] = spec.runner
     BROADCAST_PROTOCOL_NAMES = tuple(sorted(_SPECS))
     return spec
 
@@ -185,92 +161,6 @@ def broadcast_spec(name: str) -> BroadcastSpec:
             f"unknown broadcast protocol {name!r}; "
             f"choose from {BROADCAST_PROTOCOL_NAMES}"
         ) from None
-
-
-def broadcast_runner(name: str) -> Callable[..., Any]:
-    """Look up a broadcast object-path driver by protocol name."""
-    return broadcast_spec(name).runner
-
-
-# ---------------------------------------------------------------------- #
-# Shared object-path driver preamble
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PreparedBroadcast:
-    """The fully-resolved head of one object-path broadcast run."""
-
-    engine: Engine
-    protocols: tuple[BroadcastProtocol, ...]
-    params: ProtocolParams
-    n_bound: int
-    budget: int
-    collision_detection: bool
-
-
-def prepare_broadcast_engine(
-    spec: BroadcastSpec,
-    network: RadioNetwork,
-    params: ProtocolParams | None = None,
-    *,
-    seed: int = 0,
-    message: Any = "broadcast",
-    collision_detection: bool | None = None,
-    n_bound: int | None = None,
-    budget: int | None = None,
-    trace: bool = False,
-    options: Mapping[str, Any] | None = None,
-    faults: FaultSchedule | None = None,
-    sanitize: bool | None = None,
-) -> PreparedBroadcast:
-    """Resolve defaults and build the engine for one object-path run.
-
-    This is the driver preamble shared by every ``run_*`` broadcast driver:
-    params preset, public size bound, round budget via the spec's budget
-    rule, collision-detection choice (the spec's default unless the caller
-    picks, with a hard requirement check), one protocol instance per node,
-    and the :class:`Engine` wiring them together.  ``options`` carries
-    per-run protocol options (validated against the spec's
-    :attr:`~BroadcastSpec.option_names`) into the protocol factory and the
-    budget rule.
-    """
-    if message is None:
-        raise ConfigurationError(
-            f"{spec.runner.__name__} needs a non-None message to broadcast"
-        )
-    if collision_detection is None:
-        collision_detection = spec.default_collision_detection
-    if spec.requires_collision_detection and not collision_detection:
-        raise ConfigurationError(
-            f"{spec.label} requires collision detection; "
-            f"{spec.runner.__name__} cannot model a collision-blind channel"
-        )
-    options = _resolve_options(spec, options)
-    params = params if params is not None else ProtocolParams.paper()
-    bound = n_bound if n_bound is not None else network.n
-    if budget is None:
-        budget = _default_budget(spec, params, network, bound, options, faults)
-    protocols = tuple(
-        spec.protocol_factory(message=message, **options) for _ in range(network.n)
-    )
-    engine = Engine(
-        network,
-        protocols,
-        seed=seed,
-        collision_detection=collision_detection,
-        params=params,
-        n_bound=bound,
-        trace=trace,
-        faults=faults,
-        sanitize=sanitize,
-    )
-    return PreparedBroadcast(
-        engine=engine,
-        protocols=protocols,
-        params=params,
-        n_bound=bound,
-        budget=budget,
-        collision_detection=collision_detection,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -298,7 +188,7 @@ def run_broadcast_batch(
     Returns one entry per instance, in order: the protocol's result object
     on success, or the :class:`~repro.errors.BroadcastFailure` (as a value,
     not raised) when the instance exhausted its budget — sweeps count
-    failures rather than crash, exactly like the object-path harnesses.
+    failures rather than crash.
     ``options`` carries per-run protocol options (e.g. ``k_messages`` for
     the multi-message broadcast) into every instance's protocol factory and
     budget rule.  ``observers`` stream every executed round as
@@ -408,7 +298,6 @@ def run_broadcast(
     params: ProtocolParams | None = None,
     *,
     seed: int = 0,
-    engine: str = "array",
     message: Any = "broadcast",
     collision_detection: bool | None = None,
     n_bound: int | None = None,
@@ -420,48 +309,15 @@ def run_broadcast(
     faults: FaultSchedule | None = None,
     sanitize: bool | None = None,
 ) -> Any:
-    """Run one broadcast end-to-end on the chosen execution path.
+    """Run one broadcast end-to-end; the single-instance :func:`run_broadcast_batch`.
 
-    ``engine="array"`` (the default) goes through the batch engine;
-    ``engine="object"`` dispatches to the protocol's classic per-node
-    driver.  Both paths produce the same result values on the same seed and
-    raise :class:`~repro.errors.BroadcastFailure` on an undelivered run.
-    Per-run ``options`` (validated against the spec) reach the protocol on
-    either path — object drivers accept them as keyword arguments.
-    ``observers``/``telemetry`` stream rounds and collect wall-clock
-    observables on the array path (the single instance has index 0);
-    they are rejected for ``engine="object"``, whose drivers own their
-    engines — drive an :class:`~repro.sim.engine.Engine` directly for
-    object-path observation.
+    Returns the protocol's result object and raises
+    :class:`~repro.errors.BroadcastFailure` on an undelivered run.
+    ``options`` carries per-run protocol options (e.g.
+    ``{"k_messages": k}`` for ``"multimessage"``); ``observers`` and
+    ``telemetry`` stream rounds and collect wall-clock observables (the
+    single instance has index 0).
     """
-    if engine == "object":
-        if observers is not None or telemetry is not None:
-            raise ConfigurationError(
-                "observers/telemetry are array-path features; the object "
-                "drivers own their engines (build an Engine directly instead)"
-            )
-        spec = broadcast_spec(protocol)
-        kwargs: dict[str, Any] = _resolve_options(spec, options)
-        if collision_detection is not None:
-            kwargs["collision_detection"] = collision_detection
-        if faults is not None:
-            kwargs["faults"] = faults
-        if sanitize is not None:
-            kwargs["sanitize"] = sanitize
-        return spec.runner(
-            network,
-            params,
-            seed=seed,
-            message=message,
-            n_bound=n_bound,
-            budget=budget,
-            trace=trace,
-            **kwargs,
-        )
-    if engine != "array":
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose 'array' or 'object'"
-        )
     (result,) = run_broadcast_batch(
         protocol,
         [network],

@@ -1,21 +1,10 @@
-"""Bad: both forms registered but no equivalence test mentions the name."""
-
-
-def register_protocol(name):
-    def deco(cls):
-        return cls
-    return deco
+"""Bad: an array protocol no equivalence test mentions."""
 
 
 def register_array_protocol(name):
     def deco(cls):
         return cls
     return deco
-
-
-@register_protocol("ghost")
-class GhostProtocol:
-    pass
 
 
 @register_array_protocol("ghost")

@@ -263,10 +263,6 @@ class TestRunBroadcastAPI:
         with pytest.raises(ConfigurationError, match="unknown broadcast protocol"):
             run_broadcast_batch("gossip", [line(4)])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            run_broadcast("decay", line(4), engine="quantum")
-
     def test_collision_blind_ghk_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="requires collision detection"):
             run_broadcast_batch("ghk", [line(4)], collision_detection=False)
@@ -285,24 +281,14 @@ class TestRunBroadcastAPI:
         with pytest.raises(BroadcastFailure, match="uninformed"):
             run_broadcast("decay", line(16), FAST, budget=2)
 
-
-class TestPrepareBroadcastEngine:
-    def test_requires_collision_detection_guard(self):
-        from repro.sim.ghk_broadcast import GHK_SPEC
-        from repro.sim.runners import prepare_broadcast_engine
-
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            prepare_broadcast_engine(GHK_SPEC, line(4), FAST, collision_detection=False)
-
     def test_defaults_resolve_from_the_spec(self):
-        from repro.sim.decay import DECAY_SPEC
-        from repro.sim.runners import prepare_broadcast_engine
-
-        prepared = prepare_broadcast_engine(DECAY_SPEC, line(4), FAST, seed=1)
-        assert prepared.collision_detection is False  # Decay's default
-        assert prepared.budget == FAST.decay_broadcast_rounds(3, 4)
-        assert len(prepared.protocols) == 4
-        assert prepared.engine.network.n == 4
+        # Budgets come from each spec's rule; GHK runs without an explicit
+        # collision_detection because its spec defaults it on.
+        decay = run_broadcast("decay", line(4), FAST, seed=1)
+        assert decay.budget == FAST.decay_broadcast_rounds(3, 4)
+        assert decay.n == 4
+        ghk = run_broadcast("ghk", line(4), FAST, seed=1)
+        assert ghk.budget == FAST.ghk_broadcast_rounds(3, 4)
 
 
 class TestCoinDeck:

@@ -2,16 +2,10 @@
 
 import pytest
 
+from oracles import Feedback, FeedbackKind, in_layer_slot, is_beep
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
-from repro.sim.beepwave import (
-    WAVE_PULSE,
-    BeepWaveProtocol,
-    in_layer_slot,
-    is_beep,
-    run_beep_wave,
-)
-from repro.sim.protocol import Feedback, FeedbackKind
+from repro.sim.beepwave import WAVE_PULSE, BeepWaveArrayProtocol, run_beep_wave
 from repro.sim.topology import dumbbell, from_spec, grid2d, line, star
 
 FAST = ProtocolParams.fast()
@@ -121,7 +115,7 @@ class TestPrimitives:
         assert beepwave.WAVE_PULSE is WAVE_PULSE
 
     def test_beepwave_is_registered(self):
-        from repro.sim.protocol import available_protocols, protocol_class
+        from repro.sim.core import array_protocol_class, available_array_protocols
 
-        assert "beepwave" in available_protocols()
-        assert protocol_class("beepwave") is BeepWaveProtocol
+        assert "beepwave" in available_array_protocols()
+        assert array_protocol_class("beepwave") is BeepWaveArrayProtocol

@@ -8,10 +8,11 @@ seed, with collision events observable through the engine's feedback API.
 
 import pytest
 
+from oracles import DecayProtocol, FeedbackKind, oracle_engine
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
-from repro.sim.decay import DecayProtocol, run_decay
-from repro.sim.engine import Engine
+from repro.sim import run_broadcast
+from repro.sim.decay import DecayArrayProtocol
 from repro.sim.topology import dumbbell, gnp, grid2d, line, ring, star, unit_disk
 
 FAST = ProtocolParams.fast()
@@ -29,7 +30,7 @@ class TestDelivery:
         ids=["line-256", "grid-16x16", "gnp-256", "dumbbell-256"],
     )
     def test_delivers_on_acceptance_topologies_n256(self, net):
-        result = run_decay(net, FAST, seed=0)
+        result = run_broadcast("decay", net, FAST, seed=0)
         assert result.n == 256
         assert result.rounds_to_delivery <= result.budget
         assert max(result.informed_rounds) < result.rounds_to_delivery + 1
@@ -48,11 +49,11 @@ class TestDelivery:
         ids=["line-2", "ring-17", "star-hub-src", "star-leaf-src", "udg-48", "grid-50"],
     )
     def test_delivers_on_small_topologies(self, net):
-        result = run_decay(net, FAST, seed=1)
+        result = run_broadcast("decay", net, FAST, seed=1)
         assert result.rounds_to_delivery <= result.budget
 
     def test_single_node_is_trivially_delivered(self):
-        result = run_decay(line(1), FAST, seed=0)
+        result = run_broadcast("decay", line(1), FAST, seed=0)
         assert result.rounds_to_delivery == 0
         assert result.informed_rounds == (0,)
 
@@ -61,21 +62,21 @@ class TestDelivery:
         # which transmits deterministically in the first round of each
         # phase, so delivery takes exactly (n-1) phases.
         net = line(32)
-        result = run_decay(net, FAST, seed=0)
+        result = run_broadcast("decay", net, FAST, seed=0)
         assert result.phases_to_delivery == 31
 
 
 class TestReproducibility:
     def test_same_seed_same_outcome(self):
         net = dumbbell(20, 3)
-        a = run_decay(net, FAST, seed=7)
-        b = run_decay(net, FAST, seed=7)
+        a = run_broadcast("decay", net, FAST, seed=7)
+        b = run_broadcast("decay", net, FAST, seed=7)
         assert a.rounds_to_delivery == b.rounds_to_delivery
         assert a.informed_rounds == b.informed_rounds
 
     def test_different_seeds_usually_differ(self):
         net = gnp(64, 0.1, seed=0)
-        outcomes = {run_decay(net, FAST, seed=s).informed_rounds for s in range(5)}
+        outcomes = {run_broadcast("decay", net, FAST, seed=s).informed_rounds for s in range(5)}
         assert len(outcomes) > 1
 
 
@@ -83,7 +84,7 @@ class TestFailureAndObservability:
     def test_budget_expiry_raises_with_undelivered_set(self):
         net = line(64)
         with pytest.raises(BroadcastFailure) as excinfo:
-            run_decay(net, FAST, seed=0, budget=10)
+            run_broadcast("decay", net, FAST, seed=0, budget=10)
         undelivered = excinfo.value.undelivered
         assert len(undelivered) > 0
         assert set(undelivered) <= set(range(64))
@@ -92,7 +93,7 @@ class TestFailureAndObservability:
     def test_zero_budget_reports_everyone_but_source(self):
         net = line(8)
         with pytest.raises(BroadcastFailure) as excinfo:
-            run_decay(net, FAST, seed=0, budget=0)
+            run_broadcast("decay", net, FAST, seed=0, budget=0)
         assert excinfo.value.undelivered == tuple(range(1, 8))
 
     def test_collisions_are_observable_in_decay_run(self):
@@ -101,7 +102,7 @@ class TestFailureAndObservability:
         # phase start, and both transmit deterministically in that round, so
         # a collision is guaranteed and recorded in the engine ground truth.
         net = grid2d(8, 8)
-        result = run_decay(net, FAST, seed=0, trace=True)
+        result = run_broadcast("decay", net, FAST, seed=0, trace=True)
         assert result.sim.total_collisions > 0
         rounds_with_collisions = [s for s in result.sim.history if s.collisions]
         assert rounds_with_collisions, "expected at least one collision event"
@@ -110,7 +111,6 @@ class TestFailureAndObservability:
         # Two informed neighbours of an uninformed listener transmit in the
         # first round of a phase -> with collision detection enabled, the
         # listener's on_feedback sees a COLLISION it can in principle use.
-        from repro.sim.protocol import FeedbackKind
         from repro.sim.topology import RadioNetwork
 
         # triangle source plus a listener attached to both non-source nodes
@@ -126,7 +126,7 @@ class TestFailureAndObservability:
                 super().on_feedback(round_index, feedback)
 
         protocols = [Eavesdropping() for _ in range(net.n)]
-        engine = Engine(net, protocols, seed=3, collision_detection=True, params=FAST)
+        engine = oracle_engine(net, protocols, seed=3, collision_detection=True, params=FAST)
         engine.run(
             FAST.decay_broadcast_rounds(net.eccentricity(), net.n),
             stop_when=lambda eng: all(p.informed for p in protocols),
@@ -137,26 +137,26 @@ class TestFailureAndObservability:
 
 class TestProtocolDetails:
     def test_decay_is_registered(self):
-        from repro.sim.protocol import available_protocols, protocol_class
+        from repro.sim.core import array_protocol_class, available_array_protocols
 
-        assert "decay" in available_protocols()
-        assert protocol_class("decay") is DecayProtocol
+        assert "decay" in available_array_protocols()
+        assert array_protocol_class("decay") is DecayArrayProtocol
 
     def test_custom_payload_propagates(self):
         net = grid2d(4, 4)
-        result = run_decay(net, FAST, seed=0, message={"k": "v"})
+        result = run_broadcast("decay", net, FAST, seed=0, message={"k": "v"})
         assert result.rounds_to_delivery <= result.budget
 
     def test_custom_message_arrives_verbatim_at_every_node(self):
-        # Regression for the injection-ordering bug: run_decay used to patch
-        # protocols[source].message *after* setup() had already stored the
-        # default, so a custom payload relied on call ordering.  It is now
-        # injected at construction; the object must reach every node by
+        # Regression for the injection-ordering bug: the driver used to
+        # patch protocols[source].message *after* setup() had already stored
+        # the default, so a custom payload relied on call ordering.  It is
+        # now injected at construction; the object must reach every node by
         # identity.
         payload = ("custom", {"nested": [1, 2, 3]})
         net = dumbbell(6, 2)
         protocols = [DecayProtocol(message=payload) for _ in range(net.n)]
-        engine = Engine(net, protocols, seed=4, params=FAST)
+        engine = oracle_engine(net, protocols, seed=4, params=FAST)
         engine.run(
             FAST.decay_broadcast_rounds(net.eccentricity(), net.n),
             stop_when=lambda eng: all(p.informed for p in protocols),
@@ -180,7 +180,7 @@ class TestProtocolDetails:
                     received.append(self.message)
 
         protocols = [Recording(message=sentinel) for _ in range(net.n)]
-        engine = Engine(net, protocols, seed=0, params=FAST)
+        engine = oracle_engine(net, protocols, seed=0, params=FAST)
         engine.run(
             FAST.decay_broadcast_rounds(net.eccentricity(), net.n),
             stop_when=lambda eng: all(p.informed for p in protocols),
@@ -192,18 +192,18 @@ class TestProtocolDetails:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="non-None"):
-            DecayProtocol(message=None)
+            DecayArrayProtocol(message=None)
 
     def test_none_message_rejected_at_api_boundary(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="non-None message"):
-            run_decay(grid2d(4, 4), FAST, message=None)
+        with pytest.raises(ConfigurationError, match="non-None"):
+            run_broadcast("decay", grid2d(4, 4), FAST, message=None)
 
     def test_collision_detection_flag_does_not_change_decay(self):
         # Decay ignores the channel feedback beyond clean receipts, so runs
         # with and without collision detection are identical coin-for-coin.
         net = gnp(48, 0.12, seed=5)
-        a = run_decay(net, FAST, seed=2, collision_detection=False)
-        b = run_decay(net, FAST, seed=2, collision_detection=True)
+        a = run_broadcast("decay", net, FAST, seed=2, collision_detection=False)
+        b = run_broadcast("decay", net, FAST, seed=2, collision_detection=True)
         assert a.informed_rounds == b.informed_rounds

@@ -70,20 +70,10 @@ def test_demo_rejects_unknown_topology():
         demo.main(["--topology", "moebius"])
 
 
-def test_demo_engines_agree(capsys):
-    args = ["--topology", "grid", "--n", "36", "--seed", "3", "--protocol", "ghk"]
-    assert demo.main(args + ["--engine", "array"]) == 0
-    array_out = capsys.readouterr().out
-    assert demo.main(args + ["--engine", "object"]) == 0
-    object_out = capsys.readouterr().out
-    assert _strip_wall_clock(array_out) == _strip_wall_clock(object_out)
-
-
 #: JSON keys shared by success and failure payloads — the one consumer
 #: schema both shapes must satisfy (plus the "status" discriminator).
 SHARED_JSON_KEYS = {
     "protocol",
-    "engine",
     "topology",
     "n",
     "edges",
@@ -159,20 +149,6 @@ def test_demo_json_traffic_sums_to_scalar_totals(capsys):
     assert set(telemetry["phase_seconds"]) == {"act", "channel", "feedback"}
 
 
-def test_demo_object_engine_json_omits_phase_timers(capsys):
-    # The object drivers own their engines, so the demo only has
-    # end-to-end wall clock for them — phase_seconds stays null rather
-    # than pretending to a precision it doesn't have.
-    rc = demo.main(
-        ["--topology", "line", "--n", "12", "--seed", "0", "--engine", "object",
-         "--json"]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["telemetry"]["phase_seconds"] is None
-    assert payload["traffic"]["energy"] > 0
-
-
 def test_demo_budget_override_forces_failure(capsys):
     rc = demo.main(["--topology", "line", "--n", "12", "--seed", "0", "--budget", "2"])
     assert rc == 1
@@ -202,15 +178,6 @@ def test_demo_multimessage_json_reports_k(capsys):
     assert payload["messages"] == 4
     assert payload["wave_depth"] >= 1
     assert SHARED_JSON_KEYS <= set(payload)
-
-
-def test_demo_multimessage_engines_agree(capsys):
-    args = ["--topology", "grid", "--n", "25", "--seed", "2", "--protocol",
-            "multimessage", "--messages", "3"]
-    assert demo.main(args + ["--engine", "array"]) == 0
-    array_out = capsys.readouterr().out
-    assert demo.main(args + ["--engine", "object"]) == 0
-    assert _strip_wall_clock(array_out) == _strip_wall_clock(capsys.readouterr().out)
 
 
 def test_demo_messages_flag_rejected_for_single_message_protocols(capsys):

@@ -1,18 +1,14 @@
-"""Tests for the round-synchronous engine and its channel model."""
+"""Tests for the round-synchronous engine and its channel model.
+
+Scripted per-node protocols (the oracle API of ``tests/oracles``) drive
+:class:`~repro.sim.core.batch.ArrayEngine` through the adapter, so every
+channel outcome can be checked node by node as feedback.
+"""
 
 import pytest
 
+from oracles import Action, Feedback, FeedbackKind, Protocol, oracle_engine
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
-from repro.sim.protocol import (
-    Action,
-    Feedback,
-    FeedbackKind,
-    Protocol,
-    available_protocols,
-    protocol_class,
-    register_protocol,
-)
 from repro.sim.topology import line, star
 
 
@@ -39,7 +35,7 @@ def test_clean_receipt_delivers_message_and_sender():
         Scripted([Action.listen()]),
         Scripted([Action.listen()]),
     ]
-    engine = Engine(net, protos, trace=True)
+    engine = oracle_engine(net, protos, trace=True)
     stats = engine.step()
     assert stats.transmitters == (0,)
     assert stats.deliveries == ((1, 0),)
@@ -60,7 +56,7 @@ def test_collision_with_detection_is_observable():
         Scripted([Action.transmit("a")]),
         Scripted([Action.transmit("b")]),
     ]
-    engine = Engine(net, protos, collision_detection=True)
+    engine = oracle_engine(net, protos, collision_detection=True, trace=True)
     stats = engine.step()
     assert stats.collisions == (0,)
     assert stats.deliveries == ()
@@ -76,7 +72,7 @@ def test_collision_without_detection_reads_as_silence():
         Scripted([Action.transmit("a")]),
         Scripted([Action.transmit("b")]),
     ]
-    engine = Engine(net, protos, collision_detection=False)
+    engine = oracle_engine(net, protos, collision_detection=False, trace=True)
     stats = engine.step()
     # ground truth still records the collision ...
     assert stats.collisions == (0,)
@@ -88,7 +84,7 @@ def test_collision_without_detection_reads_as_silence():
 def test_transmitters_are_half_duplex():
     net = line(2, source=0)
     protos = [Scripted([Action.transmit("x")]), Scripted([Action.transmit("y")])]
-    engine = Engine(net, protos)
+    engine = oracle_engine(net, protos)
     engine.step()
     assert protos[0].heard == []
     assert protos[1].heard == []
@@ -97,7 +93,7 @@ def test_transmitters_are_half_duplex():
 def test_sleeping_nodes_hear_nothing():
     net = line(2, source=0)
     protos = [Scripted([Action.transmit("x")]), Scripted([Action.sleep()])]
-    engine = Engine(net, protos)
+    engine = oracle_engine(net, protos, trace=True)
     stats = engine.step()
     assert protos[1].heard == []
     assert stats.deliveries == ()
@@ -110,7 +106,7 @@ def test_run_stops_early_and_reports_totals():
         Scripted([Action.listen()] * 5),
         Scripted([Action.listen()] * 5),
     ]
-    engine = Engine(net, protos)
+    engine = oracle_engine(net, protos)
     result = engine.run(5, stop_when=lambda eng: len(protos[1].heard) >= 2)
     assert result.stopped_early
     assert result.rounds_run == 2
@@ -122,7 +118,7 @@ def test_run_result_covers_only_that_run():
     # A manual step() before run() must not leak into the run's result.
     net = line(2, source=0)
     protos = [Scripted([Action.transmit("m")] * 4), Scripted([Action.listen()] * 4)]
-    engine = Engine(net, protos, trace=True)
+    engine = oracle_engine(net, protos, trace=True)
     engine.step()
     result = engine.run(3)
     assert result.rounds_run == 3
@@ -137,27 +133,27 @@ def test_trace_history_collected_only_when_requested():
     def make():
         return [Scripted([Action.transmit("m")]), Scripted([Action.listen()])]
 
-    no_trace = Engine(net, make()).run(1)
+    no_trace = oracle_engine(net, make()).run(1)
     assert no_trace.history == ()
-    traced = Engine(net, make(), trace=True).run(1)
+    traced = oracle_engine(net, make(), trace=True).run(1)
     assert len(traced.history) == 1
     assert traced.history[0].deliveries == ((1, 0),)
 
 
 def test_engine_rejects_wrong_protocol_count():
     with pytest.raises(SimulationError, match="one protocol per node"):
-        Engine(line(3), [Scripted([]), Scripted([])])
+        oracle_engine(line(3), [Scripted([]), Scripted([])])
 
 
 def test_engine_rejects_shared_protocol_instance():
     proto = Scripted([])
     with pytest.raises(SimulationError, match="same Protocol instance"):
-        Engine(line(2), [proto, proto])
+        oracle_engine(line(2), [proto, proto])
 
 
 def test_engine_rejects_n_bound_below_network_size():
     with pytest.raises(SimulationError, match="n_bound"):
-        Engine(line(4), [Scripted([]) for _ in range(4)], n_bound=2)
+        oracle_engine(line(4), [Scripted([]) for _ in range(4)], n_bound=2)
 
 
 def test_engine_rejects_invalid_action():
@@ -168,7 +164,7 @@ def test_engine_rejects_invalid_action():
         def on_feedback(self, round_index, feedback):
             pass
 
-    engine = Engine(line(2), [Broken(), Broken()])
+    engine = oracle_engine(line(2), [Broken(), Broken()])
     with pytest.raises(SimulationError, match="expected an Action"):
         engine.step()
 
@@ -181,7 +177,7 @@ def test_action_transmit_requires_message():
 def test_node_context_wiring():
     net = star(4, source=0)
     protos = [Scripted([]) for _ in range(4)]
-    Engine(net, protos, n_bound=16, seed=5)
+    oracle_engine(net, protos, n_bound=16, seed=5)
     assert protos[0].ctx.is_source
     assert not protos[1].ctx.is_source
     assert protos[2].ctx.n_bound == 16
@@ -190,46 +186,12 @@ def test_node_context_wiring():
     assert protos[0].ctx.rng is not protos[1].ctx.rng
 
 
-def test_registry_roundtrip():
-    @register_protocol("scripted-test")
-    class Registered(Scripted):  # simlint: disable=SL005
-        pass
-
-    assert "scripted-test" in available_protocols()
-    assert protocol_class("scripted-test") is Registered
-    assert Registered.name == "scripted-test"
-    with pytest.raises(SimulationError, match="unknown protocol"):
-        protocol_class("no-such-protocol")
-    with pytest.raises(SimulationError, match="already registered"):
-        register_protocol("scripted-test")(Scripted)
-
-
-def test_run_until_all_informed_rejects_protocols_without_informed_flag():
-    # A non-broadcast protocol used to die with a bare AttributeError deep
-    # inside the stop predicate; now the misuse is named up front.
-    from repro.sim.engine import run_until_all_informed
-
-    engine = Engine(line(3), [Scripted([]) for _ in range(3)])
-    with pytest.raises(SimulationError, match="'informed' flag"):
-        run_until_all_informed(engine, 10, label="Scripted", seed=0)
-
-
-def test_run_until_all_informed_names_the_offending_protocol():
-    from repro.sim.decay import DecayProtocol
-    from repro.sim.engine import run_until_all_informed
-
-    protos = [DecayProtocol(), DecayProtocol(), Scripted([])]
-    engine = Engine(line(3), protos)
-    with pytest.raises(SimulationError, match="Scripted at node 2"):
-        run_until_all_informed(engine, 10, label="mixed", seed=0)
-
-
 def test_determinism_same_seed_same_trace():
-    from repro.sim.decay import run_decay
+    from repro.sim import run_broadcast
     from repro.sim.topology import gnp
 
     net = gnp(30, 0.2, seed=8)
-    a = run_decay(net, seed=11, trace=True)
-    b = run_decay(net, seed=11, trace=True)
+    a = run_broadcast("decay", net, seed=11, trace=True)
+    b = run_broadcast("decay", net, seed=11, trace=True)
     assert a.rounds_to_delivery == b.rounds_to_delivery
     assert a.sim.history == b.sim.history

@@ -1,25 +1,24 @@
-"""Object-path vs array-path equivalence: bitwise-identical traces.
+"""Oracle vs array equivalence: bitwise-identical traces.
 
-The array-native protocol forms must reproduce the per-node object forms
-*exactly* — same per-round ground truth (``RoundStats``), same
-rounds-to-delivery, same per-node arrival rounds — on identical seeds
-across the topology suite.  This is the contract that lets sweeps run on
-the fast path while the object path stays the auditable reference.
+The library's array protocols must reproduce the per-node oracles in
+``tests/oracles`` *exactly* — same per-round ground truth
+(``RoundStats``), same rounds-to-delivery, same per-node arrival rounds —
+on identical seeds across the topology suite.  The oracles are written
+straight from the paper's per-node rules, so this checks the vectorized
+protocol logic against an independent implementation.
 """
 
 import pytest
 
+from oracles import BeepWaveProtocol, oracle_engine, run_oracle
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim import (
     ArrayEngine,
     BeepWaveArrayProtocol,
-    BeepWaveProtocol,
-    Engine,
     run_broadcast,
     run_broadcast_batch,
 )
-from repro.sim.runners import broadcast_runner
 from repro.sim.topology import from_spec
 
 FAST = ProtocolParams.fast()
@@ -35,7 +34,7 @@ SEEDS = (0, 3)
 @pytest.mark.parametrize("protocol", ["decay", "ghk"])
 def test_broadcast_traces_are_bitwise_identical(family, seed, protocol):
     net = from_spec(family, 24, seed=seed)
-    obj = broadcast_runner(protocol)(net, FAST, seed=seed, trace=True)
+    obj = run_oracle(protocol, net, FAST, seed=seed, trace=True)
     arr = run_broadcast(protocol, net, FAST, seed=seed, trace=True)
     assert arr.rounds_to_delivery == obj.rounds_to_delivery
     assert arr.informed_rounds == obj.informed_rounds
@@ -53,7 +52,9 @@ def test_multimessage_traces_are_bitwise_identical(family, seed, k):
     # selection tie-breaks), so this covers a strictly richer coin
     # discipline than the single-message protocols.
     net = from_spec(family, 24, seed=seed)
-    obj = broadcast_runner("multimessage")(net, FAST, seed=seed, k_messages=k, trace=True)
+    obj = run_oracle(
+        "multimessage", net, FAST, seed=seed, options={"k_messages": k}, trace=True
+    )
     arr = run_broadcast(
         "multimessage", net, FAST, seed=seed, options={"k_messages": k}, trace=True
     )
@@ -68,14 +69,14 @@ def test_multimessage_traces_are_bitwise_identical(family, seed, k):
 @pytest.mark.parametrize("cd", [True, False])
 def test_beepwave_traces_are_bitwise_identical(family, cd):
     # The wave is deterministic with collision detection and *stalls*
-    # without it; both behaviours must agree across paths, so run a fixed
+    # without it; both behaviours must agree between the two forms, so run a fixed
     # number of rounds with no early stop and compare everything.
     seed = 1
     net = from_spec(family, 25, seed=seed)
     rounds = net.eccentricity() + 3
 
     obj_protos = [BeepWaveProtocol() for _ in range(net.n)]
-    obj_engine = Engine(
+    obj_engine = oracle_engine(
         net, obj_protos, seed=seed, collision_detection=cd, params=FAST, trace=True
     )
     obj_sim = obj_engine.run(rounds)
@@ -99,7 +100,7 @@ def test_failures_agree_between_paths(protocol):
     # undelivered node set.
     net = from_spec("line", 24, seed=0)
     with pytest.raises(BroadcastFailure) as obj_exc:
-        broadcast_runner(protocol)(net, FAST, seed=0, budget=3)
+        run_oracle(protocol, net, FAST, seed=0, budget=3)
     (arr_result,) = run_broadcast_batch(
         protocol, [net], seeds=[0], params=FAST, budget=3
     )
@@ -119,7 +120,7 @@ def test_batch_results_match_single_runs(protocol):
 
 def test_single_node_network_is_vacuously_delivered_on_both_paths():
     net = from_spec("line", 1)
-    obj = broadcast_runner("decay")(net, FAST, seed=0)
+    obj = run_oracle("decay", net, FAST, seed=0)
     arr = run_broadcast("decay", net, FAST, seed=0)
     assert obj.rounds_to_delivery == arr.rounds_to_delivery == 0
     assert obj.sim.stopped_early and arr.sim.stopped_early
@@ -134,7 +135,7 @@ def test_equivalence_holds_over_many_seeds(family, protocol):
     # semantics shows up as a rounds mismatch long before n grows.
     for seed in range(10):
         net = from_spec(family, 32, seed=seed)
-        obj = broadcast_runner(protocol)(net, FAST, seed=seed)
+        obj = run_oracle(protocol, net, FAST, seed=seed)
         arr = run_broadcast(protocol, net, FAST, seed=seed)
         assert arr.rounds_to_delivery == obj.rounds_to_delivery, (family, protocol, seed)
         assert arr.informed_rounds == obj.informed_rounds
@@ -146,7 +147,7 @@ def test_equivalence_holds_over_many_seeds(family, protocol):
 def test_multimessage_equivalence_holds_over_many_seeds(family, k):
     for seed in range(10):
         net = from_spec(family, 32, seed=seed)
-        obj = broadcast_runner("multimessage")(net, FAST, seed=seed, k_messages=k)
+        obj = run_oracle("multimessage", net, FAST, seed=seed, options={"k_messages": k})
         arr = run_broadcast(
             "multimessage", net, FAST, seed=seed, options={"k_messages": k}
         )

@@ -40,3 +40,14 @@ def test_broadcast_failure_default_undelivered_is_empty():
 def test_catching_base_class_catches_subclasses():
     with pytest.raises(errors.ReproError):
         raise errors.BroadcastFailure("x", (0,))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])
+def test_bad_seed_raises_configuration_error(seed):
+    # numpy's own SeedSequence error must not leak out of the library.
+    from repro.sim import line, run_broadcast, run_broadcast_batch
+
+    with pytest.raises(errors.ConfigurationError, match="seed"):
+        run_broadcast("decay", line(4), seed=seed)
+    with pytest.raises(errors.ConfigurationError, match="seed"):
+        run_broadcast_batch("decay", [line(4)], seeds=[seed])

@@ -209,13 +209,11 @@ class TestEngineBench:
         assert record["topology"] == "line"
         assert record["protocols"] == ["decay", "ghk"]
 
-    def test_paths_execute_identical_rounds(self, record):
+    def test_array_entries_count_executed_rounds(self, record):
         for entry in record["results"]:
-            assert "paths_diverged" not in entry
-            assert entry["object"]["rounds"] == entry["array"]["rounds"]
-            assert entry["object"]["completed"] == entry["array"]["completed"]
-            assert entry["object"]["rounds"] > 0
-            assert entry["speedup_rounds_per_sec"] > 0
+            assert "object" not in entry
+            assert entry["array"]["rounds"] > 0
+            assert entry["array"]["completed"] == entry["array"]["runs"] == 2
 
     def test_array_entries_carry_phase_timers(self, record):
         for entry in record["results"]:

@@ -5,8 +5,9 @@ The load-bearing contracts, in order of importance:
 * an **empty schedule is a no-op** — attaching ``FaultSchedule()`` leaves
   a run bitwise-identical (``==`` on ``SimResult``) to not attaching one,
   on both channel backends, because fault coins live on their own stream;
-* **faulted runs are path- and backend-independent** — object vs array
-  and dense vs sparse agree bit for bit under every fault family;
+* **faulted runs are oracle- and backend-independent** — per-node oracle
+  vs array protocol and dense vs sparse agree bit for bit under every
+  fault family;
 * faults act on *perception*: crashes silence radios, jammers force
   collisions, loss drops clean receptions — and every injection is
   counted in ``SimResult.faults``.
@@ -20,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import run_oracle
 from repro.errors import BroadcastFailure, ConfigurationError, SimulationError
 from repro.params import ProtocolParams
 from repro.sim import (
@@ -37,8 +39,6 @@ from repro.sim import (
     sample_fault_schedule,
 )
 from repro.sim.core import RoundPlan, select_kernel_operand
-from repro.sim.decay import run_decay
-from repro.sim.runners import broadcast_runner
 from repro.sim.topology import from_spec, grid2d, line
 
 FAST = ProtocolParams.fast()
@@ -138,8 +138,8 @@ class TestEmptyScheduleIdentity:
     def test_empty_schedule_is_bitwise_identical(self, backend):
         params = FAST.with_overrides(channel_backend=backend)
         net = grid2d(6, 6)
-        base = run_decay(net, params, seed=3)
-        empty = run_decay(net, params, seed=3, faults=FaultSchedule())
+        base = run_broadcast("decay", net, params, seed=3)
+        empty = run_broadcast("decay", net, params, seed=3, faults=FaultSchedule())
         assert base.sim == empty.sim
         assert base == empty
         # The pinned regression value survives an attached-but-empty layer.
@@ -148,7 +148,7 @@ class TestEmptyScheduleIdentity:
 
     def test_faulted_result_carries_fault_totals(self):
         net = from_spec("grid", 16, seed=0)
-        result = run_decay(net, FAST, seed=3, faults=LOSS_ONLY)
+        result = run_broadcast("decay", net, FAST, seed=3, faults=LOSS_ONLY)
         assert result.sim.faults is not None
         totals = result.sim.faults.as_dict()
         assert set(totals) == {
@@ -163,7 +163,7 @@ class TestFaultSemantics:
     def test_certain_loss_fails_delivery_and_counts_drops(self):
         net = line(5)
         with pytest.raises(BroadcastFailure) as exc:
-            run_decay(net, FAST, seed=0, faults=FaultSchedule(loss_rate=1.0))
+            run_broadcast("decay", net, FAST, seed=0, faults=FaultSchedule(loss_rate=1.0))
         sim = exc.value.sim
         assert sim.faults.dropped_receptions > 0
         # Nothing beyond the source ever hears the message.
@@ -174,14 +174,14 @@ class TestFaultSemantics:
         net = line(3)
         schedule = FaultSchedule(edge_flips=(EdgeFlip(0, 1, 2),))
         with pytest.raises(BroadcastFailure) as exc:
-            run_decay(net, FAST, seed=0, faults=schedule, budget=40)
+            run_broadcast("decay", net, FAST, seed=0, faults=schedule, budget=40)
         assert exc.value.undelivered == (2,)
         assert exc.value.sim.faults.edge_flips_applied == 1
 
     def test_crash_windows_accrue_node_rounds_and_silence_radios(self):
         net = from_spec("grid", 16, seed=0)
         schedule = FaultSchedule(crashes=(NodeCrash(3, start=0, stop=5),))
-        result = run_decay(net, FAST, seed=3, faults=schedule)
+        result = run_broadcast("decay", net, FAST, seed=3, faults=schedule)
         # Exactly one node down for exactly five rounds.
         assert result.sim.faults.crashed_node_rounds == 5
         # A node crashed from round 0 cannot be informed before round 5.
@@ -194,7 +194,7 @@ class TestFaultSemantics:
         # collision is counted.
         net = from_spec("grid", 16, seed=0)
         schedule = FaultSchedule(jammers=(Jammer(5, start=0, stop=4),))
-        result = run_decay(net, FAST, seed=3, faults=schedule)
+        result = run_broadcast("decay", net, FAST, seed=3, faults=schedule)
         assert result.sim.faults.jammed_listens > 0
 
     def test_fault_counters_window_like_traffic(self):
@@ -225,7 +225,7 @@ class TestFaultedEquivalence:
     @pytest.mark.parametrize("protocol", ["decay", "ghk"])
     def test_object_and_array_paths_agree_under_faults(self, name, schedule, protocol):
         net = from_spec("grid", 16, seed=0)
-        obj = broadcast_runner(protocol)(net, FAST, seed=1, faults=schedule, trace=True)
+        obj = run_oracle(protocol, net, FAST, seed=1, faults=schedule, trace=True)
         arr = run_broadcast(protocol, net, FAST, seed=1, faults=schedule, trace=True)
         assert arr.sim.history == obj.sim.history
         assert arr.sim == obj.sim
@@ -247,8 +247,8 @@ class TestFaultedEquivalence:
 
     def test_multimessage_paths_agree_under_faults(self):
         net = from_spec("grid", 16, seed=0)
-        obj = broadcast_runner("multimessage")(
-            net, FAST, seed=1, k_messages=2, faults=COMBINED
+        obj = run_oracle(
+            "multimessage", net, FAST, seed=1, options={"k_messages": 2}, faults=COMBINED
         )
         arr = run_broadcast(
             "multimessage",
@@ -262,8 +262,8 @@ class TestFaultedEquivalence:
 
     def test_faulted_runs_are_seed_reproducible(self):
         net = from_spec("grid", 16, seed=0)
-        a = run_decay(net, FAST, seed=7, faults=COMBINED)
-        b = run_decay(net, FAST, seed=7, faults=COMBINED)
+        a = run_broadcast("decay", net, FAST, seed=7, faults=COMBINED)
+        b = run_broadcast("decay", net, FAST, seed=7, faults=COMBINED)
         assert a == b
 
 

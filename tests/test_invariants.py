@@ -1,6 +1,7 @@
 """Property-based engine invariants under seeded randomized action sequences.
 
-Each case drives the engine with ``RandomActor`` protocols that pick
+Each case drives the engine with per-node ``RandomActor`` protocols
+(written against the oracle API in ``tests/oracles``) that pick
 TRANSMIT / LISTEN / SLEEP at random from their private node streams, then
 replays the traced ground truth against the recorded per-node feedback and
 checks the channel-model invariants:
@@ -22,8 +23,7 @@ printed (graph seed, run seed, collision_detection) triple.
 import numpy as np
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.protocol import Action, FeedbackKind, Protocol
+from oracles import Action, FeedbackKind, Protocol, oracle_engine
 from repro.sim.topology import gnp
 
 N_ROUNDS = 25
@@ -70,7 +70,7 @@ def test_channel_invariants_hold_on_random_runs(graph_seed, run_seed, cd):
     net = gnp(n, 0.25, seed=graph_seed)
     adj = net.adjacency_matrix()
     protocols = [RandomActor() for _ in range(n)]
-    engine = Engine(net, protocols, seed=run_seed, collision_detection=cd, trace=True)
+    engine = oracle_engine(net, protocols, seed=run_seed, collision_detection=cd, trace=True)
     result = engine.run(N_ROUNDS)
 
     assert len(result.history) == N_ROUNDS
@@ -126,7 +126,7 @@ def test_channel_invariants_hold_on_random_runs(graph_seed, run_seed, cd):
 def test_history_totals_equal_aggregate_counters(graph_seed, run_seed, cd):
     net = gnp(15, 0.3, seed=graph_seed)
     protocols = [RandomActor() for _ in range(net.n)]
-    engine = Engine(net, protocols, seed=run_seed, collision_detection=cd, trace=True)
+    engine = oracle_engine(net, protocols, seed=run_seed, collision_detection=cd, trace=True)
     result = engine.run(N_ROUNDS)
     assert result.total_transmissions == sum(
         len(s.transmitters) for s in result.history
@@ -147,5 +147,5 @@ def test_node_context_reports_collision_detection_setting():
     net = gnp(8, 0.4, seed=0)
     for cd in (True, False):
         protocols = [RandomActor() for _ in range(net.n)]
-        Engine(net, protocols, collision_detection=cd)
+        oracle_engine(net, protocols, collision_detection=cd)
         assert all(p.ctx.collision_detection is cd for p in protocols)

@@ -1,18 +1,17 @@
-"""Tests for the k-message pipelined broadcast (object + array forms)."""
+"""Tests for the k-message pipelined broadcast (array protocol + oracle)."""
 
 import numpy as np
 import pytest
 
+from oracles import MultiMessageProtocol
 from repro.errors import BroadcastFailure, ConfigurationError
 from repro.params import ProtocolParams
 from repro.sim import (
     WAVE_PULSE,
     MultiMessageArrayProtocol,
-    MultiMessageProtocol,
     MultiMessageResult,
     run_broadcast,
     run_broadcast_batch,
-    run_multi_message,
 )
 from repro.sim.core.batch import ArrayEngine
 from repro.sim.topology import from_spec, line, star
@@ -25,7 +24,7 @@ class TestDelivery:
     @pytest.mark.parametrize("k", [1, 4])
     def test_delivers_all_k_messages_on_every_family(self, family, k):
         net = from_spec(family, 24, seed=2)
-        result = run_multi_message(net, FAST, seed=2, k_messages=k)
+        result = run_broadcast("multimessage", net, FAST, seed=2, options={"k_messages": k})
         assert isinstance(result, MultiMessageResult)
         assert result.k_messages == k
         assert result.rounds_to_delivery <= result.budget
@@ -35,20 +34,20 @@ class TestDelivery:
 
     def test_source_starts_with_everything(self):
         net = line(8)
-        result = run_multi_message(net, FAST, seed=0, k_messages=3)
+        result = run_broadcast("multimessage", net, FAST, seed=0, options={"k_messages": 3})
         src = net.source
         assert result.informed_rounds[src] == 0
         assert result.message_rounds[src] == (0, 0, 0)
 
     def test_informed_round_is_the_last_message_round(self):
         net = from_spec("grid", 25, seed=1)
-        result = run_multi_message(net, FAST, seed=1, k_messages=4)
+        result = run_broadcast("multimessage", net, FAST, seed=1, options={"k_messages": 4})
         for node in range(net.n):
             assert result.informed_rounds[node] == max(result.message_rounds[node])
 
     def test_wave_distances_are_the_bfs_layers(self):
         net = from_spec("grid", 25, seed=3)
-        result = run_multi_message(net, FAST, seed=3, k_messages=4)
+        result = run_broadcast("multimessage", net, FAST, seed=3, options={"k_messages": 4})
         layers = net.bfs_layers()
         for depth, layer in enumerate(layers):
             for node in layer:
@@ -57,18 +56,20 @@ class TestDelivery:
     def test_star_hub_source_is_near_instant(self):
         # Every leaf neighbours the hub: the source pumps one message per
         # owned slot, so k messages land in O(k) slots.
-        result = run_multi_message(star(12), FAST, seed=0, k_messages=4)
+        result = run_broadcast("multimessage", star(12), FAST, seed=0, options={"k_messages": 4})
         assert result.rounds_to_delivery <= 4 * FAST.wave_spacing + 1
 
     def test_deterministic_in_seed(self):
         net = from_spec("gnp", 20, seed=5)
-        a = run_multi_message(net, FAST, seed=5, k_messages=4)
-        b = run_multi_message(net, FAST, seed=5, k_messages=4)
+        a = run_broadcast("multimessage", net, FAST, seed=5, options={"k_messages": 4})
+        b = run_broadcast("multimessage", net, FAST, seed=5, options={"k_messages": 4})
         assert a == b
 
     def test_starved_budget_raises_with_undelivered(self):
         with pytest.raises(BroadcastFailure) as exc:
-            run_multi_message(line(16), FAST, seed=0, k_messages=4, budget=3)
+            run_broadcast(
+                "multimessage", line(16), FAST, seed=0, options={"k_messages": 4}, budget=3
+            )
         assert exc.value.undelivered
         assert exc.value.budget == 3
         assert exc.value.sim is not None
@@ -100,11 +101,11 @@ class TestValidation:
 
     def test_rejects_none_message(self):
         with pytest.raises(ConfigurationError, match="non-None"):
-            MultiMessageProtocol(message=None)
+            MultiMessageArrayProtocol(message=None)
 
     def test_runner_rejects_collision_blind(self):
-        with pytest.raises(ConfigurationError, match="collision-detection"):
-            run_multi_message(line(4), FAST, collision_detection=False)
+        with pytest.raises(ConfigurationError, match="requires collision detection"):
+            run_broadcast("multimessage", line(4), FAST, collision_detection=False)
 
     def test_batch_rejects_collision_blind(self):
         with pytest.raises(ConfigurationError, match="requires collision detection"):
@@ -133,7 +134,8 @@ class TestPipelining:
     def test_budget_grows_linearly_in_k(self):
         net = line(16)
         budgets = [
-            run_multi_message(net, FAST, seed=0, k_messages=k).budget for k in (1, 2, 4)
+            run_broadcast("multimessage", net, FAST, seed=0, options={"k_messages": k}).budget
+            for k in (1, 2, 4)
         ]
         assert budgets[0] < budgets[1] < budgets[2]
 

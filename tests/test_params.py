@@ -29,13 +29,6 @@ DERIVED = [
     "decay_phase_length",
     "decay_whp_phases",
     "decay_whp_rounds",
-    "recruiting_hold",
-    "recruiting_iterations",
-    "recruiting_iteration_rounds",
-    "recruiting_rounds",
-    "assignment_epochs",
-    "max_rank",
-    "batch_size",
 ]
 
 
@@ -49,13 +42,15 @@ class TestDerivedQuantities:
 
     def test_budgets_monotone_in_n_bound(self):
         params = ProtocolParams.fast()
-        for method in ("broadcast_budget", "decay_broadcast_rounds", "ghk_broadcast_rounds"):
+        budgets = ("decay_broadcast_rounds", "ghk_broadcast_rounds", "ghk_multi_message_rounds")
+        for method in budgets:
             values = [getattr(params, method)(10, n) for n in (2, 8, 64, 512, 4096)]
             assert values == sorted(values), f"{method} not monotone: {values}"
 
     def test_budgets_monotone_in_diameter(self):
         params = ProtocolParams.fast()
-        for method in ("broadcast_budget", "decay_broadcast_rounds", "ghk_broadcast_rounds"):
+        budgets = ("decay_broadcast_rounds", "ghk_broadcast_rounds", "ghk_multi_message_rounds")
+        for method in budgets:
             values = [getattr(params, method)(d, 64) for d in (0, 1, 10, 100)]
             assert values == sorted(values)
 
@@ -124,12 +119,7 @@ class TestDerivedQuantities:
 POSITIVE_FIELDS = [
     "decay_phase_factor",
     "decay_whp_factor",
-    "recruiting_hold_factor",
-    "recruiting_sweeps",
-    "assignment_epochs_factor",
     "schedule_slack",
-    "fec_expansion",
-    "batch_size_factor",
     "ghk_backoff_factor",
     "multi_message_pipeline_factor",
 ]
@@ -145,12 +135,6 @@ class TestValidation:
     def test_construction_rejects_negative_additive_slack(self):
         with pytest.raises(ConfigurationError):
             ProtocolParams(schedule_slack_additive=-1)
-
-    def test_construction_rejects_bad_ring_width_and_rank_offset(self):
-        with pytest.raises(ConfigurationError):
-            ProtocolParams(ring_width=0)
-        with pytest.raises(ConfigurationError):
-            ProtocolParams(max_rank_offset=-1)
 
     def test_with_overrides_validates(self):
         params = ProtocolParams.fast()

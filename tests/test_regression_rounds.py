@@ -10,8 +10,6 @@ intentional, update the pins and say why in the commit.
 import pytest
 
 from repro.params import ProtocolParams
-from repro.sim.decay import run_decay
-from repro.sim.ghk_broadcast import run_ghk_broadcast
 from repro.sim.runners import run_broadcast
 from repro.sim.topology import dumbbell, gnp, grid2d, line, ring, star
 
@@ -34,13 +32,13 @@ IDS = ["line-33", "ring-24", "grid-6x6", "gnp-40", "dumbbell-20+3+20"]
 
 @pytest.mark.parametrize("make_net,seed,decay_rounds,ghk_rounds", PINS, ids=IDS)
 def test_decay_rounds_to_delivery_is_pinned(make_net, seed, decay_rounds, ghk_rounds):
-    result = run_decay(make_net(), FAST, seed=seed)
+    result = run_broadcast("decay", make_net(), FAST, seed=seed)
     assert result.rounds_to_delivery == decay_rounds
 
 
 @pytest.mark.parametrize("make_net,seed,decay_rounds,ghk_rounds", PINS, ids=IDS)
 def test_ghk_rounds_to_delivery_is_pinned(make_net, seed, decay_rounds, ghk_rounds):
-    result = run_ghk_broadcast(make_net(), FAST, seed=seed)
+    result = run_broadcast("ghk", make_net(), FAST, seed=seed)
     assert result.rounds_to_delivery == ghk_rounds
 
 

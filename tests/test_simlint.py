@@ -87,12 +87,6 @@ def test_sl007_exempts_factories_kernel_module_and_non_sim_code():
     assert hit == []
 
 
-def test_sl005_missing_array_counterpart():
-    hit, report = rules_hit(FIXTURES / "sl005" / "bad_missing_array")
-    assert hit == ["SL005"]
-    assert "no array counterpart" in report.findings[0].message
-
-
 def test_sl005_uncovered_by_equivalence_tests():
     hit, report = rules_hit(FIXTURES / "sl005" / "bad_uncovered")
     assert hit == ["SL005"]
@@ -127,19 +121,22 @@ def test_suppression_applies_to_project_level_findings():
     engine = build_engine()
     source = textwrap.dedent(
         """
-        def register_protocol(name):
+        def register_array_protocol(name):
             def deco(cls):
                 return cls
             return deco
 
-        @register_protocol("solo")
-        class SoloProtocol:  # simlint: disable=SL005
+        @register_array_protocol("solo")
+        class SoloArrayProtocol:  # simlint: disable=SL005
             pass
         """
     )
     result = engine.analyze_source("protocols.py", source)
+    other = engine.analyze_source("test_other_equivalence.py", 'COVERED = ["toy"]\n')
     registry_rule = next(r for r in engine.rules if r.id == "SL005")
-    findings = registry_rule.finalize({"protocols.py": result.facts})
+    findings = registry_rule.finalize(
+        {"protocols.py": result.facts, "test_other_equivalence.py": other.facts}
+    )
     assert findings, "sanity: the raw project finding exists"
     assert all(result.suppresses(f) for f in findings)
 

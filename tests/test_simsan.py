@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import run_oracle
 from repro.analysis.simsan import (
     CHECKS,
     Sanitizer,
@@ -35,7 +36,6 @@ from repro.params import ProtocolParams
 from repro.sim.core.array_protocol import RoundPlan
 from repro.sim.core.batch import ArrayEngine, select_kernel_operand
 from repro.sim.core.stats import conservation_violation
-from repro.sim.engine import Engine
 from repro.sim.faults import sample_fault_schedule
 from repro.sim.runners import broadcast_spec, run_broadcast, run_broadcast_batch
 from repro.sim.topology import from_spec
@@ -66,6 +66,8 @@ def _decay_engine(net, *, seed=0, sanitize=None, backend="dense", **kwargs):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("engine", ("array", "object"))
 def test_sanitized_fault_runs_pass_clean(backend, engine):
+    # "object" drives the per-node oracles through the adapter.
+    run = run_broadcast if engine == "array" else run_oracle
     net = from_spec("gnp", 60, seed=3, p=0.15)
     for knobs in (
         {"crash_rate": 0.1},
@@ -75,9 +77,7 @@ def test_sanitized_fault_runs_pass_clean(backend, engine):
     ):
         faults = sample_fault_schedule(net, seed=3, horizon=400, **knobs)
         params = _params(backend, fault_budget_slack=4.0)
-        result = run_broadcast(
-            "ghk", net, params, seed=3, engine=engine, sanitize=True, faults=faults
-        )
+        result = run("ghk", net, params, seed=3, sanitize=True, faults=faults)
         assert result.sim.rounds_run > 0
 
 
@@ -131,19 +131,6 @@ def test_env_variable_opts_engines_in(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "0")
     assert not _decay_engine(net).sanitized
     assert _decay_engine(net, sanitize=True).sanitized
-
-
-def test_object_engine_exposes_sanitized_flag():
-    net = from_spec("grid", 16, seed=0)
-    protocols = [
-        broadcast_spec("decay").protocol_factory(message="m") for _ in range(net.n)
-    ]
-    engine = Engine(net, protocols, params=ProtocolParams.fast(), sanitize=True)
-    assert engine.sanitized
-    protocols = [
-        broadcast_spec("decay").protocol_factory(message="m") for _ in range(net.n)
-    ]
-    assert not Engine(net, protocols, params=ProtocolParams.fast()).sanitized
 
 
 # --------------------------------------------------------------------- #

@@ -17,8 +17,7 @@ import statistics
 import pytest
 
 from repro.params import ProtocolParams
-from repro.sim.decay import run_decay
-from repro.sim.ghk_broadcast import run_ghk_broadcast
+from repro.sim import run_broadcast
 from repro.sim.topology import from_spec
 
 pytestmark = pytest.mark.statistical
@@ -32,16 +31,15 @@ N = 64
 #: n = 64 and the two protocols are expected to be comparable there.
 HIGH_DIAMETER = ("line", "ring", "grid", "dumbbell")
 
-RUNNERS = {"decay": run_decay, "ghk": run_ghk_broadcast}
+PROTOCOLS = ("decay", "ghk")
 
 
 def batch_rounds(family: str, protocol: str) -> list[int]:
     """Rounds-to-delivery for the full seed batch; failures propagate."""
-    runner = RUNNERS[protocol]
     rounds = []
     for seed in SEEDS:
         net = from_spec(family, N, seed=seed)
-        rounds.append(runner(net, FAST, seed=seed).rounds_to_delivery)
+        rounds.append(run_broadcast(protocol, net, FAST, seed=seed).rounds_to_delivery)
     return rounds
 
 
@@ -51,12 +49,12 @@ def sweep():
     return {
         (family, protocol): batch_rounds(family, protocol)
         for family in FAMILIES
-        for protocol in RUNNERS
+        for protocol in PROTOCOLS
     }
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("protocol", sorted(RUNNERS))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_whp_delivery_across_seed_batch(sweep, family, protocol):
     # batch_rounds raises BroadcastFailure on any failed run, so reaching
     # the assertions means 30/30 deliveries.

@@ -2,28 +2,26 @@
 
 The contract under test: per-node traffic counters are streamed in O(n)
 inside the round loop, sum exactly to the ``SimResult`` scalar totals, are
-bitwise-identical across the object/array paths and the dense/sparse
-backends, and observers see exactly the rounds the trace records — the
+bitwise-identical between the per-node oracles and the array protocols and
+across the dense/sparse backends, and observers see exactly the rounds the trace records — the
 trace *is* the first observer.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from oracles import Action, Protocol, oracle_engine, run_oracle
 from repro.params import ProtocolParams
 from repro.sim import (
     ArrayEngine,
     BatchEngine,
     BatchItem,
-    Engine,
     DecayArrayProtocol,
     run_broadcast,
     run_broadcast_batch,
 )
 from repro.sim.core.batch import TraceObserver
 from repro.sim.core.stats import RoundStats, RunTelemetry, TrafficTotals
-from repro.sim.runners import broadcast_runner
 from repro.sim.topology import from_spec
 
 FAST = ProtocolParams.fast()
@@ -69,7 +67,7 @@ class TestTrafficTotals:
     @pytest.mark.parametrize("protocol", ["decay", "ghk"])
     def test_object_and_array_traffic_identical(self, family, protocol):
         net = from_spec(family, 24, seed=5)
-        obj = broadcast_runner(protocol)(net, FAST, seed=5)
+        obj = run_oracle(protocol, net, FAST, seed=5)
         arr = run_broadcast(protocol, net, FAST, seed=5)
         assert obj.sim.traffic == arr.sim.traffic
         assert isinstance(obj.sim.traffic, TrafficTotals)
@@ -143,8 +141,6 @@ class TestObservers:
         assert result.history == ()  # no trace retained
 
     def test_engine_object_shell_accepts_observers(self):
-        from repro.sim.protocol import Action, Protocol
-
         class Chatter(Protocol):
             def act(self, round_index):
                 return Action.transmit("x")
@@ -154,9 +150,7 @@ class TestObservers:
 
         seen = []
         net = from_spec("line", 4, seed=0)
-        engine = Engine(
-            net, [Chatter() for _ in range(4)], observers=[seen.append]
-        )
+        engine = oracle_engine(net, [Chatter() for _ in range(4)], observers=[seen.append])
         engine.step()
         engine.step()
         assert [s.round_index for s in seen] == [0, 1]
@@ -180,13 +174,6 @@ class TestObservers:
         stats = RoundStats(round_index=0, transmitters=(1,), deliveries=(), collisions=())
         trace(stats)
         assert trace.history == [stats]
-
-    def test_object_engine_rejects_observer_kwargs(self):
-        net = from_spec("line", 8, seed=0)
-        with pytest.raises(ConfigurationError, match="array-path"):
-            run_broadcast("ghk", net, FAST, seed=0, engine="object", observers=[])
-        with pytest.raises(ConfigurationError, match="array-path"):
-            run_broadcast("ghk", net, FAST, seed=0, engine="object", telemetry={})
 
 
 class TestTelemetry:
