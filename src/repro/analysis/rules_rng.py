@@ -43,7 +43,7 @@ class GlobalRngRule(Rule):
         "\n"
         "Allowed: numpy.random.SeedSequence / Generator / BitGenerator / PCG64,\n"
         "and default_rng(seed) with an explicit non-None seed.\n"
-        "Fix: thread a stream from repro.sim.rng.stream(...) / node_streams(...).\n"
+        "Fix: thread a stream from repro.sim.rng.stream(...) or the run's SeededStreams.\n"
         "Suppress a deliberate exception with  # simlint: disable=SL001"
     )
 

@@ -63,7 +63,7 @@ from repro.sim.faults import (
 )
 from repro.sim.ghk_broadcast import GHKArrayProtocol, GHKResult
 from repro.sim.multi_message import MultiMessageArrayProtocol, MultiMessageResult
-from repro.sim.rng import SeededStreams, node_streams, stream
+from repro.sim.rng import SeededStreams, stream
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
     BroadcastSpec,
@@ -129,7 +129,6 @@ __all__ = [
     "gnp",
     "grid2d",
     "line",
-    "node_streams",
     "register_array_protocol",
     "register_broadcast_spec",
     "resolve_channel",

@@ -9,13 +9,14 @@ in :meth:`~ArrayProtocol.on_feedback`.  A round therefore costs a handful
 of array operations instead of ``n`` Python method calls.
 
 Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
-node's coins from that node's private
-:class:`~repro.sim.rng.SeededStreams` stream, in chunks (numpy generators
-produce identical sequences whether drawn one value at a time or in
-blocks).  A per-node implementation that calls ``rng.random()`` for the
-same nodes in the same rounds is therefore *bitwise identical* to the
-array form — same traces, same rounds-to-delivery, same failures — which
-is how the test suite's per-node oracles check the array protocols.
+node's coins from that node's own PCG64 stream in
+:class:`~repro.sim.rng.SeededStreams`, in chunks (a stream yields the same
+sequence whether drawn one value at a time or in blocks).  A per-node
+implementation that calls ``rng.random()`` on numpy's generator for the
+same spawned child, for the same nodes in the same rounds, is therefore
+*bitwise identical* to the array form — same traces, same
+rounds-to-delivery, same failures — which is how the test suite's
+per-node oracles check the array protocols.
 
 A registry maps protocol names to their array protocol classes.
 """
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.params import ProtocolParams
+from repro.sim.rng import pcg64_advance, pcg64_doubles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core.channel import ChannelRound
@@ -147,32 +149,68 @@ class CoinDeck:
     """Vectorized access to per-node seeded coin streams.
 
     ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node,
-    taken from that node's private generator — the *same* values, in the
-    same per-node order, that per-node ``rng.random()`` calls would
-    produce.  Coins are pre-drawn per node in chunks so a round's
-    draws cost two fancy-indexing operations plus an amortized
-    ``1/chunk`` refill loop.
+    taken from that node's own stream — the *same* values, in the same
+    per-node order, that per-node ``Generator.random()`` calls on the
+    node's spawned child would produce.  Each node has a buffer of
+    ``chunk`` coins computed ahead, so a round's draws cost a few
+    fancy-indexing operations.
+
+    The deck owns the streams' ``state``: node i's state always sits at
+    the first coin of its current buffer, and ``_pos[i]`` counts the
+    coins spent from it, so ``(state, positions)`` is the exact cursor.
+    The first draw fills every buffer in one vectorized PCG64 pass
+    (:func:`~repro.sim.rng.pcg64_doubles`).  Once some buffer is empty,
+    the next draw advances every node that has spent at least half its
+    buffer past its spent coins and refills it, so refills come in
+    batches — at most one per ``chunk / 2`` draws — instead of one per
+    node.
     """
 
     def __init__(self, streams: "SeededStreams", *, chunk: int = 64) -> None:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be positive, got {chunk}")
-        self._gens = streams.nodes
+        self._state = streams.state
         self._chunk = chunk
-        n = len(streams.nodes)
-        self._buf = np.empty((n, chunk), dtype=np.float64)
+        n = len(streams)
+        #: buffered coins, one column per node, empty until the first draw;
+        #: node i's next coin is ``_buf[_pos[i], i]``.
+        self._buf = np.empty((0, n), dtype=np.float64)
         self._pos = np.full(n, chunk, dtype=np.int64)
+        #: draws guaranteed to find every buffer non-empty: a draw spends
+        #: at most one coin per node, so ``chunk - max(_pos)`` is safe.
+        self._headroom = 0
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Per-node count of coins spent from the current buffer (read-only view)."""
+        view = self._pos.view()
+        view.flags.writeable = False
+        return view
 
     def draw(self, nodes: np.ndarray) -> np.ndarray:
         """One coin per node in ``nodes`` (unique indices), from its own stream."""
-        pos = self._pos
-        stale = nodes[pos[nodes] >= self._chunk]
-        for i in stale.tolist():
-            self._buf[i] = self._gens[i].random(self._chunk)
-            pos[i] = 0
-        coins = self._buf[nodes, pos[nodes]]
-        pos[nodes] += 1
+        if self._headroom <= 0:
+            self._replenish()
+        self._headroom -= 1
+        pos = self._pos[nodes]
+        coins = self._buf[pos, nodes]
+        self._pos[nodes] = pos + 1
         return coins
+
+    def _replenish(self) -> None:
+        """Refill the buffers if any is empty, then recompute the headroom."""
+        chunk = self._chunk
+        if not self._buf.size:
+            self._buf = pcg64_doubles(self._state, chunk)
+            self._pos[:] = 0
+        elif self._pos.max() >= chunk:
+            rows = np.flatnonzero(2 * self._pos >= chunk)
+            state = self._state[:, rows]
+            pcg64_advance(state, self._pos[rows])
+            self._buf[:, rows] = pcg64_doubles(state, chunk)
+            self._state[:, rows] = state
+            self._pos[rows] = 0
+        self._headroom = chunk - int(self._pos.max())
 
 
 # ---------------------------------------------------------------------- #

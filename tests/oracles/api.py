@@ -183,6 +183,9 @@ class ObjectProtocolAdapter(ArrayProtocol):
                 f"need exactly one protocol per node: got {len(self.protocols)} "
                 f"protocols for {ctx.n_nodes} nodes"
             )
+        # Numpy's own generators for the children SeededStreams mirrors, so
+        # every oracle-vs-array comparison also checks the vectorized PCG64.
+        children = np.random.SeedSequence(ctx.streams.seed).spawn(ctx.n_nodes + 1)[1:]
         for node, proto in enumerate(self.protocols):
             proto.setup(
                 NodeContext(
@@ -191,7 +194,7 @@ class ObjectProtocolAdapter(ArrayProtocol):
                     n_bound=ctx.n_bound,
                     is_source=(node == ctx.source),
                     params=ctx.params,
-                    rng=ctx.streams.nodes[node],
+                    rng=np.random.Generator(np.random.PCG64(children[node])),
                     collision_detection=ctx.collision_detection,
                 )
             )

@@ -294,7 +294,8 @@ class TestRunBroadcastAPI:
 class TestCoinDeck:
     def test_draws_match_per_node_streams(self):
         a = SeededStreams(9, 5)
-        b = SeededStreams(9, 5)
+        children = np.random.SeedSequence(9).spawn(6)[1:]
+        b = [np.random.Generator(np.random.PCG64(c)) for c in children]
         deck = CoinDeck(a, chunk=3)  # tiny chunk to force refills
         seen = {i: [] for i in range(5)}
         rng = np.random.default_rng(0)
@@ -304,7 +305,7 @@ class TestCoinDeck:
             for node, coin in zip(nodes.tolist(), coins.tolist()):
                 seen[node].append(coin)
         for node in range(5):
-            expected = [b.nodes[node].random() for _ in range(len(seen[node]))]
+            expected = [b[node].random() for _ in range(len(seen[node]))]
             assert seen[node] == expected
 
     def test_rejects_non_positive_chunk(self):

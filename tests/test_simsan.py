@@ -28,6 +28,7 @@ from repro.analysis.simsan.bisect import (
     WrongFeedbackOperand,
     bisect_run,
     first_divergent_round,
+    replay_digests,
     write_bundle,
 )
 from repro.analysis.simsan.bisect import main as bisect_main
@@ -379,6 +380,23 @@ def test_bundle_contents(tmp_path):
     # corruption only lands when round 3 resolves).
     assert bundle["active"]["digest"] != bundle["reference"]["digest"]
     assert bundle["active"]["transmit_packed"] == bundle["reference"]["transmit_packed"]
+
+
+def test_coin_cursor_moves_with_every_coin_and_agrees_across_backends():
+    # Decay draws one coin per transmitter per round; after round 0's first
+    # fill no coin buffer is refilled, so only the spent positions move.
+    spec = ReplaySpec(protocol="decay", topology="grid", n=36, seed=4, backend="sparse")
+    captures = {
+        backend: [replay_digests(spec, backend=backend, capture_at=r)[1] for r in range(8)]
+        for backend in ("dense", "sparse")
+    }
+    cursors = {b: [c["coin_cursor"] for c in caps] for b, caps in captures.items()}
+    assert cursors["dense"] == cursors["sparse"]
+    drew = [any(c["transmit_packed"]) for c in captures["sparse"]]
+    digests = [c["node_streams_sha256"] for c in cursors["sparse"]]
+    moved = [a != b for a, b in zip(digests, digests[1:])]
+    assert moved == drew[1:]
+    assert any(moved)
 
 
 def test_bisect_cli_exit_codes(tmp_path, capsys):

@@ -158,6 +158,23 @@ class TestFromEdges:
         with pytest.raises(TopologyError, match="source"):
             RadioNetwork.from_edges(2, [0], [1], source=5)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_csr_matches_np_unique_on_random_duplicated_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        chain = np.arange(n - 1)  # keeps the graph connected
+        extra_u = rng.integers(0, n, size=3 * n)
+        extra_v = rng.integers(0, n, size=3 * n)
+        keep = extra_u != extra_v
+        u = np.concatenate([chain, extra_u[keep], extra_u[keep][: n // 2]])
+        v = np.concatenate([chain + 1, extra_v[keep], extra_v[keep][: n // 2]])
+        order = rng.permutation(u.size)
+        indptr, indices = RadioNetwork.from_edges(n, u[order], v[order]).csr()
+        enc = np.unique(np.concatenate([u * n + v, v * n + u]))
+        rows, cols = np.divmod(enc, n)
+        assert indices.tolist() == cols.tolist()
+        assert indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+
     def test_no_edges_single_node_is_valid(self):
         net = RadioNetwork.from_edges(1, [], [])
         assert net.n == 1
