@@ -16,7 +16,9 @@ exactly (``operand_mib`` is arithmetic, not a measurement, so any drift
 is a real operand-layout change).
 
 A cell regresses when ``fresh rounds/sec < committed × (1 − speed-tol)``
-or ``fresh peak MiB > committed × (1 + mem-tol)``.  The default speed
+or ``fresh peak MiB > committed × (1 + mem-tol)``; a scale (family, n)
+also regresses when its topology build slows past the same floor,
+``fresh build_seconds > committed / (1 − speed-tol)``.  The default speed
 tolerance is deliberately loose (0.6: fresh must keep 40% of committed
 throughput) because CI machines and the committing machine differ; memory
 is tight (0.25) because ``tracemalloc`` peaks are machine-independent.
@@ -47,6 +49,7 @@ from repro.experiments.record import SCHEMA_VERSION, write_bench
 from repro.experiments.scale_bench import bench_scale
 
 __all__ = [
+    "BUILD_NOISE_SECONDS",
     "DEFAULT_MEM_TOLERANCE",
     "DEFAULT_SPEED_TOLERANCE",
     "gate_engine",
@@ -63,6 +66,11 @@ DEFAULT_SPEED_TOLERANCE = 0.6
 #: Fresh peak memory may grow to (1 + tol) of committed; tight because
 #: ``tracemalloc`` byte counts barely vary across machines.
 DEFAULT_MEM_TOLERANCE = 0.25
+
+#: Committed ``build_seconds`` below this count as this much when the build
+#: ceiling is derived: records round to milliseconds, and builds that short
+#: are timer noise on a shared runner.
+BUILD_NOISE_SECONDS = 0.01
 
 
 def load_record(path: str | Path) -> dict:
@@ -128,6 +136,24 @@ def _check_memory(
     )
 
 
+def _check_build(
+    label: str, committed: float | None, fresh: float | None, tolerance: float
+) -> tuple[str, bool]:
+    if committed is None or fresh is None:
+        return f"SKIP {label} build: build_seconds missing on one side", False
+    ceiling = max(committed, BUILD_NOISE_SECONDS) / (1 - tolerance)
+    if fresh > ceiling:
+        return (
+            f"REGRESSION {label} build: {fresh} s > ceiling {ceiling:.3f} "
+            f"(committed {committed}, tolerance {tolerance})",
+            True,
+        )
+    return (
+        f"OK {label} build: {fresh} s (ceiling {ceiling:.3f}, committed {committed})",
+        False,
+    )
+
+
 def gate_engine(
     committed: dict, fresh: dict, speed_tolerance: float = DEFAULT_SPEED_TOLERANCE
 ) -> tuple[list[str], int]:
@@ -173,11 +199,13 @@ def gate_scale(
     speed_tolerance: float = DEFAULT_SPEED_TOLERANCE,
     mem_tolerance: float = DEFAULT_MEM_TOLERANCE,
 ) -> tuple[list[str], int]:
-    """Compare scale-bench throughput and peak memory cell by cell.
+    """Compare scale-bench throughput, peak memory and build time cell by cell.
 
     Cells match on (topology, n, backend); skipped cells (dense ceiling,
     time ceiling) are ignored on either side.  Memory only gates when the
-    probe rounds agree — a different probe measures a different peak.
+    probe rounds agree — a different probe measures a different peak.  The
+    topology build is shared by a (topology, n)'s backends, so its
+    ``build_seconds`` is gated once per pair, against the speed floor.
     """
     fresh_by_key = {
         (e["topology"], e["n"], e["backend"]): e
@@ -188,6 +216,7 @@ def gate_scale(
     lines: list[str] = []
     violations = 0
     matched = 0
+    builds_checked: set[tuple[str, int]] = set()
     for entry in committed.get("results", ()):
         if "skipped" in entry:
             continue
@@ -196,6 +225,15 @@ def gate_scale(
         if other is None:
             continue
         matched += 1
+        if key[:2] not in builds_checked:
+            builds_checked.add(key[:2])
+            line, bad = _check_build(
+                f"scale {entry['topology']}/n={entry['n']}",
+                entry.get("build_seconds"), other.get("build_seconds"),
+                speed_tolerance,
+            )
+            lines.append(line)
+            violations += bad
         label = f"scale {entry['topology']}/n={entry['n']}/{entry['backend']}"
         line, bad = _check_speed(
             label, entry.get("rounds_per_sec"), other.get("rounds_per_sec"),

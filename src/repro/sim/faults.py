@@ -35,12 +35,11 @@ faulted run is reproducible across the dense/sparse channel backends
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.core.channel import (
     ChannelRound,
     KernelOperand,
@@ -48,7 +47,7 @@ from repro.sim.core.channel import (
 )
 from repro.sim.core.stats import FaultTotals
 from repro.sim.rng import stream
-from repro.sim.topology import RadioNetwork
+from repro.sim.topology import RadioNetwork, csr_from_keys
 
 __all__ = [
     "EdgeFlip",
@@ -229,16 +228,18 @@ class FaultState:
         # counters: dropped receptions, jammed listens, crashed node
         # rounds, edge flips applied.
         self.counters = np.zeros(4, dtype=np.int64)
-        # Edge flips are applied by a cursor over the round-sorted list,
-        # against a mutable neighbour-set mirror of the network (the
-        # network object itself is never mutated — it may be shared).
+        # Edge flips are applied by a cursor over the round-sorted list.
+        # The current adjacency is the network's CSR until the first flip;
+        # from then on it is a sorted array of directed keys ``u*n + v``
+        # (CSR order) that each flip toggles, with the CSR re-derived from
+        # it.  The network object itself is never mutated — it may be
+        # shared.
         self._flips = sorted(
             schedule.edge_flips, key=lambda f: (f.round_index, f.u, f.v)
         )
         self._flip_cursor = 0
-        self._neighbors: list[set[int]] | None = None
-        if self._flips:
-            self._neighbors = [set(network.neighbors(v)) for v in range(n)]
+        self._keys: np.ndarray | None = None
+        self._csr = network.csr()
         # Jam coverage depends on (active jammer set, current adjacency);
         # cache it keyed by both so static phases pay nothing per round.
         self._adjacency_version = 0
@@ -261,15 +262,13 @@ class FaultState:
         return self._adjacency_version
 
     def current_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR neighbour arrays of the *current* (possibly flipped) adjacency.
+        """Read-only CSR neighbour arrays of the *current* (possibly flipped) adjacency.
 
-        Freshly built on each call once any flip has been applied (callers
-        should key on :attr:`adjacency_version` to avoid rebuilding);
-        before the first flip it is the network's own cached CSR.
+        Before the first flip this is the network's own CSR; each applied
+        flip derives a new pair from the directed-key array, so two calls
+        observing the same :attr:`adjacency_version` get the same arrays.
         """
-        if self._neighbors is None:
-            return self.network.csr()
-        return self._neighbors_csr()
+        return self._csr
 
     def totals(self, counters: np.ndarray) -> FaultTotals:
         """Freeze one counter window (see :attr:`counters`)."""
@@ -352,45 +351,29 @@ class FaultState:
     # Internals
     # ------------------------------------------------------------------ #
     def _apply_flip(self, flip: EdgeFlip) -> None:
-        if self._neighbors is None:
-            raise SimulationError("edge flip before neighbour sets were built")
-        u, v = flip.u, flip.v
-        if v in self._neighbors[u]:
-            self._neighbors[u].discard(v)
-            self._neighbors[v].discard(u)
+        """Toggle ``{u, v}`` in the directed keys; rebuild CSR and operand.
+
+        The operand stays on the backend the engine started with, so
+        cross-backend bitwise equivalence holds round by round even
+        mid-flip.
+        """
+        n = self._n
+        keys = self._keys
+        if keys is None:
+            indptr, indices = self._csr
+            keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        pair = np.array(sorted((flip.u * n + flip.v, flip.v * n + flip.u)), dtype=np.int64)
+        at = np.searchsorted(keys, pair)
+        # Both directions are present or both absent, so one probe decides.
+        if at[0] < keys.size and keys[at[0]] == pair[0]:
+            keys = np.delete(keys, at)
         else:
-            self._neighbors[u].add(v)
-            self._neighbors[v].add(u)
+            keys = np.insert(keys, at, pair)
+        self._keys = keys
+        self._csr = csr_from_keys(n, keys)
+        self._operand = operand_from_csr(self._backend, *self._csr)
         self.counters[_FLIPPED] += 1
         self._adjacency_version += 1
-        self._rebuild_operand()
-
-    def _neighbors_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mutable neighbour-set mirror as sorted CSR arrays."""
-        if self._neighbors is None:
-            raise SimulationError("CSR rebuild before neighbour sets were built")
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum([len(nbrs) for nbrs in self._neighbors], out=indptr[1:])
-        indices = np.fromiter(
-            (w for nbrs in self._neighbors for w in sorted(nbrs)),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        return indptr, indices
-
-    def _rebuild_operand(self) -> None:
-        """Rebuild the kernel operand for the current adjacency.
-
-        Stays on the backend the engine started with, so cross-backend
-        bitwise equivalence holds round by round even mid-flip.
-        """
-        indptr, indices = self._neighbors_csr()
-        self._operand = operand_from_csr(self._backend, indptr, indices)
-
-    def _current_neighbors(self, v: int) -> Sequence[int] | set[int]:
-        if self._neighbors is not None:
-            return self._neighbors[v]
-        return self.network.neighbors(v)
 
     def _jam_cover(self, round_index: int) -> np.ndarray | None:
         active = tuple(
@@ -405,10 +388,11 @@ class FaultState:
             and cache[1] == self._adjacency_version
         ):
             return cache[2]
+        indptr, indices = self._csr
         cover = np.zeros(self._n, dtype=bool)
+        cover[list(active)] = True
         for node in active:
-            cover[node] = True
-            cover[list(self._current_neighbors(node))] = True
+            cover[indices[indptr[node] : indptr[node + 1]]] = True
         self._jam_cache = (active, self._adjacency_version, cover)
         return cover
 

@@ -10,7 +10,10 @@ twin bit for bit on every seed (``tests/test_equivalence.py``).
 * :mod:`oracles.api` — the per-node ``Protocol`` API and the adapter;
 * :mod:`oracles.protocols` — Decay, the beep wave, GHK and the k-message
   pipeline, one node at a time;
-* :mod:`oracles.driver` — :func:`run_oracle`, the ``run_broadcast`` twin.
+* :mod:`oracles.driver` — :func:`run_oracle`, the ``run_broadcast`` twin;
+* :mod:`oracles.graph` — the per-node forms of the graph layer (FIFO BFS,
+  neighbour-set edge flips), checked against ``RadioNetwork``'s CSR and
+  the fault layer's key array.
 """
 
 from oracles.api import (

@@ -36,7 +36,7 @@ def _engine_record(array_rps=8000.0, n=16, **columns):
     )
 
 
-def _scale_record(rps=5000.0, peak_mib=2.0, n=16, probe_rounds=32):
+def _scale_record(rps=5000.0, peak_mib=2.0, n=16, probe_rounds=32, build_seconds=0.05):
     return bench_record(
         "scale",
         preset="fast",
@@ -54,6 +54,7 @@ def _scale_record(rps=5000.0, peak_mib=2.0, n=16, probe_rounds=32):
                 "backend": "sparse",
                 "rounds_per_sec": rps,
                 "peak_mib": peak_mib,
+                "build_seconds": build_seconds,
             }
         ],
     )
@@ -174,6 +175,30 @@ class TestGateScale:
         lines, violations = gate_scale(committed, fresh)
         assert violations == 1
         assert any("REGRESSION" in line and "MiB" in line for line in lines)
+
+    def test_build_time_regression_trips_with_family_and_n(self):
+        committed = _scale_record(build_seconds=0.05)
+        fresh = _scale_record(build_seconds=0.2)  # x4 > the 1/(1-0.6) ceiling
+        lines, violations = gate_scale(committed, fresh)
+        assert violations == 1
+        assert [line for line in lines if "REGRESSION" in line] == [
+            "REGRESSION scale line/n=16 build: 0.2 s > ceiling 0.125 "
+            "(committed 0.05, tolerance 0.6)"
+        ]
+
+    def test_build_time_within_floor_passes(self):
+        lines, violations = gate_scale(
+            _scale_record(build_seconds=0.05), _scale_record(build_seconds=0.1)
+        )
+        assert violations == 0
+        assert any(line.startswith("OK scale line/n=16 build") for line in lines)
+
+    def test_millisecond_builds_are_held_to_the_noise_floor(self):
+        # Records round build_seconds to ms; a 1 ms -> 4 ms wobble is noise.
+        _, violations = gate_scale(
+            _scale_record(build_seconds=0.001), _scale_record(build_seconds=0.004)
+        )
+        assert violations == 0
 
     def test_memory_skipped_when_probes_differ(self):
         committed = _scale_record(probe_rounds=32)

@@ -1,5 +1,9 @@
 """Tests for RadioNetwork and the topology generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,6 +129,16 @@ class TestRadioNetwork:
         assert indptr.tolist() == [0, 0]
         assert indices.size == 0
 
+    def test_list_constructor_symmetry_check_is_not_quadratic(self):
+        # The neighbour-list constructor used to test symmetry with
+        # `u not in adj[v]` on tuples, O(sum of deg^2): a hub of degree
+        # 2^15 took tens of seconds.  The key-array check is O(m log m).
+        n = 1 << 15
+        rows = [list(range(1, n))] + [[0]] * (n - 1)
+        net = RadioNetwork(rows, name="hub")
+        assert net.adjacency_key() == star(n).adjacency_key()
+        assert net.num_edges == n - 1
+
 
 class TestFromEdges:
     def test_matches_the_neighbor_list_constructor(self):
@@ -182,6 +196,15 @@ class TestFromEdges:
 
 
 class TestGenerators:
+    def test_large_star_builds_its_csr(self):
+        n = 1 << 15
+        net = star(n)
+        indptr, indices = net.csr()
+        assert indptr.tolist() == [0, *range(n - 1, 2 * n - 1)]
+        assert indices.tolist() == [*range(1, n), *[0] * (n - 1)]
+        assert net.degree(0) == n - 1 and net.neighbors(n - 1) == (0,)
+        assert net.eccentricity() == 1
+
     @pytest.mark.parametrize(
         ("net", "n", "edges", "diameter"),
         [
@@ -373,3 +396,27 @@ class TestFromSpec:
     def test_unknown_name(self):
         with pytest.raises(TopologyError, match="unknown topology"):
             from_spec("torus", 16)
+
+
+#: sha256 of ``adjacency_key()`` and of ``repr(bfs_layers(root))`` (from the
+#: source and from node n // 2) for every family × n ∈ {64, 1024} × graph
+#: seeds 0-7, recorded from the neighbour-tuple implementation the CSR
+#: builder replaced.  Covers the benchmark's eight unit-disk graphs n=1024.
+PINNED = json.loads(
+    (Path(__file__).parent / "fixtures" / "topology_sha256.json").read_text()
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("family", topology.TOPOLOGY_NAMES)
+def test_graphs_are_byte_identical_to_the_pinned_table(family, n):
+    for seed in range(8):
+        pins = PINNED[f"{family}/{n}/{seed}"]
+        net = from_spec(family, n, seed=seed)
+        assert _sha(net.adjacency_key()) == pins["adjacency_key"], seed
+        assert _sha(repr(net.bfs_layers()).encode()) == pins["bfs_layers_source"], seed
+        assert _sha(repr(net.bfs_layers(n // 2)).encode()) == pins["bfs_layers_mid"], seed
