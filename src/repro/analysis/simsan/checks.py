@@ -85,13 +85,14 @@ def cache_discipline_violation(
     adjacency matrix) are cached on the network and shared by every
     engine, operand, and fault state built from it — a writeable cache is
     one silent in-place edit away from divergent physics between runs.
-    ``check_dense`` is the caller's promise that the dense matrix is
-    already materialized, so this check never forces the Θ(n²) build.
+    The dense matrix is checked only if it is already materialized: this
+    check never forces the Θ(n²) build, nor counts as a use of it.
     """
     indptr, indices = network.csr()
     for label, arr in (("csr indptr", indptr), ("csr indices", indices)):
         if arr.flags.writeable:
             return f"cached {label} array is writeable (expected writeable=False)"
-    if check_dense and network.adjacency_matrix().flags.writeable:
+    dense = network.cached_adjacency() if check_dense else None
+    if dense is not None and dense.flags.writeable:
         return "cached adjacency matrix is writeable (expected writeable=False)"
     return None

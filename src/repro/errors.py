@@ -101,14 +101,15 @@ class AnalysisError(ReproError):
     """Raised by the analysis/sweep harness on malformed experiment input."""
 
 
-class SanitizerError(ReproError):
+class SanitizerError(SimulationError):
     """Raised by the runtime sanitizer (:mod:`repro.analysis.simsan`) when a
     live run violates one of its registered invariants.
 
-    Deliberately *not* a :class:`SimulationError`: the batch engine catches
-    and re-wraps that class to attribute kernel errors to items, which would
-    strip the structured fields below.  A sanitizer finding is a defect
-    report, not an engine-usage error, and must surface verbatim.
+    A :class:`SimulationError`, so a caller sees the same error class for
+    a broken run with the sanitizer on or off — the sanitizer only adds
+    the round and the structured fields below.  The batch engine's item
+    attribution re-wraps only ``act()`` and kernel errors, never a
+    sanitizer hook, so a finding surfaces verbatim.
 
     ``check`` is the registered check id (e.g. ``"diff.counts"``,
     ``"conserve.traffic"``); ``round_index``/``seed``/``backend``/

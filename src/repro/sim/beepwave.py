@@ -81,8 +81,11 @@ class BeepWaveArrayProtocol(ArrayProtocol):
     lets you demonstrate.  The protocol is coin-free.
     """
 
+    node_state = ("wave_distance", "pulse_sent")
+
     def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
+        self.collision_detection = ctx.collision_detection
         self.wave_distance = np.full(ctx.n_nodes, -1, dtype=np.int64)
         self.wave_distance[ctx.source] = 0
         self.pulse_sent = np.zeros(ctx.n_nodes, dtype=bool)
@@ -97,12 +100,15 @@ class BeepWaveArrayProtocol(ArrayProtocol):
         # The CD beep predicate: anything but silence proves a neighbour
         # transmitted.  Without collision detection a collision is perceived
         # as silence, so only clean receipts count.
-        beep = channel.clean | channel.collided if self.ctx.collision_detection else channel.clean
+        beep = channel.clean | channel.collided if self.collision_detection else channel.clean
         newly = beep & (self.wave_distance < 0)
         self.wave_distance[newly] = round_index + 1
 
     def done(self) -> bool:
         return bool(self.pulse_sent.all())
+
+    def done_rows(self, rows: int) -> np.ndarray:
+        return np.asarray(self.pulse_sent.reshape(rows, -1).all(axis=1))
 
     def wave_distances(self) -> tuple[int, ...]:
         """Per-node learned distances as plain ints (-1 where unreached)."""

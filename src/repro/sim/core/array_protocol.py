@@ -8,6 +8,20 @@ consumes the ground-truth :class:`~repro.sim.core.channel.ChannelRound`
 in :meth:`~ArrayProtocol.on_feedback`.  A round therefore costs a handful
 of array operations instead of ``n`` Python method calls.
 
+**Disjoint unions.**  A protocol written over flat node indices runs
+unchanged on the disjoint union of ``B`` copies of a graph: node ``v`` of
+copy ``b`` is flat node ``b·n + v``, every copy has its own source, and
+the channel's sender ids are flat ids too.  The batch engine uses this to
+step ``B`` same-config instances as one (:meth:`ArrayProtocol.fuse`): one
+``act``, one kernel call and one ``on_feedback`` per round, whatever
+``B`` is.  A protocol opts in by declaring its per-node state in
+:attr:`ArrayProtocol.node_state`; it must then read its
+:class:`ArrayContext` in :meth:`~ArrayProtocol.setup` only, and find each
+copy's source from its state rather than from ``ctx.source``.  Retiring a
+copy writes its slice back to that instance's own protocol object
+(:meth:`~ArrayProtocol.export`), so callers read per-instance objects
+exactly as if they had run alone.
+
 Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
 node's coins from that node's own PCG64 stream in
 :class:`~repro.sim.rng.SeededStreams`, in chunks (a stream yields the same
@@ -16,17 +30,19 @@ implementation that calls ``rng.random()`` on numpy's generator for the
 same spawned child, for the same nodes in the same rounds, is therefore
 *bitwise identical* to the array form — same traces, same
 rounds-to-delivery, same failures — which is how the test suite's
-per-node oracles check the array protocols.
+per-node oracles check the array protocols.  A fused deck is the
+concatenation of its copies' decks, so fusing changes no coin.
 
 A registry maps protocol names to their array protocol classes.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 import numpy as np
 
@@ -48,6 +64,11 @@ __all__ = [
     "array_protocol_class",
     "available_array_protocols",
 ]
+
+_P = TypeVar("_P", bound="ArrayProtocol")
+
+#: The fewest coins per stream a fused :class:`CoinDeck` buffers.
+_MIN_FUSED_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +116,12 @@ class ArrayProtocol(ABC):
     #: registry name, set by :func:`register_array_protocol`.
     name: str = ""
 
+    #: The attributes holding per-node state: arrays indexed by node on
+    #: their first axis, or a :class:`CoinDeck`.  A class that declares
+    #: them in its own body is fusable (see the module docstring); a
+    #: subclass inherits none of it, since it may add state of its own.
+    node_state: ClassVar[tuple[str, ...]] = ()
+
     def setup(self, ctx: ArrayContext) -> None:
         """Bind this instance to a network-sized run; default stores ``ctx``."""
         self.ctx = ctx
@@ -110,6 +137,64 @@ class ArrayProtocol(ABC):
     def done(self) -> bool:
         """Whether the protocol considers the whole run complete (advisory)."""
         return False
+
+    def done_rows(self, rows: int) -> np.ndarray:
+        """:meth:`done` of each copy of a fused instance of ``rows`` copies."""
+        raise SimulationError(f"{type(self).__name__} is not fusable")
+
+    def fusion_key(self) -> Hashable | None:
+        """What set-up instances must share to be fused; ``None`` never fuses.
+
+        Fusable classes fuse instances of the same class, size, size
+        bound, parameters and collision-detection capability; a class
+        with further scalar configuration extends the key.
+        """
+        cls = type(self)
+        if "node_state" not in vars(cls):
+            return None
+        ctx = self.ctx
+        return (cls, ctx.n_nodes, ctx.n_bound, ctx.params, ctx.collision_detection)
+
+    @classmethod
+    def fuse(cls: type[_P], parts: Sequence[_P]) -> _P:
+        """One instance on the disjoint union of ``parts``' networks.
+
+        Copy ``b``'s nodes become flat nodes ``b·n .. (b+1)·n - 1``; the
+        parts must share a :meth:`fusion_key`.  Every other attribute,
+        ``ctx`` included, comes from the first part — which is why a
+        fusable protocol reads its context in :meth:`setup` only.
+        """
+        fused = copy.copy(parts[0])
+        for name in cls.node_state:
+            values = [getattr(part, name) for part in parts]
+            if isinstance(values[0], CoinDeck):
+                setattr(fused, name, CoinDeck.concat(values))
+            else:
+                setattr(fused, name, np.concatenate(values))
+        return fused
+
+    def export(self, nodes: slice, into: ArrayProtocol) -> None:
+        """Write the state of the flat ``nodes`` of a fused instance into ``into``."""
+        for name in self.node_state:
+            value = getattr(self, name)
+            if isinstance(value, CoinDeck):
+                value.export(nodes, getattr(into, name))
+            else:
+                getattr(into, name)[...] = value[nodes]
+
+    def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
+        """Move the state of flat nodes ``src`` onto ``dst``, keep the first ``size``.
+
+        In place: the kept state becomes a prefix view of each array, so
+        dropping retired copies from a fused instance never allocates.
+        """
+        for name in self.node_state:
+            value = getattr(self, name)
+            if isinstance(value, CoinDeck):
+                value.compact(src, dst, size)
+            else:
+                value[dst] = value[src]
+                setattr(self, name, value[:size])
 
 
 class BroadcastArrayProtocol(ArrayProtocol):
@@ -135,6 +220,9 @@ class BroadcastArrayProtocol(ArrayProtocol):
 
     def done(self) -> bool:
         return bool(self.informed.all())
+
+    def done_rows(self, rows: int) -> np.ndarray:
+        return np.asarray(self.informed.reshape(rows, -1).all(axis=1))
 
     def informed_rounds(self) -> tuple[int, ...]:
         """Per-node arrival rounds, as plain ints (valid once :meth:`done`)."""
@@ -171,11 +259,15 @@ class CoinDeck:
             raise ConfigurationError(f"chunk must be positive, got {chunk}")
         self._state = streams.state
         self._chunk = chunk
-        n = len(streams)
+        self._empty()
+
+    def _empty(self) -> None:
+        """Drop every buffer; ``_state`` must already sit at the next coins."""
+        n = self._state.shape[1]
         #: buffered coins, one column per node, empty until the first draw;
         #: node i's next coin is ``_buf[_pos[i], i]``.
         self._buf = np.empty((0, n), dtype=np.float64)
-        self._pos = np.full(n, chunk, dtype=np.int64)
+        self._pos = np.full(n, self._chunk, dtype=np.int64)
         #: draws guaranteed to find every buffer non-empty: a draw spends
         #: at most one coin per node, so ``chunk - max(_pos)`` is safe.
         self._headroom = 0
@@ -196,6 +288,58 @@ class CoinDeck:
         coins = self._buf[pos, nodes]
         self._pos[nodes] = pos + 1
         return coins
+
+    @classmethod
+    def concat(cls, decks: Sequence[CoinDeck]) -> CoinDeck:
+        """One deck over the concatenated streams of ``decks``, cursors kept.
+
+        It starts with empty buffers, and buffers fewer coins per stream
+        than its parts (their chunk over their count, at least
+        ``_MIN_FUSED_CHUNK``): one refill call serves every part, so a
+        shorter buffer amortizes it as well, and the fused buffer — a
+        fused instance's largest array — stays a fraction of its parts'
+        buffers together.
+        """
+        fused = cls.__new__(cls)
+        fused._state = np.concatenate([deck._cursor(slice(None)) for deck in decks], axis=1)
+        fused._chunk = max(_MIN_FUSED_CHUNK, max(deck._chunk for deck in decks) // len(decks))
+        fused._empty()
+        return fused
+
+    def export(self, nodes: slice, into: CoinDeck) -> None:
+        """Hand the cursors of ``nodes`` to ``into``, a deck over exactly those streams.
+
+        ``into`` gets the streams positioned at their next unspent coin
+        and an empty buffer, which its next draw refills.
+        """
+        into._state[...] = self._cursor(nodes)
+        into._empty()
+
+    def _cursor(self, nodes: slice) -> np.ndarray:
+        """The states of ``nodes``' streams at their next unspent coin (a copy)."""
+        state: np.ndarray = self._state[:, nodes].copy()
+        if self._buf.size:
+            pos = self._pos[nodes]
+            spent = np.flatnonzero(pos)
+            if spent.size:
+                moved = state[:, spent]
+                pcg64_advance(moved, pos[spent])
+                state[:, spent] = moved
+        return state
+
+    def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
+        """Move the cursors of streams ``src`` onto ``dst``, keep the first ``size``.
+
+        In place, like :meth:`ArrayProtocol.compact`: the coin buffer is
+        the largest array a fused instance holds.
+        """
+        self._state[:, dst] = self._state[:, src]
+        self._state = self._state[:, :size]
+        self._pos[dst] = self._pos[src]
+        self._pos = self._pos[:size]
+        if self._buf.size:
+            self._buf[:, dst] = self._buf[:, src]
+            self._buf = self._buf[:, :size]
 
     def _replenish(self) -> None:
         """Refill the buffers if any is empty, then recompute the headroom."""

@@ -4,17 +4,30 @@
 :class:`~repro.sim.core.array_protocol.ArrayProtocol` on one network with
 the shared channel kernel, recording
 :class:`~repro.sim.core.stats.RoundStats` traces when ``trace=True`` and
-stopping early on a caller's predicate.
+stopping early on a caller's predicate.  Its ``begin_round`` /
+``resolve_round`` / ``complete_round`` split exposes one round's phases
+to tooling (the sanitizer's bisector, the benchmark's tracer).
 
 :class:`BatchEngine` steps many *independent* instances — any mix of
-(seed × topology × protocol) — in lock-step within one process.  Instances
-that share a topology (and channel backend) are grouped so their channel
-resolution collapses into a single batched kernel call per round — a
-``(batch, n) @ (n, n)`` matmul on the dense backend, one ``bincount`` of
-length ``batch·n`` over the transmitters' CSR rows on the sparse one
-(Θ(Σ deg(tx) + batch·n) per round) — and every instance exits the batch
-individually the moment it completes or exhausts its round budget, so one
-slow straggler never costs the finished instances anything.
+(seed × topology × protocol) — in one process.  It builds one
+:class:`ArrayEngine` per item (the per-item API and results), but runs
+them as *fused groups*: the items sharing a topology, channel backend,
+fault schedule and start round are stepped in lock-step as **one
+disjoint-union instance**.  Within a group, items whose protocols share a
+:meth:`~repro.sim.core.array_protocol.ArrayProtocol.fusion_key` become one
+fused protocol over ``B·n`` flat nodes (node ``v`` of row ``b`` is
+``b·n + v``); any other protocol is a part of one row.  A group round is
+then one ``act`` per part, one kernel call over all rows — a
+``(B, n) @ (n, n)`` matmul on the dense backend, one ``bincount`` of
+length ``B·n`` over the transmitters' CSR rows on the sparse one — one
+fault pass (a shared crash mask, jam cover and edge-flip timeline, loss
+coins per row from each item's own engine stream), one ``on_feedback``
+per part with flat sender ids, one ``(4, B·n)`` counter update and one
+vectorized done/budget check, whatever ``B`` is.  A row leaves the group
+the moment its instance completes or exhausts its budget: its state is
+written back to its own engine and protocol object, so a straggler never
+costs the finished instances anything and results read exactly as if
+each instance had run alone — bit for bit.
 
 Backend selection (:func:`resolve_channel_backend`) is per run:
 ``params.channel_backend`` forces ``"dense"``, ``"sparse"`` or
@@ -29,7 +42,7 @@ counts, channel totals), so the choice is purely a speed/memory knob.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -45,6 +58,7 @@ from repro.sim.core.channel import (
     KernelOperand,
     SparseOperand,
     as_kernel_operand,
+    check_channel_masks,
     resolve_channel,
     round_stats,
 )
@@ -112,6 +126,41 @@ def _traffic_totals(counters: np.ndarray) -> TrafficTotals:
 
 def _new_phase_seconds() -> dict[str, float]:
     return {"act": 0.0, "channel": 0.0, "feedback": 0.0}
+
+
+def _checked_plan(plan: object, size: int) -> RoundPlan:
+    """An ``act()`` return value, validated as a plan over ``size`` nodes."""
+    if not isinstance(plan, RoundPlan):
+        raise SimulationError(
+            f"array protocol returned {plan!r} from act(); expected a RoundPlan"
+        )
+    if plan.transmit.shape != (size,) or plan.listen.shape != (size,):
+        raise SimulationError(
+            f"round plan masks must have shape ({size},), got "
+            f"transmit {plan.transmit.shape} and listen {plan.listen.shape}"
+        )
+    return plan
+
+
+def _accumulate(
+    traffic: np.ndarray,
+    transmit: np.ndarray,
+    listen: np.ndarray,
+    clean: np.ndarray,
+    collided: np.ndarray,
+) -> None:
+    """Add one round's ``(nodes,)`` masks to ``(4, nodes)`` traffic counters."""
+    traffic[_TX] += transmit
+    traffic[_RX] += clean
+    traffic[_COLL] += collided
+    # transmit and listen are disjoint (kernel precondition), so this
+    # counts exactly the radios-on rounds.
+    traffic[_AWAKE] += transmit | listen
+
+
+def _row(channel: ChannelRound, row: int) -> ChannelRound:
+    """One row of a channel that is ``(n,)`` for one row or ``(rows, n)``."""
+    return channel if channel.clean.ndim == 1 else channel.row(row)
 
 
 def resolve_channel_backend(network: RadioNetwork, params: ProtocolParams) -> str:
@@ -347,18 +396,7 @@ class ArrayEngine:
     def begin_round(self) -> RoundPlan:
         """Collect and validate the protocol's action masks for this round."""
         t0 = time.perf_counter()
-        plan = self.protocol.act(self._round)
-        if not isinstance(plan, RoundPlan):
-            raise SimulationError(
-                f"array protocol returned {plan!r} from act(); expected a RoundPlan"
-            )
-        if plan.transmit.shape != (self.network.n,) or plan.listen.shape != (
-            self.network.n,
-        ):
-            raise SimulationError(
-                f"round plan masks must have shape ({self.network.n},), got "
-                f"transmit {plan.transmit.shape} and listen {plan.listen.shape}"
-            )
+        plan = _checked_plan(self.protocol.act(self._round), self.network.n)
         # Disjointness of transmit/listen (half-duplex) is enforced by the
         # channel kernel itself, for every caller — no engine-side copy.
         crashed: np.ndarray | None = None
@@ -378,16 +416,6 @@ class ArrayEngine:
         self._plan = plan
         self._phase_seconds["act"] += time.perf_counter() - t0
         return plan
-
-    def discard_plan(self) -> None:
-        """Drop a pending plan without executing it.
-
-        Error-path hygiene for batch callers: when one engine's ``act()``
-        raises mid-group, its siblings have already planned this round —
-        discarding leaves them in the documented "no round in flight"
-        state instead of dangling.
-        """
-        self._plan = None
 
     def resolve_round(self) -> ChannelRound:
         """Resolve the pending plan's channel round (timed as the kernel phase)."""
@@ -427,12 +455,7 @@ class ArrayEngine:
         self._round += 1
         self._plan = None
         traffic = self._traffic
-        traffic[_TX] += plan.transmit
-        traffic[_RX] += channel.clean
-        traffic[_COLL] += channel.collided
-        # transmit and listen are disjoint (kernel precondition), so this
-        # counts exactly the radios-on rounds.
-        traffic[_AWAKE] += plan.transmit | plan.listen
+        _accumulate(traffic, plan.transmit, plan.listen, channel.clean, channel.collided)
         if self._sanitizer is not None:
             # Conservation checks see the *perceived* channel — the same
             # masks the counters above just accumulated.
@@ -572,10 +595,10 @@ class BatchEngine:
     """Step many independent array-protocol instances in one process.
 
     Construction builds one :class:`ArrayEngine` per item; :meth:`run`
-    advances every live instance one round per iteration, fusing the
-    channel resolution of same-topology instances into a single batched
-    kernel call, and retires each instance the moment its protocol reports
-    ``done()`` (completed) or its round budget expires (failed).
+    steps every fused group (see the module docstring) as one
+    disjoint-union instance, and retires each instance the moment its
+    protocol reports ``done()`` (completed) or its round budget expires
+    (failed).
     """
 
     def __init__(
@@ -591,7 +614,7 @@ class BatchEngine:
         at O(1) memory across the whole batch.  ``sanitize`` attaches one
         runtime sanitizer per item engine (``None`` defers to
         ``REPRO_SANITIZE``), so fused groups are checked per instance on
-        the de-batched rows each instance consumed."""
+        the rows each instance consumed."""
         self.items = list(items)
         self._phase_seconds = _new_phase_seconds()
         self._wall_seconds = 0.0
@@ -664,8 +687,8 @@ class BatchEngine:
         """Batch-wide wall-clock observables (see :class:`RunTelemetry`).
 
         ``rounds`` sums every instance's executed rounds; the phase timers
-        combine the fused kernel calls (timed here) with the per-engine
-        act/feedback phases.
+        combine the fused groups' phases (timed here) with any phases the
+        per-item engines ran themselves.
         """
         phase = dict(self._phase_seconds)
         rounds = 0
@@ -683,77 +706,311 @@ class BatchEngine:
         """Run every item to completion or budget; outcomes in item order."""
         t_run = time.perf_counter()
         outcomes: list[BatchOutcome | None] = [None] * len(self.items)
-        live: set[int] = set()
-
-        def retire(i: int, *, completed: bool) -> None:
-            outcomes[i] = BatchOutcome(
-                item=self.items[i],
-                sim=self.engines[i].snapshot(stopped_early=completed),
-                completed=completed,
-            )
-            live.discard(i)
-
-        for i, item in enumerate(self.items):
-            if item.protocol.done():
-                retire(i, completed=True)  # vacuous goal: zero rounds, like run()
-            elif item.budget == 0:
-                retire(i, completed=False)
-            else:
-                live.add(i)
-
-        while live:
-            for indices in self._groups.values():
-                active = [i for i in indices if i in live]
-                if not active:
-                    continue
-                if len(active) == 1:
-                    try:
-                        self.engines[active[0]].step()
-                    except SimulationError as exc:
-                        # Same item-naming courtesy as the fused path below.
-                        raise SimulationError(
-                            f"{exc} (item {active[0]})"
-                        ) from None
-                    continue
-                plans = []
-                for i in active:
-                    try:
-                        plans.append(self.engines[i].begin_round())
-                    except SimulationError as exc:
-                        # Attribute the failing item (as the singleton and
-                        # kernel paths do) and discard the plans the
-                        # already-planned siblings are holding, so no
-                        # engine is left with a half-started round.
-                        for j in active:
-                            self.engines[j].discard_plan()
-                        raise SimulationError(f"{exc} (item {i})") from None
-                transmit = np.stack([p.transmit for p in plans])
-                listen = np.stack([p.listen for p in plans])
-                t0 = time.perf_counter()
-                try:
-                    # All engines in a group share one fault schedule (it
-                    # is part of the group key) and run in lockstep, so
-                    # the first engine's per-round operand is the group's.
-                    channel = resolve_channel(
-                        self.engines[active[0]].round_operand(), transmit, listen
-                    )
-                except SimulationError as exc:
-                    # The kernel reports positions in the fused stack; map
-                    # them back to this batch's item indices so the culprit
-                    # is the caller's item, not a row of the live subset.
-                    # Same hygiene as the act() path: no dangling plans.
-                    for j in active:
-                        self.engines[j].discard_plan()
-                    raise SimulationError(
-                        f"{exc} (batch rows are items {active}, in order)"
-                    ) from None
-                self._phase_seconds["channel"] += time.perf_counter() - t0
-                for row, i in enumerate(active):
-                    self.engines[i].complete_round(channel.row(row))
-            for i in sorted(live):
-                if self.items[i].protocol.done():
-                    retire(i, completed=True)
-                elif self.engines[i].round_index >= self.items[i].budget:
-                    retire(i, completed=False)
+        # Fused groups: a kernel group's live items that start at the same
+        # round (they may differ if engines were stepped before run()).
+        lockstep: dict[tuple[tuple[bytes, str, int], int], list[int]] = {}
+        for key, indices in self._groups.items():
+            for i in indices:
+                item, engine = self.items[i], self.engines[i]
+                if item.protocol.done():
+                    # Vacuous goal: zero rounds, like ArrayEngine.run().
+                    outcomes[i] = self._outcome(i, completed=True)
+                elif engine.round_index >= item.budget:
+                    outcomes[i] = self._outcome(i, completed=False)
+                else:
+                    lockstep.setdefault((key, engine.round_index), []).append(i)
+        # Groups advance round-robin, one round each per sweep: the first
+        # rounds of every group (and their coin-buffer fills) then come
+        # before any result is built, which keeps the peak memory of many
+        # small groups at that of their live state.
+        groups = [_FusedGroup(self, indices) for indices in lockstep.values()]
+        while groups:
+            for group in groups:
+                for i, completed in group.step():
+                    outcomes[i] = self._outcome(i, completed=completed)
+            groups = [group for group in groups if group.parts]
         self._wall_seconds += time.perf_counter() - t_run
         return [outcome for outcome in outcomes if outcome is not None]
+
+    def _outcome(self, i: int, *, completed: bool) -> BatchOutcome:
+        return BatchOutcome(
+            item=self.items[i],
+            sim=self.engines[i].snapshot(stopped_early=completed),
+            completed=completed,
+        )
+
+
+@dataclass
+class _Part:
+    """Consecutive rows of a fused group that one protocol object steps."""
+
+    protocol: ArrayProtocol
+    #: the batch items of these rows, in row order.
+    items: list[int]
+    #: whether ``protocol`` is a fused instance over the rows' disjoint
+    #: union (its state is written back per row) rather than the one
+    #: item's own object.
+    fused: bool
+
+    def label(self) -> str:
+        """The items, as error messages name them."""
+        return f"item {self.items[0]}" if len(self.items) == 1 else f"items {self.items}"
+
+    def done(self) -> np.ndarray:
+        """Per-row :meth:`~ArrayProtocol.done`."""
+        if self.fused:
+            return self.protocol.done_rows(len(self.items))
+        return np.array([self.protocol.done()])
+
+
+class _FusedGroup:
+    """A batch's items on one topology, backend, schedule and round, in lock-step.
+
+    Rows are the live items, ordered by part; a part is a run of rows
+    sharing one protocol object (see :class:`_Part`).  The row state the
+    per-item engines keep — round, traffic counters, fault counters — is
+    held here with a row axis and written back to an item's
+    engine when its row retires.
+    """
+
+    def __init__(self, batch: BatchEngine, indices: list[int]) -> None:
+        members: dict[Hashable, list[int]] = {}
+        for i in indices:
+            key = batch.items[i].protocol.fusion_key()
+            members.setdefault(("item", i) if key is None else key, []).append(i)
+        self.parts: list[_Part] = []
+        for rows in members.values():
+            protocols = [batch.items[i].protocol for i in rows]
+            if len(rows) == 1:
+                self.parts.append(_Part(protocols[0], rows, fused=False))
+            else:
+                fused = type(protocols[0]).fuse(protocols)
+                self.parts.append(_Part(fused, rows, fused=True))
+        self.batch = batch
+        self.items = [i for part in self.parts for i in part.items]
+        engines = [batch.engines[i] for i in self.items]
+        lead = engines[0]
+        self.n = lead.network.n
+        self.round = lead.round_index
+        self.operand = lead.kernel_operand
+        states = [engine.fault_state for engine in engines if engine.fault_state is not None]
+        self.faults = FaultState.fuse(states) if states else None
+        # ``(4, rows·n)`` over flat nodes; a lone row counts straight into
+        # its engine's own array.
+        self.traffic = (
+            lead._traffic
+            if len(engines) == 1
+            else np.concatenate([engine._traffic for engine in engines], axis=1)
+        )
+        self.budgets = np.array([batch.items[i].budget for i in self.items])
+        self.first_budget = int(self.budgets.min())
+        self.sanitizers = [engine._sanitizer for engine in engines]
+        self.observers = [engine._observers for engine in engines]
+        self._watch()
+        #: per-row offsets turning a fused part's sender ids into flat ids.
+        self.offsets = np.arange(len(self.items), dtype=np.int64)[:, None] * self.n
+
+    def _watch(self) -> None:
+        """Note whether any live row has a sanitizer or round observers."""
+        self.sanitized = any(s is not None for s in self.sanitizers)
+        self.observed = any(self.observers)
+
+    def step(self) -> list[tuple[int, bool]]:
+        """Run one round of every row; returns the ``(item, completed)`` retired."""
+        r, n = self.round, self.n
+        phase = self.batch._phase_seconds
+        t0 = time.perf_counter()
+        transmit, listen = self._act(r)
+        if len(self.items) > 1:
+            transmit = transmit.reshape(-1, n)
+            listen = listen.reshape(-1, n)
+        crashed: np.ndarray | None = None
+        if self.faults is not None:
+            crashed = self.faults.begin_round(r)
+            if crashed is not None:
+                # Crashed radios are off in every row (see ArrayEngine).
+                transmit = transmit & ~crashed
+                listen = listen & ~crashed
+        if self.sanitized:
+            self._sanitize_plans(r, transmit, listen, crashed)
+        t1 = time.perf_counter()
+        phase["act"] += t1 - t0
+        operand = self.operand if self.faults is None else self.faults.operand
+        try:
+            channel = resolve_channel(operand, transmit, listen)
+        except SimulationError as exc:
+            # The kernel reports positions in the fused stack; name the
+            # caller's items instead.
+            raise SimulationError(
+                f"{exc} (batch rows are items {self.items}, in order)"
+            ) from None
+        t2 = time.perf_counter()
+        phase["channel"] += t2 - t1
+        plans: list[RoundPlan] = []
+        if self.sanitized or self.observed:
+            rows = zip(transmit.reshape(-1, n), listen.reshape(-1, n))
+            plans = [RoundPlan(transmit=tx, listen=lx) for tx, lx in rows]
+        if self.sanitized:
+            # Raw kernel output, before fault perception (see ArrayEngine).
+            for b, sanitizer in enumerate(self.sanitizers):
+                if sanitizer is not None:
+                    sanitizer.on_channel(r, plans[b], _row(channel, b), operand, self.faults)
+        if self.faults is not None:
+            channel = self.faults.perceive(r, listen, channel)
+        self._feedback(r, channel)
+        self.round += 1
+        _accumulate(
+            self.traffic,
+            transmit.reshape(-1),
+            listen.reshape(-1),
+            channel.clean.reshape(-1),
+            channel.collided.reshape(-1),
+        )
+        if plans:
+            self._report(r, plans, channel)
+        done = self.parts[0].done() if len(self.parts) == 1 else np.concatenate(
+            [part.done() for part in self.parts]
+        )
+        retired: list[tuple[int, bool]] = []
+        if self.round >= self.first_budget or done.any():
+            retired = self._retire(done | (self.round >= self.budgets), done, channel)
+        phase["feedback"] += time.perf_counter() - t2
+        return retired
+
+    def _act(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every part's plan, as flat masks over all rows."""
+        plans = []
+        for part in self.parts:
+            try:
+                plans.append(
+                    _checked_plan(part.protocol.act(r), len(part.items) * self.n)
+                )
+            except SimulationError as exc:
+                raise SimulationError(f"{exc} ({part.label()})") from None
+        if len(plans) == 1:
+            return plans[0].transmit, plans[0].listen
+        return (
+            np.concatenate([plan.transmit for plan in plans]),
+            np.concatenate([plan.listen for plan in plans]),
+        )
+
+    def _feedback(self, r: int, channel: ChannelRound) -> None:
+        """Hand every part its rows of the perceived channel, with flat sender ids."""
+        if len(self.items) == 1:
+            self.parts[0].protocol.on_feedback(r, channel)
+            return
+        start = 0
+        for part in self.parts:
+            rows = slice(start, start + len(part.items))
+            start = rows.stop
+            senders = channel.senders[rows]
+            if part.fused:
+                senders = senders + self.offsets[: len(part.items)]
+            part.protocol.on_feedback(
+                r,
+                ChannelRound(
+                    counts=channel.counts[rows].reshape(-1),
+                    clean=channel.clean[rows].reshape(-1),
+                    collided=channel.collided[rows].reshape(-1),
+                    silent=channel.silent[rows].reshape(-1),
+                    senders=senders.reshape(-1),
+                ),
+            )
+
+    def _sanitize_plans(
+        self,
+        r: int,
+        transmit: np.ndarray,
+        listen: np.ndarray,
+        crashed: np.ndarray | None,
+    ) -> None:
+        """The kernel's mask contract, then each sanitized row's plan hook."""
+        try:
+            check_channel_masks(self.n, transmit, listen)
+        except SimulationError as exc:
+            raise SimulationError(
+                f"{exc} (batch rows are items {self.items}, in order)"
+            ) from None
+        rows = zip(transmit.reshape(-1, self.n), listen.reshape(-1, self.n))
+        for sanitizer, (tx, lx) in zip(self.sanitizers, rows):
+            if sanitizer is not None:
+                sanitizer.on_begin_round(r, RoundPlan(transmit=tx, listen=lx), crashed)
+
+    def _report(self, r: int, plans: list[RoundPlan], channel: ChannelRound) -> None:
+        """Per-row sanitizer conservation checks and round observers."""
+        for b, (sanitizer, observers) in enumerate(zip(self.sanitizers, self.observers)):
+            row = _row(channel, b)
+            if sanitizer is not None:
+                sanitizer.on_round_complete(
+                    r,
+                    plans[b],
+                    row,
+                    self.traffic[:, b * self.n : (b + 1) * self.n],
+                    None if self.faults is None else self.faults.counters[b],
+                )
+            if observers:
+                stats = round_stats(r, plans[b].transmit, row)
+                for observer in observers:
+                    observer(stats)
+
+    def _retire(
+        self, finished: np.ndarray, done: np.ndarray, channel: ChannelRound
+    ) -> list[tuple[int, bool]]:
+        """Write the finished rows back to their items and drop them from the group.
+
+        A fused part fills each hole a retired row leaves with one of its
+        last surviving rows, so only the moved rows' state is copied.
+        """
+        batch, n = self.batch, self.n
+        retired: list[tuple[int, bool]] = []
+        order: list[int] = []
+        parts: list[_Part] = []
+        start = 0
+        for part in self.parts:
+            gone = finished[start : start + len(part.items)].tolist()
+            for k, row_gone in enumerate(gone):
+                if not row_gone:
+                    continue
+                b, i = start + k, part.items[k]
+                engine = batch.engines[i]
+                engine._round = self.round
+                engine._traffic[...] = self.traffic[:, b * n : (b + 1) * n]
+                engine._last_channel = _row(channel, b)
+                if self.faults is not None and engine.fault_state is not None:
+                    self.faults.export(b, engine.fault_state)
+                if part.fused:
+                    part.protocol.export(slice(k * n, (k + 1) * n), batch.items[i].protocol)
+                retired.append((i, bool(done[b])))
+            survivors = [k for k, row_gone in enumerate(gone) if not row_gone]
+            if survivors:
+                size = len(survivors)
+                rows = list(range(size))
+                holes = [k for k in rows if gone[k]]
+                movers = [k for k in survivors if k >= size]
+                for hole, mover in zip(holes, movers):
+                    rows[hole] = mover
+                if part.fused and size < len(gone):
+                    part.protocol.compact(
+                        _node_range(movers, n), _node_range(holes, n), size * n
+                    )
+                part.items = [part.items[k] for k in rows]
+                order.extend(start + k for k in rows)
+                parts.append(part)
+            start += len(gone)
+        self.parts = parts
+        self.items = [i for part in parts for i in part.items]
+        self.traffic = self.traffic[:, _node_range(order, n)]
+        self.budgets = self.budgets[order]
+        self.first_budget = int(self.budgets.min()) if order else 0
+        self.sanitizers = [self.sanitizers[b] for b in order]
+        self.observers = [self.observers[b] for b in order]
+        if self.faults is not None:
+            self.faults.select(order)
+        self._watch()
+        return retired
+
+
+def _node_range(rows: list[int], n: int) -> np.ndarray:
+    """The flat node ids of ``rows`` of a fused instance over ``n``-node copies."""
+    nodes: np.ndarray = np.array(rows, dtype=np.int64)[:, None] * n + np.arange(n)
+    return nodes.ravel()

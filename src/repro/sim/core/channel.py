@@ -69,6 +69,7 @@ __all__ = [
     "SparseOperand",
     "adjacency_operand",
     "as_kernel_operand",
+    "check_channel_masks",
     "operand_from_csr",
     "pack_mask",
     "popcount64",
@@ -452,7 +453,7 @@ class ChannelRound:
         )
 
 
-def _check_masks(n: int, transmit: np.ndarray, listen: np.ndarray) -> None:
+def check_channel_masks(n: int, transmit: np.ndarray, listen: np.ndarray) -> None:
     """Validate mask shapes and the half-duplex disjointness precondition."""
     if transmit.shape != listen.shape:
         raise SimulationError(
@@ -499,7 +500,7 @@ def resolve_channel(
     op = as_kernel_operand(operand)
     transmit = np.asarray(transmit)
     listen = np.asarray(listen)
-    _check_masks(op.n, transmit, listen)
+    check_channel_masks(op.n, transmit, listen)
     tx = op.prepare_transmit(transmit)
     counts = op.transmit_counts(tx)
     clean = listen & (counts == 1)

@@ -50,6 +50,8 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
     whether it stays active for the next round.
     """
 
+    node_state = ("informed", "informed_round", "_active", "_coins")
+
     def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
         self.phase_length = ctx.params.decay_phase_length(ctx.n_bound)

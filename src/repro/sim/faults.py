@@ -35,7 +35,9 @@ faulted run is reproducible across the dense/sparse channel backends
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -195,13 +197,34 @@ class FaultSchedule:
 _DROPPED, _JAMMED, _CRASHED, _FLIPPED = range(4)
 
 
-class FaultState:
-    """The per-run, mutable realization of one :class:`FaultSchedule`.
+#: Stop round of a window that never closes.
+_FOREVER = np.iinfo(np.int64).max
 
-    Owned by a single :class:`~repro.sim.core.batch.ArrayEngine`; tracks
-    the current (possibly flipped) adjacency, rebuilds the kernel operand
-    on the engine's backend whenever an edge flips, and draws every coin
-    from the engine stream passed in — never from a node stream.
+
+def _windows(
+    entries: tuple[NodeCrash, ...] | tuple[Jammer, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nodes, starts, stops)`` of a schedule's crash or jammer windows."""
+    nodes = np.array([e.node for e in entries], dtype=np.int64)
+    starts = np.array([e.start for e in entries], dtype=np.int64)
+    stops = np.array(
+        [_FOREVER if e.stop is None else e.stop for e in entries], dtype=np.int64
+    )
+    return nodes, starts, stops
+
+
+class FaultState:
+    """The mutable realization of one :class:`FaultSchedule` for lock-step runs.
+
+    Owned by a single :class:`~repro.sim.core.batch.ArrayEngine` (one
+    *row*), or built by :meth:`fuse` for the batch engine's fused groups
+    (one row per instance, all on the same network, schedule and round).
+    The rows share one crash mask, one jam cover and one edge-flip
+    timeline per round: it tracks the current (possibly flipped)
+    adjacency and rebuilds the kernel operand on the engine's backend
+    whenever an edge flips — once per flip, whatever the row count.  Each
+    row draws its loss coins from its own engine stream — never from a
+    node stream — and keeps its own counters.
     """
 
     def __init__(
@@ -221,12 +244,12 @@ class FaultState:
         self.schedule = schedule
         self.network = network
         self._n = n
-        self._rng = rng
+        self._rngs = [rng]
         self._operand = operand
         self._backend = operand.backend
         # Counter vector windowed by the engine exactly like its traffic
         # counters: dropped receptions, jammed listens, crashed node
-        # rounds, edge flips applied.
+        # rounds, edge flips applied.  A fused state holds one per row.
         self.counters = np.zeros(4, dtype=np.int64)
         # Edge flips are applied by a cursor over the round-sorted list.
         # The current adjacency is the network's CSR until the first flip;
@@ -244,6 +267,49 @@ class FaultState:
         # cache it keyed by both so static phases pay nothing per round.
         self._adjacency_version = 0
         self._jam_cache: tuple[tuple[int, ...], int, np.ndarray] | None = None
+
+    # Crash and jammer windows as arrays: the round's down set is one
+    # comparison over them, not a loop over the schedule.  Built on first
+    # use, so the per-item states a fused group replaces never build them.
+    @cached_property
+    def _crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _windows(self.schedule.crashes)
+
+    @cached_property
+    def _jammers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _windows(self.schedule.jammers)
+
+    @classmethod
+    def fuse(cls, states: Sequence[FaultState]) -> FaultState:
+        """One state over the rows of ``states``, which share a schedule and round.
+
+        The rows keep their own engine streams (shared, not copied) and
+        counters; the adjacency is the first state's.
+        """
+        lead = states[0]
+        fused = cls(lead.schedule, lead.network, lead._operand, lead._rngs[0])
+        fused._adopt_adjacency(lead)
+        fused._rngs = [rng for state in states for rng in state._rngs]
+        fused.counters = np.stack([state.counters for state in states])
+        return fused
+
+    def export(self, row: int, into: FaultState) -> None:
+        """Write ``row``'s counters and the current adjacency into ``into``."""
+        into.counters[...] = self.counters[row]
+        into._adopt_adjacency(self)
+
+    def select(self, rows: list[int]) -> None:
+        """Keep only ``rows``, in that order."""
+        self._rngs = [self._rngs[row] for row in rows]
+        self.counters = self.counters[rows]
+
+    def _adopt_adjacency(self, other: FaultState) -> None:
+        self._flip_cursor = other._flip_cursor
+        self._keys = other._keys
+        self._csr = other._csr
+        self._operand = other._operand
+        self._adjacency_version = other._adjacency_version
+        self._jam_cache = other._jam_cache
 
     @property
     def operand(self) -> KernelOperand:
@@ -271,7 +337,7 @@ class FaultState:
         return self._csr
 
     def totals(self, counters: np.ndarray) -> FaultTotals:
-        """Freeze one counter window (see :attr:`counters`)."""
+        """Freeze one row's counter window (see :attr:`counters`)."""
         return FaultTotals(
             dropped_receptions=int(counters[_DROPPED]),
             jammed_listens=int(counters[_JAMMED]),
@@ -288,6 +354,7 @@ class FaultState:
         The cursor makes this idempotent for a repeated round index, so a
         re-issued ``begin_round`` never double-applies a flip.  Returns
         ``None`` when no node is crashed this round (the common case).
+        The mask is the same for every row.
         """
         while (
             self._flip_cursor < len(self._flips)
@@ -295,14 +362,15 @@ class FaultState:
         ):
             self._apply_flip(self._flips[self._flip_cursor])
             self._flip_cursor += 1
-        crashed: np.ndarray | None = None
-        for crash in self.schedule.crashes:
-            if crash.down(round_index):
-                if crashed is None:
-                    crashed = np.zeros(self._n, dtype=bool)
-                crashed[crash.node] = True
-        if crashed is not None:
-            self.counters[_CRASHED] += int(crashed.sum())
+        nodes, starts, stops = self._crashes
+        if not nodes.size:
+            return None
+        down = nodes[(starts <= round_index) & (round_index < stops)]
+        if not down.size:
+            return None
+        crashed = np.zeros(self._n, dtype=bool)
+        crashed[down] = True
+        self.counters[..., _CRASHED] += np.count_nonzero(crashed)
         return crashed
 
     def perceive(
@@ -310,19 +378,25 @@ class FaultState:
     ) -> ChannelRound:
         """Rewrite one resolved round into what the (faulty) radios report.
 
-        Jamming forces every covered listener to a perceived collision;
-        loss then independently drops surviving clean receptions into
-        perceived silence.  ``counts`` is left as physical ground truth.
-        When the round is untouched the original channel object is
-        returned, so fault-free rounds allocate nothing.
+        ``listen`` and the channel are ``(n,)`` for one row or
+        ``(rows, n)``.  Jamming forces every covered listener to a
+        perceived collision; loss then independently drops surviving
+        clean receptions into perceived silence.  ``counts`` is left as
+        physical ground truth.  When the round is untouched the original
+        channel object is returned, so fault-free rounds allocate nothing.
         """
         cover = self._jam_cover(round_index)
         jammed = (listen & cover) if cover is not None else None
-        # The loss coins are drawn once per round whenever the schedule
-        # has a loss rate — independent of how many clean receptions this
-        # round produced — so stream consumption (and therefore every
-        # later draw) is identical across protocol forms and backends.
-        coins = self._rng.random(self._n) if self.schedule.loss_rate > 0.0 else None
+        # The loss coins are drawn once per round and row whenever the
+        # schedule has a loss rate — independent of how many clean
+        # receptions this round produced — so stream consumption (and
+        # therefore every later draw) is identical across protocol forms,
+        # backends and batch shapes.
+        coins: np.ndarray | None = None
+        if self.schedule.loss_rate > 0.0:
+            coins = np.empty(listen.shape)
+            for row, rng in zip(coins.reshape(-1, self._n), self._rngs):
+                rng.random(out=row)
         clean = channel.clean
         collided = channel.collided
         silent = channel.silent
@@ -330,13 +404,13 @@ class FaultState:
             clean = clean & ~jammed
             collided = collided | jammed
             silent = silent & ~jammed
-            self.counters[_JAMMED] += int(jammed.sum())
+            self.counters[..., _JAMMED] += np.count_nonzero(jammed, axis=-1)
         if coins is not None:
             dropped = clean & (coins < self.schedule.loss_rate)
             if dropped.any():
                 clean = clean & ~dropped
                 silent = silent | dropped
-                self.counters[_DROPPED] += int(dropped.sum())
+                self.counters[..., _DROPPED] += np.count_nonzero(dropped, axis=-1)
         if clean is channel.clean and collided is channel.collided:
             return channel
         return ChannelRound(
@@ -372,13 +446,14 @@ class FaultState:
         self._keys = keys
         self._csr = csr_from_keys(n, keys)
         self._operand = operand_from_csr(self._backend, *self._csr)
-        self.counters[_FLIPPED] += 1
+        self.counters[..., _FLIPPED] += 1
         self._adjacency_version += 1
 
     def _jam_cover(self, round_index: int) -> np.ndarray | None:
-        active = tuple(
-            j.node for j in self.schedule.jammers if j.active(round_index)
-        )
+        nodes, starts, stops = self._jammers
+        if not nodes.size:
+            return None
+        active = tuple(nodes[(starts <= round_index) & (round_index < stops)].tolist())
         if not active:
             return None
         cache = self._jam_cache

@@ -70,6 +70,16 @@ class GHKArrayProtocol(BroadcastArrayProtocol):
     layer and the message from the same clean pulse.
     """
 
+    node_state = (
+        "informed",
+        "informed_round",
+        "wave_distance",
+        "_pulse_sent",
+        "_slots_since_informed",
+        "_coins",
+        "_tx_has_message",
+    )
+
     def __init__(self, message: Any = "broadcast") -> None:
         super().__init__(message)
         if message is WAVE_PULSE:

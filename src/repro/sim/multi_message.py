@@ -76,6 +76,7 @@ The protocol requires collision detection (the wave stalls without it).
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any
 
@@ -122,9 +123,28 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     for coin.
     """
 
+    node_state = (
+        "informed",
+        "informed_round",
+        "known",
+        "message_round",
+        "wave_distance",
+        "_pulse_sent",
+        "_slots_contended",
+        "_send_count",
+        "_requested",
+        "_coins",
+        "_tx_index",
+        "_tx_want",
+    )
+
     def __init__(self, message: Any = "broadcast", k_messages: int = 1) -> None:
         super().__init__(message)
         self.k_messages = _check_message_and_k(message, k_messages)
+
+    def fusion_key(self) -> Hashable | None:
+        key = super().fusion_key()
+        return None if key is None else (key, self.k_messages)
 
     def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
@@ -176,14 +196,13 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
             & (r > self.wave_distance)
             & ((r - self.wave_distance) % self.spacing == 0)
         )
-        source = self.ctx.source
-        if slot[source]:
-            # The source's layer is a singleton: pump without a coin.
-            slot[source] = False
-            transmit[source] = True
-            self._tx_index[source] = self._select_least_sent(
-                np.array([source], dtype=np.int64)
-            )[0]
+        # Layer 0 is the source alone (no other node learns distance 0):
+        # it pumps without a coin.
+        sources = np.flatnonzero(slot & (self.wave_distance == 0))
+        if sources.size:
+            slot[sources] = False
+            transmit[sources] = True
+            self._tx_index[sources] = self._select_least_sent(sources)
         owners = np.nonzero(slot)[0]
         if owners.size:
             j = self._slots_contended[owners] % self.backoff_slots

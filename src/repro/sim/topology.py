@@ -228,6 +228,14 @@ class RadioNetwork:
             self._adjacency = mat
         return self._adjacency
 
+    def cached_adjacency(self) -> np.ndarray | None:
+        """The dense matrix if :meth:`adjacency_matrix` has built it, else ``None``.
+
+        Never builds it: checks of the cache (the sanitizer's) must not
+        force a Θ(n²) allocation or count as a use.
+        """
+        return self._adjacency
+
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The CSR neighbour arrays ``(indptr, indices)``, read-only int64.
 

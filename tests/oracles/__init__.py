@@ -13,7 +13,9 @@ twin bit for bit on every seed (``tests/test_equivalence.py``).
 * :mod:`oracles.driver` — :func:`run_oracle`, the ``run_broadcast`` twin;
 * :mod:`oracles.graph` — the per-node forms of the graph layer (FIFO BFS,
   neighbour-set edge flips), checked against ``RadioNetwork``'s CSR and
-  the fault layer's key array.
+  the fault layer's key array;
+* :mod:`oracles.faults` — the fault layer's crash and jammer windows as
+  loops over the schedule, checked against its window arrays.
 """
 
 from oracles.api import (

@@ -15,6 +15,14 @@ from repro.experiments.perf_gate import (
 from repro.experiments.record import SCHEMA_VERSION, bench_record, write_bench
 
 
+@pytest.fixture(autouse=True)
+def _sanitizer_off(monkeypatch):
+    # Records stamp REPRO_SANITIZE, and the gate refuses sanitized records
+    # by design; these tests exercise the gate on unsanitized records even
+    # when the suite itself runs sanitized.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
 def _engine_record(array_rps=8000.0, n=16, **columns):
     return bench_record(
         "engine",

@@ -333,6 +333,14 @@ def test_conservation_violation_predicate():
 # The divergence bisector
 # --------------------------------------------------------------------- #
 
+@pytest.fixture
+def sanitizer_env_off(monkeypatch):
+    # An injected divergence must reach the bisector's digests; a sanitizer
+    # opted in by REPRO_SANITIZE would stop the replay at the corrupted
+    # round first.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
 def test_first_divergent_round_helper():
     a = [b"a", b"b", b"c"]
     assert first_divergent_round(a, list(a)) is None
@@ -349,6 +357,7 @@ def test_backends_agree_without_injection():
     assert outcome.active_rounds == outcome.reference_rounds > 0
 
 
+@pytest.mark.usefixtures("sanitizer_env_off")
 @pytest.mark.parametrize("inject_at", [0, 5])
 def test_bisector_pinpoints_injected_round_exactly(inject_at):
     spec = ReplaySpec(protocol="ghk", topology="grid", n=36, seed=4, backend="sparse")
@@ -356,6 +365,7 @@ def test_bisector_pinpoints_injected_round_exactly(inject_at):
     assert outcome.divergent_round == inject_at
 
 
+@pytest.mark.usefixtures("sanitizer_env_off")
 def test_bundle_contents(tmp_path):
     spec = ReplaySpec(
         protocol="ghk", topology="grid", n=36, seed=4, backend="bitpacked"
@@ -399,6 +409,7 @@ def test_coin_cursor_moves_with_every_coin_and_agrees_across_backends():
     assert any(moved)
 
 
+@pytest.mark.usefixtures("sanitizer_env_off")
 def test_bisect_cli_exit_codes(tmp_path, capsys):
     base = [
         "--protocol", "decay", "--topology", "grid", "--n", "25",
