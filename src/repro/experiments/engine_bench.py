@@ -20,8 +20,13 @@ import sys
 import time
 
 from repro.errors import AnalysisError, BroadcastFailure, TopologyError
-from repro.experiments.broadcast_bench import DEFAULT_PROTOCOLS, resolve_params
-from repro.experiments.record import bench_record, rounds_per_sec, write_bench
+from repro.experiments.record import (
+    DEFAULT_PROTOCOLS,
+    bench_record,
+    resolve_params,
+    rounds_per_sec,
+    write_bench,
+)
 from repro.sim import runners
 from repro.sim.runners import broadcast_spec, run_broadcast_batch
 from repro.sim.topology import TOPOLOGY_NAMES, from_spec

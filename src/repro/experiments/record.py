@@ -20,11 +20,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.simsan.core import sanitize_from_env
+from repro.errors import AnalysisError
+from repro.params import ProtocolParams
 
 __all__ = [
+    "DEFAULT_PROTOCOLS",
     "PAPER_ID",
     "SCHEMA_VERSION",
     "bench_record",
+    "resolve_params",
     "rounds_per_sec",
     "write_bench",
 ]
@@ -36,6 +40,26 @@ PAPER_ID = "conf_podc_GhaffariHK13"
 #: (this module) plus traffic/telemetry fields; v1 records (no
 #: ``schema_version`` key) predate the perf gate and cannot be gated.
 SCHEMA_VERSION = 2
+
+#: The protocols the speed benches time by default: the Decay baseline and
+#: the paper's collision-detection broadcast.
+DEFAULT_PROTOCOLS: tuple[str, ...] = ("decay", "ghk")
+
+
+def resolve_params(preset: str, backend: str = "auto") -> ProtocolParams:
+    """Build a bench's :class:`ProtocolParams` from a preset + channel backend.
+
+    Raises :class:`AnalysisError` on unknown names before any simulation runs.
+    """
+    if preset not in ("paper", "fast"):
+        raise AnalysisError(f"unknown preset {preset!r}; choose paper or fast")
+    if backend not in ("auto", "dense", "sparse", "bitpacked"):
+        raise AnalysisError(
+            f"unknown channel backend {backend!r}; choose auto, dense, sparse "
+            "or bitpacked"
+        )
+    params = ProtocolParams.paper() if preset == "paper" else ProtocolParams.fast()
+    return params.with_overrides(channel_backend=backend)
 
 
 def rounds_per_sec(rounds: int, seconds: float) -> float | None:

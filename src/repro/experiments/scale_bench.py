@@ -45,8 +45,12 @@ from collections.abc import Sequence
 
 from repro.errors import AnalysisError, BroadcastFailure, TopologyError
 from repro.params import ProtocolParams
-from repro.experiments.broadcast_bench import resolve_params
-from repro.experiments.record import bench_record, rounds_per_sec, write_bench
+from repro.experiments.record import (
+    bench_record,
+    resolve_params,
+    rounds_per_sec,
+    write_bench,
+)
 from repro.sim import runners
 from repro.sim.runners import run_broadcast_batch
 from repro.sim.topology import TOPOLOGY_NAMES, RadioNetwork, from_spec

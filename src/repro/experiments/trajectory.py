@@ -56,7 +56,9 @@ def record_metrics(record: dict) -> dict[str, float]:
     long as the cell (protocol, topology, n, ...) is still measured, so
     the trajectory can line snapshots up by key.  Unknown bench kinds
     yield no metrics rather than raising: the trajectory must survive
-    records written by older or newer schemas.
+    records written by older or newer schemas.  That includes the science
+    records from before :mod:`repro.experiments.sweep` (bench kinds
+    ``broadcast``, ``multimessage`` and ``faults``).
     """
     metrics: dict[str, float] = {}
     bench = record.get("bench")
@@ -89,33 +91,15 @@ def record_metrics(record: dict) -> dict[str, float]:
                 metrics[f"{cell}/counts_speedup_vs_dense"] = entry[
                     "counts_speedup_vs_dense"
                 ]
-        elif bench == "broadcast":
-            cell = f"{entry['topology']}/{entry['protocol']}/n={entry['n']}"
-            if "rounds" in entry:
-                metrics[f"{cell}/rounds_mean"] = entry["rounds"]["mean"]
-            if entry.get("energy_mean") is not None:
-                metrics[f"{cell}/energy_mean"] = entry["energy_mean"]
-            if entry.get("speedup_vs_decay") is not None:
-                metrics[f"{cell}/speedup_vs_decay"] = entry["speedup_vs_decay"]
-            if entry.get("sweep_rounds_per_sec") is not None:
-                metrics[f"{cell}/sweep_rounds_per_sec"] = entry["sweep_rounds_per_sec"]
-        elif bench == "faults":
+        elif bench == "sweep":
+            family, level = entry["fault"]
             cell = (
-                f"{entry['protocol']}/{entry['family']}={entry['level']}"
-                f"/n={entry['n']}"
+                f"{entry['protocol']}/{entry['topology']}/n={entry['n']}"
+                f"/k={entry['k']}/{family}={level}"
             )
-            if entry.get("delivery_rate") is not None:
-                metrics[f"{cell}/delivery_rate"] = entry["delivery_rate"]
-            if "rounds" in entry:
-                metrics[f"{cell}/rounds_mean"] = entry["rounds"]["mean"]
-            if entry.get("slowdown_vs_fault_free") is not None:
-                metrics[f"{cell}/slowdown"] = entry["slowdown_vs_fault_free"]
-        elif bench == "multimessage":
-            cell = f"{entry['topology']}/k={entry['k_messages']}/n={entry['n']}"
-            if "rounds" in entry:
-                metrics[f"{cell}/rounds_mean"] = entry["rounds"]["mean"]
-            if entry.get("pipelining_speedup") is not None:
-                metrics[f"{cell}/pipelining_speedup"] = entry["pipelining_speedup"]
+            for name in ("failures", "rounds_mean", "energy_mean", "speedup_vs_baseline"):
+                if entry.get(name) is not None:
+                    metrics[f"{cell}/{name}"] = entry[name]
     return metrics
 
 

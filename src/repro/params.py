@@ -179,12 +179,15 @@ class ProtocolParams:
         return max(1, math.ceil(self.ghk_backoff_factor * self.log_n(n_bound)))
 
     def ghk_broadcast_rounds(self, diameter: int, n_bound: int) -> int:
-        """Round budget for the collision-detection broadcast: ``O(D + log^2 n)``.
+        """Round budget for the collision-detection broadcast.
 
-        The sync wave costs ``D`` rounds, each layer slot recurs every
-        ``wave_spacing`` rounds, and resolving the worst single layer's
-        contention takes ``O(log^2 n)`` slots w.h.p.; the usual multiplicative
-        and additive slack absorbs the partially-pipelined remainder.
+        A calibrated formula shaped like ``O(D + log^2 n)``, not the paper's
+        ``O(D + log^6 n)`` bound and not a proved bound for the implemented
+        simplification (see :mod:`repro.sim.ghk_broadcast`).  The sync wave
+        costs ``D`` rounds, each layer slot recurs every ``wave_spacing``
+        rounds, and the worst single layer's contention is budgeted
+        ``O(log^2 n)`` slots; the usual multiplicative and additive slack
+        absorbs the partially-pipelined remainder.
         """
         if diameter < 0:
             raise ConfigurationError(f"diameter must be non-negative, got {diameter}")
@@ -195,14 +198,18 @@ class ProtocolParams:
     def ghk_multi_message_rounds(
         self, diameter: int, n_bound: int, k_messages: int = 1
     ) -> int:
-        """Round budget for the k-message broadcast: ``O(D + k log n + log^2 n)``.
+        """Round budget for the k-message broadcast.
 
-        The headline multi-message regime (Theorem 1.2): the sync wave
+        A calibrated formula shaped like ``O(D + k log n + log^2 n)``, the
+        paper's bound for *known* topology; with unknown topology and
+        collision detection the paper proves ``O(D + k log n + log^6 n)``,
+        and the implemented simplification (see
+        :mod:`repro.sim.multi_message`) has no proved bound.  The sync wave
         costs ``D`` rounds, each layer then pushes its ``k`` messages
         through its owned slots (one message per slot, ``Θ(log n)`` slots
-        of decay backoff per message w.h.p.), and resolving the worst
-        single layer's residual contention takes ``O(log^2 n)`` slots —
-        all pipelined across layers, so the slot terms add instead of
+        of decay backoff per message), and the worst single layer's
+        residual contention is budgeted ``O(log^2 n)`` slots — all
+        pipelined across layers, so the slot terms add instead of
         multiplying by ``D``.
         """
         if diameter < 0:

@@ -12,10 +12,13 @@ Layers, bottom-up:
 * :mod:`repro.sim.decay` — the collision-blind Decay baseline (BGI 1992);
 * :mod:`repro.sim.beepwave` — the collision-detection beep-wave layer:
   1-bit pulses that advance one hop per round and synchronize the network;
-* :mod:`repro.sim.ghk_broadcast` — the paper's broadcast on top of the
-  wave: layered slot schedule + decay backoff, ``O(D + log^2 n)``;
+* :mod:`repro.sim.ghk_broadcast` — a simplification of the paper's
+  broadcast on top of the wave: layered slot schedule + decay backoff,
+  budgeted by a formula shaped like ``O(D + log^2 n)`` (the paper proves
+  ``O(D + log^6 n)``);
 * :mod:`repro.sim.multi_message` — the k-message pipeline on the same
-  schedule: one message per owned slot, ``O(D + k log n + log^2 n)``;
+  schedule: one message per owned slot, budgeted like
+  ``O(D + k log n + log^2 n)`` (the paper's bound for known topology);
 * :mod:`repro.sim.runners` — the protocol specs and the run API,
   :func:`run_broadcast` / :func:`run_broadcast_batch`.
 

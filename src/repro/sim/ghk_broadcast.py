@@ -26,9 +26,17 @@ primitive to beat Decay's ``O((D + log n) log n)`` bound:
    (:meth:`ProtocolParams.ghk_backoff_slots`), so some slot has roughly
    one expected transmitter no matter the layer's informed population.
 
-Total: ``D`` rounds of wave plus ``O(log^2 n)`` slots of worst-layer
-contention, pipelined — the ``O(D + log^2 n)`` regime of the paper,
-against Decay's ``O((D + log n) log n)``.
+This is a simplification of the paper, not its algorithm: one sync beep
+wave, then per-layer Decay in mod-3 slots.  The paper proves
+``O(D + log^6 n)`` rounds for single-message broadcast with collision
+detection (and, for ``k`` messages, ``O(D + k log n + log^2 n)`` with
+known topology and ``O(D + k log n + log^6 n)`` with unknown topology and
+collision detection).  The round budget
+(:meth:`ProtocolParams.ghk_broadcast_rounds`) is a calibrated formula
+shaped like ``O(D + log^2 n)``, not the paper's bound, and no bound is
+proved for this protocol: where every hop is contended (a chain of
+cliques of size ``s``) it measures ``Θ(D log s)`` — see ROADMAP item 2.
+Decay's bound is ``O((D + log n) log n)``.
 
 The protocol is *only correct with collision detection* (the wave stalls
 without it), so ``run_broadcast("ghk", ...)`` and :class:`GHKArrayProtocol`

@@ -1,8 +1,16 @@
-"""The paper's k-message broadcast: ``O(D + k log n + log^2 n)`` rounds.
+"""k-message broadcast with collision detection, pipelined over beep waves.
 
-The headline multi-message result (Theorem 1.2) pipelines ``k`` distinct
-messages through the same two mechanisms the single-message GHK broadcast
-uses (:mod:`repro.sim.ghk_broadcast`):
+The paper proves ``O(D + k log n + log^2 n)`` rounds for ``k`` messages
+only with *known* topology; with unknown topology and collision detection
+(this simulator's setting) its bound is ``O(D + k log n + log^6 n)``.
+This protocol is a simplification, not the paper's algorithm: it
+pipelines ``k`` distinct messages through the same two mechanisms the
+single-message GHK broadcast uses (:mod:`repro.sim.ghk_broadcast`: one
+sync beep wave, then per-layer Decay in mod-3 slots).  Its round budget
+(:meth:`ProtocolParams.ghk_multi_message_rounds`) is a calibrated formula
+shaped like ``O(D + k log n + log^2 n)``, not a proved bound; see ROADMAP
+item 2 for the contended clique-chain case, where single-message GHK
+measures ``Θ(D log s)``.
 
 1. **Wave synchronization.**  One beep wave sweeps the network in ``D``
    rounds and teaches every node its BFS layer; relay pulses piggyback a
@@ -28,9 +36,8 @@ uses (:mod:`repro.sim.ghk_broadcast`):
    missed one message wait a full ``k``-cycle for every neighbour to come
    back around simultaneously.  Different messages stream through the layer
    schedule back to back — message ``m+1`` does not wait for message
-   ``m`` to finish its ``D``-round journey, which is exactly what turns
-   ``k`` sequential ``O(D + log^2 n)`` broadcasts into one
-   ``O(D + k log n + log^2 n)`` pipeline.
+   ``m`` to finish its ``D``-round journey, which is what lets ``k``
+   messages cost less than ``k`` sequential single-message broadcasts.
 
 3. **Source pumping.**  The source transmits in every owned slot without a
    coin: layer 0 is a singleton by definition (only the source is at

@@ -1,56 +1,85 @@
-"""Tests for the sweep harnesses and their bench records."""
+"""Tests for the science sweep, the speed benches and their bench records."""
 
 import json
-from typing import ClassVar
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import (
-    DEFAULT_K_VALUES,
-    DEFAULT_TOPOLOGIES,
     bench_engines,
     bench_kernel,
     bench_scale,
-    merge_records,
-    sweep_broadcast,
-    sweep_multimessage,
+    run_matrix,
+    sweep,
     write_bench,
 )
-from repro.experiments.broadcast_bench import main
-from repro.experiments.record import SCHEMA_VERSION
 from repro.experiments.engine_bench import main as engine_main
-from repro.experiments.multimessage_bench import main as multimessage_main
 from repro.experiments.kernel_bench import _operand_bytes
 from repro.experiments.kernel_bench import main as kernel_main
+from repro.experiments.record import SCHEMA_VERSION
 from repro.experiments.scale_bench import main as scale_main
 from repro.sim.core import BitOperand, SparseOperand
 from repro.sim.topology import from_spec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def block(**overrides) -> dict:
+    """A small Decay-vs-GHK sweep block; keyword arguments replace keys."""
+    return {
+        "protocol": ["decay", "ghk"],
+        "topology": ["line", "gnp"],
+        "n": [16],
+        "k": [1],
+        "fault": [["none", 0]],
+        "seeds": 3,
+        "preset": "fast",
+        "baseline": {"protocol": "decay"},
+        **overrides,
+    }
+
+
+def mm_block(**overrides) -> dict:
+    """A small k-message pipelining block (baseline: k = 1)."""
+    return block(
+        **{
+            "protocol": ["multimessage"],
+            "topology": ["line", "grid"],
+            "k": [1, 2],
+            "baseline": {"k": 1},
+            **overrides,
+        }
+    )
+
+
+def run_cli(tmp_path, matrix, *flags) -> tuple[int, Path]:
+    spec = tmp_path / "matrix.json"
+    spec.write_text(json.dumps(matrix))
+    out = tmp_path / "BENCH_sweep.json"
+    return sweep.main([str(spec), "--out", str(out), *flags]), out
 
 
 class TestSweep:
     @pytest.fixture(scope="class")
     def record(self):
-        return sweep_broadcast(
-            topologies=("line", "gnp"), n=16, seeds=3, preset="fast"
-        )
+        return run_matrix([block()])
 
     def test_record_header(self, record):
-        assert record["bench"] == "broadcast"
+        assert record["bench"] == "sweep"
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["paper"] == "conf_podc_GhaffariHK13"
-        assert record["n"] == 16
-        assert record["seeds"] == 3
-        assert record["topologies"] == ["line", "gnp"]
-        assert record["protocols"] == ["decay", "ghk"]
+        assert record["matrix"] == [block()]
         assert "created_utc" in record
 
-    def test_entries_carry_traffic_and_sweep_telemetry(self, record):
+    def test_entries_carry_traffic_means(self, record):
         for entry in record["results"]:
-            assert entry["sweep_seconds"] >= 0.0
-            if "rounds" in entry:
-                assert entry["energy_mean"] > 0
-                assert entry["collisions_mean"] >= 0
+            assert entry["energy_mean"] > 0
+            assert entry["collisions_mean"] >= 0
+            assert entry["budget_mean"] > 0
+            assert entry["source_eccentricity_mean"] > 0
+            assert "fault_totals_mean" not in entry
 
     def test_one_entry_per_family_protocol_pair(self, record):
         keys = {(e["topology"], e["protocol"]) for e in record["results"]}
@@ -58,143 +87,170 @@ class TestSweep:
 
     def test_entries_aggregate_the_full_batch(self, record):
         for entry in record["results"]:
-            assert entry["runs"] == 3
             assert entry["failures"] == 0
-            rounds = entry["rounds"]
-            assert rounds["min"] <= rounds["median"] <= rounds["max"]
-            assert len(entry["rounds_all"]) == 3
+            assert len(entry["rounds"]) == 3
+            assert entry["rounds_mean"] == sum(entry["rounds"]) / 3
             assert entry["transmissions_mean"] > 0
 
     def test_ghk_entries_carry_speedup(self, record):
-        ghk = [e for e in record["results"] if e["protocol"] == "ghk"]
-        assert all("speedup_vs_decay" in e for e in ghk)
-        line_entry = next(e for e in ghk if e["topology"] == "line")
-        assert line_entry["speedup_vs_decay"] > 1
+        by_cell = {(e["topology"], e["protocol"]): e for e in record["results"]}
+        for topology in ("line", "gnp"):
+            decay, ghk = by_cell[topology, "decay"], by_cell[topology, "ghk"]
+            assert decay["speedup_vs_baseline"] == 1.0
+            assert ghk["speedup_vs_baseline"] == (
+                decay["rounds_mean"] / ghk["rounds_mean"]
+            )
+        assert by_cell["line", "ghk"]["speedup_vs_baseline"] > 1
 
     def test_default_topology_suite_is_the_issue_suite(self):
-        assert DEFAULT_TOPOLOGIES == (
+        record = json.loads((ROOT / "BENCH_broadcast.json").read_text())
+        assert record["matrix"][0]["topology"] == [
             "line",
             "ring",
             "grid",
             "gnp",
             "dumbbell",
             "unit_disk",
+        ]
+
+    def test_speedup_is_protocol_order_independent(self, record):
+        reordered = run_matrix([block(protocol=["ghk", "decay"])])
+        ratios = {
+            (e["topology"], e["protocol"]): e["speedup_vs_baseline"]
+            for e in reordered["results"]
+        }
+        assert ratios == {
+            (e["topology"], e["protocol"]): e["speedup_vs_baseline"]
+            for e in record["results"]
+        }
+
+    def test_failures_are_counted_not_raised(self):
+        # Every reception is dropped, so nothing beyond the source is ever
+        # informed and every run exhausts its budget.
+        record = run_matrix([block(topology=["line"], fault=[["loss", 1.0]])])
+        for entry in record["results"]:
+            assert entry["failures"] == 3
+            assert entry["rounds"] == [None, None, None]
+            assert entry["rounds_mean"] is None
+            assert entry["energy_mean"] is None
+            assert entry["speedup_vs_baseline"] is None
+            assert entry["fault_totals_mean"]["dropped_receptions"] > 0
+
+    def test_one_network_set_is_shared_across_a_block(self, monkeypatch):
+        built = []
+
+        def counting_from_spec(name, n, *, seed):
+            built.append((name, n, seed))
+            return from_spec(name, n, seed=seed)
+
+        monkeypatch.setattr(sweep, "from_spec", counting_from_spec)
+        run_matrix([block(k=[1], fault=[["none", 0], ["loss", 0.5]])])
+        # Two families x three seeds, shared by 2 protocols x 2 fault levels.
+        assert sorted(built) == sorted(
+            (t, 16, s) for t in ("line", "gnp") for s in range(3)
         )
 
 
 class TestValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(AnalysisError, match="at least one node"):
-            sweep_broadcast(n=0)
+            run_matrix([block(n=[0])])
         with pytest.raises(AnalysisError, match="at least one seed"):
-            sweep_broadcast(seeds=0)
+            run_matrix([block(seeds=0)])
+        with pytest.raises(AnalysisError, match="non-empty list"):
+            run_matrix([block(topology=[])])
+        with pytest.raises(AnalysisError, match="non-empty list of blocks"):
+            run_matrix([])
 
     def test_rejects_unknown_names(self):
         with pytest.raises(AnalysisError, match="unknown topologies"):
-            sweep_broadcast(topologies=("moebius",))
-        with pytest.raises(AnalysisError, match="unknown protocols"):
-            sweep_broadcast(protocols=("gossip",))
+            run_matrix([block(topology=["moebius"])])
+        with pytest.raises(AnalysisError, match="unknown protocol"):
+            run_matrix([block(protocol=["gossip"])])
         with pytest.raises(AnalysisError, match="unknown preset"):
-            sweep_broadcast(preset="slow")
+            run_matrix([block(preset="slow")])
+        with pytest.raises(AnalysisError, match="unknown block keys"):
+            run_matrix([block(backend="dense")])
+        with pytest.raises(AnalysisError, match="baseline"):
+            run_matrix([block(baseline={"protocol": "multimessage"})])
 
     def test_rejects_unbuildable_family_size(self):
         with pytest.raises(AnalysisError, match="cannot build"):
-            sweep_broadcast(topologies=("ring",), n=2, seeds=1)
+            run_matrix([block(topology=["ring"], n=[2], seeds=1)])
+
+    @pytest.mark.parametrize(
+        ("fault", "match"),
+        [
+            (["jam", 1.5], "bad jam level"),
+            (["jam", -1], "bad jam level"),
+            (["jam", 16], "bad jam level"),
+            (["crash", 1.5], "bad crash level"),
+            (["loss", -0.1], "bad loss level"),
+            (["flip", True], "bad flip level"),
+            (["none", 0.5], "bad none level"),
+            (["meteor", 1], "not \\[family, level\\]"),
+            ("crash", "not \\[family, level\\]"),
+        ],
+    )
+    def test_bad_faults_exit_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, fault, match
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a simulation ran before validation finished")
+
+        monkeypatch.setattr(sweep, "run_broadcast_batch", no_runs)
+        matrix = [block(), block(fault=[["none", 0], fault])]
+        rc, out = run_cli(tmp_path, matrix)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep error" in err
+        assert re.search(match, err)
+        assert not out.exists()
 
 
 class TestCLI:
     def test_writes_valid_json_record(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_broadcast.json"
-        rc = main(
-            ["--n", "12", "--seeds", "2", "--topologies", "line", "--out", str(out)]
-        )
+        rc, out = run_cli(tmp_path, [block(topology=["line"], seeds=2)])
         assert rc == 0
         record = json.loads(out.read_text())
-        assert record["bench"] == "broadcast"
+        assert record["bench"] == "sweep"
         assert len(record["results"]) == 2
         stdout = capsys.readouterr().out
-        assert "speedup-vs-decay" in stdout
+        assert "speedup-vs-baseline" in stdout
         assert str(out) in stdout
 
     def test_reports_sweep_errors(self, tmp_path, capsys):
-        rc = main(["--n", "0", "--out", str(tmp_path / "x.json")])
+        rc, _ = run_cli(tmp_path, [block(n=[0])])
         assert rc == 2
         assert "sweep error" in capsys.readouterr().err
 
     def test_write_bench_roundtrip(self, tmp_path):
-        path = write_bench({"bench": "broadcast", "results": []}, tmp_path / "b.json")
-        assert json.loads(path.read_text()) == {"bench": "broadcast", "results": []}
+        record = run_matrix([block(topology=["line"], seeds=2)])
+        path = write_bench(record, tmp_path / "b.json")
+        assert json.loads(path.read_text()) == record
 
     def test_multi_size_sweep_merges_into_one_record(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_broadcast.json"
-        rc = main(
-            ["--n", "12", "16", "--seeds", "2", "--topologies", "line", "--out", str(out)]
-        )
+        rc, out = run_cli(tmp_path, [block(topology=["line"], n=[12, 16], seeds=2)])
         assert rc == 0
         record = json.loads(out.read_text())
-        assert record["n"] == [12, 16]
+        assert record["matrix"][0]["n"] == [12, 16]
         assert [e["n"] for e in record["results"]] == [12, 12, 16, 16]
         stdout = capsys.readouterr().out
         assert "n=12" in stdout and "n=16" in stdout
 
+    def test_regenerates_a_record_in_place(self, tmp_path):
+        rc, out = run_cli(tmp_path, [block(topology=["line"], seeds=2)])
+        assert rc == 0
+        before = json.loads(out.read_text())
+        assert sweep.main([str(out)]) == 0
+        assert json.loads(out.read_text())["results"] == before["results"]
+        assert sweep.main(["--check", str(out)]) == 0
 
-class TestMergeRecords:
-    def test_single_record_keeps_scalar_n(self):
-        record = {"n": 8, "results": [{"n": 8}]}
-        assert merge_records([record])["n"] == 8
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(AnalysisError, match="at least one"):
-            merge_records([])
-
-    HEADER: ClassVar[dict] = {
-        "bench": "broadcast",
-        "paper": "conf_podc_GhaffariHK13",
-        "preset": "fast",
-        "seeds": 2,
-        "protocols": ["decay", "ghk"],
-        "topologies": ["line"],
-    }
-
-    def test_merges_records_with_matching_headers(self):
-        a = dict(self.HEADER, n=8, results=[{"n": 8}])
-        b = dict(self.HEADER, n=16, results=[{"n": 16}])
-        merged = merge_records([a, b])
-        assert merged["n"] == [8, 16]
-        assert merged["preset"] == "fast"
-        assert [entry["n"] for entry in merged["results"]] == [8, 16]
-
-    @pytest.mark.parametrize(
-        ("key", "other"),
-        [
-            ("preset", "paper"),
-            ("seeds", 30),
-            ("protocols", ["decay"]),
-            ("topologies", ["line", "grid"]),
-        ],
-    )
-    def test_mismatched_headers_rejected(self, key, other):
-        # Regression: the merged record used to take the first record's
-        # header even when sub-records disagreed, silently misdescribing
-        # the merged data.
-        a = dict(self.HEADER, n=8, results=[])
-        b = dict(self.HEADER, n=16, results=[], **{key: other})
-        with pytest.raises(AnalysisError, match=f"mismatched {key!r}"):
-            merge_records([a, b])
-
-    def test_mismatch_detected_beyond_the_first_pair(self):
-        a = dict(self.HEADER, n=8, results=[])
-        b = dict(self.HEADER, n=16, results=[])
-        c = dict(self.HEADER, n=32, results=[], preset="paper")
-        with pytest.raises(AnalysisError, match="record 2"):
-            merge_records([a, b, c])
-
-    def test_missing_header_key_counts_as_mismatch(self):
-        a = dict(self.HEADER, n=8, results=[])
-        b = dict(self.HEADER, n=16, results=[])
-        del b["preset"]
-        with pytest.raises(AnalysisError, match="mismatched 'preset'"):
-            merge_records([a, b])
+    def test_check_needs_a_record(self, tmp_path, capsys):
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps([block()]))
+        assert sweep.main(["--check", str(spec)]) == 2
+        assert "needs a record" in capsys.readouterr().err
 
 
 class TestEngineBench:
@@ -268,103 +324,97 @@ class TestEngineBench:
 
 
 class TestMultiMessageBench:
+    """The k-message pipelining block of the science sweep."""
+
     @pytest.fixture(scope="class")
     def record(self):
-        return sweep_multimessage(
-            topologies=("line", "grid"), k_values=(1, 2), n=16, seeds=3, preset="fast"
-        )
+        return run_matrix([mm_block()])
 
     def test_record_header(self, record):
-        assert record["bench"] == "multimessage"
+        assert record["bench"] == "sweep"
         assert record["schema_version"] == SCHEMA_VERSION
-        assert record["paper"] == "conf_podc_GhaffariHK13"
-        assert record["n"] == 16
-        assert record["seeds"] == 3
-        assert record["k_values"] == [1, 2]
-        assert record["protocols"] == ["multimessage"]
-        assert record["topologies"] == ["line", "grid"]
-        assert "created_utc" in record
+        [matrix_block] = record["matrix"]
+        assert matrix_block["k"] == [1, 2]
+        assert matrix_block["protocol"] == ["multimessage"]
+        assert matrix_block["topology"] == ["line", "grid"]
 
     def test_one_entry_per_family_k_pair(self, record):
-        keys = {(e["topology"], e["k_messages"]) for e in record["results"]}
+        keys = {(e["topology"], e["k"]) for e in record["results"]}
         assert keys == {(t, k) for t in ("line", "grid") for k in (1, 2)}
 
     def test_entries_aggregate_the_full_batch(self, record):
         for entry in record["results"]:
             assert entry["protocol"] == "multimessage"
-            assert entry["runs"] == 3
             assert entry["failures"] == 0
-            rounds = entry["rounds"]
-            assert rounds["min"] <= rounds["median"] <= rounds["max"]
-            assert len(entry["rounds_all"]) == 3
+            assert len(entry["rounds"]) == 3
+            assert min(entry["rounds"]) <= entry["rounds_mean"] <= max(entry["rounds"])
             assert entry["transmissions_mean"] > 0
 
     def test_k_above_one_entries_carry_pipelining_speedup(self, record):
-        for entry in record["results"]:
-            if entry["k_messages"] == 1:
-                assert "pipelining_speedup" not in entry
-            else:
-                assert entry["pipelining_speedup"] > 0
+        by_cell = {(e["topology"], e["k"]): e for e in record["results"]}
+        for topology in ("line", "grid"):
+            single, double = by_cell[topology, 1], by_cell[topology, 2]
+            assert single["speedup_vs_baseline"] == 1.0
+            # k x (k=1 mean) / (k mean): > 1 means the pipeline beats k
+            # sequential single-message broadcasts.
+            assert double["speedup_vs_baseline"] == (
+                2 * single["rounds_mean"] / double["rounds_mean"]
+            )
 
     def test_default_axes(self):
-        assert DEFAULT_K_VALUES == (1, 4, 16)
+        record = json.loads((ROOT / "BENCH_multimessage.json").read_text())
+        assert record["matrix"][0]["k"] == [1, 4, 16]
+        assert record["matrix"][0]["baseline"] == {"k": 1}
 
     def test_validation(self):
-        with pytest.raises(AnalysisError, match="at least one node"):
-            sweep_multimessage(n=0)
-        with pytest.raises(AnalysisError, match="at least one seed"):
-            sweep_multimessage(seeds=0)
-        with pytest.raises(AnalysisError, match="at least one k"):
-            sweep_multimessage(k_values=())
-        with pytest.raises(AnalysisError, match="positive integers"):
-            sweep_multimessage(k_values=(1, 0))
+        with pytest.raises(AnalysisError, match="non-empty list"):
+            run_matrix([mm_block(k=[])])
+        with pytest.raises(AnalysisError, match="positive integer"):
+            run_matrix([mm_block(k=[1, 0])])
+        with pytest.raises(AnalysisError, match="cannot take k > 1"):
+            run_matrix([block(k=[1, 2], baseline=None)])
         with pytest.raises(AnalysisError, match="unknown topologies"):
-            sweep_multimessage(topologies=("moebius",))
+            run_matrix([mm_block(topology=["moebius"])])
         with pytest.raises(AnalysisError, match="unknown preset"):
-            sweep_multimessage(preset="slow")
+            run_matrix([mm_block(preset="slow")])
         with pytest.raises(AnalysisError, match="cannot build"):
-            sweep_multimessage(topologies=("ring",), n=2, seeds=1)
+            run_matrix([mm_block(topology=["ring"], n=[2], seeds=1)])
 
     def test_cli_writes_valid_json_record(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_multimessage.json"
-        rc = multimessage_main(
-            ["--n", "12", "--seeds", "2", "--k", "1", "2", "--topologies", "line",
-             "--out", str(out)]
-        )
+        rc, out = run_cli(tmp_path, [mm_block(topology=["line"], seeds=2)])
         assert rc == 0
         record = json.loads(out.read_text())
-        assert record["bench"] == "multimessage"
-        assert len(record["results"]) == 2
+        assert [e["k"] for e in record["results"]] == [1, 2]
         stdout = capsys.readouterr().out
-        assert "pipelining-speedup" in stdout
+        assert "speedup-vs-baseline" in stdout
         assert str(out) in stdout
 
-    def test_cli_multi_size_merges(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_multimessage.json"
-        rc = multimessage_main(
-            ["--n", "12", "16", "--seeds", "2", "--k", "1", "--topologies", "line",
-             "--out", str(out)]
+    def test_cli_multi_size_merges(self, tmp_path):
+        rc, out = run_cli(
+            tmp_path, [mm_block(topology=["line"], n=[12, 16], k=[1], seeds=2)]
         )
         assert rc == 0
         record = json.loads(out.read_text())
-        assert record["n"] == [12, 16]
         assert [e["n"] for e in record["results"]] == [12, 16]
 
     def test_cli_reports_sweep_errors(self, tmp_path, capsys):
-        rc = multimessage_main(["--n", "0", "--out", str(tmp_path / "x.json")])
+        rc, _ = run_cli(tmp_path, [mm_block(k=[0])])
         assert rc == 2
         assert "sweep error" in capsys.readouterr().err
 
-    def test_pipelining_speedup_is_k_order_independent(self):
+    def test_pipelining_speedup_is_k_order_independent(self, record):
         # Regression: the baseline used to be picked up only if k=1 was
-        # processed first, so a reordered --k axis silently dropped the
+        # processed first, so a reordered k axis silently dropped the
         # record's headline metric.
-        record = sweep_multimessage(
-            topologies=("line",), k_values=(2, 1), n=12, seeds=2, preset="fast"
-        )
-        by_k = {entry["k_messages"]: entry for entry in record["results"]}
-        assert "pipelining_speedup" in by_k[2]
-        assert "pipelining_speedup" not in by_k[1]
+        reordered = run_matrix([mm_block(k=[2, 1])])
+        ratios = {
+            (e["topology"], e["k"]): e["speedup_vs_baseline"]
+            for e in reordered["results"]
+        }
+        assert ratios == {
+            (e["topology"], e["k"]): e["speedup_vs_baseline"]
+            for e in record["results"]
+        }
 
 
 class TestScaleBench:

@@ -433,35 +433,48 @@ class TestDemoFaultKnobs:
 
 
 class TestRobustnessBenchRecord:
-    def test_tiny_sweep_produces_a_well_formed_record(self):
-        from repro.experiments.robustness_bench import bench_faults
+    """The fault block of the science sweep (``BENCH_faults.json``)."""
 
-        record = bench_faults(
-            n=9,
-            topology="grid",
-            protocols=("decay",),
-            seeds=2,
-            levels={"loss": (0.2,), "crash": (0.5,)},
-        )
-        assert record["bench"] == "faults"
+    @staticmethod
+    def fault_block(**overrides) -> dict:
+        return {
+            "protocol": ["decay"],
+            "topology": ["grid"],
+            "n": [9],
+            "k": [1],
+            "fault": [["none", 0], ["crash", 0.5], ["loss", 0.2]],
+            "seeds": 2,
+            "preset": "fast",
+            "baseline": {"fault": ["none", 0]},
+            **overrides,
+        }
+
+    def test_tiny_sweep_produces_a_well_formed_record(self):
+        from repro.experiments.sweep import run_matrix
+
+        record = run_matrix([self.fault_block()])
+        assert record["bench"] == "sweep"
         assert record["schema_version"] == 2
-        families = [(e["family"], e["level"]) for e in record["results"]]
-        assert families == [("none", 0.0), ("crash", 0.5), ("loss", 0.2)]
+        faults = [tuple(e["fault"]) for e in record["results"]]
+        assert faults == [("none", 0), ("crash", 0.5), ("loss", 0.2)]
+        baseline, crashed, lossy = record["results"]
+        assert "fault_totals_mean" not in baseline
+        assert baseline["speedup_vs_baseline"] == 1.0
+        assert crashed["fault_totals_mean"]["crashed_node_rounds"] > 0
+        assert lossy["fault_totals_mean"]["dropped_receptions"] >= 0
         for entry in record["results"]:
-            assert 0.0 <= entry["delivery_rate"] <= 1.0
-        faulted = record["results"][2]
-        assert faulted["fault_totals_mean"]["dropped_receptions"] >= 0
+            assert 0 <= entry["failures"] <= len(entry["rounds"]) == 2
 
     def test_unknown_inputs_are_analysis_errors(self):
         from repro.errors import AnalysisError
-        from repro.experiments.robustness_bench import bench_faults
+        from repro.experiments.sweep import run_matrix
 
         with pytest.raises(AnalysisError):
-            bench_faults(protocols=("nope",), seeds=1)
+            run_matrix([self.fault_block(protocol=["nope"])])
         with pytest.raises(AnalysisError):
-            bench_faults(levels={"meteor": (1,)}, seeds=1)
+            run_matrix([self.fault_block(fault=[["meteor", 1]])])
         with pytest.raises(AnalysisError):
-            bench_faults(seeds=0)
+            run_matrix([self.fault_block(seeds=0)])
 
 
 def test_trajectory_flattens_faults_records():
@@ -469,22 +482,24 @@ def test_trajectory_flattens_faults_records():
 
     assert "BENCH_faults.json" in DEFAULT_RECORDS
     record = {
-        "bench": "faults",
+        "bench": "sweep",
         "results": [
             {
                 "protocol": "ghk",
-                "family": "loss",
-                "level": 0.3,
+                "topology": "grid",
                 "n": 36,
-                "delivery_rate": 0.95,
-                "rounds": {"mean": 45.5, "min": 30, "max": 80},
-                "slowdown_vs_fault_free": 1.98,
+                "k": 1,
+                "fault": ["loss", 0.3],
+                "failures": 1,
+                "rounds_mean": 45.5,
+                "energy_mean": None,
+                "speedup_vs_baseline": 0.5,
             }
         ],
     }
     metrics = record_metrics(record)
     assert metrics == {
-        "ghk/loss=0.3/n=36/delivery_rate": 0.95,
-        "ghk/loss=0.3/n=36/rounds_mean": 45.5,
-        "ghk/loss=0.3/n=36/slowdown": 1.98,
+        "ghk/grid/n=36/k=1/loss=0.3/failures": 1,
+        "ghk/grid/n=36/k=1/loss=0.3/rounds_mean": 45.5,
+        "ghk/grid/n=36/k=1/loss=0.3/speedup_vs_baseline": 0.5,
     }

@@ -5,8 +5,13 @@ constants, both the Decay baseline and the GHK collision-detection
 broadcast must deliver on every topology family across a full seed batch
 (the w.h.p. guarantee, checked empirically but deterministically — the
 seeds are fixed, so a pass is reproducible), and GHK must beat Decay's
-mean rounds-to-delivery on the high-diameter families where the paper's
-``O(D + log^2 n)`` bound separates from Decay's ``O((D + log n) log n)``.
+mean rounds-to-delivery on the high-diameter families, where the sync
+wave's ``D`` rounds separate from Decay's ``O((D + log n) log n)``.  The
+paper's bound for collision-detection broadcast is ``O(D + log^6 n)``; the
+implemented GHK is a simplification (one sync beep wave, then per-layer
+Decay in mod-3 slots) whose budget is a calibrated formula shaped like
+``O(D + log^2 n)``, not a proved bound (ROADMAP item 2 measures
+``Θ(D log s)`` on contended clique chains).
 
 Everything here is marked ``statistical`` so CI can run it as a separate
 non-blocking job; the fixed-seed design keeps it deterministic anyway.

@@ -58,39 +58,29 @@ class TestRecordMetrics:
         assert not any("16384" in key for key in metrics)
 
     def test_broadcast_and_multimessage_records(self):
-        broadcast = bench_record(
-            "broadcast",
-            results=[
-                {
-                    "topology": "grid",
-                    "protocol": "ghk",
-                    "n": 64,
-                    "rounds": {"mean": 30.5},
-                    "energy_mean": 900.0,
-                    "speedup_vs_decay": 1.4,
-                    "sweep_rounds_per_sec": 5000.0,
-                }
-            ],
+        cell = {
+            "topology": "grid",
+            "protocol": "ghk",
+            "n": 64,
+            "k": 1,
+            "fault": ["none", 0],
+            "failures": 0,
+            "rounds_mean": 30.5,
+            "energy_mean": 900.0,
+            "speedup_vs_baseline": 1.4,
+        }
+        pipelined = dict(
+            cell, protocol="multimessage", topology="line", k=4,
+            rounds_mean=120.0, speedup_vs_baseline=2.1,
         )
-        metrics = record_metrics(broadcast)
-        assert metrics["grid/ghk/n=64/rounds_mean"] == 30.5
-        assert metrics["grid/ghk/n=64/energy_mean"] == 900.0
-        assert metrics["grid/ghk/n=64/speedup_vs_decay"] == 1.4
-        multi = bench_record(
-            "multimessage",
-            results=[
-                {
-                    "topology": "line",
-                    "k_messages": 4,
-                    "n": 64,
-                    "rounds": {"mean": 120.0},
-                    "pipelining_speedup": 2.1,
-                }
-            ],
-        )
-        metrics = record_metrics(multi)
-        assert metrics["line/k=4/n=64/rounds_mean"] == 120.0
-        assert metrics["line/k=4/n=64/pipelining_speedup"] == 2.1
+        metrics = record_metrics(bench_record("sweep", results=[cell, pipelined]))
+        assert metrics["ghk/grid/n=64/k=1/none=0/rounds_mean"] == 30.5
+        assert metrics["ghk/grid/n=64/k=1/none=0/energy_mean"] == 900.0
+        assert metrics["ghk/grid/n=64/k=1/none=0/speedup_vs_baseline"] == 1.4
+        assert metrics["multimessage/line/n=64/k=4/none=0/rounds_mean"] == 120.0
+        assert metrics["multimessage/line/n=64/k=4/none=0/speedup_vs_baseline"] == 2.1
+        # Pre-sweep science snapshots are unknown kinds: no metrics.
+        assert record_metrics({"bench": "broadcast", "results": [cell]}) == {}
 
     def test_unknown_bench_yields_no_metrics(self):
         assert record_metrics({"bench": "mystery", "results": [{"x": 1}]}) == {}
