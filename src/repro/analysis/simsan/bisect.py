@@ -33,6 +33,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -96,10 +97,10 @@ class WrongFeedbackOperand:
         self.backend: str = inner.backend
         self.n: int = inner.n
 
-    def prepare_transmit(self, transmit: np.ndarray) -> np.ndarray:
+    def prepare_transmit(self, transmit: np.ndarray) -> Any:
         return self._inner.prepare_transmit(transmit)
 
-    def transmit_counts(self, tx: np.ndarray) -> np.ndarray:
+    def transmit_counts(self, tx: Any) -> np.ndarray:
         counts = self._inner.transmit_counts(tx)
         call = self._calls
         self._calls += 1
@@ -108,7 +109,7 @@ class WrongFeedbackOperand:
             counts[..., 0] += 1
         return counts
 
-    def sender_ids(self, tx: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    def sender_ids(self, tx: Any, clean: np.ndarray) -> np.ndarray:
         return self._inner.sender_ids(tx, clean)
 
 

@@ -13,7 +13,9 @@ For each (n, backend) cell the harness builds the operand from one seeded
 topology, packs/converts a fixed transmit mask once per repeat (exactly
 what :func:`~repro.sim.core.channel.resolve_channel` does per round), and
 times ``transmit_counts`` and the clean-restricted sender pass separately
-over ``--repeats`` calls.  Counts are asserted equal across backends
+over ``--repeats`` calls.  The sparse backend's prepared form is its CSR
+push, so its counts time includes the gather its sender pass then
+reuses.  Counts are asserted equal across backends
 (``counts_match_dense``) so a kernel divergence cannot hide behind a
 throughput number.
 

@@ -11,8 +11,8 @@ Layers, bottom-up:
   randomness preserved via :class:`CoinDeck`, plus the array registry;
 * :mod:`repro.sim.core.batch` — :class:`ArrayEngine` (one instance) and
   :class:`BatchEngine` (many independent seed × topology × protocol
-  instances, fused per-topology into batched kernel calls, with early
-  exit per instance).
+  instances, fused into batched kernel calls — per topology, or per size
+  for sparse fault-free instances — with early exit per instance).
 """
 
 from repro.sim.core.array_protocol import (

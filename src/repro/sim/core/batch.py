@@ -13,13 +13,17 @@ to tooling (the sanitizer's bisector, the benchmark's tracer).
 :class:`ArrayEngine` per item (the per-item API and results), but runs
 them as *fused groups*: the items sharing a topology, channel backend,
 fault schedule and start round are stepped in lock-step as **one
-disjoint-union instance**.  Within a group, items whose protocols share a
+disjoint-union instance**.  On the sparse backend, fault-free items need
+only share a size and start round: their graphs may differ, and the
+group resolves on one union CSR operand that maps each row to its own
+graph (:meth:`~repro.sim.core.channel.SparseOperand.union`).  Within a
+group, items whose protocols share a
 :meth:`~repro.sim.core.array_protocol.ArrayProtocol.fusion_key` become one
 fused protocol over ``B·n`` flat nodes (node ``v`` of row ``b`` is
 ``b·n + v``); any other protocol is a part of one row.  A group round is
 then one ``act`` per part, one kernel call over all rows — a
-``(B, n) @ (n, n)`` matmul on the dense backend, one ``bincount`` of
-length ``B·n`` over the transmitters' CSR rows on the sparse one — one
+``(B, n) @ (n, n)`` matmul on the dense backend, one CSR push of the
+transmitters and one ``bincount`` of length ``B·n`` on the sparse one — one
 fault pass (a shared crash mask, jam cover and edge-flip timeline, loss
 coins per row from each item's own engine stream), one ``on_feedback``
 per part with flat sender ids, one ``(4, B·n)`` counter update and one
@@ -44,7 +48,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
@@ -110,6 +114,10 @@ class TraceObserver:
         self.history.append(stats)
 
 
+#: A fused group's key: (topology key, or the size of sparse fault-free
+#: items; backend; fault-schedule identity).
+_GroupKey = tuple[bytes | int, str, int]
+
 #: Row indices of the per-node traffic accumulator (see ArrayEngine).
 _TX, _RX, _COLL, _AWAKE = range(4)
 
@@ -117,10 +125,10 @@ _TX, _RX, _COLL, _AWAKE = range(4)
 def _traffic_totals(counters: np.ndarray) -> TrafficTotals:
     """Freeze a ``(4, n)`` counter window into a :class:`TrafficTotals`."""
     return TrafficTotals(
-        transmissions=tuple(int(v) for v in counters[_TX]),
-        receptions=tuple(int(v) for v in counters[_RX]),
-        collisions_heard=tuple(int(v) for v in counters[_COLL]),
-        awake_slots=tuple(int(v) for v in counters[_AWAKE]),
+        transmissions=tuple(counters[_TX].tolist()),
+        receptions=tuple(counters[_RX].tolist()),
+        collisions_heard=tuple(counters[_COLL].tolist()),
+        awake_slots=tuple(counters[_AWAKE].tolist()),
     )
 
 
@@ -577,7 +585,8 @@ class BatchItem:
     tag: Any = None
     #: optional fault schedule (see :mod:`repro.sim.faults`); items whose
     #: schedules differ are never fused into one kernel call, because a
-    #: schedule with edge flips makes the operand time-varying.
+    #: schedule with edge flips makes the operand time-varying, and a
+    #: faulted item fuses only with items on its own topology.
     faults: FaultSchedule | None = None
 
 
@@ -623,31 +632,39 @@ class BatchEngine:
                 raise SimulationError(
                     f"budget must be non-negative, got {item.budget}"
                 )
-        # Group same-topology instances so each group's channel resolution
-        # is one batched kernel call; one kernel operand is built per
-        # *distinct* (topology, backend) pair and shared by every engine in
-        # its group — items whose params pick different backends must not
-        # share an operand.  The topology key is cached on the network, so
-        # repeated items cost O(1) here rather than a re-serialization each.
-        # The fault-schedule identity is folded into the key: under edge
+        # Group the instances each of whose rounds can be one batched kernel
+        # call.  Sparse fault-free items fuse whenever they share a size:
+        # their group's operand stacks its distinct graphs' CSRs with a
+        # row→graph map (SparseOperand.union), so they share operands by
+        # network object and never serialize the topology.  Every other
+        # item keys on (topology, backend, fault-schedule identity) and
+        # shares one operand per key — items whose params pick different
+        # backends must not share an operand.  The topology key is cached
+        # on the network, so repeated items cost O(1) here.  Under edge
         # flips the per-round operand is time-varying, so only items
-        # sharing the *same* schedule object (and therefore the same
-        # flip timeline — groups run in lockstep) may share a fused call;
-        # a missing or empty schedule is identity 0, so fault-free items
-        # keep fusing exactly as before.
-        self._groups: dict[tuple[bytes, str, int], list[int]] = {}
-        operands: dict[tuple[bytes, str, int], KernelOperand] = {}
-        keys: list[tuple[bytes, str, int]] = []
+        # sharing the *same* schedule object (and therefore the same flip
+        # timeline — groups run in lockstep) may share a fused call; a
+        # missing or empty schedule is identity 0.
+        self._groups: dict[_GroupKey, list[int]] = {}
+        operands: dict[Hashable, KernelOperand] = {}
+        operand_keys: list[Hashable] = []
         for i, item in enumerate(self.items):
             params = item.params if item.params is not None else ProtocolParams.paper()
             backend = resolve_channel_backend(item.network, params)
             no_faults = item.faults is None or item.faults.is_empty
-            fault_token = 0 if no_faults else id(item.faults)
-            key = (item.network.adjacency_key(), backend, fault_token)
-            keys.append(key)
+            key: _GroupKey
+            operand_key: Hashable
+            if backend == "sparse" and no_faults:
+                key = (item.network.n, backend, 0)
+                operand_key = (id(item.network), backend)
+            else:
+                fault_token = 0 if no_faults else id(item.faults)
+                key = (item.network.adjacency_key(), backend, fault_token)
+                operand_key = key
             self._groups.setdefault(key, []).append(i)
-            if key not in operands:
-                operands[key] = select_kernel_operand(item.network, params)
+            operand_keys.append(operand_key)
+            if operand_key not in operands:
+                operands[operand_key] = select_kernel_operand(item.network, params)
         def item_observers(i: int) -> list[RoundObserver] | None:
             if not observers:
                 return None
@@ -667,19 +684,20 @@ class BatchEngine:
                 params=item.params,
                 n_bound=item.n_bound,
                 trace=trace,
-                kernel_operand=operands[key],
+                kernel_operand=operands[operand_key],
                 observers=item_observers(i),
                 faults=item.faults,
                 sanitize=sanitize,
             )
-            for i, (item, key) in enumerate(zip(self.items, keys))
+            for i, (item, operand_key) in enumerate(zip(self.items, operand_keys))
         ]
 
     def group_sizes(self) -> list[int]:
         """Instance count of each fused kernel group, in first-seen order.
 
         One group per distinct (topology, backend, fault-schedule identity)
-        key — the batch's fusion structure, exposed for tests and tuning.
+        key, except that sparse fault-free items group by size alone — the
+        batch's fusion structure, exposed for tests and tuning.
         """
         return [len(indices) for indices in self._groups.values()]
 
@@ -708,7 +726,7 @@ class BatchEngine:
         outcomes: list[BatchOutcome | None] = [None] * len(self.items)
         # Fused groups: a kernel group's live items that start at the same
         # round (they may differ if engines were stepped before run()).
-        lockstep: dict[tuple[tuple[bytes, str, int], int], list[int]] = {}
+        lockstep: dict[tuple[_GroupKey, int], list[int]] = {}
         for key, indices in self._groups.items():
             for i in indices:
                 item, engine = self.items[i], self.engines[i]
@@ -764,13 +782,14 @@ class _Part:
 
 
 class _FusedGroup:
-    """A batch's items on one topology, backend, schedule and round, in lock-step.
+    """A batch's items of one fusion key and start round, in lock-step.
 
     Rows are the live items, ordered by part; a part is a run of rows
     sharing one protocol object (see :class:`_Part`).  The row state the
     per-item engines keep — round, traffic counters, fault counters — is
     held here with a row axis and written back to an item's
-    engine when its row retires.
+    engine when its row retires.  Rows whose engines hold different
+    (sparse) operands resolve on one union operand over those graphs.
     """
 
     def __init__(self, batch: BatchEngine, indices: list[int]) -> None:
@@ -792,7 +811,16 @@ class _FusedGroup:
         lead = engines[0]
         self.n = lead.network.n
         self.round = lead.round_index
-        self.operand = lead.kernel_operand
+        #: each row's own engine operand, which its sanitizer checks against.
+        self.row_operands = [engine.kernel_operand for engine in engines]
+        graphs = list({id(op): op for op in self.row_operands}.values())
+        self.operand = graphs[0]
+        if len(graphs) > 1:
+            index = {id(op): g for g, op in enumerate(graphs)}
+            self.operand = SparseOperand.union(
+                cast(list[SparseOperand], graphs),
+                np.array([index[id(op)] for op in self.row_operands]),
+            )
         states = [engine.fault_state for engine in engines if engine.fault_state is not None]
         self.faults = FaultState.fuse(states) if states else None
         # ``(4, rows·n)`` over flat nodes; a lone row counts straight into
@@ -854,7 +882,10 @@ class _FusedGroup:
             # Raw kernel output, before fault perception (see ArrayEngine).
             for b, sanitizer in enumerate(self.sanitizers):
                 if sanitizer is not None:
-                    sanitizer.on_channel(r, plans[b], _row(channel, b), operand, self.faults)
+                    row_operand = operand if self.faults is not None else self.row_operands[b]
+                    sanitizer.on_channel(
+                        r, plans[b], _row(channel, b), row_operand, self.faults
+                    )
         if self.faults is not None:
             channel = self.faults.perceive(r, listen, channel)
         self._feedback(r, channel)
@@ -1004,6 +1035,10 @@ class _FusedGroup:
         self.first_budget = int(self.budgets.min()) if order else 0
         self.sanitizers = [self.sanitizers[b] for b in order]
         self.observers = [self.observers[b] for b in order]
+        self.row_operands = [self.row_operands[b] for b in order]
+        if isinstance(self.operand, SparseOperand) and self.operand.row_base is not None:
+            # Rows on different graphs: only the union's row map changes.
+            self.operand = self.operand.select_rows(order)
         if self.faults is not None:
             self.faults.select(order)
         self._watch()

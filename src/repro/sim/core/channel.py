@@ -35,9 +35,11 @@ integer-exact by construction, so all three are exact and the resulting
 :class:`ChannelRound` is **bitwise identical** between backends.
 
 The kernel is batched: ``transmit``/``listen`` may be ``(n,)`` for one
-instance or ``(batch, n)`` for many independent instances on the same
-topology, in which case every output carries the same leading batch axis
-and the whole round costs one fused reduction.
+instance or ``(batch, n)`` for many independent instances, in which case
+every output carries the same leading batch axis and the whole round
+costs one fused reduction.  The rows share the operand's topology, except
+on a sparse *union* operand (:meth:`SparseOperand.union`), which maps
+each row to its own graph of the same size.
 
 Transmitters hear nothing (half-duplex radios), so ``transmit`` and
 ``listen`` must be disjoint; :func:`resolve_channel` enforces that
@@ -52,8 +54,9 @@ mapping belongs to the protocol/adapter layer, not the channel.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union, cast
+from typing import Any, NamedTuple, Union, cast
 
 import numpy as np
 
@@ -67,6 +70,7 @@ __all__ = [
     "HAVE_BITWISE_COUNT",
     "KernelOperand",
     "SparseOperand",
+    "SparsePush",
     "adjacency_operand",
     "as_kernel_operand",
     "check_channel_masks",
@@ -212,41 +216,107 @@ class DenseOperand:
         return ((tx * self._ids_f) @ self.adj_f).astype(np.int64)
 
     def sender_ids(self, tx: np.ndarray, clean: np.ndarray) -> np.ndarray:
-        """Sender ids valid at ``clean`` positions (garbage elsewhere)."""
-        return self.weighted_ids(tx)
+        """Sender ids valid at ``clean`` positions (garbage elsewhere).
+
+        Gated per batch row: only the rows with a clean listener pay for
+        the id-weighted matmul, so one busy instance in a fused batch
+        does not charge the whole group.
+        """
+        if clean.ndim == 1:
+            return self.weighted_ids(tx)
+        rows = np.flatnonzero(clean.any(axis=1))
+        if rows.size == clean.shape[0]:
+            return self.weighted_ids(tx)
+        out = np.zeros(clean.shape, dtype=np.int64)
+        out[rows] = self.weighted_ids(tx[rows])
+        return out
+
+
+class SparsePush(NamedTuple):
+    """One round's transmitters pushed into their CSR rows.
+
+    ``keys`` holds one listener per CSR slot, indexing the raveled
+    ``shape`` output; transmitter ``t`` (row-local id ``senders[t]``)
+    owns ``degrees[t]`` consecutive keys.
+    """
+
+    keys: np.ndarray
+    senders: np.ndarray
+    degrees: np.ndarray
+    shape: tuple[int, ...]
 
 
 class SparseOperand:
     """Sparse CSR channel backend: transmitters push into their neighbours.
 
     ``indices[indptr[v]:indptr[v+1]]`` lists node ``v``'s neighbours.  One
-    round gathers only the transmitters' CSR rows and counts the neighbour
-    ids found there with one ``np.bincount``, so a round costs
+    round gathers only the transmitters' CSR rows (:meth:`prepare_transmit`,
+    shared by the counts and sender passes) and counts the neighbour ids
+    found there with one ``np.bincount``, so a round costs
     Θ(Σ deg(tx) + batch·n) — the transmitters' degrees plus the output —
     instead of the dense Θ(batch · n²) matmul or the Θ(batch · m) of
     visiting every edge slot.  A ``(batch, n)`` mask is one bincount of
     length ``batch·n``: each row's keys are offset into its private
     ``[row·n, (row+1)·n)`` range.
+
+    A *union* operand (:meth:`union`) holds several graphs of ``n`` nodes
+    each, their CSRs stacked, and a row→graph map: row ``b`` of a
+    ``(batch, n)`` mask (a ``(n,)`` mask is row 0) runs on graph
+    ``graph_of_row[b]``, whose node ``v`` is CSR row ``row_base[b] + v``.
     """
 
-    __slots__ = ("indptr", "indices", "n")
+    __slots__ = ("indptr", "indices", "n", "row_base")
 
     backend = "sparse"
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr, self.indices, self.n = _validate_csr(indptr, indices)
+        #: per batch row, the first CSR row of its graph (union operands only).
+        self.row_base: np.ndarray | None = None
 
-    def _push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The transmitters' CSR slots: ``(keys, sender ids, degrees)``.
+    @classmethod
+    def union(
+        cls, graphs: Sequence[SparseOperand], graph_of_row: np.ndarray
+    ) -> SparseOperand:
+        """One operand over ``graphs`` (all of ``n`` nodes), row ``b`` on ``graph_of_row[b]``.
 
-        ``keys`` holds one listener per slot, indexing the raveled
-        ``(..., n)`` output; transmitter ``t`` owns ``degrees[t]``
-        consecutive keys.
+        Each graph's ``indices`` are concatenated as they are (neighbour
+        ids stay graph-local) and each ``indptr`` is offset by the slots
+        before it, so the union costs one copy of the graphs' CSRs.
         """
-        flat = np.flatnonzero(tx)
-        senders = flat % self.n if tx.ndim > 1 else flat
-        starts = self.indptr[senders]
-        degrees = self.indptr[senders + 1] - starts
+        n = graphs[0].n
+        if any(graph.n != n for graph in graphs):
+            raise SimulationError(
+                f"a union operand needs graphs of one size, got "
+                f"{sorted({graph.n for graph in graphs})}"
+            )
+        slots = np.cumsum([0] + [graph.indices.size for graph in graphs])
+        union = cls.__new__(cls)
+        union.n = n
+        union.indptr = np.concatenate(
+            [graph.indptr[:-1] + base for graph, base in zip(graphs, slots)]
+            + [slots[-1:]]
+        )
+        union.indices = np.concatenate([graph.indices for graph in graphs])
+        union.row_base = np.asarray(graph_of_row, dtype=np.int64) * n
+        return union
+
+    def select_rows(self, rows: np.ndarray | list[int]) -> SparseOperand:
+        """This union operand for the batch ``rows`` only (the CSR arrays are shared)."""
+        if self.row_base is None:
+            raise SimulationError("select_rows() needs a union operand")
+        selected = type(self).__new__(type(self))
+        selected.indptr, selected.indices, selected.n = self.indptr, self.indices, self.n
+        selected.row_base = self.row_base[rows]
+        return selected
+
+    def prepare_transmit(self, transmit: np.ndarray) -> SparsePush:
+        """Per-round operand form of the transmit mask: the transmitters' CSR slots."""
+        flat = np.flatnonzero(transmit)
+        senders = flat % self.n if transmit.ndim > 1 else flat
+        rows = senders if self.row_base is None else senders + self.row_base[flat // self.n]
+        starts = self.indptr[rows]
+        degrees = self.indptr[rows + 1] - starts
         ends = np.cumsum(degrees)
         # Expansion slot j of transmitter t is CSR slot
         # starts[t] + j - (ends[t] - degrees[t]).
@@ -254,30 +324,26 @@ class SparseOperand:
             starts - ends + degrees, degrees
         )
         keys = self.indices[slots]
-        if tx.ndim > 1:
+        if transmit.ndim > 1:
             keys += np.repeat(flat - senders, degrees)
-        return keys, senders, degrees
+        return SparsePush(keys, senders, degrees, transmit.shape)
 
-    def prepare_transmit(self, transmit: np.ndarray) -> np.ndarray:
-        """Per-round operand form of the transmit mask: the boolean mask."""
-        return transmit.astype(bool, copy=False)
+    def transmit_counts(self, push: SparsePush) -> np.ndarray:
+        """Per-node transmitting-neighbour counts."""
+        size = int(np.prod(push.shape))
+        counts = np.bincount(push.keys, minlength=size)
+        return counts.astype(np.int64, copy=False).reshape(push.shape)
 
-    def transmit_counts(self, tx: np.ndarray) -> np.ndarray:
-        """Per-node transmitting-neighbour counts (``tx`` is boolean)."""
-        keys, _, _ = self._push(tx)
-        counts = np.bincount(keys, minlength=tx.size)
-        return counts.astype(np.int64, copy=False).reshape(tx.shape)
-
-    def sender_ids(self, tx: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    def sender_ids(self, push: SparsePush, clean: np.ndarray) -> np.ndarray:
         """Sender ids valid at ``clean`` positions (garbage elsewhere).
 
         The id-weighted count: at a count-1 listener it is exactly the
-        unique sender's id (a float64 sum of one id, far below 2**53).
+        unique sender's row-local id (a float64 sum of one id, far below
+        2**53).
         """
-        keys, senders, degrees = self._push(tx)
-        weights = np.repeat(senders.astype(np.float64), degrees)
-        ids = np.bincount(keys, weights=weights, minlength=tx.size)
-        return ids.astype(np.int64).reshape(tx.shape)
+        weights = np.repeat(push.senders.astype(np.float64), push.degrees)
+        ids = np.bincount(push.keys, weights=weights, minlength=clean.size)
+        return ids.astype(np.int64).reshape(push.shape)
 
 
 class BitOperand:
@@ -493,35 +559,24 @@ def resolve_channel(
     :class:`DenseOperand` (dtype conversion and all) on *every* call —
     hot loops should construct the operand once and pass it instead.
 
-    The sender pass is gated per batch row: only the rows that actually
-    have a clean listener pay for id recovery, so one busy instance in a
-    fused batch stops charging the whole group.
+    The sender pass runs only when some listener is clean; the dense and
+    bit-packed backends restrict it further to the batch rows or
+    positions that have one.
     """
     op = as_kernel_operand(operand)
     transmit = np.asarray(transmit)
     listen = np.asarray(listen)
     check_channel_masks(op.n, transmit, listen)
-    tx = op.prepare_transmit(transmit)
+    # Each backend's own per-round form of the mask (its push, for sparse).
+    tx: Any = op.prepare_transmit(transmit)
     counts = op.transmit_counts(tx)
     clean = listen & (counts == 1)
     collided = listen & (counts >= 2)
     silent = listen & (counts == 0)
-    if clean.ndim == 1:
-        if clean.any():
-            senders = np.where(clean, op.sender_ids(tx, clean), 0)
-        else:
-            senders = np.zeros(counts.shape, dtype=np.int64)
+    if clean.any():
+        senders = np.where(clean, op.sender_ids(tx, clean), 0)
     else:
-        rows = np.flatnonzero(clean.any(axis=1))
-        if rows.size == clean.shape[0]:
-            senders = np.where(clean, op.sender_ids(tx, clean), 0)
-        else:
-            senders = np.zeros(counts.shape, dtype=np.int64)
-            if rows.size:
-                sub_clean = clean[rows]
-                senders[rows] = np.where(
-                    sub_clean, op.sender_ids(tx[rows], sub_clean), 0
-                )
+        senders = np.zeros(counts.shape, dtype=np.int64)
     return ChannelRound(
         counts=counts, clean=clean, collided=collided, silent=silent, senders=senders
     )

@@ -12,8 +12,9 @@ Two layers live here:
 
 * **Execution.**  :func:`run_broadcast_batch` drives any number of
   (network, seed) instances of one protocol through the array-native
-  :class:`~repro.sim.core.batch.BatchEngine` — one process, per-topology
-  fused kernel calls, early exit per instance — and returns per-instance
+  :class:`~repro.sim.core.batch.BatchEngine` — one process, fused kernel
+  calls per topology (per size for sparse fault-free instances, whatever
+  their graphs), early exit per instance — and returns per-instance
   results; :func:`run_broadcast` is the single-instance convenience that
   raises on an undelivered run.
 

@@ -250,10 +250,12 @@ class RadioNetwork:
     def adjacency_key(self) -> bytes:
         """Cached byte serialization of the CSR structure — a hashable topology key.
 
-        The batch engine groups same-topology instances by this key; basing
-        it on the CSR arrays (with the node count prefixed to keep the
-        encoding unambiguous) keeps it O(edges) and dense-matrix-free, so
-        grouping huge sparse graphs never allocates n² bytes.
+        The batch engine groups same-topology dense, bit-packed and
+        faulted instances by this key (sparse fault-free ones group by
+        size and never build it); basing it on the CSR arrays (with the
+        node count prefixed to keep the encoding unambiguous) keeps it
+        O(edges) and dense-matrix-free, so grouping huge graphs never
+        allocates n² bytes.
         """
         if self._adjacency_key is None:
             indptr, indices = self.csr()

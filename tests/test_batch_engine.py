@@ -10,6 +10,7 @@ from repro.sim import (
     BatchEngine,
     BatchItem,
     DecayArrayProtocol,
+    FaultSchedule,
     RoundPlan,
     array_protocol_class,
     available_array_protocols,
@@ -19,7 +20,7 @@ from repro.sim import (
 )
 from repro.sim.core.array_protocol import ArrayProtocol, CoinDeck
 from repro.sim.rng import SeededStreams
-from repro.sim.topology import from_spec, line, star
+from repro.sim.topology import RadioNetwork, from_spec, line, star
 
 FAST = ProtocolParams.fast()
 
@@ -126,6 +127,12 @@ class TestArrayEngine:
         assert sim.total_transmissions == 1
         assert sim.total_deliveries == 3
         assert sim.history == ()
+        # Per-node totals are tuples of Python ints, not numpy scalars.
+        for field in ("transmissions", "receptions", "collisions_heard", "awake_slots"):
+            values = getattr(sim.traffic, field)
+            assert type(values) is tuple
+            assert all(type(v) is int for v in values)
+        assert sim.traffic.receptions == (0, 1, 1, 1)
 
 
 class TestBatchEngine:
@@ -235,6 +242,61 @@ class TestBatchEngine:
         ]
         BatchEngine(items)
         assert calls["matrix"] == 1
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        """Counts ``RadioNetwork.adjacency_key`` calls."""
+        calls = {"key": 0}
+        original = RadioNetwork.adjacency_key
+
+        def counting_key(net):
+            calls["key"] += 1
+            return original(net)
+
+        monkeypatch.setattr(RadioNetwork, "adjacency_key", counting_key)
+        return calls
+
+    def test_sparse_fault_free_items_fuse_across_graphs_without_topology_keys(
+        self, key_calls
+    ):
+        # Equal-size sparse items on different graphs are one group, and
+        # the batch never serializes their topology to find that out.
+        nets = [from_spec("unit_disk", 32, seed=s) for s in range(3)]
+        nets += [nets[0], line(32), from_spec("gnp", 16, seed=0)]
+        sparse = FAST.with_overrides(channel_backend="sparse")
+        engine = BatchEngine(
+            [
+                BatchItem(network=net, protocol=DecayArrayProtocol(), budget=50,
+                          seed=s, collision_detection=False, params=sparse)
+                for s, net in enumerate(nets)
+            ]
+        )
+        assert engine.group_sizes() == [5, 1]
+        assert key_calls["key"] == 0
+        # A repeated network object shares one operand.
+        assert engine.engines[0].kernel_operand is engine.engines[3].kernel_operand
+        operands = {id(e.kernel_operand) for e in engine.engines}
+        assert len(operands) == 5
+
+    @pytest.mark.parametrize(
+        ("backend", "faulted"),
+        [("dense", False), ("bitpacked", False), ("sparse", True)],
+    )
+    def test_other_items_still_split_by_topology(self, key_calls, backend, faulted):
+        nets = [from_spec("unit_disk", 32, seed=s) for s in range(3)] + [line(32)]
+        nets.append(nets[1])
+        params = FAST.with_overrides(channel_backend=backend)
+        schedule = FaultSchedule(loss_rate=0.2) if faulted else None
+        engine = BatchEngine(
+            [
+                BatchItem(network=net, protocol=DecayArrayProtocol(), budget=50,
+                          seed=s, collision_detection=False, params=params,
+                          faults=schedule)
+                for s, net in enumerate(nets)
+            ]
+        )
+        assert engine.group_sizes() == [1, 2, 1, 1]
+        assert key_calls["key"] == len(nets)
 
     def test_adjacency_mutation_raises_instead_of_corrupting_the_batch(self):
         # Regression: the cached adjacency used to be writable, so a caller

@@ -197,6 +197,96 @@ class TestSparseOperand:
             SparseOperand(np.array([0, 1, 2]), np.array([0, 5]))  # id >= n
 
 
+class TestUnionOperand:
+    """A sparse operand over several graphs of one size, one graph per row."""
+
+    @staticmethod
+    def _graphs():
+        return [line(6), star(6, source=0), from_spec("ring", 6)]
+
+    def test_rows_resolve_on_their_own_graphs(self):
+        nets = self._graphs()
+        graph_of_row = np.array([2, 0, 1, 0, 2])
+        union = SparseOperand.union(
+            [SparseOperand(*net.csr()) for net in nets], graph_of_row
+        )
+        rng = np.random.default_rng(3)
+        transmit = rng.random((5, 6)) < 0.3
+        listen = ~transmit
+        got = resolve_channel(union, transmit, listen)
+        for b, g in enumerate(graph_of_row):
+            alone = resolve_channel(DenseOperand(nets[g].adjacency_matrix()),
+                                    transmit[b], listen[b])
+            row = got.row(b)
+            for field in ("counts", "clean", "collided", "silent", "senders"):
+                assert np.array_equal(getattr(row, field), getattr(alone, field))
+
+    def test_senders_when_only_some_rows_have_a_clean_listener(self):
+        # Regression: sender recovery once sliced the prepared operand by
+        # the rows that had a clean listener, which handed a union operand
+        # rows of the wrong graph (and ids past the flat node range).
+        nets = self._graphs()
+        union = SparseOperand.union(
+            [SparseOperand(*net.csr()) for net in nets], np.array([0, 1, 2, 1])
+        )
+        transmit = np.zeros((4, 6), dtype=bool)
+        transmit[0, [0, 2]] = True   # line: node 1 collides, 3 hears node 2
+        transmit[1, [1, 2]] = True   # star: the hub collides, leaves hear nothing
+        transmit[3, 0] = True        # star: every leaf hears the hub (ring row 2 is silent)
+        listen = ~transmit
+        listen[0, 3] = False         # row 0 keeps no clean listener
+        ch = resolve_channel(union, transmit, listen)
+        assert ch.clean.any(axis=1).tolist() == [False, False, False, True]
+        assert ch.senders[3].tolist() == [0] * 6
+        assert ch.clean[3].tolist() == [False] + [True] * 5
+        assert ch.collided[0, 1] and ch.collided[1, 0]
+
+    def test_select_rows_reindexes_the_row_map_and_shares_the_csr(self):
+        nets = self._graphs()
+        union = SparseOperand.union(
+            [SparseOperand(*net.csr()) for net in nets], np.array([0, 1, 2])
+        )
+        picked = union.select_rows([2, 0])
+        assert picked.indices is union.indices and picked.indptr is union.indptr
+        transmit = np.zeros((2, 6), dtype=bool)
+        transmit[:, 1] = True
+        ch = resolve_channel(picked, transmit, ~transmit)
+        assert ch.counts.tolist() == [[1, 0, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0]]
+        transmit[:, 1], transmit[:, 0] = False, True
+        ch = resolve_channel(picked, transmit, ~transmit)
+        assert ch.counts.tolist() == [[0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]]
+        # A (n,) mask is row 0: here the star's hub reaches every leaf.
+        ch = resolve_channel(union.select_rows([1]), transmit[0], ~transmit[0])
+        assert ch.counts.tolist() == [0, 1, 1, 1, 1, 1]
+
+    def test_rejects_graphs_of_different_sizes(self):
+        with pytest.raises(SimulationError, match="one size"):
+            SparseOperand.union(
+                [SparseOperand(*line(4).csr()), SparseOperand(*line(5).csr())],
+                np.array([0, 1]),
+            )
+        with pytest.raises(SimulationError, match="union"):
+            SparseOperand(*line(4).csr()).select_rows([0])
+
+
+def test_dense_sender_pass_skips_rows_without_a_clean_listener(monkeypatch):
+    op = DenseOperand(line(5).adjacency_matrix())
+    rows_seen = []
+    original = DenseOperand.weighted_ids
+
+    def recording(self, tx):
+        rows_seen.append(tx.shape[0])
+        return original(self, tx)
+
+    monkeypatch.setattr(DenseOperand, "weighted_ids", recording)
+    transmit = np.zeros((3, 5), dtype=bool)
+    transmit[1, 2] = True
+    ch = resolve_channel(op, transmit, ~transmit)
+    assert rows_seen == [1]
+    assert ch.senders[1].tolist() == [0, 2, 0, 2, 0]
+    assert ch.clean.any(axis=1).tolist() == [False, True, False]
+
+
 class TestBitOperand:
     @pytest.mark.parametrize("graph_seed", [0, 1, 2])
     @pytest.mark.parametrize("batched", [False, True])

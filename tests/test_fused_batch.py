@@ -1,15 +1,17 @@
 """Fused batch groups: one disjoint-union instance per group, bit for bit per item.
 
 :class:`~repro.sim.core.batch.BatchEngine` steps the items sharing a
-topology, backend, fault schedule and start round as one instance over
-the disjoint union of their networks.  The property here is the
-contract: a fused run equals every item run alone through
-``ArrayEngine.step`` — informed rounds, round records, traffic, fault
-totals and the undelivered set — with the sanitizer on, over random
-connected graphs, every fusable protocol, every backend, mixed budgets
-(rows retire at the front, middle and tail of a group) and every fault
-family.  The structural tests pin what fusing buys: one protocol and
-fault pass per group round, one operand rebuild per edge flip.
+topology, backend, fault schedule and start round — or, on the sparse
+backend without faults, merely a size — as one instance over the
+disjoint union of their networks.  The property here is the contract: a
+fused run equals every item run alone through ``ArrayEngine.step`` —
+informed rounds, round records, traffic, fault totals and the
+undelivered set — with the sanitizer on, over random connected graphs
+(one per group, or several of one size per sparse group), every fusable
+protocol, every backend, mixed budgets (rows retire at the front, middle
+and tail of a group) and every fault family.  The structural tests pin
+what fusing buys: one protocol, kernel and fault pass per group round,
+one operand rebuild per edge flip.
 """
 
 from collections import Counter
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.simsan.core import Sanitizer
 from repro.params import ProtocolParams
 from repro.sim import (
     ArrayEngine,
@@ -35,6 +38,7 @@ from repro.sim import (
     run_broadcast_batch,
 )
 from repro.sim import faults as faults_module
+from repro.sim.core import batch as batch_module
 from repro.sim.faults import sample_fault_schedule
 from repro.sim.topology import RadioNetwork, from_spec
 
@@ -60,18 +64,28 @@ def _network(n, order, extra):
 
 @st.composite
 def fused_cases(draw):
-    """``(network, protocol case, backend, seeds, budgets, schedule)``."""
+    """``(networks, protocol case, backend, seeds, budgets, schedule)``.
+
+    ``networks`` holds one network per row: a single graph, or — for a
+    sparse fault-free group — rows drawn from a pool of graphs of one size.
+    """
     n = draw(st.integers(2, 10))
-    order = draw(st.permutations(range(n)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]
     )
-    net = _network(n, order, draw(st.lists(pair, max_size=n)))
+    graph = st.builds(
+        _network, st.just(n), st.permutations(range(n)), st.lists(pair, max_size=n)
+    )
     protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
-    backend = draw(st.sampled_from(["dense", "sparse", "bitpacked"]))
+    mixed = draw(st.booleans())
+    backend = "sparse" if mixed else draw(st.sampled_from(["dense", "sparse", "bitpacked"]))
     rows = draw(st.integers(1, 6))
+    pool = draw(st.lists(graph, min_size=2 if mixed else 1, max_size=3 if mixed else 1))
+    nets = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
     seeds = draw(st.lists(st.integers(0, 999), min_size=rows, max_size=rows))
     budgets = draw(st.lists(st.integers(0, 60), min_size=rows, max_size=rows))
+    if mixed:
+        return nets, protocol, backend, seeds, budgets, FaultSchedule()
     window = st.tuples(st.integers(0, n - 1), st.integers(0, 20), st.integers(1, 15))
     crashes = draw(st.lists(window, max_size=3))
     jammers = draw(st.lists(window, max_size=2))
@@ -82,7 +96,7 @@ def fused_cases(draw):
         loss_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
         jammers=tuple(Jammer(v, s, s + length) for v, s, length in jammers),
     )
-    return net, protocol, backend, seeds, budgets, schedule
+    return nets, protocol, backend, seeds, budgets, schedule
 
 
 def _protocol(case):
@@ -125,17 +139,33 @@ def _alone(net, case, backend, seed, budget, schedule):
 
 _LINE4 = _network(4, [0, 1, 2, 3], [])
 _LOSSY = FaultSchedule(crashes=(NodeCrash(2, 1, 4),), loss_rate=0.5)
+#: Three different graphs of 8 nodes, sources at different ids.
+_LINE8, _RING8, _STAR8 = (
+    from_spec(family, 8, source=source)
+    for family, source in (("line", 0), ("ring", 3), ("star", 5))
+)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(fused_cases())
 # The last rows of a fused group retire first (no hole to fill), then the
 # first (a hole filled from the tail), then the middle.
-@example((_LINE4, "decay", "dense", [0, 1, 2, 3], [40, 40, 2, 1], _LOSSY))
-@example((_LINE4, "ghk", "sparse", [5, 6, 7], [1, 40, 40], _LOSSY))
-@example((_LINE4, "multimessage-k3", "bitpacked", [8, 9, 10], [40, 3, 40], _LOSSY))
+@example(([_LINE4] * 4, "decay", "dense", [0, 1, 2, 3], [40, 40, 2, 1], _LOSSY))
+@example(([_LINE4] * 3, "ghk", "sparse", [5, 6, 7], [1, 40, 40], _LOSSY))
+@example(([_LINE4] * 3, "multimessage-k3", "bitpacked", [8, 9, 10], [40, 3, 40], _LOSSY))
+# The same three retire orders on sparse groups mixing graphs: the row map
+# of the union operand follows every compaction, down to a lone row.
+@example(
+    ([_LINE8, _RING8, _STAR8, _LINE8], "ghk", "sparse", [0, 1, 2, 3], [60, 60, 2, 1],
+     FaultSchedule())
+)
+@example(([_STAR8, _LINE8, _RING8], "decay", "sparse", [4, 5, 6], [1, 60, 60], FaultSchedule()))
+@example(
+    ([_RING8, _STAR8, _STAR8, _LINE8], "multimessage-k3", "sparse", [7, 8, 9, 10],
+     [60, 3, 60, 60], FaultSchedule())
+)
 def test_fused_run_equals_items_run_alone(case):
-    net, protocol, backend, seeds, budgets, schedule = case
+    nets, protocol, backend, seeds, budgets, schedule = case
     params = FAST.with_overrides(channel_backend=backend)
     items = [
         BatchItem(
@@ -147,7 +177,7 @@ def test_fused_run_equals_items_run_alone(case):
             params=params,
             faults=schedule,
         )
-        for seed, budget in zip(seeds, budgets)
+        for net, seed, budget in zip(nets, seeds, budgets)
     ]
     records = {i: [] for i in range(len(items))}
     batch = BatchEngine(
@@ -155,7 +185,7 @@ def test_fused_run_equals_items_run_alone(case):
     )
     assert batch.group_sizes() == [len(items)]
     outcomes = batch.run()
-    for i, (outcome, seed, budget) in enumerate(zip(outcomes, seeds, budgets)):
+    for i, (outcome, net, seed, budget) in enumerate(zip(outcomes, nets, seeds, budgets)):
         sim, alone_records, alone_state = _alone(net, protocol, backend, seed, budget, schedule)
         assert outcome.sim == sim
         assert outcome.completed == alone_state["done"]
@@ -207,6 +237,53 @@ def test_fused_group_runs_one_protocol_and_fault_pass_per_round(monkeypatch):
         "begin_round": group_rounds,
         "perceive": group_rounds,
     }
+
+
+def test_mixed_graph_group_resolves_one_kernel_call_per_round(monkeypatch):
+    # Sparse fault-free items on different graphs of one size are one
+    # group: a round is one kernel call however many graphs it spans, so
+    # the calls equal the longest instance's rounds, not the sum.
+    counts = Counter()
+    _count_calls(monkeypatch, batch_module, "resolve_channel", counts)
+    nets = [from_spec("unit_disk", 64, seed=s) for s in range(4)] + [
+        from_spec("line", 64),
+        from_spec("grid", 64),
+    ]
+    results = run_broadcast_batch(
+        "ghk",
+        nets,
+        seeds=range(len(nets)),
+        params=FAST.with_overrides(channel_backend="sparse"),
+        sanitize=False,
+    )
+    group_rounds = max(result.sim.rounds_run for result in results)
+    assert sum(result.sim.rounds_run for result in results) > group_rounds
+    assert counts == {"resolve_channel": group_rounds}
+
+
+def test_sanitizers_of_a_mixed_graph_group_see_their_own_operands(monkeypatch):
+    seen = []
+    original = Sanitizer.on_channel
+
+    def recording(self, round_index, plan, channel, operand, fault_state):
+        seen.append((self, operand))
+        return original(self, round_index, plan, channel, operand, fault_state)
+
+    monkeypatch.setattr(Sanitizer, "on_channel", recording)
+    nets = [from_spec("unit_disk", 48, seed=s) for s in range(3)]
+    params = FAST.with_overrides(channel_backend="sparse")
+    batch = BatchEngine(
+        [
+            BatchItem(net, _protocol("ghk"), budget=200, seed=s, params=params)
+            for s, net in enumerate(nets)
+        ],
+        sanitize=True,
+    )
+    assert batch.group_sizes() == [3]
+    batch.run()
+    own = {id(engine._sanitizer): engine.kernel_operand for engine in batch.engines}
+    assert seen
+    assert all(operand is own[id(sanitizer)] for sanitizer, operand in seen)
 
 
 def test_fused_group_rebuilds_the_operand_once_per_flip(monkeypatch):
