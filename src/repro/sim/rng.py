@@ -27,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from repro.errors import ConfigurationError
 
@@ -59,15 +60,14 @@ _STEP_ELEMENTS = 4096
 _SLAB_ELEMENTS = 1 << 14
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> Generator:
     """Return one generator for ``seed``, domain-separated by ``key``.
 
     Different ``key`` tuples under the same seed yield statistically
     independent streams; topology generators use this so that building a
     graph never consumes the coins the protocol run will use.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(ss))
+    return Generator(PCG64(SeedSequence(seed, spawn_key=tuple(key))))
 
 
 # ---------------------------------------------------------------------- #

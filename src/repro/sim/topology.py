@@ -11,18 +11,20 @@ narrow bridge stresses progress through a single bottleneck edge.
 The adjacency is held in exactly one form, read-only CSR arrays, built by
 one vectorized builder (sort the directed edge keys ``u*n + v``, drop
 duplicates, count rows); both constructors and every generator go through
-it, so no per-node Python object is materialized at build time.  Every
-generator validates its output (connected, source present, no self loops)
-and is deterministic given its seed.
+it, and one compiled BFS (``scipy.sparse.csgraph``) over it checks connectivity,
+so no per-node Python object is built.  Every generator validates its output
+(connected, source present, no self loops) and is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.errors import TopologyError
 from repro.sim.rng import stream
@@ -77,8 +79,8 @@ class RadioNetwork:
     :meth:`neighbors`, :meth:`degree`, :attr:`num_edges`,
     :meth:`adjacency_matrix` and :meth:`adjacency_key` are derived from
     it.  Construction validates the structure once; afterwards the
-    instance is immutable and caches the derived views the engine and
-    the budgets reuse (dense matrix, topology key, BFS layers, diameter).
+    instance is immutable and caches the derived views the engine and the
+    budgets reuse (dense matrix, topology key, BFS order, layers on request, diameter).
     """
 
     def __init__(
@@ -174,15 +176,14 @@ class RadioNetwork:
         self._name = name
         self._adjacency: np.ndarray | None = None
         self._adjacency_key: bytes | None = None
+        self._orders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._layers: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._diameter: int | None = None
-        if n > 1:
-            reached = sum(len(layer) for layer in self.bfs_layers(source))
-            if reached != n:
-                raise TopologyError(
-                    f"graph is disconnected: {n - reached} of {n} nodes "
-                    f"unreachable from source {source}"
-                )
+        if (reached := self.bfs_order(source)[0].size) != n:
+            raise TopologyError(
+                f"graph is disconnected: {n - reached} of {n} nodes "
+                f"unreachable from source {source}"
+            )
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -267,47 +268,56 @@ class RadioNetwork:
     # ------------------------------------------------------------------ #
     # Distances
     # ------------------------------------------------------------------ #
-    def bfs_layers(self, root: int | None = None) -> tuple[tuple[int, ...], ...]:
-        """Nodes grouped by hop distance from ``root`` (default: the source).
+    def _traverse(self, roots: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Uncached :meth:`bfs_order` per root: compiled FIFO traversal, depth by pointer doubling.
 
-        ``layers[d]`` holds every node at distance exactly ``d``, in the
-        order a FIFO breadth-first search discovers them (frontier order,
-        then ascending neighbour id); unreachable nodes (only possible
-        during construction) are absent.
+        One scipy view over the shared ``indptr``/``indices`` (float64 ones as data: no conversion)
+        serves every root; ⌈log₂ D⌉ O(n) passes double each jump up the predecessor tree.
+        """
+        indptr, indices = self._csr
+        graph = csr_array((np.ones(indices.size), indices, indptr), shape=(self._n, self._n))
+        for root in roots:
+            order, pred = breadth_first_order(graph, root, directed=True, return_predecessors=True)
+            up = np.where(pred < 0, root, pred)  # the root and unreached nodes jump to the root
+            depth = (pred >= 0).astype(np.int64)
+            while up[order[-1]] != root:
+                depth += depth[up]
+                up = up[up]
+            offsets = np.flatnonzero(np.diff(depth[order], prepend=-1))
+            order.flags.writeable = offsets.flags.writeable = False
+            yield order, offsets
+
+    def bfs_order(self, root: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(order, offsets)`` of a BFS from ``root`` (default: the source), cached.
+
+        ``order`` is FIFO discovery order (frontier order, then ascending
+        neighbour id, as scipy expands each CSR row in stored order); layer
+        ``d`` starts at ``offsets[d]``, so the eccentricity is ``len(offsets) - 1``.
         """
         root = self._source if root is None else root
         if not 0 <= root < self._n:
             raise TopologyError(f"root {root} out of range for {self._n} nodes")
+        if root not in self._orders:
+            self._orders[root] = next(self._traverse([root]))
+        return self._orders[root]
+
+    def bfs_layers(self, root: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """:meth:`bfs_order` as one tuple of nodes per hop distance, built on request and cached."""
+        root = self._source if root is None else root
         if root not in self._layers:
-            # One layer-synchronous loop over the CSR as Python lists.
-            # Per-frontier numpy calls would cost more than they save:
-            # there can be n layers of one node each (a line).
-            indptr, indices = self._csr
-            ptr, nbr = indptr.tolist(), indices.tolist()
-            seen = bytearray(self._n)
-            seen[root] = 1
-            frontier = [root]
-            layers: list[tuple[int, ...]] = []
-            while frontier:
-                layers.append(tuple(frontier))
-                nxt: list[int] = []
-                for u in frontier:
-                    for v in nbr[ptr[u] : ptr[u + 1]]:
-                        if not seen[v]:
-                            seen[v] = 1
-                            nxt.append(v)
-                frontier = nxt
-            self._layers[root] = tuple(layers)
+            order, offsets = self.bfs_order(root)
+            nodes, bounds = order.tolist(), [*offsets.tolist(), order.size]
+            self._layers[root] = tuple(tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._layers[root]
 
     def eccentricity(self, root: int | None = None) -> int:
         """Largest hop distance from ``root`` (default: the source)."""
-        return len(self.bfs_layers(root)) - 1
+        return len(self.bfs_order(root)[1]) - 1
 
     def diameter(self) -> int:
-        """Exact diameter via BFS from every node (cached; n is small)."""
+        """Exact diameter: the largest eccentricity over uncached traversals (memory O(n + m))."""
         if self._diameter is None:
-            self._diameter = max(self.eccentricity(v) for v in range(self._n))
+            self._diameter = max(len(offsets) for _, offsets in self._traverse(range(self._n))) - 1
         return self._diameter
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,10 +1,10 @@
 """Per-node reference forms of the graph routines the library keeps as CSR arrays.
 
 :class:`~repro.sim.topology.RadioNetwork` stores its adjacency only as CSR
-and runs a layer-synchronous BFS over it; the fault layer tracks edge
-flips as a sorted directed-key array.  The forms here are the plain
-per-node versions those replaced — a FIFO-queue BFS over neighbour lists,
-and one mutable neighbour set per node — kept as independent checks.
+and runs one compiled breadth-first traversal over it; the fault layer
+tracks edge flips as a sorted directed-key array.  The forms here are the
+plain per-node versions those replaced — a FIFO-queue BFS over neighbour
+lists, and one mutable neighbour set per node — kept as independent checks.
 """
 
 from __future__ import annotations

@@ -53,15 +53,35 @@ class TestRadioNetwork:
         with pytest.raises(TopologyError, match="disconnected"):
             RadioNetwork([[1], [0], [3], [2]])
 
+    @pytest.mark.parametrize(("source", "unreachable"), [(0, 3), (6, 5)])
+    def test_disconnected_message_counts_the_unreachable_nodes(self, source, unreachable):
+        # A path 0-1-2-3-4 and a path 5-6-7: both constructors name how many
+        # nodes the source's traversal missed.
+        u, v = [0, 1, 2, 3, 5, 6], [1, 2, 3, 4, 6, 7]
+        rows = [[] for _ in range(8)]
+        for a, b in zip(u, v):
+            rows[a].append(b)
+            rows[b].append(a)
+        message = (
+            f"graph is disconnected: {unreachable} of 8 nodes unreachable from source {source}"
+        )
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            RadioNetwork(rows, source=source)
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            RadioNetwork.from_edges(8, u, v, source=source)
+
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(TopologyError):
             RadioNetwork([[7], [0]])
 
     def test_single_node(self):
-        net = RadioNetwork([[]])
-        assert net.n == 1
-        assert net.diameter() == 0
-        assert net.bfs_layers() == ((0,),)
+        for net in (RadioNetwork([[]]), RadioNetwork.from_edges(1, [], []), line(1)):
+            assert net.n == 1
+            order, offsets = net.bfs_order()
+            assert order.tolist() == [0] and offsets.tolist() == [0]
+            assert net.eccentricity() == 0
+            assert net.diameter() == 0
+            assert net.bfs_layers() == ((0,),)
 
     def test_bfs_layers_and_distances(self):
         net = line(5)
@@ -70,6 +90,29 @@ class TestRadioNetwork:
         assert net.eccentricity() == 4
         assert net.bfs_layers(2) == ((2,), (1, 3), (0, 4))
         assert net.eccentricity(2) == 2
+        with pytest.raises(TopologyError, match="root 5 out of range"):
+            net.bfs_layers(5)
+        with pytest.raises(TopologyError, match="root -1 out of range"):
+            net.eccentricity(-1)
+
+    def test_bfs_order_is_cached_read_only_and_builds_no_layers(self):
+        net = ring(6)
+        order, offsets = net.bfs_order(2)
+        assert order.tolist() == [2, 1, 3, 0, 4, 5]
+        assert offsets.tolist() == [0, 1, 3, 5]
+        assert net.bfs_order(2)[0] is order  # cached, not re-traversed
+        for array in (order, offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1  # simlint: disable=SL004
+        assert net.eccentricity() == 3
+        assert not net._layers  # construction and eccentricity read the arrays only
+        assert net.bfs_layers(2) == ((2,), (1, 3), (0, 4), (5,))
+
+    def test_line_of_2_pow_16_nodes_has_a_layer_per_node(self):
+        net = line(2**16)
+        assert net.eccentricity() == 2**16 - 1
+        assert len(net.bfs_layers()) == 2**16
+        assert net.eccentricity(2**15) == 2**15
 
     def test_adjacency_matrix_is_read_only(self):
         # The cached matrix is handed out directly; a writable cache would

@@ -3,8 +3,10 @@
 * ``_close_pairs`` (forward-cell enumeration, each unordered pair once)
   plus ``from_edges`` equals the all-pairs unit-disk graph, ``cells == 1``
   and points on cell boundaries or in the clamped last cell included;
-* ``bfs_layers`` equals the FIFO-queue BFS of ``oracles.graph``, layer
-  order included, and ``diameter`` its largest eccentricity;
+* ``bfs_layers`` and ``eccentricity`` equal the FIFO-queue BFS of
+  ``oracles.graph``, layer order included, on graphs deep enough that the
+  pointer doubling behind them runs many passes, and ``diameter`` its
+  largest eccentricity without caching a traversal per root;
 * ``neighbors``/``degree``/``num_edges``/``adjacency_matrix`` are views of
   ``csr()``, and every stored array stays read-only;
 * the neighbour-list constructor builds the same CSR as ``from_edges`` and
@@ -87,16 +89,73 @@ def connected_graphs(draw, max_n=40):
     return n, u, v
 
 
-@settings(max_examples=150, deadline=None)
-@given(connected_graphs(), st.data())
-def test_bfs_layers_match_the_deque_oracle(graph, data):
+@st.composite
+def path_graphs(draw, min_n=300, max_n=600):
+    """A path through a random node order plus span-2 chords: every BFS depth > 64.
+
+    A root anywhere on the path is at least ``(n - 1) / 2`` positions from
+    one end, and a chord skips one position, so that end is more than
+    ``min_n / 4`` hops away.
+    """
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(n)))
+    chords = draw(st.lists(st.integers(0, n - 3), max_size=n // 4))
+    u = [order[i] for i in range(n - 1)] + [order[i] for i in chords]
+    v = [order[i + 1] for i in range(n - 1)] + [order[i + 2] for i in chords]
+    return n, u, v
+
+
+_PATH = list(range(299))
+_CLIQUE_U, _CLIQUE_V = np.triu_indices(12, 1)
+#: Two 12-cliques joined through a 6-node bridge (nodes 11..18, then 18..29).
+_DUMBBELL = (
+    30,
+    [*_CLIQUE_U.tolist(), *(_CLIQUE_U + 18).tolist(), *range(11, 18)],
+    [*_CLIQUE_V.tolist(), *(_CLIQUE_V + 18).tolist(), *range(12, 19)],
+)
+
+
+def _assert_bfs_matches_the_oracle(graph, pick):
     n, u, v = graph
     net = RadioNetwork.from_edges(n, u, v)
     nbrs = [net.neighbors(w) for w in range(n)]
-    root = data.draw(st.integers(0, n - 1))
-    assert net.bfs_layers(root) == deque_bfs_layers(nbrs, root)
+    root = pick % n
+    expected = deque_bfs_layers(nbrs, root)
+    assert net.bfs_layers(root) == expected
+    assert net.eccentricity(root) == len(expected) - 1
+    order, offsets = net.bfs_order(root)
+    assert order.tolist() == [w for layer in expected for w in layer]
+    assert offsets.tolist() == np.cumsum([0, *map(len, expected[:-1])]).tolist()
     assert net.bfs_layers() == deque_bfs_layers(nbrs, net.source)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**16))
+@example(graph=(300, _PATH, [w + 1 for w in _PATH]), pick=150)  # a path rooted mid-path
+@example(graph=(300, _PATH, [w + 1 for w in _PATH]), pick=299)  # 299 layers of one node
+@example(graph=_DUMBBELL, pick=0)
+@example(graph=_DUMBBELL, pick=14)  # rooted on the bridge
+@example(graph=(1, [], []), pick=0)
+def test_bfs_layers_match_the_deque_oracle(graph, pick):
+    _assert_bfs_matches_the_oracle(graph, pick)
+
+
+@settings(max_examples=50, deadline=None)
+@given(path_graphs(), st.integers(0, 2**16))
+def test_bfs_layers_match_the_deque_oracle_on_deep_paths(graph, pick):
+    _assert_bfs_matches_the_oracle(graph, pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+@example(graph=_DUMBBELL)
+def test_diameter_matches_the_oracle_and_caches_at_most_the_source(graph):
+    n, u, v = graph
+    net = RadioNetwork.from_edges(n, u, v)
+    nbrs = [net.neighbors(w) for w in range(n)]
     assert net.diameter() == max(len(deque_bfs_layers(nbrs, w)) - 1 for w in range(n))
+    assert set(net._orders) <= {net.source}
+    assert not net._layers
 
 
 @settings(max_examples=100, deadline=None)
