@@ -161,7 +161,7 @@ def _build_engine(
         network,
         bspec.array_factory(message="broadcast"),
         seed=spec.seed,
-        collision_detection=bspec.default_collision_detection,
+        collision_detection=bspec.collision_detection,
         params=params,
         kernel_operand=operand,  # type: ignore[arg-type]
         faults=faults,

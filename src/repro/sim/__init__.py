@@ -20,7 +20,8 @@ Layers, bottom-up:
   schedule: one message per owned slot, budgeted like
   ``O(D + k log n + log^2 n)`` (the paper's bound for known topology);
 * :mod:`repro.sim.runners` — the protocol specs and the run API,
-  :func:`run_broadcast` / :func:`run_broadcast_batch`.
+  :func:`run_broadcast` / :func:`run_broadcast_batch`, which return one
+  :class:`BroadcastResult` type for every protocol.
 
 Each protocol has exactly one implementation, its :class:`ArrayProtocol`;
 the test suite keeps per-node reference forms of all four as oracles.
@@ -55,7 +56,7 @@ from repro.sim.core import (
     select_kernel_operand,
 )
 from repro.sim.core.stats import RoundStats, SimResult
-from repro.sim.decay import DecayArrayProtocol, DecayResult
+from repro.sim.decay import DecayArrayProtocol
 from repro.sim.faults import (
     EdgeFlip,
     FaultSchedule,
@@ -64,11 +65,12 @@ from repro.sim.faults import (
     NodeCrash,
     sample_fault_schedule,
 )
-from repro.sim.ghk_broadcast import GHKArrayProtocol, GHKResult
-from repro.sim.multi_message import MultiMessageArrayProtocol, MultiMessageResult
+from repro.sim.ghk_broadcast import GHKArrayProtocol
+from repro.sim.multi_message import MultiMessageArrayProtocol
 from repro.sim.rng import SeededStreams, stream
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
+    BroadcastResult,
     BroadcastSpec,
     broadcast_spec,
     register_broadcast_spec,
@@ -100,21 +102,19 @@ __all__ = [
     "BeepWaveArrayProtocol",
     "BeepWaveResult",
     "BroadcastArrayProtocol",
+    "BroadcastResult",
     "BroadcastSpec",
     "ChannelRound",
     "CoinDeck",
     "DecayArrayProtocol",
-    "DecayResult",
     "DenseOperand",
     "EdgeFlip",
     "FaultSchedule",
     "FaultState",
     "FaultTotals",
     "GHKArrayProtocol",
-    "GHKResult",
     "Jammer",
     "MultiMessageArrayProtocol",
-    "MultiMessageResult",
     "NodeCrash",
     "RadioNetwork",
     "RoundPlan",

@@ -232,6 +232,10 @@ class BroadcastArrayProtocol(ArrayProtocol):
         """Nodes still uninformed, for :class:`~repro.errors.BroadcastFailure`."""
         return tuple(np.nonzero(~self.informed)[0].tolist())
 
+    def result_fields(self) -> dict[str, Any]:
+        """Protocol-specific :class:`~repro.sim.runners.BroadcastResult` fields."""
+        return {}
+
 
 class CoinDeck:
     """Vectorized access to per-node seeded coin streams.

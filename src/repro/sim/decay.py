@@ -23,8 +23,6 @@ per-node reference form the tests keep reproduces its traces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sim.core.array_protocol import (
@@ -35,10 +33,9 @@ from repro.sim.core.array_protocol import (
     register_array_protocol,
 )
 from repro.sim.core.channel import ChannelRound
-from repro.sim.core.stats import SimResult
-from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
+from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
-__all__ = ["DecayArrayProtocol", "DecayResult"]
+__all__ = ["DecayArrayProtocol"]
 
 
 @register_array_protocol("decay")
@@ -78,40 +75,6 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
             self.informed_round[newly] = round_index
 
 
-@dataclass(frozen=True)
-class DecayResult:
-    """Outcome of one successful ``run_broadcast("decay", ...)``."""
-
-    network: str
-    n: int
-    seed: int
-    budget: int
-    #: rounds executed until every node was informed.
-    rounds_to_delivery: int
-    #: per-node round at which the message arrived (0 for the source).
-    informed_rounds: tuple[int, ...]
-    #: rounds per Decay phase in this run.
-    phase_length: int
-    sim: SimResult
-
-    @property
-    def phases_to_delivery(self) -> int:
-        return -(-self.rounds_to_delivery // self.phase_length)
-
-
-def _decay_array_result(run: BroadcastRun) -> DecayResult:
-    return DecayResult(
-        network=run.network.name,
-        n=run.network.n,
-        seed=run.seed,
-        budget=run.budget,
-        rounds_to_delivery=run.sim.rounds_run,
-        informed_rounds=run.protocol.informed_rounds(),
-        phase_length=run.params.decay_phase_length(run.n_bound),
-        sim=run.sim,
-    )
-
-
 DECAY_SPEC = register_broadcast_spec(
     BroadcastSpec(
         name="decay",
@@ -120,8 +83,6 @@ DECAY_SPEC = register_broadcast_spec(
         budget_for=lambda params, net, bound, options: params.decay_broadcast_rounds(
             net.eccentricity(), bound
         ),
-        default_collision_detection=False,
-        requires_collision_detection=False,
-        build_result=_decay_array_result,
+        collision_detection=False,
     )
 )

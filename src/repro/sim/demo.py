@@ -25,7 +25,7 @@ per-node ``traffic`` counters with the ``energy`` awake-slot total, and
 wall-clock ``telemetry``) are always present and ``status`` discriminates
 ``"delivered"`` from ``"failed"``, so one consumer schema parses every
 run.  Value errors
-caught before any simulation (a non-positive ``--budget``, a topology
+caught before any simulation (a non-positive ``--n`` or ``--budget``, a topology
 that cannot be built, ``--messages`` on a single-message protocol) emit a
 reduced payload with ``status: "error"`` and an ``error`` message, and
 exit 2.  Malformed flags that argparse itself rejects (e.g. a
@@ -60,17 +60,15 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.errors import BroadcastFailure, TopologyError
 from repro.params import ProtocolParams
 from repro.sim import runners
 from repro.sim.core import RoundStats, SimResult, resolve_channel_backend
-from repro.sim.decay import DecayResult
 from repro.sim.faults import sample_fault_schedule
-from repro.sim.ghk_broadcast import GHKResult
-from repro.sim.multi_message import MultiMessageResult
-from repro.sim.runners import run_broadcast
+from repro.sim.runners import BroadcastResult, run_broadcast
 from repro.sim.topology import TOPOLOGY_NAMES, from_spec
 
 
@@ -226,6 +224,24 @@ def _telemetry_payload(wall_seconds: float, rounds: int | None, engine_telemetry
     }
 
 
+def _protocol_payload(
+    result: BroadcastResult, params: ProtocolParams, options: Mapping[str, Any]
+) -> dict[str, int]:
+    """The protocol-specific keys of a delivered run, derived from its inputs."""
+    if result.protocol == "decay":
+        phase_length = params.decay_phase_length(result.n)
+        return {
+            "phase_length": phase_length,
+            "phases_to_delivery": -(-result.rounds_to_delivery // phase_length),
+        }
+    extra = {"k_messages": options["k_messages"]} if "k_messages" in options else {}
+    return {
+        **extra,
+        "wave_depth": max(result.wave_distances),
+        "wave_spacing": params.wave_spacing,
+    }
+
+
 def _usage_error(args: argparse.Namespace, message: str) -> int:
     """Report a pre-run input error: JSON ``status: "error"`` or stderr prose."""
     if args.json:
@@ -249,6 +265,8 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n < 1:
+        return _usage_error(args, f"--n must be a positive node count, got {args.n}")
     if args.budget is not None and args.budget < 1:
         # Rejected up front with a clean usage error — letting a
         # non-positive budget through would surface as a confusing
@@ -290,9 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     # Protocols that require collision detection always model it; for the
     # rest (Decay, which ignores it anyway) it is the caller's choice.
-    collision_detection = (
-        True if spec.requires_collision_detection else args.collision_detection
-    )
+    collision_detection = spec.collision_detection or args.collision_detection
     # All knobs at zero means no schedule at all (not an empty one), so
     # the default demo run is bitwise-identical to the pre-fault CLI.
     faults = None
@@ -387,6 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     wall_seconds = time.perf_counter() - t0
     if args.trace and not args.json:
         _print_trace(result.sim.history)
+    extra = _protocol_payload(result, params, options)
     if args.json:
         payload.update(
             status="delivered",
@@ -403,18 +420,7 @@ def main(argv: list[str] | None = None) -> int:
                 wall_seconds, result.sim.rounds_run, engine_telemetry
             ),
         )
-        if isinstance(result, DecayResult):
-            payload.update(
-                phase_length=result.phase_length,
-                phases_to_delivery=result.phases_to_delivery,
-            )
-        elif isinstance(result, (GHKResult, MultiMessageResult)):
-            if isinstance(result, MultiMessageResult):
-                payload.update(k_messages=result.k_messages)
-            payload.update(
-                wave_depth=max(result.wave_distances),
-                wave_spacing=result.wave_spacing,
-            )
+        payload.update(extra)
         if args.trace:
             payload["trace"] = _trace_rows(result.sim.history)
         print(json.dumps(payload, indent=2))
@@ -423,19 +429,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.protocol}: delivered to all {result.n} nodes in "
         f"{result.rounds_to_delivery} rounds within budget {result.budget}"
     )
-    if isinstance(result, DecayResult):
+    if "phase_length" in extra:
+        print(f"{extra['phases_to_delivery']} Decay phases of {extra['phase_length']} rounds")
+    else:
+        pipelined = f"{extra['k_messages']} messages pipelined, " if "k_messages" in extra else ""
         print(
-            f"{result.phases_to_delivery} Decay phases of {result.phase_length} rounds"
-        )
-    elif isinstance(result, (GHKResult, MultiMessageResult)):
-        pipelined = (
-            f"{result.k_messages} messages pipelined, "
-            if isinstance(result, MultiMessageResult)
-            else ""
-        )
-        print(
-            f"{pipelined}wave depth {max(result.wave_distances)}, "
-            f"layer-slot period {result.wave_spacing}"
+            f"{pipelined}wave depth {extra['wave_depth']}, "
+            f"layer-slot period {extra['wave_spacing']}"
         )
     print(
         f"transmissions={result.sim.total_transmissions} "

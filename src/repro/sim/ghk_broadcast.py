@@ -48,12 +48,11 @@ reference form the tests keep reproduces it coin for coin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.beepwave import WAVE_PULSE
 from repro.sim.core.array_protocol import (
     ArrayContext,
@@ -63,10 +62,9 @@ from repro.sim.core.array_protocol import (
     register_array_protocol,
 )
 from repro.sim.core.channel import ChannelRound
-from repro.sim.core.stats import SimResult
-from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
+from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
-__all__ = ["GHKArrayProtocol", "GHKResult"]
+__all__ = ["GHKArrayProtocol"]
 
 
 @register_array_protocol("ghk")
@@ -156,48 +154,9 @@ class GHKArrayProtocol(BroadcastArrayProtocol):
             self.informed |= newly_informed
             self.informed_round[newly_informed] = r
 
-    def wave_distances(self) -> tuple[int, ...]:
-        """Per-node BFS layers as plain ints (-1 where the wave never arrived)."""
-        return tuple(self.wave_distance.tolist())
-
-
-@dataclass(frozen=True)
-class GHKResult:
-    """Outcome of one successful ``run_broadcast("ghk", ...)``."""
-
-    network: str
-    n: int
-    seed: int
-    budget: int
-    #: rounds executed until every node was informed.
-    rounds_to_delivery: int
-    #: per-node round at which the message arrived (0 for the source).
-    informed_rounds: tuple[int, ...]
-    #: per-node BFS layer as learned from the sync wave.
-    wave_distances: tuple[int, ...]
-    #: layer-slot reuse period used by this run.
-    wave_spacing: int
-    sim: SimResult
-
-
-def _ghk_array_result(run: BroadcastRun) -> GHKResult:
-    protocol = run.protocol
-    if not isinstance(protocol, GHKArrayProtocol):
-        raise SimulationError(
-            f"GHK result requested for {type(protocol).__name__}, "
-            "not a GHKArrayProtocol run"
-        )
-    return GHKResult(
-        network=run.network.name,
-        n=run.network.n,
-        seed=run.seed,
-        budget=run.budget,
-        rounds_to_delivery=run.sim.rounds_run,
-        informed_rounds=protocol.informed_rounds(),
-        wave_distances=protocol.wave_distances(),
-        wave_spacing=run.params.wave_spacing,
-        sim=run.sim,
-    )
+    def result_fields(self) -> dict[str, Any]:
+        # Per-node BFS layers as plain ints (-1 where the wave never arrived).
+        return {"wave_distances": tuple(self.wave_distance.tolist())}
 
 
 GHK_SPEC = register_broadcast_spec(
@@ -208,8 +167,6 @@ GHK_SPEC = register_broadcast_spec(
         budget_for=lambda params, net, bound, options: params.ghk_broadcast_rounds(
             net.eccentricity(), bound
         ),
-        default_collision_detection=True,
-        requires_collision_detection=True,
-        build_result=_ghk_array_result,
+        collision_detection=True,
     )
 )

@@ -84,12 +84,11 @@ The protocol requires collision detection (the wave stalls without it).
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.beepwave import WAVE_PULSE
 from repro.sim.core.array_protocol import (
     ArrayContext,
@@ -99,10 +98,9 @@ from repro.sim.core.array_protocol import (
     register_array_protocol,
 )
 from repro.sim.core.channel import ChannelRound
-from repro.sim.core.stats import SimResult
-from repro.sim.runners import BroadcastRun, BroadcastSpec, register_broadcast_spec
+from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
-__all__ = ["MultiMessageArrayProtocol", "MultiMessageResult"]
+__all__ = ["MultiMessageArrayProtocol"]
 
 
 def _check_message_and_k(message: Any, k_messages: Any) -> int:
@@ -299,58 +297,13 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         holds_want = self.known[want_receivers, want_indices]
         self._requested[want_receivers[holds_want], want_indices[holds_want]] = True
 
-    def wave_distances(self) -> tuple[int, ...]:
-        """Per-node BFS layers as plain ints (-1 where the wave never arrived)."""
-        return tuple(self.wave_distance.tolist())
-
-    def message_delivery_rounds(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node tuple of per-message arrival rounds (-1 while missing)."""
-        return tuple(tuple(row) for row in self.message_round.tolist())
-
-
-@dataclass(frozen=True)
-class MultiMessageResult:
-    """Outcome of one successful ``run_broadcast("multimessage", ...)``."""
-
-    network: str
-    n: int
-    seed: int
-    budget: int
-    #: number of distinct messages broadcast from the source.
-    k_messages: int
-    #: rounds executed until every node held all k messages.
-    rounds_to_delivery: int
-    #: per-node round at which the *last* missing message arrived.
-    informed_rounds: tuple[int, ...]
-    #: per-node, per-message arrival rounds (k entries per node).
-    message_rounds: tuple[tuple[int, ...], ...]
-    #: per-node BFS layer as learned from the sync wave.
-    wave_distances: tuple[int, ...]
-    #: layer-slot reuse period used by this run.
-    wave_spacing: int
-    sim: SimResult
-
-
-def _multi_message_array_result(run: BroadcastRun) -> MultiMessageResult:
-    protocol = run.protocol
-    if not isinstance(protocol, MultiMessageArrayProtocol):
-        raise SimulationError(
-            f"multi-message result requested for {type(protocol).__name__}, "
-            "not a MultiMessageArrayProtocol run"
-        )
-    return MultiMessageResult(
-        network=run.network.name,
-        n=run.network.n,
-        seed=run.seed,
-        budget=run.budget,
-        k_messages=protocol.k_messages,
-        rounds_to_delivery=run.sim.rounds_run,
-        informed_rounds=protocol.informed_rounds(),
-        message_rounds=protocol.message_delivery_rounds(),
-        wave_distances=protocol.wave_distances(),
-        wave_spacing=run.params.wave_spacing,
-        sim=run.sim,
-    )
+    def result_fields(self) -> dict[str, Any]:
+        # Per-node BFS layers (-1 where the wave never arrived) and per-node
+        # tuples of per-message arrival rounds (-1 while missing).
+        return {
+            "wave_distances": tuple(self.wave_distance.tolist()),
+            "message_rounds": tuple(tuple(row) for row in self.message_round.tolist()),
+        }
 
 
 MULTI_MESSAGE_SPEC = register_broadcast_spec(
@@ -361,9 +314,7 @@ MULTI_MESSAGE_SPEC = register_broadcast_spec(
         budget_for=lambda params, net, bound, options: params.ghk_multi_message_rounds(
             net.eccentricity(), bound, options.get("k_messages", 1)
         ),
-        default_collision_detection=True,
-        requires_collision_detection=True,
-        build_result=_multi_message_array_result,
+        collision_detection=True,
         option_names=frozenset({"k_messages"}),
     )
 )

@@ -4,7 +4,7 @@ Two layers live here:
 
 * **Specs.**  A :class:`BroadcastSpec` bundles everything a protocol needs
   to be driven end-to-end — its array-protocol factory, its round-budget
-  rule, its collision-detection requirements, and its result builder.
+  rule and whether it needs collision detection.
   Algorithm modules register their spec at import time; the lookup
   functions lazily import them so ``runners`` never imports an algorithm
   module at its own import time (which would be circular — the algorithm
@@ -18,16 +18,20 @@ Two layers live here:
   results; :func:`run_broadcast` is the single-instance convenience that
   raises on an undelivered run.
 
-Every result object exposes at least ``rounds_to_delivery``,
-``informed_rounds``, ``budget`` and ``sim``, which is what the demo CLI
-and the experiments harness rely on to treat protocols uniformly.
+Every delivered run, whatever the protocol, is one
+:class:`BroadcastResult`: the shared observables (``rounds_to_delivery``,
+``informed_rounds``, ``budget``, ``sim``) plus the per-protocol ones the
+array protocol reports through
+:meth:`~repro.sim.core.array_protocol.BroadcastArrayProtocol.result_fields`
+(``wave_distances`` for the wave protocols, ``message_rounds`` for the
+k-message one).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import BroadcastFailure, ConfigurationError, SimulationError
@@ -40,7 +44,9 @@ from repro.sim.topology import RadioNetwork
 
 __all__ = [
     "BROADCAST_PROTOCOL_NAMES",
+    "BroadcastResult",
     "BroadcastSpec",
+    "broadcast_result",
     "broadcast_spec",
     "register_broadcast_spec",
     "run_broadcast",
@@ -55,6 +61,44 @@ BROADCAST_PROTOCOL_NAMES: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
+class BroadcastResult:
+    """Outcome of one delivered broadcast, whatever the protocol."""
+
+    #: the registered protocol name (``"decay"``, ``"ghk"``, ...).
+    protocol: str
+    network: str
+    n: int
+    seed: int
+    budget: int
+    #: rounds executed until every node was informed (held all k messages).
+    rounds_to_delivery: int
+    #: per-node round at which the (last missing) message arrived; 0 for the source.
+    informed_rounds: tuple[int, ...]
+    sim: SimResult
+    #: per-node BFS layer as learned from the sync wave (wave protocols only).
+    wave_distances: tuple[int, ...] = ()
+    #: per-node, per-message arrival rounds, k entries per node (k-message only).
+    message_rounds: tuple[tuple[int, ...], ...] = ()
+
+
+def broadcast_result(
+    protocol: str, item: BatchItem, proto: BroadcastArrayProtocol, sim: SimResult
+) -> BroadcastResult:
+    """The result of a delivered batch item: shared fields plus the protocol's own."""
+    return BroadcastResult(
+        protocol=protocol,
+        network=item.network.name,
+        n=item.network.n,
+        seed=item.seed,
+        budget=item.budget,
+        rounds_to_delivery=sim.rounds_run,
+        informed_rounds=proto.informed_rounds(),
+        sim=sim,
+        **proto.result_fields(),
+    )
+
+
+@dataclass(frozen=True)
 class BroadcastSpec:
     """Everything needed to drive one broadcast protocol end-to-end."""
 
@@ -66,31 +110,15 @@ class BroadcastSpec:
     array_factory: Callable[..., BroadcastArrayProtocol]
     #: default round budget: ``(params, network, n_bound, options) -> rounds``.
     budget_for: Callable[[ProtocolParams, RadioNetwork, int, Mapping[str, Any]], int]
-    #: collision-detection setting used when the caller does not choose.
-    default_collision_detection: bool
-    #: whether the protocol is only correct *with* collision detection.
-    requires_collision_detection: bool
-    #: build the protocol's result object after a successful array run:
-    #: ``(spec_run_info) -> result``; see :func:`run_broadcast_batch`.
-    build_result: Callable[["BroadcastRun"], Any]
+    #: True when the protocol is only correct *with* collision detection;
+    #: it is then also the default.  False leaves the caller's choice (off
+    #: by default).
+    collision_detection: bool
     #: per-run option names this protocol accepts (e.g. ``k_messages``);
     #: the run APIs reject options outside this set up front.
     option_names: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class BroadcastRun:
-    """The ingredients a :attr:`BroadcastSpec.build_result` hook receives."""
-
-    network: RadioNetwork
-    seed: int
-    budget: int
-    params: ProtocolParams
-    n_bound: int
-    protocol: BroadcastArrayProtocol
-    sim: SimResult
-    #: the per-run options the instance was built with (``{}`` when none).
-    options: Mapping[str, Any] = field(default_factory=dict)
+    # A field (not a plain call) only so benchmark tracers can wrap it.
+    build_result: Callable[..., BroadcastResult] = broadcast_result
 
 
 _SPECS: dict[str, BroadcastSpec] = {}
@@ -183,10 +211,10 @@ def run_broadcast_batch(
     telemetry: dict | None = None,
     faults: FaultSchedule | Sequence[FaultSchedule | None] | None = None,
     sanitize: bool | None = None,
-) -> list[Any]:
+) -> list[BroadcastResult | BroadcastFailure]:
     """Run one broadcast instance per (network, seed) through the batch engine.
 
-    Returns one entry per instance, in order: the protocol's result object
+    Returns one entry per instance, in order: its :class:`BroadcastResult`
     on success, or the :class:`~repro.errors.BroadcastFailure` (as a value,
     not raised) when the instance exhausted its budget — sweeps count
     failures rather than crash.
@@ -220,8 +248,8 @@ def run_broadcast_batch(
                 f"schedules for {len(networks)} networks"
             )
     if collision_detection is None:
-        collision_detection = spec.default_collision_detection
-    if spec.requires_collision_detection and not collision_detection:
+        collision_detection = spec.collision_detection
+    if spec.collision_detection and not collision_detection:
         raise ConfigurationError(
             f"{spec.label} requires collision detection; "
             f"run_broadcast_batch cannot model a collision-blind channel for it"
@@ -252,7 +280,7 @@ def run_broadcast_batch(
     outcomes = batch.run()
     if telemetry is not None:
         telemetry.update(batch.telemetry().as_dict())
-    results: list[Any] = []
+    results: list[BroadcastResult | BroadcastFailure] = []
     for outcome in outcomes:
         item = outcome.item
         proto = item.protocol
@@ -274,22 +302,7 @@ def run_broadcast_batch(
                 )
             )
             continue
-        results.append(
-            spec.build_result(
-                BroadcastRun(
-                    # params/n_bound were resolved when the item was built,
-                    # so they are never None here.
-                    network=item.network,
-                    seed=item.seed,
-                    budget=item.budget,
-                    params=item.params,
-                    n_bound=item.n_bound,
-                    protocol=proto,
-                    sim=outcome.sim,
-                    options=options,
-                )
-            )
-        )
+        results.append(spec.build_result(spec.name, item, proto, outcome.sim))
     return results
 
 
@@ -309,10 +322,10 @@ def run_broadcast(
     telemetry: dict | None = None,
     faults: FaultSchedule | None = None,
     sanitize: bool | None = None,
-) -> Any:
+) -> BroadcastResult:
     """Run one broadcast end-to-end; the single-instance :func:`run_broadcast_batch`.
 
-    Returns the protocol's result object and raises
+    Returns its :class:`BroadcastResult` and raises
     :class:`~repro.errors.BroadcastFailure` on an undelivered run.
     ``options`` carries per-run protocol options (e.g.
     ``{"k_messages": k}`` for ``"multimessage"``); ``observers`` and

@@ -4,8 +4,9 @@
 :func:`repro.sim.runners.run_broadcast` (minus the streaming hooks),
 resolves the same defaults from the protocol's ``BroadcastSpec``, drives
 one oracle object per node through :class:`~repro.sim.core.batch.ArrayEngine`
-until every node is informed, and returns the same result dataclass — so
-a test can compare the two with ``==``.
+until every node is informed, and returns the same
+:class:`~repro.sim.runners.BroadcastResult` — so a test can compare the two
+with ``==``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from oracles.protocols import DecayProtocol, GHKBroadcastProtocol, MultiMessageP
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim.core.batch import ArrayEngine
-from repro.sim.decay import DecayResult
 from repro.sim.faults import FaultSchedule
-from repro.sim.ghk_broadcast import GHKResult
-from repro.sim.multi_message import MultiMessageResult
-from repro.sim.runners import _default_budget, broadcast_spec
+from repro.sim.runners import BroadcastResult, _default_budget, broadcast_spec
 from repro.sim.topology import RadioNetwork
 
 __all__ = ["ORACLES", "oracle_engine", "run_oracle"]
@@ -56,8 +54,8 @@ def run_oracle(
     options: Mapping[str, Any] | None = None,
     faults: FaultSchedule | None = None,
     sanitize: bool | None = None,
-) -> Any:
-    """The oracle twin of ``run_broadcast``: same defaults, same result types."""
+) -> BroadcastResult:
+    """The oracle twin of ``run_broadcast``: same defaults, same result."""
     spec = broadcast_spec(protocol)
     options = dict(options or {})
     params = params if params is not None else ProtocolParams.paper()
@@ -65,7 +63,7 @@ def run_oracle(
     if budget is None:
         budget = _default_budget(spec, params, network, bound, options, faults)
     if collision_detection is None:
-        collision_detection = spec.default_collision_detection
+        collision_detection = spec.collision_detection
     protocols = [ORACLES[protocol](message=message, **options) for _ in range(network.n)]
     engine = oracle_engine(
         network,
@@ -88,25 +86,21 @@ def run_oracle(
             sim=sim,
             budget=budget,
         )
-    common: dict[str, Any] = {
-        "network": network.name,
-        "n": network.n,
-        "seed": seed,
-        "budget": budget,
-        "rounds_to_delivery": sim.rounds_run,
-        "informed_rounds": tuple(p.informed_round for p in protocols),
-        "sim": sim,
-    }
-    if protocol == "decay":
-        return DecayResult(**common, phase_length=params.decay_phase_length(bound))
-    common["wave_distances"] = tuple(p.wave_distance for p in protocols)
-    common["wave_spacing"] = params.wave_spacing
-    if protocol == "ghk":
-        return GHKResult(**common)
-    return MultiMessageResult(
-        **common,
-        k_messages=options.get("k_messages", 1),
-        message_rounds=tuple(
+    extra: dict[str, Any] = {}
+    if protocol != "decay":
+        extra["wave_distances"] = tuple(p.wave_distance for p in protocols)
+    if protocol == "multimessage":
+        extra["message_rounds"] = tuple(
             tuple(-1 if r is None else r for r in p.message_rounds) for p in protocols
-        ),
+        )
+    return BroadcastResult(
+        protocol=protocol,
+        network=network.name,
+        n=network.n,
+        seed=seed,
+        budget=budget,
+        rounds_to_delivery=sim.rounds_run,
+        informed_rounds=tuple(p.informed_round for p in protocols),
+        sim=sim,
+        **extra,
     )

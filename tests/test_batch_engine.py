@@ -9,6 +9,7 @@ from repro.sim import (
     ArrayEngine,
     BatchEngine,
     BatchItem,
+    BroadcastResult,
     DecayArrayProtocol,
     FaultSchedule,
     RoundPlan,
@@ -17,6 +18,7 @@ from repro.sim import (
     register_array_protocol,
     run_broadcast,
     run_broadcast_batch,
+    runners,
 )
 from repro.sim.core.array_protocol import ArrayProtocol, CoinDeck
 from repro.sim.rng import SeededStreams
@@ -351,6 +353,25 @@ class TestRunBroadcastAPI:
         assert decay.n == 4
         ghk = run_broadcast("ghk", line(4), FAST, seed=1)
         assert ghk.budget == FAST.ghk_broadcast_rounds(3, 4)
+
+    @pytest.mark.parametrize("protocol", runners.BROADCAST_PROTOCOL_NAMES)
+    def test_every_protocol_returns_one_result_type(self, protocol):
+        net = from_spec("grid", 25, seed=0)
+        k = 3
+        options = {"k_messages": k} if protocol == "multimessage" else None
+        result = run_broadcast(protocol, net, FAST, seed=0, options=options)
+        assert type(result) is BroadcastResult
+        assert result.protocol == protocol
+        layers = [0] * net.n
+        for depth, layer in enumerate(net.bfs_layers()):
+            for v in layer:
+                layers[v] = depth
+        assert result.wave_distances == (() if protocol == "decay" else tuple(layers))
+        if protocol == "multimessage":
+            assert len(result.message_rounds) == net.n
+            assert all(len(per_node) == k for per_node in result.message_rounds)
+        else:
+            assert result.message_rounds == ()
 
 
 class TestCoinDeck:

@@ -63,7 +63,8 @@ class TestDelivery:
         # phase, so delivery takes exactly (n-1) phases.
         net = line(32)
         result = run_broadcast("decay", net, FAST, seed=0)
-        assert result.phases_to_delivery == 31
+        phase_length = FAST.decay_phase_length(net.n)
+        assert -(-result.rounds_to_delivery // phase_length) == 31
 
 
 class TestReproducibility:

@@ -191,31 +191,44 @@ def test_demo_rejects_non_positive_messages():
         demo.main(["--messages", "0"])
 
 
-@pytest.mark.parametrize("budget", ["0", "-7"])
-def test_demo_rejects_non_positive_budget_cleanly(capsys, budget):
+NON_POSITIVE_ERRORS = {
+    "--budget": "--budget must be a positive round count",
+    "--n": "--n must be a positive node count",
+}
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--budget", "0"), ("--budget", "-7"), ("--n", "0"), ("--n", "-3")],
+    ids=["0", "-7", "n=0", "n=-3"],
+)
+def test_demo_rejects_non_positive_budget_cleanly(capsys, flag, value):
     # A starving-but-positive budget is a legitimate forced failure; zero
     # or negative is an input error and must say so up front instead of
-    # surfacing as a confusing BroadcastFailure.
-    rc = demo.main(["--topology", "line", "--n", "8", "--budget", budget])
+    # surfacing as a confusing BroadcastFailure.  A non-positive --n is
+    # named as such, not as a jammer-count error.
+    rc = demo.main(["--topology", "line", "--n", "8", flag, value])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--budget must be a positive round count" in err
+    assert NON_POSITIVE_ERRORS[flag] in err
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_demo_json_budget_error_payload(capsys, budget):
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--budget", "0"), ("--budget", "-3"), ("--n", "0"), ("--n", "-3")],
+    ids=["0", "-3", "n=0", "n=-3"],
+)
+def test_demo_json_budget_error_payload(capsys, flag, value):
     # Under --json even input errors emit one parseable object with the
     # "error" status discriminator, so scripted consumers never have to
     # scrape stderr.
-    rc = demo.main(
-        ["--topology", "line", "--n", "8", "--json", "--budget", budget]
-    )
+    rc = demo.main(["--topology", "line", "--n", "8", "--json", flag, value])
     assert rc == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "error"
-    assert "--budget must be a positive round count" in payload["error"]
+    assert NON_POSITIVE_ERRORS[flag] in payload["error"]
     assert payload["topology"] == "line"
-    assert payload["n"] == 8
+    assert payload["n"] == (int(value) if flag == "--n" else 8)
 
 
 def test_demo_json_topology_error_payload(capsys):
@@ -242,6 +255,30 @@ def test_demo_json_decay_reports_phases(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["phase_length"] >= 1
     assert payload["phases_to_delivery"] >= 1
+
+
+PROTOCOL_KEYS = {"phase_length", "phases_to_delivery", "k_messages", "wave_depth", "wave_spacing"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["--protocol", "decay"], {"phase_length": 6, "phases_to_delivery": 15}),
+        (["--protocol", "ghk"], {"wave_depth": 14, "wave_spacing": 3}),
+        (
+            ["--protocol", "multimessage", "--messages", "4"],
+            {"k_messages": 4, "wave_depth": 14, "wave_spacing": 3},
+        ),
+    ],
+    ids=["decay", "ghk", "multimessage"],
+)
+def test_demo_json_pins_protocol_keys(capsys, argv, expected):
+    # The protocol-specific keys derive from params and options; pin their
+    # values (and that no other protocol's keys leak in) on one grid run.
+    rc = demo.main(["--topology", "grid", "--n", "64", "--seed", "0", "--json", *argv])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in PROTOCOL_KEYS & set(payload)} == expected
 
 
 def test_demo_trace_prints_every_round(capsys):

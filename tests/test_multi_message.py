@@ -8,8 +8,8 @@ from repro.errors import BroadcastFailure, ConfigurationError
 from repro.params import ProtocolParams
 from repro.sim import (
     WAVE_PULSE,
+    BroadcastResult,
     MultiMessageArrayProtocol,
-    MultiMessageResult,
     run_broadcast,
     run_broadcast_batch,
 )
@@ -25,8 +25,7 @@ class TestDelivery:
     def test_delivers_all_k_messages_on_every_family(self, family, k):
         net = from_spec(family, 24, seed=2)
         result = run_broadcast("multimessage", net, FAST, seed=2, options={"k_messages": k})
-        assert isinstance(result, MultiMessageResult)
-        assert result.k_messages == k
+        assert isinstance(result, BroadcastResult)
         assert result.rounds_to_delivery <= result.budget
         assert len(result.informed_rounds) == net.n
         assert len(result.message_rounds) == net.n
@@ -178,8 +177,10 @@ class TestArrayState:
         result = run_broadcast(
             "multimessage", net, FAST, seed=0, options={"k_messages": 3}
         )
-        assert proto.message_delivery_rounds() == result.message_rounds
-        assert proto.wave_distances() == result.wave_distances
+        assert proto.result_fields() == {
+            "wave_distances": result.wave_distances,
+            "message_rounds": result.message_rounds,
+        }
 
     def test_undelivered_lists_nodes_missing_any_message(self):
         net = line(12)
