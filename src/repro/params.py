@@ -160,20 +160,6 @@ class ProtocolParams:
         """Rounds of Decay for a w.h.p. delivery (Θ(log^2 n))."""
         return self.decay_whp_phases(n_bound) * self.decay_phase_length(n_bound)
 
-    def beepwave_rounds(self, eccentricity: int) -> int:
-        """Rounds for one synchronization beep wave to cover the network.
-
-        The wave is deterministic under collision detection — the pulse
-        launched by the source in round 0 reaches hop distance ``d`` in
-        round ``d - 1`` and is relayed in round ``d`` — so exactly
-        ``eccentricity + 1`` rounds cover every node, no slack needed.
-        """
-        if eccentricity < 0:
-            raise ConfigurationError(
-                f"eccentricity must be non-negative, got {eccentricity}"
-            )
-        return eccentricity + 1
-
     def ghk_backoff_slots(self, n_bound: int) -> int:
         """Layer slots in one GHK contention-backoff cycle (Θ(log n))."""
         return max(1, math.ceil(self.ghk_backoff_factor * self.log_n(n_bound)))
@@ -183,11 +169,13 @@ class ProtocolParams:
 
         A calibrated formula shaped like ``O(D + log^2 n)``, not the paper's
         ``O(D + log^6 n)`` bound and not a proved bound for the implemented
-        simplification (see :mod:`repro.sim.ghk_broadcast`).  The sync wave
-        costs ``D`` rounds, each layer slot recurs every ``wave_spacing``
-        rounds, and the worst single layer's contention is budgeted
-        ``O(log^2 n)`` slots; the usual multiplicative and additive slack
-        absorbs the partially-pipelined remainder.
+        simplification (:mod:`repro.sim.multi_message` at ``k = 1``).  The
+        sync wave costs ``D`` rounds, each layer slot recurs every
+        ``wave_spacing`` rounds, and the worst single layer's contention is
+        budgeted ``O(log^2 n)`` slots; the usual multiplicative and additive
+        slack absorbs the partially-pipelined remainder.  It is smaller than
+        :meth:`ghk_multi_message_rounds` at ``k = 1``, which also budgets
+        the pipeline's per-message slots.
         """
         if diameter < 0:
             raise ConfigurationError(f"diameter must be non-negative, got {diameter}")

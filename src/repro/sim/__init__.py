@@ -10,29 +10,21 @@ Layers, bottom-up:
   channel kernel, the :class:`ArrayProtocol` API and registry, and the
   single/batch array engines;
 * :mod:`repro.sim.decay` — the collision-blind Decay baseline (BGI 1992);
-* :mod:`repro.sim.beepwave` — the collision-detection beep-wave layer:
-  1-bit pulses that advance one hop per round and synchronize the network;
-* :mod:`repro.sim.ghk_broadcast` — a simplification of the paper's
-  broadcast on top of the wave: layered slot schedule + decay backoff,
-  budgeted by a formula shaped like ``O(D + log^2 n)`` (the paper proves
-  ``O(D + log^6 n)``);
-* :mod:`repro.sim.multi_message` — the k-message pipeline on the same
-  schedule: one message per owned slot, budgeted like
-  ``O(D + k log n + log^2 n)`` (the paper's bound for known topology);
+* :mod:`repro.sim.multi_message` — a simplification of the paper's
+  collision-detection broadcast of ``k`` messages: a beep wave that
+  synchronizes the network, then a layered slot schedule with decay
+  backoff, one message per owned slot.  Single-message broadcast
+  (``"ghk"``) is its ``k = 1`` case, budgeted like ``O(D + log^2 n)``
+  (the paper proves ``O(D + log^6 n)``); ``"multimessage"`` is budgeted
+  like ``O(D + k log n + log^2 n)`` (the paper's bound for known topology);
 * :mod:`repro.sim.runners` — the protocol specs and the run API,
   :func:`run_broadcast` / :func:`run_broadcast_batch`, which return one
   :class:`BroadcastResult` type for every protocol.
 
 Each protocol has exactly one implementation, its :class:`ArrayProtocol`;
-the test suite keeps per-node reference forms of all four as oracles.
+the test suite keeps per-node reference forms of both as oracles.
 """
 
-from repro.sim.beepwave import (
-    WAVE_PULSE,
-    BeepWaveArrayProtocol,
-    BeepWaveResult,
-    run_beep_wave,
-)
 from repro.sim.core import (
     ArrayContext,
     ArrayEngine,
@@ -65,8 +57,7 @@ from repro.sim.faults import (
     NodeCrash,
     sample_fault_schedule,
 )
-from repro.sim.ghk_broadcast import GHKArrayProtocol
-from repro.sim.multi_message import MultiMessageArrayProtocol
+from repro.sim.multi_message import WAVE_PULSE, MultiMessageArrayProtocol
 from repro.sim.rng import SeededStreams, stream
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
@@ -99,8 +90,6 @@ __all__ = [
     "BitOperand",
     "BatchItem",
     "BatchOutcome",
-    "BeepWaveArrayProtocol",
-    "BeepWaveResult",
     "BroadcastArrayProtocol",
     "BroadcastResult",
     "BroadcastSpec",
@@ -112,7 +101,6 @@ __all__ = [
     "FaultSchedule",
     "FaultState",
     "FaultTotals",
-    "GHKArrayProtocol",
     "Jammer",
     "MultiMessageArrayProtocol",
     "NodeCrash",
@@ -137,7 +125,6 @@ __all__ = [
     "resolve_channel",
     "resolve_channel_backend",
     "ring",
-    "run_beep_wave",
     "run_broadcast",
     "run_broadcast_batch",
     "sample_fault_schedule",

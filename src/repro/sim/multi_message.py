@@ -1,84 +1,103 @@
-"""k-message broadcast with collision detection, pipelined over beep waves.
+"""Collision-detection broadcast of ``k`` messages over one beep wave.
 
-The paper proves ``O(D + k log n + log^2 n)`` rounds for ``k`` messages
-only with *known* topology; with unknown topology and collision detection
-(this simulator's setting) its bound is ``O(D + k log n + log^6 n)``.
-This protocol is a simplification, not the paper's algorithm: it
-pipelines ``k`` distinct messages through the same two mechanisms the
-single-message GHK broadcast uses (:mod:`repro.sim.ghk_broadcast`: one
-sync beep wave, then per-layer Decay in mod-3 slots).  Its round budget
-(:meth:`ProtocolParams.ghk_multi_message_rounds`) is a calibrated formula
-shaped like ``O(D + k log n + log^2 n)``, not a proved bound; see ROADMAP
-item 2 for the contended clique-chain case, where single-message GHK
-measures ``Θ(D log s)``.
+One protocol covers both of the paper's collision-detection broadcasts.
+At ``k = 1`` its bound for ``k`` messages with unknown topology and
+collision detection, ``O(D + k log n + log^6 n)``, is its single-message
+bound ``O(D + log^6 n)``, and here too single-message broadcast (the
+``"ghk"`` spec) is the ``k = 1`` case of the ``k``-message pipeline (the
+``"multimessage"`` spec, ``options={"k_messages": k}``).  The paper proves
+``O(D + k log n + log^2 n)`` only with *known* topology.  This protocol is
+a simplification, not the paper's algorithm: one sync beep wave, then
+per-layer Decay in mod-3 slots.  Its round budgets
+(:meth:`ProtocolParams.ghk_broadcast_rounds` at ``k = 1`` and
+:meth:`ProtocolParams.ghk_multi_message_rounds`) are calibrated formulas
+shaped like ``O(D + log^2 n)`` and ``O(D + k log n + log^2 n)``, not
+proved bounds: where every hop is contended (a chain of cliques of size
+``s``) single-message broadcast measures ``Θ(D log s)`` — see ROADMAP
+item 2.  Decay's bound is ``O((D + log n) log n)``.
 
-1. **Wave synchronization.**  One beep wave sweeps the network in ``D``
-   rounds and teaches every node its BFS layer; relay pulses piggyback a
-   held message, so uncontended stretches of the wavefront already start
-   delivering payload at one hop per round.
+1. **Wave synchronization.**  With collision detection a listener tells
+   *something was sent* from *nothing was sent* even when the something is
+   garbled, so a transmission is a **beep**.  The source beeps in round 0
+   and every node that hears its first beep in round ``r`` (necessarily
+   from hop distance ``r``) relays it once in round ``r + 1``: the wave
+   advances one hop per round however many relays collide, and teaches
+   every node its BFS layer ``d`` (``wave_distance``).  Without detection a
+   collision is silence and the wave stalls wherever two relays overlap,
+   so the protocol rejects collision-blind channels.  Relay pulses carry a
+   held message as their payload, so wherever the wavefront is locally
+   uncontended (one relay per receiver: paths, rings, bridges, cluster
+   heads) the wave itself delivers at one hop per round; a relay holding
+   nothing sends the content-free :data:`WAVE_PULSE`.
 
 2. **Layered slot schedule, one message per owned slot.**  After the wave,
-   layer ``d`` owns round ``t`` iff ``t ≡ d (mod wave_spacing)``, which
-   removes all cross-layer collisions.  A node holding at least one
-   message contends for each of its owned slots with the usual decay
-   backoff (transmit with probability ``2^-(j mod B)`` in its ``j``-th
-   owned slot, ``B = Θ(log n)``); when its coin fires it transmits **one**
-   message: the held message it has transmitted the *fewest* times so far,
-   breaking ties uniformly at random.  Least-sent-first is what makes the
-   pipeline pay: a freshly received message preempts everything the node
-   has already forwarded, so in steady state nearly every firing pushes
-   the frontier, while older messages still recycle once counts equalize —
-   a receiver that lost a transmission to a same-layer collision gets it
-   again.  Blind round-robin over held messages would instead spend only
-   ``1/k`` of each hop's firings usefully, degrading the whole broadcast
-   to ``Ω(k^2)``; and a *deterministic* tie-break would synchronize every
-   saturated node onto the same resend cycle, making a receiver that
-   missed one message wait a full ``k``-cycle for every neighbour to come
-   back around simultaneously.  Different messages stream through the layer
-   schedule back to back — message ``m+1`` does not wait for message
-   ``m`` to finish its ``D``-round journey, which is what lets ``k``
-   messages cost less than ``k`` sequential single-message broadcasts.
+   layer ``d`` owns round ``t`` iff ``t ≡ d (mod wave_spacing)``.  With a
+   spacing of at least 3 a listener in layer ``d + 1`` only ever hears
+   layer-``d`` transmitters in layer ``d``'s slots, so the schedule removes
+   all cross-layer collisions and progress pipelines at one slot per hop
+   instead of one ``Θ(log n)`` Decay phase per hop.  Within a layer, a node
+   holding at least one message resolves the residual contention with
+   decay backoff: it transmits with probability ``2^-(j mod B)`` in its
+   ``j``-th owned slot, ``B = Θ(log n)``
+   (:meth:`ProtocolParams.ghk_backoff_slots`), so some slot has roughly one
+   expected transmitter whatever the layer's population.  When its coin
+   fires it transmits **one** message: the held message it has transmitted
+   the *fewest* times so far, breaking ties uniformly at random.
+   Least-sent-first is what makes the pipeline pay: a freshly received
+   message preempts everything the node has already forwarded, so in
+   steady state nearly every firing pushes the frontier, while older
+   messages still recycle once counts equalize — a receiver that lost a
+   transmission to a same-layer collision gets it again.  Blind
+   round-robin over held messages would instead spend only ``1/k`` of each
+   hop's firings usefully, degrading the whole broadcast to ``Ω(k^2)``;
+   and a *deterministic* tie-break would synchronize every saturated node
+   onto the same resend cycle, making a receiver that missed one message
+   wait a full ``k``-cycle for every neighbour to come back around
+   simultaneously.  Different messages stream through the layer schedule
+   back to back — message ``m+1`` does not wait for message ``m`` to
+   finish its ``D``-round journey, which is what lets ``k`` messages cost
+   less than ``k`` sequential single-message broadcasts.
 
-3. **Source pumping.**  The source transmits in every owned slot without a
-   coin: layer 0 is a singleton by definition (only the source is at
-   distance 0), so there is no contention to back off from, and
-   probabilistic injection would otherwise cap the whole broadcast at one
-   message per ``wave_spacing / E[2^-j]`` rounds regardless of ``k``.
+3. **Source pumping** (``k > 1``).  The source transmits in every owned
+   slot without a coin: layer 0 is a singleton by definition (only the
+   source is at distance 0), so there is no contention to back off from,
+   and probabilistic injection would otherwise cap the whole broadcast at
+   one message per ``wave_spacing / E[2^-j]`` rounds regardless of ``k``.
+   With one message that cap does not bind, and the source backs off like
+   every other holder.
 
-4. **Piggybacked requests.**  Every data transmission carries, besides its
-   payload, the transmitter's lowest *missing* message index (``-1`` once
-   it holds everything).  Any holder of that message that overhears the
-   request — settled nodes listen whenever they are not transmitting —
-   marks it *requested*, and selection serves requested messages first
-   (least-sent-first within each class).  A request persists until it is
-   *observably* served — the holder hears that message delivered cleanly
-   nearby, or hears a ``want`` that moved past it (the want is the lowest
-   missing index, so everything below it is demonstrably held) — rather
-   than being consumed by the holder's own transmission, which under a
-   synchronized decay cycle would burn the flag on the early collided
-   slots and leave the productive singleton slot carrying a random
-   duplicate.  Stale flags are harmless: live requesters re-announce with
-   every firing.  This is the radio-native cure for the duplicate problem
-   that otherwise dominates for large ``k``: blind senders near saturation
-   deliver a novel message only once per ``~k`` receipts (a
-   coupon-collector tail), while a piggybacked request turns the
-   straggler's wait into one round trip through its own layer slot.
-   Requests are a priority boost, never a mute, so no receiver can be
-   starved by a wrong or stale request.
+4. **Piggybacked requests** (``k > 1``).  Every data transmission carries,
+   besides its payload, the transmitter's lowest *missing* message index
+   (``-1`` once it holds everything).  Any holder of that message that
+   overhears the request — settled nodes listen whenever they are not
+   transmitting — marks it *requested*, and selection serves requested
+   messages first (least-sent-first within each class).  A request
+   persists until it is *observably* served — the holder hears that
+   message delivered cleanly nearby, or hears a ``want`` that moved past
+   it (the want is the lowest missing index, so everything below it is
+   demonstrably held) — rather than being consumed by the holder's own
+   transmission, which under a synchronized decay cycle would burn the
+   flag on the early collided slots and leave the productive singleton
+   slot carrying a random duplicate.  Stale flags are harmless: live
+   requesters re-announce with every firing.  This is the radio-native
+   cure for the duplicate problem that otherwise dominates for large
+   ``k``: blind senders near saturation deliver a novel message only once
+   per ``~k`` receipts (a coupon-collector tail), while a piggybacked
+   request turns the straggler's wait into one round trip through its own
+   layer slot.  Requests are a priority boost, never a mute, so no
+   receiver can be starved by a wrong or stale request.  With one message
+   every carrier holds everything, so there is nothing to request, and a
+   settled node listens only while it holds nothing.
 
 Messages travel as ``(index, payload, want)`` triples so a receiver can
 tell which of the ``k`` messages a clean receipt carries (the index plays
 the role of the sequence tag any real multi-message protocol attaches,
-and ``want`` is the piggybacked request); the
-:data:`~repro.sim.beepwave.WAVE_PULSE` sentinel still marks a content-free
-pulse.  A node is *informed* once it holds **all** ``k`` messages — the
-completion predicate the batch engine shares with the single-message
-protocols.
+and ``want`` is the piggybacked request).  A node is *informed* once it
+holds **all** ``k`` messages — the completion predicate the batch engine
+shares with Decay.
 
-:class:`MultiMessageArrayProtocol` runs the whole network at once; drive
-it with ``run_broadcast("multimessage", ..., options={"k_messages": k})``.
-The per-node reference form the tests keep reproduces it coin for coin.
-The protocol requires collision detection (the wave stalls without it).
+:class:`MultiMessageArrayProtocol` runs the whole network at once; the
+per-node reference form the tests keep reproduces it coin for coin.
 """
 
 from __future__ import annotations
@@ -89,7 +108,6 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.beepwave import WAVE_PULSE
 from repro.sim.core.array_protocol import (
     ArrayContext,
     BroadcastArrayProtocol,
@@ -100,7 +118,19 @@ from repro.sim.core.array_protocol import (
 from repro.sim.core.channel import ChannelRound
 from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
-__all__ = ["MultiMessageArrayProtocol"]
+__all__ = ["WAVE_PULSE", "MultiMessageArrayProtocol"]
+
+
+class _WavePulse:
+    """Singleton payload of a content-free synchronization pulse."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "WAVE_PULSE"
+
+
+#: The payload a node transmits when it beeps without data to piggyback;
+#: reserved, so the broadcasts reject it as a message.
+WAVE_PULSE = _WavePulse()
 
 
 def _check_message_and_k(message: Any, k_messages: Any) -> int:
@@ -121,11 +151,10 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     """Whole-network k-message broadcast as array state.
 
     Relay pulses take precedence over layer slots, exactly one backoff
-    coin is drawn per owned slot of a node holding >= 1 message, and
-    least-sent-first selection bumps send counts only on an actual
-    transmission.  The source starts holding all ``k`` messages; with
-    ``k_messages=1`` the protocol reproduces GHK slot for slot and coin
-    for coin.
+    coin is drawn per owned slot of a node holding >= 1 message (except
+    the pumping source when ``k > 1``), and least-sent-first selection
+    (``k > 1``) bumps send counts only on an actual transmission.  The source starts
+    holding all ``k`` messages; ``k_messages=1`` is single-message GHK.
     """
 
     node_state = (
@@ -134,6 +163,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         "known",
         "message_round",
         "wave_distance",
+        "_holds_any",
         "_pulse_sent",
         "_slots_contended",
         "_send_count",
@@ -168,6 +198,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self.message_round[ctx.source, :] = 0
         self.wave_distance = np.full(n, -1, dtype=np.int64)
         self.wave_distance[ctx.source] = 0
+        #: ``known.any(axis=1)``, kept up to date on every fresh receipt.
+        self._holds_any = self.known.any(axis=1)
         self._pulse_sent = np.zeros(n, dtype=bool)
         self._slots_contended = np.zeros(n, dtype=np.int64)
         self._send_count = np.zeros((n, k), dtype=np.int64)
@@ -177,22 +209,24 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         #: resolved (-1 for a content-free pulse); receivers index it by
         #: sender id.
         self._tx_index = np.full(n, -1, dtype=np.int64)
-        #: each transmitter's piggybacked request in the round being
-        #: resolved (-1 = missing nothing); receivers index it by sender id.
+        #: each payload carrier's piggybacked request in the round being
+        #: resolved (-1 = missing nothing; stale where ``_tx_index`` is -1);
+        #: receivers index it by sender id.
         self._tx_want = np.full(n, -1, dtype=np.int64)
 
     def act(self, round_index: int) -> RoundPlan:
         r = round_index
+        pipelined = self.k_messages > 1
         unsynced = self.wave_distance < 0
         relay = ~unsynced & ~self._pulse_sent & (r >= self.wave_distance)
         self._pulse_sent |= relay
         settled = ~unsynced & ~relay
-        holds_any = self.known.any(axis=1)
+        holds_any = self._holds_any
         transmit = relay.copy()
         self._tx_index.fill(-1)
         relayers = np.nonzero(relay & holds_any)[0]
         if relayers.size:
-            self._tx_index[relayers] = self._select_least_sent(relayers)
+            self._load(relayers)
         # Layer slots: r > d and r ≡ d (mod spacing); unsynced rows hold -1
         # but are masked out by `settled`.
         slot = (
@@ -201,13 +235,14 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
             & (r > self.wave_distance)
             & ((r - self.wave_distance) % self.spacing == 0)
         )
-        # Layer 0 is the source alone (no other node learns distance 0):
-        # it pumps without a coin.
-        sources = np.flatnonzero(slot & (self.wave_distance == 0))
-        if sources.size:
-            slot[sources] = False
-            transmit[sources] = True
-            self._tx_index[sources] = self._select_least_sent(sources)
+        if pipelined:
+            # Layer 0 is the source alone (no other node learns distance 0):
+            # it pumps without a coin.
+            sources = np.flatnonzero(slot & (self.wave_distance == 0))
+            if sources.size:
+                slot[sources] = False
+                transmit[sources] = True
+                self._load(sources)
         owners = np.nonzero(slot)[0]
         if owners.size:
             j = self._slots_contended[owners] % self.backoff_slots
@@ -216,31 +251,32 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
             firing = owners[fire]
             if firing.size:
                 transmit[firing] = True
-                self._tx_index[firing] = self._select_least_sent(firing)
-        # Piggyback each payload carrier's lowest missing index.
-        self._tx_want.fill(-1)
-        carriers = np.nonzero(self._tx_index >= 0)[0]
-        if carriers.size:
-            missing = ~self.known[carriers]
-            self._tx_want[carriers] = np.where(
-                missing.any(axis=1), np.argmax(missing, axis=1), -1
-            )
+                self._load(firing)
         # Listen whenever not transmitting: missing messages may arrive from
         # any neighbouring layer, and overheard requests steer selection.
-        listen = unsynced | (settled & ~transmit)
+        # With one message a holder has nothing left to hear.
+        listen = unsynced | (settled & ~(transmit if pipelined else holds_any))
         return RoundPlan(transmit=transmit, listen=listen)
 
-    def _select_least_sent(self, nodes: np.ndarray) -> np.ndarray:
-        """Per-node requested-first, least-sent selection, random ties, counted.
+    def _load(self, nodes: np.ndarray) -> None:
+        """Put one held message and the piggybacked request on each transmitter.
 
-        The pool is each node's held-and-requested messages, falling back to all held messages when
-        nothing is requested; candidates are the pool entries with the
-        minimal send count; a node with >= 2 candidates draws one tie-break
-        coin from its private stream (nodes with a unique candidate draw
-        nothing, so ``k_messages=1`` draws no selection coins at all).  The
-        chosen transmissions are tallied; request flags survive until
-        observably served (see module docstring).
+        Selection is per-node requested-first, least-sent, random ties: the
+        pool is each node's held-and-requested messages, falling back to
+        all held messages when nothing is requested; candidates are the
+        pool entries with the minimal send count; a node with >= 2
+        candidates draws one tie-break coin from its private stream (nodes
+        with a unique candidate draw nothing, so ``k_messages=1`` draws no
+        selection coins at all).  The chosen transmissions are tallied;
+        request flags survive until observably served (see module
+        docstring).  The request is the node's lowest missing index, -1 for
+        a node holding everything.
         """
+        if self.k_messages == 1:
+            # One message: nothing to choose or request, so send counts and
+            # requests are never read.
+            self._tx_index[nodes] = 0
+            return
         held = self.known[nodes]
         requested = held & self._requested[nodes]
         pool = np.where(requested.any(axis=1)[:, None], requested, held)
@@ -258,7 +294,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         # candidate cumulative count exceeds pick.
         chosen = np.argmax(candidates.cumsum(axis=1) > pick[:, None], axis=1)
         self._send_count[nodes, chosen] += 1
-        return chosen
+        self._tx_index[nodes] = chosen
+        self._tx_want[nodes] = np.where(self.informed[nodes], -1, np.argmax(~held, axis=1))
 
     def on_feedback(self, round_index: int, channel: ChannelRound) -> None:
         r = round_index
@@ -268,28 +305,31 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         newly_synced = beep & (self.wave_distance < 0)
         self.wave_distance[newly_synced] = r + 1
         # Message receipt: a clean transmission carrying a payload index.
-        receipt = channel.clean & (self._tx_index[channel.senders] >= 0)
-        receivers = np.nonzero(receipt)[0]
-        if not receivers.size:
+        heard = np.flatnonzero(channel.clean)
+        heard_indices = self._tx_index[channel.senders[heard]]
+        receipt = heard_indices >= 0
+        if not receipt.any():
             return
-        senders = channel.senders[receivers]
-        indices = self._tx_index[senders]
+        receivers, indices = heard[receipt], heard_indices[receipt]
         fresh = ~self.known[receivers, indices]
         fresh_receivers, fresh_indices = receivers[fresh], indices[fresh]
         if fresh_receivers.size:
             self.known[fresh_receivers, fresh_indices] = True
             self.message_round[fresh_receivers, fresh_indices] = r
+            self._holds_any[fresh_receivers] = True
             completed = fresh_receivers[self.known[fresh_receivers].all(axis=1)]
             if completed.size:
                 self.informed[completed] = True
                 self.informed_round[completed] = r
+        if self.k_messages == 1:
+            return  # one message: nothing is ever requested
         # The heard message was just delivered in each receiver's
         # neighbourhood: its request, if any, is served.
         self._requested[receivers, indices] = False
         # Overheard wants: everything below a want is demonstrably held by
         # the transmitter, so those requests are settled; the want itself
         # is live demand for receivers that hold it.
-        wants = self._tx_want[senders]
+        wants = self._tx_want[channel.senders[receivers]]
         columns = np.arange(self.k_messages, dtype=np.int64)
         self._requested[receivers] &= columns[None, :] >= wants[:, None]
         wanted = wants >= 0
@@ -298,13 +338,28 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self._requested[want_receivers[holds_want], want_indices[holds_want]] = True
 
     def result_fields(self) -> dict[str, Any]:
-        # Per-node BFS layers (-1 where the wave never arrived) and per-node
-        # tuples of per-message arrival rounds (-1 while missing).
-        return {
-            "wave_distances": tuple(self.wave_distance.tolist()),
-            "message_rounds": tuple(tuple(row) for row in self.message_round.tolist()),
-        }
+        # Per-node BFS layers (-1 where the wave never arrived) and, for
+        # k > 1, per-node tuples of per-message arrival rounds (-1 while
+        # missing); at k = 1 those only repeat ``informed_rounds``.
+        fields: dict[str, Any] = {"wave_distances": tuple(self.wave_distance.tolist())}
+        if self.k_messages > 1:
+            fields["message_rounds"] = tuple(
+                tuple(row) for row in self.message_round.tolist()
+            )
+        return fields
 
+
+GHK_SPEC = register_broadcast_spec(
+    BroadcastSpec(
+        name="ghk",
+        label="GHK",
+        array_factory=MultiMessageArrayProtocol,
+        budget_for=lambda params, net, bound, options: params.ghk_broadcast_rounds(
+            net.eccentricity(), bound
+        ),
+        collision_detection=True,
+    )
+)
 
 MULTI_MESSAGE_SPEC = register_broadcast_spec(
     BroadcastSpec(

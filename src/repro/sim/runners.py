@@ -23,8 +23,8 @@ Every delivered run, whatever the protocol, is one
 ``informed_rounds``, ``budget``, ``sim``) plus the per-protocol ones the
 array protocol reports through
 :meth:`~repro.sim.core.array_protocol.BroadcastArrayProtocol.result_fields`
-(``wave_distances`` for the wave protocols, ``message_rounds`` for the
-k-message one).
+(``wave_distances`` for ``"ghk"`` and ``"multimessage"``, ``message_rounds``
+for ``"multimessage"`` at ``k > 1``).
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class BroadcastResult:
     #: per-node round at which the (last missing) message arrived; 0 for the source.
     informed_rounds: tuple[int, ...]
     sim: SimResult
-    #: per-node BFS layer as learned from the sync wave (wave protocols only).
+    #: per-node BFS layer as learned from the sync wave (not for Decay).
     wave_distances: tuple[int, ...] = ()
-    #: per-node, per-message arrival rounds, k entries per node (k-message only).
+    #: per-node, per-message arrival rounds, k entries per node (k > 1 only).
     message_rounds: tuple[tuple[int, ...], ...] = ()
 
 
@@ -176,7 +176,6 @@ def _ensure_specs_loaded() -> None:
     # them here (instead of at module top) keeps runners <-> algorithms
     # acyclic while making every lookup self-sufficient.
     import repro.sim.decay  # noqa: F401
-    import repro.sim.ghk_broadcast  # noqa: F401
     import repro.sim.multi_message  # noqa: F401
 
 

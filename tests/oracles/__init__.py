@@ -8,8 +8,8 @@ logic.  An oracle runs on the same round loop and channel kernel through
 twin bit for bit on every seed (``tests/test_equivalence.py``).
 
 * :mod:`oracles.api` — the per-node ``Protocol`` API and the adapter;
-* :mod:`oracles.protocols` — Decay, the beep wave, GHK and the k-message
-  pipeline, one node at a time;
+* :mod:`oracles.protocols` — Decay and the k-message pipeline (GHK at
+  ``k = 1``), one node at a time, and the beep wave on its own;
 * :mod:`oracles.driver` — :func:`run_oracle`, the ``run_broadcast`` twin;
 * :mod:`oracles.graph` — the per-node forms of the graph layer (FIFO BFS,
   neighbour-set edge flips), checked against ``RadioNetwork``'s CSR and
@@ -32,9 +32,9 @@ from oracles.api import (
 )
 from oracles.driver import ORACLES, oracle_engine, run_oracle
 from oracles.protocols import (
+    BeepWaveArrayProtocol,
     BeepWaveProtocol,
     DecayProtocol,
-    GHKBroadcastProtocol,
     MultiMessageProtocol,
 )
 
@@ -42,12 +42,12 @@ __all__ = [
     "ORACLES",
     "Action",
     "ActionKind",
+    "BeepWaveArrayProtocol",
     "BeepWaveProtocol",
     "BroadcastProtocol",
     "DecayProtocol",
     "Feedback",
     "FeedbackKind",
-    "GHKBroadcastProtocol",
     "MultiMessageProtocol",
     "NodeContext",
     "ObjectProtocolAdapter",

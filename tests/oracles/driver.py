@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from oracles.api import ObjectProtocolAdapter, Protocol
-from oracles.protocols import DecayProtocol, GHKBroadcastProtocol, MultiMessageProtocol
+from oracles.protocols import DecayProtocol, MultiMessageProtocol
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim.core.batch import ArrayEngine
@@ -28,7 +28,7 @@ __all__ = ["ORACLES", "oracle_engine", "run_oracle"]
 #: The oracle class of every broadcast protocol, by ``run_broadcast`` name.
 ORACLES: dict[str, type[Protocol]] = {
     "decay": DecayProtocol,
-    "ghk": GHKBroadcastProtocol,
+    "ghk": MultiMessageProtocol,
     "multimessage": MultiMessageProtocol,
 }
 
@@ -89,7 +89,7 @@ def run_oracle(
     extra: dict[str, Any] = {}
     if protocol != "decay":
         extra["wave_distances"] = tuple(p.wave_distance for p in protocols)
-    if protocol == "multimessage":
+    if options.get("k_messages", 1) > 1:
         extra["message_rounds"] = tuple(
             tuple(-1 if r is None else r for r in p.message_rounds) for p in protocols
         )

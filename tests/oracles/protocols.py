@@ -1,19 +1,25 @@
-"""Per-node reference implementations of the library's four protocols.
+"""Per-node reference implementations of the library's two protocols, and the wave.
 
-Each class here is one node's state machine, written straight from the
-paper's per-node rules.  The library implements the same rules once more,
-whole-network and vectorized, as the array protocols in
-:mod:`repro.sim.decay`, :mod:`repro.sim.beepwave`,
-:mod:`repro.sim.ghk_broadcast` and :mod:`repro.sim.multi_message`; see
-those modules for the algorithms themselves.  Both forms draw each node's
-coins from the same private stream in the same order, so on a shared seed
-they must produce bit-for-bit identical traces — which is what the
-equivalence tests check.
+Each oracle class here is one node's state machine, written straight from
+the paper's per-node rules.  The library implements the same rules once
+more, whole-network and vectorized, as the array protocols in
+:mod:`repro.sim.decay` and :mod:`repro.sim.multi_message` (whose ``k = 1``
+case is single-message GHK); see those modules for the algorithms
+themselves.  Both forms draw each node's coins from the same private
+stream in the same order, so on a shared seed they must produce
+bit-for-bit identical traces — which is what the equivalence tests check.
+
+The synchronization beep wave on its own lives here in both forms
+(:class:`BeepWaveProtocol` and :class:`BeepWaveArrayProtocol`): the
+library only runs it inside the broadcast, but the tests need it alone to
+show it stalling without collision detection.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 from oracles.api import (
     Action,
@@ -26,24 +32,16 @@ from oracles.api import (
     is_beep,
 )
 from repro.errors import ConfigurationError
-from repro.sim.beepwave import WAVE_PULSE
+from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
+from repro.sim.core.channel import ChannelRound
+from repro.sim.multi_message import WAVE_PULSE
 
 __all__ = [
+    "BeepWaveArrayProtocol",
     "BeepWaveProtocol",
     "DecayProtocol",
-    "GHKBroadcastProtocol",
     "MultiMessageProtocol",
 ]
-
-
-def _reject_pulse_message(message: Any) -> None:
-    # The sentinel marks a *content-free* pulse; a broadcast whose payload
-    # is the sentinel could never be recognised as delivered.
-    if message is WAVE_PULSE:
-        raise ConfigurationError(
-            "WAVE_PULSE is reserved for synchronization pulses and "
-            "cannot be the broadcast message"
-        )
 
 
 class DecayProtocol(BroadcastProtocol):
@@ -104,63 +102,48 @@ class BeepWaveProtocol(Protocol):
             self.wave_distance = feedback.round_index + 1
 
 
-class GHKBroadcastProtocol(BroadcastProtocol):
-    """Per-node state machine of the collision-detection broadcast."""
+class BeepWaveArrayProtocol(ArrayProtocol):
+    """:class:`BeepWaveProtocol` for the whole network at once, as array state.
 
-    def __init__(self, message: Any = "broadcast") -> None:
-        super().__init__(message)
-        _reject_pulse_message(message)
+    ``wave_distance == -1`` stands in for "not yet reached".  Without
+    collision detection a collision is perceived as silence, so only clean
+    receipts count as beeps and the wave stalls (or detours) wherever two
+    relays collide.  The protocol is coin-free.
+    """
 
-    def setup(self, ctx: NodeContext) -> None:
+    node_state = ("wave_distance", "pulse_sent")
+
+    def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
-        if not ctx.collision_detection:
-            raise ConfigurationError(
-                "GHKBroadcastProtocol requires collision detection: without it "
-                "the synchronization beep wave stalls at the first contended hop"
-            )
-        self.spacing = ctx.params.wave_spacing
-        self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
-        self.informed = ctx.is_source
-        self.message: Any = self._injected_message if ctx.is_source else None
-        self.informed_round: int | None = 0 if ctx.is_source else None
-        #: BFS layer, learned when the sync wave arrives (0 for the source).
-        self.wave_distance: int | None = 0 if ctx.is_source else None
-        self._pulse_sent = False
-        self._slots_since_informed = 0
+        self.collision_detection = ctx.collision_detection
+        self.wave_distance = np.full(ctx.n_nodes, -1, dtype=np.int64)
+        self.wave_distance[ctx.source] = 0
+        self.pulse_sent = np.zeros(ctx.n_nodes, dtype=bool)
 
-    def act(self, round_index: int) -> Action:
-        if self.wave_distance is None:
-            # Waiting for the sync wave; the first beep fixes our layer.
-            return Action.listen()
-        if not self._pulse_sent and round_index >= self.wave_distance:
-            # Relay the wave exactly once; piggyback the message if we have
-            # it so uncontended receivers are informed by the wave itself.
-            self._pulse_sent = True
-            return Action.transmit(self.message if self.informed else WAVE_PULSE)
-        if self.informed:
-            if in_layer_slot(round_index, self.wave_distance, self.spacing):
-                k = self._slots_since_informed % self.backoff_slots
-                self._slots_since_informed += 1
-                if self.ctx.rng.random() < 2.0 ** (-k):
-                    return Action.transmit(self.message)
-            return Action.sleep()
-        # Uninformed but synchronized: listen everywhere.
-        return Action.listen()
+    def act(self, round_index: int) -> RoundPlan:
+        listen = self.wave_distance < 0
+        transmit = ~listen & ~self.pulse_sent & (round_index >= self.wave_distance)
+        self.pulse_sent |= transmit
+        return RoundPlan(transmit=transmit, listen=listen)
 
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.wave_distance is None:
-            if is_beep(feedback):
-                self.wave_distance = feedback.round_index + 1
-            else:
-                return
-        if (
-            not self.informed
-            and feedback.kind is FeedbackKind.MESSAGE
-            and feedback.message is not WAVE_PULSE
-        ):
-            self.informed = True
-            self.message = feedback.message
-            self.informed_round = round_index
+    def on_feedback(self, round_index: int, channel: ChannelRound) -> None:
+        beep = channel.clean | channel.collided if self.collision_detection else channel.clean
+        newly = beep & (self.wave_distance < 0)
+        self.wave_distance[newly] = round_index + 1
+
+    def done(self) -> bool:
+        return bool(self.pulse_sent.all())
+
+    def done_rows(self, rows: int) -> np.ndarray:
+        return np.asarray(self.pulse_sent.reshape(rows, -1).all(axis=1))
+
+    def wave_distances(self) -> tuple[int, ...]:
+        """Per-node learned distances as plain ints (-1 where unreached)."""
+        return tuple(self.wave_distance.tolist())
+
+    def unsynchronized(self) -> tuple[int, ...]:
+        """Nodes the wave never reached."""
+        return tuple(np.nonzero(self.wave_distance < 0)[0].tolist())
 
 
 class MultiMessageProtocol(BroadcastProtocol):
@@ -169,13 +152,21 @@ class MultiMessageProtocol(BroadcastProtocol):
     The source starts holding all ``k`` messages; every other node
     collects them one clean receipt at a time.  Transmissions carry
     ``(index, payload, want)`` triples, ``want`` being the transmitter's
-    lowest missing index (-1 once complete).  Slot-for-slot and
-    coin-for-coin, ``k_messages=1`` reproduces :class:`GHKBroadcastProtocol`.
+    lowest missing index (-1 once complete).  ``k_messages=1`` is
+    single-message GHK: the source backs off like every holder, and a
+    holder sleeps outside its transmissions, since nobody can miss
+    anything it could request.
     """
 
     def __init__(self, message: Any = "broadcast", k_messages: int = 1) -> None:
         super().__init__(message)
-        _reject_pulse_message(message)
+        # The sentinel marks a *content-free* pulse; a broadcast whose
+        # payload is the sentinel could never be recognised as delivered.
+        if message is WAVE_PULSE:
+            raise ConfigurationError(
+                "WAVE_PULSE is reserved for synchronization pulses and "
+                "cannot be the broadcast message"
+            )
         if not isinstance(k_messages, int) or isinstance(k_messages, bool) or k_messages < 1:
             raise ConfigurationError(f"k_messages must be a positive integer, got {k_messages!r}")
         self.k_messages = k_messages
@@ -254,15 +245,19 @@ class MultiMessageProtocol(BroadcastProtocol):
             if not any(self.known):
                 return Action.transmit(WAVE_PULSE)
             return Action.transmit(self._transmit_payload(self._next_held()))
-        if any(self.known) and in_layer_slot(round_index, self.wave_distance, self.spacing):
-            if self.ctx.is_source:
+        holds_any = any(self.known)
+        if holds_any and in_layer_slot(round_index, self.wave_distance, self.spacing):
+            if self.ctx.is_source and self.k_messages > 1:
                 # Layer 0 is a singleton: the source pumps without a coin.
                 return Action.transmit(self._transmit_payload(self._next_held()))
             j = self._slots_contended % self.backoff_slots
             self._slots_contended += 1
             if self.ctx.rng.random() < 2.0 ** (-j):
                 return Action.transmit(self._transmit_payload(self._next_held()))
-        # Listen whenever not transmitting.
+        # Listen whenever not transmitting; with one message a holder has
+        # nothing left to hear.
+        if holds_any and self.k_messages == 1:
+            return Action.sleep()
         return Action.listen()
 
     def on_feedback(self, round_index: int, feedback: Feedback) -> None:

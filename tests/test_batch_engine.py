@@ -398,7 +398,7 @@ class TestCoinDeck:
 
 class TestArrayRegistry:
     def test_builtin_protocols_are_registered(self):
-        assert {"decay", "beepwave", "ghk"} <= set(available_array_protocols())
+        assert set(available_array_protocols()) == {"decay", "multimessage"}
         assert array_protocol_class("decay") is DecayArrayProtocol
 
     def test_unknown_name_rejected(self):

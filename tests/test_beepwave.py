@@ -1,11 +1,16 @@
-"""Tests for the beep-wave synchronization layer."""
+"""Tests for the beep-wave synchronization layer.
+
+The library runs the wave only inside the broadcast, so its distances
+come from ``run_broadcast("ghk").wave_distances``; the stall without
+collision detection is shown by the test-side wave on its own
+(:class:`oracles.BeepWaveArrayProtocol`).
+"""
 
 import pytest
 
-from oracles import Feedback, FeedbackKind, in_layer_slot, is_beep
-from repro.errors import BroadcastFailure
+from oracles import BeepWaveArrayProtocol, Feedback, FeedbackKind, in_layer_slot, is_beep
 from repro.params import ProtocolParams
-from repro.sim.beepwave import WAVE_PULSE, BeepWaveArrayProtocol, run_beep_wave
+from repro.sim import WAVE_PULSE, ArrayEngine, run_broadcast
 from repro.sim.topology import dumbbell, from_spec, grid2d, line, star
 
 FAST = ProtocolParams.fast()
@@ -19,33 +24,42 @@ def true_layers(net) -> list[int]:
     return dist
 
 
+def wave_alone(net, *, collision_detection, rounds=None):
+    """The wave by itself for ``rounds`` rounds (default ``ecc + 1``, exactly enough)."""
+    protocol = BeepWaveArrayProtocol()
+    engine = ArrayEngine(net, protocol, collision_detection=collision_detection, params=FAST)
+    budget = net.eccentricity() + 1 if rounds is None else rounds
+    engine.run(budget, stop_when=lambda _: protocol.done())
+    return protocol
+
+
 class TestWaveDistances:
     @pytest.mark.parametrize(
         "family", ["line", "ring", "star", "grid", "gnp", "dumbbell", "unit_disk"]
     )
     def test_wave_learns_exact_bfs_layers(self, family):
         net = from_spec(family, 48, seed=3)
-        result = run_beep_wave(net, FAST, seed=3)
+        result = run_broadcast("ghk", net, FAST, seed=3)
         assert list(result.wave_distances) == true_layers(net)
 
     def test_wave_advances_one_hop_per_round(self):
-        # The last layer relays in round ecc, so the run is exactly ecc + 1
-        # rounds — the defining property of the wave.
+        # On a path every relay pulse is uncontended and carries the
+        # message, so node d learns its layer and the message in round
+        # d - 1 — the wave's one hop per round.
         net = line(20)
-        result = run_beep_wave(net, FAST)
-        assert result.rounds_run == net.eccentricity() + 1
-        assert result.budget == net.eccentricity() + 1
+        result = run_broadcast("ghk", net, FAST)
+        assert result.wave_distances == tuple(range(net.n))
+        assert result.informed_rounds == tuple(max(0, d - 1) for d in range(net.n))
 
     def test_wave_is_deterministic_and_coin_free(self):
-        # The wave uses no randomness: any two seeds give identical traces.
+        # The wave uses no randomness: any two seeds learn the same layers.
         net = grid2d(7, 7)
-        a = run_beep_wave(net, FAST, seed=0, trace=True)
-        b = run_beep_wave(net, FAST, seed=99, trace=True)
-        assert a.wave_distances == b.wave_distances
-        assert a.sim.history == b.sim.history
+        a = run_broadcast("ghk", net, FAST, seed=0)
+        b = run_broadcast("ghk", net, FAST, seed=99)
+        assert a.wave_distances == b.wave_distances == tuple(true_layers(net))
 
     def test_single_node_wave(self):
-        result = run_beep_wave(line(1), FAST)
+        result = run_broadcast("ghk", line(1), FAST)
         assert result.wave_distances == (0,)
 
 
@@ -55,7 +69,7 @@ class TestCollisionDetectionIsEssential:
         # dumbbell's clique relays collide massively.  With detection the
         # wave still sweeps cleanly.
         for net in (star(32, source=5), dumbbell(12, 2)):
-            result = run_beep_wave(net, FAST, collision_detection=True)
+            result = run_broadcast("ghk", net, FAST)
             assert list(result.wave_distances) == true_layers(net)
 
     def test_wave_stalls_without_detection(self):
@@ -63,23 +77,21 @@ class TestCollisionDetectionIsEssential:
         # diagonal node, which then never hears a clean first beep in time:
         # collision-as-silence kills the wave.
         net = grid2d(8, 8)
-        with pytest.raises(BroadcastFailure, match="unsynchronized"):
-            run_beep_wave(net, FAST, collision_detection=False)
+        assert wave_alone(net, collision_detection=False).unsynchronized()
+        assert not wave_alone(net, collision_detection=True).unsynchronized()
 
     def test_uncontended_wave_works_even_without_detection(self):
         # A path never has two simultaneous relays in range of a listener.
         net = line(12)
-        result = run_beep_wave(net, FAST, collision_detection=False)
-        assert list(result.wave_distances) == true_layers(net)
+        protocol = wave_alone(net, collision_detection=False)
+        assert list(protocol.wave_distances()) == true_layers(net)
 
 
 class TestFailureModes:
     def test_budget_expiry_reports_unsynchronized_nodes(self):
-        net = line(16)
-        with pytest.raises(BroadcastFailure) as excinfo:
-            run_beep_wave(net, FAST, budget=4)
+        protocol = wave_alone(line(16), collision_detection=True, rounds=4)
         # Nodes beyond the wavefront at round 4 are exactly 5..15.
-        assert excinfo.value.undelivered == tuple(range(5, 16))
+        assert protocol.unsynchronized() == tuple(range(5, 16))
 
 
 class TestPrimitives:
@@ -110,12 +122,6 @@ class TestPrimitives:
 
     def test_wave_pulse_is_a_singleton_sentinel(self):
         assert repr(WAVE_PULSE) == "WAVE_PULSE"
-        from repro.sim import beepwave
+        from repro.sim import multi_message
 
-        assert beepwave.WAVE_PULSE is WAVE_PULSE
-
-    def test_beepwave_is_registered(self):
-        from repro.sim.core import array_protocol_class, available_array_protocols
-
-        assert "beepwave" in available_array_protocols()
-        assert array_protocol_class("beepwave") is BeepWaveArrayProtocol
+        assert multi_message.WAVE_PULSE is WAVE_PULSE

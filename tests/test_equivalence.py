@@ -8,16 +8,19 @@ straight from the paper's per-node rules, so this checks the vectorized
 protocol logic against an independent implementation.
 """
 
+import dataclasses
+
 import pytest
 
-from oracles import BeepWaveProtocol, oracle_engine, run_oracle
+from oracles import BeepWaveArrayProtocol, BeepWaveProtocol, oracle_engine, run_oracle
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim import (
     ArrayEngine,
-    BeepWaveArrayProtocol,
+    broadcast_spec,
     run_broadcast,
     run_broadcast_batch,
+    sample_fault_schedule,
 )
 from repro.sim.topology import from_spec
 
@@ -63,6 +66,35 @@ def test_multimessage_traces_are_bitwise_identical(family, seed, k):
     assert arr.message_rounds == obj.message_rounds
     assert arr.sim.history == obj.sim.history
     assert arr == obj  # the full result dataclasses match field-for-field
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "crash+loss"])
+def test_ghk_is_multimessage_at_k1(family, seed, faulted):
+    # Single-message GHK is the k-message protocol at k = 1: on one budget
+    # the two specs give the same result in every field but the name —
+    # per-node traffic included, so the source backs off and holders stop
+    # listening exactly as GHK's rules say.
+    net = from_spec(family, 24, seed=seed)
+    budget = broadcast_spec("ghk").budget_for(FAST, net, net.n, {})
+    faults = None
+    if faulted:
+        faults = sample_fault_schedule(
+            net, seed=seed, horizon=budget, crash_rate=0.05, loss_rate=0.1
+        )
+    (ghk,) = run_broadcast_batch(
+        "ghk", [net], seeds=[seed], params=FAST, budget=budget, trace=True, faults=faults
+    )
+    (multi,) = run_broadcast_batch(
+        "multimessage", [net], seeds=[seed], params=FAST, budget=budget, trace=True,
+        faults=faults, options={"k_messages": 1},
+    )
+    if isinstance(ghk, BroadcastFailure):
+        assert isinstance(multi, BroadcastFailure)
+        assert (multi.undelivered, multi.sim) == (ghk.undelivered, ghk.sim)
+    else:
+        assert dataclasses.replace(multi, protocol="ghk") == ghk
 
 
 @pytest.mark.parametrize("family", ("line", "grid", "gnp", "dumbbell"))

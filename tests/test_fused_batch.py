@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import BeepWaveArrayProtocol
 from repro.analysis.simsan.core import Sanitizer
 from repro.params import ProtocolParams
 from repro.sim import (
@@ -33,8 +34,9 @@ from repro.sim import (
     FaultSchedule,
     FaultState,
     Jammer,
+    MultiMessageArrayProtocol,
     NodeCrash,
-    array_protocol_class,
+    broadcast_spec,
     run_broadcast_batch,
 )
 from repro.sim import faults as faults_module
@@ -44,14 +46,13 @@ from repro.sim.topology import RadioNetwork, from_spec
 
 FAST = ProtocolParams.fast()
 
-#: Protocol cases: (registry name, constructor options, collision detection).
+#: Protocol cases: (class, constructor options, collision detection).
 PROTOCOLS = {
-    "decay": ("decay", {}, False),
-    "ghk": ("ghk", {}, True),
-    "multimessage-k1": ("multimessage", {"k_messages": 1}, True),
-    "multimessage-k3": ("multimessage", {"k_messages": 3}, True),
-    "beepwave": ("beepwave", {}, True),
-    "beepwave-blind": ("beepwave", {}, False),
+    "decay": (DecayArrayProtocol, {}, False),
+    "multimessage-k1": (MultiMessageArrayProtocol, {"k_messages": 1}, True),
+    "multimessage-k3": (MultiMessageArrayProtocol, {"k_messages": 3}, True),
+    "beepwave": (BeepWaveArrayProtocol, {}, True),
+    "beepwave-blind": (BeepWaveArrayProtocol, {}, False),
 }
 
 
@@ -100,8 +101,8 @@ def fused_cases(draw):
 
 
 def _protocol(case):
-    name, options, _ = PROTOCOLS[case]
-    return array_protocol_class(name)(**options)
+    cls, options, _ = PROTOCOLS[case]
+    return cls(**options)
 
 
 def _state(protocol):
@@ -151,13 +152,13 @@ _LINE8, _RING8, _STAR8 = (
 # The last rows of a fused group retire first (no hole to fill), then the
 # first (a hole filled from the tail), then the middle.
 @example(([_LINE4] * 4, "decay", "dense", [0, 1, 2, 3], [40, 40, 2, 1], _LOSSY))
-@example(([_LINE4] * 3, "ghk", "sparse", [5, 6, 7], [1, 40, 40], _LOSSY))
+@example(([_LINE4] * 3, "multimessage-k1", "sparse", [5, 6, 7], [1, 40, 40], _LOSSY))
 @example(([_LINE4] * 3, "multimessage-k3", "bitpacked", [8, 9, 10], [40, 3, 40], _LOSSY))
 # The same three retire orders on sparse groups mixing graphs: the row map
 # of the union operand follows every compaction, down to a lone row.
 @example(
-    ([_LINE8, _RING8, _STAR8, _LINE8], "ghk", "sparse", [0, 1, 2, 3], [60, 60, 2, 1],
-     FaultSchedule())
+    ([_LINE8, _RING8, _STAR8, _LINE8], "multimessage-k1", "sparse", [0, 1, 2, 3],
+     [60, 60, 2, 1], FaultSchedule())
 )
 @example(([_STAR8, _LINE8, _RING8], "decay", "sparse", [4, 5, 6], [1, 60, 60], FaultSchedule()))
 @example(
@@ -274,7 +275,7 @@ def test_sanitizers_of_a_mixed_graph_group_see_their_own_operands(monkeypatch):
     params = FAST.with_overrides(channel_backend="sparse")
     batch = BatchEngine(
         [
-            BatchItem(net, _protocol("ghk"), budget=200, seed=s, params=params)
+            BatchItem(net, _protocol("multimessage-k1"), budget=200, seed=s, params=params)
             for s, net in enumerate(nets)
         ],
         sanitize=True,
@@ -301,7 +302,9 @@ def test_fused_group_rebuilds_the_operand_once_per_flip(monkeypatch):
 def test_mixed_protocol_classes_share_one_kernel_call(protocol):
     # A subclass is never fused with its base class (it may add state), but
     # both still ride one kernel call per round; results match alone.
-    class Subclassed(array_protocol_class(protocol)):
+    base = broadcast_spec(protocol).array_factory
+
+    class Subclassed(base):
         pass
 
     net = from_spec("grid", 9, seed=0)
@@ -309,14 +312,14 @@ def test_mixed_protocol_classes_share_one_kernel_call(protocol):
     items = [
         BatchItem(net, cls(), budget=200, seed=seed, collision_detection=cd, params=FAST)
         for seed, cls in enumerate(
-            [array_protocol_class(protocol), Subclassed, array_protocol_class(protocol)]
+            [base, Subclassed, base]
         )
     ]
     outcomes = BatchEngine(items).run()
     for outcome in outcomes:
         alone = ArrayEngine(
             net,
-            array_protocol_class(protocol)(),
+            base(),
             seed=outcome.item.seed,
             collision_detection=cd,
             params=FAST,

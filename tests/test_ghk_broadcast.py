@@ -1,12 +1,11 @@
-"""Tests for the GHK collision-detection broadcast protocol."""
+"""Tests for the GHK collision-detection broadcast: the k-message protocol at k = 1."""
 
 import pytest
 
-from oracles import GHKBroadcastProtocol, oracle_engine
+from oracles import MultiMessageProtocol, oracle_engine
 from repro.errors import BroadcastFailure, ConfigurationError
 from repro.params import ProtocolParams
-from repro.sim import run_broadcast
-from repro.sim.ghk_broadcast import GHKArrayProtocol
+from repro.sim import WAVE_PULSE, MultiMessageArrayProtocol, broadcast_spec, run_broadcast
 from repro.sim.topology import dumbbell, from_spec, gnp, grid2d, line, ring, star
 
 FAST = ProtocolParams.fast()
@@ -78,32 +77,30 @@ class TestMessageInjection:
         # message must reach every node by identity, not by setup() ordering.
         payload = {"k": ("nested", 7)}
         net = grid2d(5, 5)
-        protocols = [GHKBroadcastProtocol(message=payload) for _ in range(net.n)]
+        protocols = [MultiMessageProtocol(message=payload) for _ in range(net.n)]
         engine = oracle_engine(net, protocols, seed=0, collision_detection=True, params=FAST)
         engine.run(
             FAST.ghk_broadcast_rounds(net.eccentricity(), net.n),
             stop_when=lambda eng: all(p.informed for p in protocols),
         )
         assert all(p.informed for p in protocols)
-        assert all(p.message is payload for p in protocols)
+        assert all(p.payloads[0] is payload for p in protocols)
 
     def test_none_message_rejected_at_both_boundaries(self):
         with pytest.raises(ConfigurationError, match="non-None"):
             run_broadcast("ghk", grid2d(3, 3), FAST, message=None)
         with pytest.raises(ConfigurationError, match="non-None"):
-            GHKArrayProtocol(message=None)
+            MultiMessageArrayProtocol(message=None)
 
     def test_wave_pulse_sentinel_rejected_as_message(self):
         # The sentinel payload means "content-free pulse": a broadcast of
         # the sentinel itself could never be recognised as delivered, so it
         # must be rejected up front, not burn the budget into a misleading
         # BroadcastFailure.
-        from repro.sim.beepwave import WAVE_PULSE
-
         with pytest.raises(ConfigurationError, match="reserved"):
             run_broadcast("ghk", grid2d(3, 3), FAST, message=WAVE_PULSE)
         with pytest.raises(ConfigurationError, match="reserved"):
-            GHKArrayProtocol(message=WAVE_PULSE)
+            MultiMessageArrayProtocol(message=WAVE_PULSE)
 
 
 class TestCollisionDetectionRequirement:
@@ -115,7 +112,9 @@ class TestCollisionDetectionRequirement:
         from repro.sim import ArrayEngine
 
         with pytest.raises(ConfigurationError, match="requires collision detection"):
-            ArrayEngine(line(3), GHKArrayProtocol(), collision_detection=False, params=FAST)
+            ArrayEngine(
+                line(3), MultiMessageArrayProtocol(), collision_detection=False, params=FAST
+            )
 
 
 class TestFailureAndReproducibility:
@@ -136,10 +135,9 @@ class TestFailureAndReproducibility:
         assert a.sim.history == b.sim.history
 
     def test_ghk_is_registered(self):
-        from repro.sim.core import array_protocol_class, available_array_protocols
-
-        assert "ghk" in available_array_protocols()
-        assert array_protocol_class("ghk") is GHKArrayProtocol
+        spec = broadcast_spec("ghk")
+        assert spec.array_factory is MultiMessageArrayProtocol
+        assert spec.option_names == frozenset()
 
     def test_uses_collision_feedback_on_contended_topologies(self):
         # On a grid from the corner, every interior diagonal node hears two

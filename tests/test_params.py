@@ -64,14 +64,6 @@ class TestDerivedQuantities:
         with pytest.raises(ConfigurationError):
             ProtocolParams.fast().decay_broadcast_rounds(-1, 64)
 
-    def test_beepwave_rounds_is_exact(self):
-        # The wave is deterministic: eccentricity + 1 rounds, no slack.
-        params = ProtocolParams.fast()
-        assert params.beepwave_rounds(0) == 1
-        assert params.beepwave_rounds(63) == 64
-        with pytest.raises(ConfigurationError):
-            params.beepwave_rounds(-1)
-
     def test_ghk_backoff_slots_scale_with_log_n(self):
         params = ProtocolParams.paper()
         assert params.ghk_backoff_slots(2) == 1
