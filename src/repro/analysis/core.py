@@ -1,24 +1,18 @@
-"""The simlint rule engine: AST visiting, suppressions, caching, reporting.
+"""The simlint rule engine: AST visiting, suppressions, reporting.
 
 The engine is deliberately small and dependency-free (``ast`` +
 ``tokenize`` from the stdlib): it parses each analyzed file once, walks
 the tree a single time dispatching nodes to every applicable rule, and
-collects :class:`Finding` records plus JSON-serializable per-file *facts*
+collects :class:`Finding` records plus per-file *facts*
 (cross-file rules such as SL005 run from the aggregated facts after every
 file has been visited).
 
-Three engine services every rule gets for free:
+Two engine services every rule gets for free:
 
 * **Suppressions** — a ``# simlint: disable=SL001`` comment suppresses
   findings of that rule on the same physical line, and
   ``# simlint: disable-file=SL001`` (anywhere in the file) suppresses the
   rule for the whole file.  ``all`` is accepted in place of a rule id.
-* **Per-file caching** — results are keyed on a SHA-256 of the file
-  content, the ruleset version, and a fingerprint of the rule sources
-  (:func:`rules_fingerprint`), so re-runs only re-analyze files that
-  changed — and editing a rule invalidates everything it may now judge
-  differently.  Facts and suppressions are cached alongside findings,
-  which keeps cross-file rules correct on warm runs.
 * **Reporting** — deterministic ordering, human and JSON output, and
   the exit-code contract (0 clean, 1 findings, 2 usage error) live in
   :mod:`repro.analysis.simlint`.
@@ -27,11 +21,7 @@ Three engine services every rule gets for free:
 from __future__ import annotations
 
 import ast
-import contextlib
-import functools
-import hashlib
 import io
-import json
 import os
 import re
 import tokenize
@@ -43,7 +33,6 @@ from typing import Any
 from repro.errors import AnalysisError
 
 __all__ = [
-    "CACHE_VERSION",
     "FileContext",
     "FileResult",
     "Finding",
@@ -54,11 +43,7 @@ __all__ = [
     "attribute_chain",
     "parse_error_finding",
     "path_has_segments",
-    "rules_fingerprint",
 ]
-
-#: Bump whenever a rule's behaviour changes, so stale caches self-invalidate.
-CACHE_VERSION = "simlint-2"
 
 #: Directory names never descended into while expanding a directory
 #: argument.  ``fixtures`` keeps the deliberately-violating test corpus
@@ -207,7 +192,7 @@ class FileContext:
         self.tree = tree
         self.imports = ImportMap(tree)
         self.findings: list[Finding] = []
-        #: JSON-serializable per-file facts, merged across rules; project
+        #: per-file facts, merged across rules; project
         #: rules consume the aggregation in :meth:`Rule.finalize`.
         self.facts: dict[str, Any] = {}
 
@@ -252,50 +237,13 @@ class Rule:
 
 @dataclass
 class FileResult:
-    """Cached analysis of one file: raw findings, facts, suppressions."""
+    """Analysis of one file: raw findings, facts, suppressions."""
 
     path: str
-    content_hash: str
     findings: list[Finding] = field(default_factory=list)
     facts: dict[str, Any] = field(default_factory=dict)
     file_disables: set[str] = field(default_factory=set)
     line_disables: dict[int, set[str]] = field(default_factory=dict)
-    from_cache: bool = False
-
-    def as_cache_entry(self) -> dict[str, Any]:
-        return {
-            "hash": self.content_hash,
-            "findings": [f.as_dict() for f in self.findings],
-            "facts": self.facts,
-            "file_disables": sorted(self.file_disables),
-            "line_disables": {
-                str(line): sorted(rules) for line, rules in self.line_disables.items()
-            },
-        }
-
-    @classmethod
-    def from_cache_entry(cls, path: str, entry: dict[str, Any]) -> "FileResult":
-        return cls(
-            path=path,
-            content_hash=entry["hash"],
-            findings=[
-                Finding(
-                    rule=f["rule"],
-                    path=f["path"],
-                    line=f["line"],
-                    col=f["col"],
-                    message=f["message"],
-                )
-                for f in entry["findings"]
-            ],
-            facts=entry.get("facts", {}),
-            file_disables=set(entry.get("file_disables", [])),
-            line_disables={
-                int(line): set(rules)
-                for line, rules in entry.get("line_disables", {}).items()
-            },
-            from_cache=True,
-        )
 
     def suppresses(self, finding: Finding) -> bool:
         disabled = self.file_disables | self.line_disables.get(finding.line, set())
@@ -333,7 +281,6 @@ class LintReport:
 
     findings: list[Finding]
     files_checked: int
-    files_from_cache: int
 
     @property
     def clean(self) -> bool:
@@ -343,13 +290,12 @@ class LintReport:
         return {
             "findings": [f.as_dict() for f in self.findings],
             "files_checked": self.files_checked,
-            "files_from_cache": self.files_from_cache,
             "clean": self.clean,
         }
 
 
 class RuleEngine:
-    """Run a set of rules over a set of paths, with optional caching."""
+    """Run a set of rules over a set of paths."""
 
     def __init__(self, rules: Sequence[Rule]) -> None:
         ids = [rule.id for rule in rules]
@@ -404,12 +350,10 @@ class RuleEngine:
     # Analysis
     # ------------------------------------------------------------------ #
     def analyze_source(self, path: str, source: str) -> FileResult:
-        """Analyze one in-memory file (no cache involvement)."""
-        content_hash = _hash_content(source)
+        """Analyze one in-memory file."""
         file_disables, line_disables = _parse_suppressions(source)
         result = FileResult(
             path=path,
-            content_hash=content_hash,
             file_disables=file_disables,
             line_disables=line_disables,
         )
@@ -434,34 +378,16 @@ class RuleEngine:
         result.facts = ctx.facts
         return result
 
-    def run(
-        self,
-        paths: Sequence[str | Path],
-        *,
-        cache_path: str | Path | None = None,
-    ) -> LintReport:
-        """Analyze every Python file under ``paths`` and report findings.
-
-        With ``cache_path``, per-file results are reused whenever the
-        content hash matches, and the cache file is rewritten to cover
-        exactly this run's files.
-        """
+    def run(self, paths: Sequence[str | Path]) -> LintReport:
+        """Analyze every Python file under ``paths`` and report findings."""
         files = self.expand_paths(paths)
-        cache = _load_cache(cache_path) if cache_path is not None else {}
         results: list[FileResult] = []
-        from_cache = 0
         for path in files:
             try:
                 source = Path(path).read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 raise AnalysisError(f"cannot read {path}: {exc}") from exc
-            content_hash = _hash_content(source)
-            cached = cache.get(path)
-            if cached is not None and cached.get("hash") == content_hash:
-                results.append(FileResult.from_cache_entry(path, cached))
-                from_cache += 1
-            else:
-                results.append(self.analyze_source(path, source))
+            results.append(self.analyze_source(path, source))
         findings = [f for result in results for f in result.findings]
         facts = {result.path: result.facts for result in results if result.facts}
         for rule in self.rules:
@@ -472,65 +398,7 @@ class RuleEngine:
             for f in findings
             if f.path not in by_path or not by_path[f.path].suppresses(f)
         ]
-        if cache_path is not None:
-            _store_cache(cache_path, results)
         return LintReport(
             findings=sorted(set(kept), key=Finding.sort_key),
             files_checked=len(files),
-            files_from_cache=from_cache,
-        )
-
-
-@functools.lru_cache(maxsize=1)
-def rules_fingerprint() -> str:
-    """SHA-256 over the ``rules_*.py`` module sources shipped with simlint.
-
-    Salted into every per-file cache key (and stored in the cache
-    payload) so editing any rule implementation invalidates cached
-    results even though the *analyzed* files are unchanged.  Without it,
-    a rule fix silently kept serving stale verdicts from
-    ``.simlint-cache.json`` until the cache file was deleted by hand.
-    """
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).resolve().parent.glob("rules_*.py")):
-        digest.update(path.name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(path.read_bytes())
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def _hash_content(source: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(CACHE_VERSION.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(rules_fingerprint().encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(source.encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _load_cache(cache_path: str | Path) -> dict[str, dict[str, Any]]:
-    try:
-        payload = json.loads(Path(cache_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-        return {}
-    if payload.get("rules") != rules_fingerprint():
-        return {}
-    files = payload.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _store_cache(cache_path: str | Path, results: Sequence[FileResult]) -> None:
-    payload = {
-        "version": CACHE_VERSION,
-        "rules": rules_fingerprint(),
-        "files": {result.path: result.as_cache_entry() for result in results},
-    }
-    # A read-only checkout must not break linting; caching is advisory.
-    with contextlib.suppress(OSError):
-        Path(cache_path).write_text(
-            json.dumps(payload, indent=None, sort_keys=True), encoding="utf-8"
         )

@@ -1,12 +1,11 @@
-"""Kernel-contract rules: operand conformance (SL003), cache discipline
-(SL004), and operand-construction routing (SL007).
+"""Kernel-contract rule: operand-construction routing (SL007).
 
-The channel kernel is backend-polymorphic: ``resolve_channel`` drives any
-operand exposing the :class:`~repro.sim.core.channel.DenseOperand`
-surface, and the batch engine hands cached topology arrays to every
-instance sharing a graph.  Both contracts are purely structural, so a
-new backend (the planned GPU operand) or a careless caller can be
-rejected at lint time instead of at equivalence-test time.
+The channel backend is a policy decision (``select_kernel_operand``), so
+simulator code must not build an operand class by hand.  The operand
+surface itself is the runtime-checkable
+:class:`~repro.sim.core.channel.KernelOperand` protocol, and the cached
+topology arrays are frozen by numpy's read-only flags; both are checked
+by tests, not here.
 """
 
 from __future__ import annotations
@@ -21,436 +20,7 @@ from repro.analysis.core import (
     path_has_segments,
 )
 
-__all__ = ["CachedArrayRule", "OperandConstructionRule", "OperandContractRule"]
-
-
-# ---------------------------------------------------------------------- #
-# SL003 — kernel-operand conformance
-# ---------------------------------------------------------------------- #
-
-#: method -> number of positional arguments after ``self``.
-_OPERAND_METHODS: dict[str, int] = {
-    "prepare_transmit": 1,
-    "transmit_counts": 1,
-    "sender_ids": 2,
-}
-
-
-def _is_operand_class(node: ast.ClassDef) -> str | None:
-    """The backend tag if the class declares ``backend = "<str>"``, else None.
-
-    The class-level string ``backend`` attribute is how operands register
-    with ``select_kernel_operand`` / ``resolve_channel_backend``, so it is
-    the marker that puts a class under the contract.
-    """
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == "backend":
-                    if isinstance(stmt.value, ast.Constant) and isinstance(
-                        stmt.value.value, str
-                    ):
-                        return stmt.value.value
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "backend"
-                and stmt.value is not None
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                return stmt.value.value
-    return None
-
-
-def _defines_n(node: ast.ClassDef) -> bool:
-    """Whether the class exposes ``n``: property, class attr, or ``self.n``."""
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name == "n":
-                return True
-            for inner in ast_dfs(stmt, skip_nested_defs=True):
-                for target in _assign_targets(inner):
-                    chain = attribute_chain(target)
-                    if chain == ["self", "n"]:
-                        return True
-        elif isinstance(stmt, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == "n" for t in stmt.targets
-            ):
-                return True
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name) and stmt.target.id == "n":
-                return True
-    return False
-
-
-def _assign_targets(node: ast.AST) -> list[ast.expr]:
-    """Flattened store targets of an assignment-like node (tuples unpacked)."""
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    flat: list[ast.expr] = []
-    for target in targets:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            flat.extend(target.elts)
-        else:
-            flat.append(target)
-    return flat
-
-
-def _signature_problem(fn: ast.FunctionDef | ast.AsyncFunctionDef, want: int) -> str | None:
-    """Why ``fn`` cannot be called with ``self`` + ``want`` positionals, if so."""
-    args = fn.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if not positional or positional[0].arg != "self":
-        return "first parameter must be `self`"
-    named = len(positional) - 1
-    required = named - len(args.defaults)
-    if required > want:
-        return f"takes {required} required arguments after self, expected {want}"
-    if named < want and args.vararg is None:
-        return f"accepts only {named} arguments after self, expected {want}"
-    missing_kw = [
-        a.arg
-        for a, default in zip(args.kwonlyargs, args.kw_defaults)
-        if default is None
-    ]
-    if missing_kw:
-        return "keyword-only parameters without defaults: " + ", ".join(missing_kw)
-    return None
-
-
-class OperandContractRule(Rule):
-    """SL003 — channel-operand classes must implement the full kernel surface."""
-
-    id = "SL003"
-    title = "kernel-operand contract conformance"
-    doc = (
-        "Any class declaring a class-level string `backend` attribute is a\n"
-        "channel operand: resolve_channel drives it through prepare_transmit /\n"
-        "transmit_counts / sender_ids and reads `n`.  A backend missing part of\n"
-        "that surface (or with an incompatible signature) would fail only when\n"
-        "a run first reaches the kernel — this rule rejects it at lint time, so\n"
-        "a future GPU operand fails lint, not the equivalence tests.\n"
-        "Required: backend (str), n, prepare_transmit(self, transmit),\n"
-        "transmit_counts(self, tx), sender_ids(self, tx, clean).\n"
-        "Suppress for a non-operand class that happens to use the attribute\n"
-        "name with  # simlint: disable=SL003"
-    )
-
-    def visit_ClassDef(self, node: ast.ClassDef, ctx: FileContext) -> None:
-        tag = _is_operand_class(node)
-        if tag is None:
-            return
-        methods = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name, want in _OPERAND_METHODS.items():
-            fn = methods.get(name)
-            if fn is None:
-                ctx.report(
-                    self.id,
-                    node,
-                    f"operand class {node.name} (backend={tag!r}) is missing "
-                    f"required method {name}(self, "
-                    + ", ".join(["_"] * want)
-                    + ")",
-                )
-                continue
-            problem = _signature_problem(fn, want)
-            if problem is not None:
-                ctx.report(
-                    self.id,
-                    fn,
-                    f"operand method {node.name}.{name}: {problem}",
-                )
-        if not _defines_n(node):
-            ctx.report(
-                self.id,
-                node,
-                f"operand class {node.name} (backend={tag!r}) must expose `n` "
-                "(property, class attribute, or self.n)",
-            )
-
-
-# ---------------------------------------------------------------------- #
-# SL004 — read-only cache discipline
-# ---------------------------------------------------------------------- #
-
-#: numpy module-level calls whose results are ndarrays (used to decide
-#: whether a cached value is an array that needs ``setflags(write=False)``).
-_ARRAY_CONSTRUCTORS = frozenset(
-    {
-        "arange", "array", "asarray", "ascontiguousarray", "asfortranarray",
-        "concatenate", "copy", "cumsum", "empty", "empty_like", "eye", "full",
-        "full_like", "fromfunction", "frombuffer", "fromiter", "hstack",
-        "identity", "linspace", "ones", "ones_like", "packbits", "repeat",
-        "stack", "tile", "unpackbits", "vstack", "where", "zeros", "zeros_like",
-    }
-)
-
-#: methods on cached accessor results that mutate the array in place.
-_MUTATING_METHODS = frozenset({"fill", "sort", "partition", "put", "resize"})
-
-#: cached-ndarray accessors whose results callers must never write into.
-_READONLY_ACCESSORS = frozenset({"adjacency_matrix", "csr"})
-
-
-def _compare_is_none(node: ast.AST) -> list[str] | None:
-    """``self.X is None`` → the attribute chain, else None."""
-    if (
-        isinstance(node, ast.Compare)
-        and len(node.ops) == 1
-        and isinstance(node.ops[0], ast.Is)
-        and len(node.comparators) == 1
-        and isinstance(node.comparators[0], ast.Constant)
-        and node.comparators[0].value is None
-    ):
-        chain = attribute_chain(node.left)
-        if chain is not None and chain[0] == "self" and len(chain) > 1:
-            return chain
-    return None
-
-
-def _is_array_expr(node: ast.AST, ctx: FileContext) -> bool:
-    """Whether the expression's value is (or contains) a numpy array build."""
-    for sub in ast_dfs(node):
-        if isinstance(sub, ast.Call):
-            chain = attribute_chain(sub.func)
-            if chain is None:
-                continue
-            canonical = ctx.imports.canonical(chain) or chain
-            if canonical[0] == "numpy" and canonical[-1] in _ARRAY_CONSTRUCTORS:
-                return True
-    return False
-
-
-class CachedArrayRule(Rule):
-    """SL004 — cached ndarrays are frozen by producers, never written by callers."""
-
-    id = "SL004"
-    title = "read-only cache discipline"
-    doc = (
-        "Cached-ndarray accessors (RadioNetwork.adjacency_matrix, .csr) return\n"
-        "the cache itself: a caller writing into the result silently corrupts\n"
-        "every later run sharing the topology.  Two checks enforce the\n"
-        "discipline: (a) a function using the `if self._x is None: ... return\n"
-        "self._x` idiom to cache an array must call setflags(write=False) on\n"
-        "every stored array before returning it; (b) no caller may store into\n"
-        "an accessor result (subscript assignment, in-place ops, fill/sort/...,\n"
-        "or re-enabling writes via setflags(write=True)).\n"
-        "Fix: freeze the cache in the producer; callers needing a mutable copy\n"
-        "take `.copy()` first.  Tests asserting the read-only contract may\n"
-        "suppress the deliberate write with  # simlint: disable=SL004"
-    )
-
-    # ----- (a) producer side: the cache-fill idiom must freeze its arrays ---
-
-    def visit_FunctionDef(self, node: ast.FunctionDef, ctx: FileContext) -> None:
-        self._check_producer(node, ctx)
-        self._check_callers(node, ctx)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef, ctx: FileContext) -> None:
-        self._check_producer(node, ctx)
-        self._check_callers(node, ctx)
-
-    def visit_Module(self, node: ast.Module, ctx: FileContext) -> None:
-        # Module-level statements can also write into accessor results
-        # (scripts, notebooks-turned-modules).
-        self._check_callers(node, ctx, top_level=True)
-
-    def _check_producer(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef, ctx: FileContext
-    ) -> None:
-        cached: list[str] | None = None
-        fill_body: list[ast.stmt] | None = None
-        for stmt in fn.body:
-            if isinstance(stmt, ast.If):
-                chain = _compare_is_none(stmt.test)
-                if chain is not None and self._returns_chain(fn, chain):
-                    cached = chain
-                    fill_body = stmt.body
-                    break
-        if cached is None or fill_body is None:
-            return
-        # Stored leaves: the expressions assigned into the cached attribute.
-        stored: list[ast.expr] = []
-        local_defs: dict[str, ast.expr] = {}
-        for stmt in fill_body:
-            for sub in ast_dfs(stmt, skip_nested_defs=True):
-                if not isinstance(sub, ast.Assign):
-                    continue
-                for target in sub.targets:
-                    t_chain = attribute_chain(target)
-                    if t_chain == cached:
-                        if isinstance(sub.value, (ast.Tuple, ast.List)):
-                            stored.extend(sub.value.elts)
-                        else:
-                            stored.append(sub.value)
-                    elif isinstance(target, ast.Name):
-                        local_defs[target.id] = sub.value
-        # Resolve which leaves are arrays, tracing one level of local names.
-        frozen = self._frozen_names(fn)
-        for leaf in stored:
-            leaf_name: str | None = None
-            expr: ast.expr = leaf
-            if isinstance(leaf, ast.Name):
-                leaf_name = leaf.id
-                expr = local_defs.get(leaf.id, leaf)
-            if not _is_array_expr(expr, ctx):
-                continue
-            key = leaf_name if leaf_name is not None else ".".join(cached)
-            if key not in frozen:
-                ctx.report(
-                    self.id,
-                    leaf,
-                    f"cached array {'.'.join(cached)} stores {key!r} without "
-                    "setflags(write=False); callers receive the mutable cache",
-                )
-
-    @staticmethod
-    def _returns_chain(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef, chain: list[str]
-    ) -> bool:
-        for sub in ast_dfs(fn, skip_nested_defs=True):
-            if isinstance(sub, ast.Return) and sub.value is not None:
-                if attribute_chain(sub.value) == chain:
-                    return True
-        return False
-
-    @staticmethod
-    def _frozen_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        """Names/attr-chains receiving ``.setflags(write=False)`` in ``fn``."""
-        frozen: set[str] = set()
-        for sub in ast_dfs(fn, skip_nested_defs=True):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "setflags"
-            ):
-                continue
-            write_false = any(
-                kw.arg == "write"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in sub.keywords
-            )
-            if not write_false:
-                continue
-            chain = attribute_chain(sub.func.value)
-            if chain is not None:
-                frozen.add(chain[0] if len(chain) == 1 else ".".join(chain))
-        return frozen
-
-    # ----- (b) caller side: never write into an accessor result ------------
-
-    def _check_callers(
-        self,
-        scope: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
-        ctx: FileContext,
-        *,
-        top_level: bool = False,
-    ) -> None:
-        tainted: set[str] = set()
-        body = scope.body
-        for stmt in body:
-            if top_level and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            for node in ast_dfs(stmt, skip_nested_defs=True):
-                # Taint propagation: x = net.adjacency_matrix(); a, b = net.csr()
-                if isinstance(node, ast.Assign):
-                    is_accessor = self._is_accessor_call(node.value)
-                    for target in node.targets:
-                        names = (
-                            [t for t in target.elts if isinstance(t, ast.Name)]
-                            if isinstance(target, (ast.Tuple, ast.List))
-                            else ([target] if isinstance(target, ast.Name) else [])
-                        )
-                        for name in names:
-                            if is_accessor:
-                                tainted.add(name.id)
-                            else:
-                                tainted.discard(name.id)
-                # Writes: subscript stores into tainted names or direct results.
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        base = self._subscript_base(target)
-                        if base is None:
-                            continue
-                        if self._is_accessor_call(base):
-                            ctx.report(
-                                self.id,
-                                node,
-                                "write into a cached accessor result; take "
-                                ".copy() to mutate",
-                            )
-                        elif isinstance(base, ast.Name) and base.id in tainted:
-                            ctx.report(
-                                self.id,
-                                node,
-                                f"write into {base.id!r}, a cached accessor "
-                                "result; take .copy() to mutate",
-                            )
-                # Mutating method calls and setflags(write=True).
-                if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute
-                ):
-                    recv = node.func.value
-                    recv_tainted = (
-                        isinstance(recv, ast.Name) and recv.id in tainted
-                    ) or self._is_accessor_call(recv)
-                    if not recv_tainted:
-                        continue
-                    if node.func.attr in _MUTATING_METHODS:
-                        ctx.report(
-                            self.id,
-                            node,
-                            f".{node.func.attr}() mutates a cached accessor "
-                            "result; take .copy() first",
-                        )
-                    elif node.func.attr == "setflags" and any(
-                        kw.arg == "write"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                        for kw in node.keywords
-                    ):
-                        ctx.report(
-                            self.id,
-                            node,
-                            "re-enabling writes on a cached accessor result",
-                        )
-
-    @staticmethod
-    def _is_accessor_call(node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _READONLY_ACCESSORS
-        )
-
-    @staticmethod
-    def _subscript_base(target: ast.AST) -> ast.AST | None:
-        """The object being stored into, for ``x[...] = v`` targets."""
-        if isinstance(target, ast.Subscript):
-            return target.value
-        return None
-
-
-# ---------------------------------------------------------------------- #
-# SL007 — operand construction goes through the factory
-# ---------------------------------------------------------------------- #
+__all__ = ["OperandConstructionRule"]
 
 #: the concrete kernel-operand classes (repro.sim.core.channel).
 _OPERAND_CLASS_NAMES = frozenset({"BitOperand", "DenseOperand", "SparseOperand"})

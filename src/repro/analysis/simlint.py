@@ -4,10 +4,7 @@ Exit codes: **0** clean, **1** findings reported, **2** usage error
 (unknown rule, missing path).  ``--format json`` emits a machine-readable
 report; ``--format github`` emits one ``::error`` workflow command per
 finding so CI findings surface as inline annotations on the pull
-request; ``--explain SL00X`` prints a rule's full documentation;
-``--no-cache`` disables the content-hash result cache
-(``.simlint-cache.json`` by default, safe to delete at any time —
-it self-invalidates when any rule source changes).
+request; ``--explain SL00X`` prints a rule's full documentation.
 """
 
 from __future__ import annotations
@@ -18,11 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.core import Finding, Rule, RuleEngine
-from repro.analysis.rules_contract import (
-    CachedArrayRule,
-    OperandConstructionRule,
-    OperandContractRule,
-)
+from repro.analysis.rules_contract import OperandConstructionRule
 from repro.analysis.rules_order import UnorderedIterationRule
 from repro.analysis.rules_registry import RegistryCompletenessRule
 from repro.analysis.rules_rng import GlobalRngRule, WallClockRule
@@ -35,14 +28,10 @@ __all__ = ["DEFAULT_RULES", "build_engine", "main"]
 DEFAULT_RULES: tuple[type[Rule], ...] = (
     GlobalRngRule,
     WallClockRule,
-    OperandContractRule,
-    CachedArrayRule,
     RegistryCompletenessRule,
     UnorderedIterationRule,
     OperandConstructionRule,
 )
-
-DEFAULT_CACHE = ".simlint-cache.json"
 
 
 def build_engine(only: Sequence[str] | None = None) -> RuleEngine:
@@ -84,17 +73,6 @@ def _parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="run only these rule ids (repeatable)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        metavar="PATH",
-        help=f"result-cache file (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash result cache",
     )
     parser.add_argument(
         "--list-rules",
@@ -159,9 +137,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(_explain(args.explain))
             return 0
         engine = build_engine(args.select)
-        report = engine.run(
-            args.paths, cache_path=None if args.no_cache else args.cache
-        )
+        report = engine.run(args.paths)
     except AnalysisError as exc:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return 2
@@ -173,11 +149,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        cached = (
-            f" ({report.files_from_cache} cached)" if report.files_from_cache else ""
-        )
         status = "clean" if report.clean else f"{len(report.findings)} finding(s)"
-        print(f"simlint: {report.files_checked} files{cached}: {status}")
+        print(f"simlint: {report.files_checked} files: {status}")
     return 0 if report.clean else 1
 
 

@@ -152,9 +152,7 @@ def _build_engine(
             "--inject-wrong-at cannot combine with edge flips: the fault "
             "layer's operand rebuilds would drop the injection mid-run"
         )
-    operand: KernelOperand | WrongFeedbackOperand = select_kernel_operand(
-        network, params
-    )
+    operand: KernelOperand = select_kernel_operand(network, params)
     if inject_wrong_at is not None:
         operand = WrongFeedbackOperand(operand, inject_wrong_at)
     engine = ArrayEngine(
@@ -163,7 +161,7 @@ def _build_engine(
         seed=spec.seed,
         collision_detection=bspec.collision_detection,
         params=params,
-        kernel_operand=operand,  # type: ignore[arg-type]
+        kernel_operand=operand,
         faults=faults,
     )
     return engine, budget

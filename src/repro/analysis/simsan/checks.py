@@ -79,7 +79,7 @@ def crashed_plan_violation(
 def cache_discipline_violation(
     network: "RadioNetwork", *, check_dense: bool
 ) -> str | None:
-    """Dynamic twin of simlint SL004: cached topology arrays must be frozen.
+    """Cached topology arrays must be frozen (numpy's read-only flag).
 
     The CSR neighbour arrays (and, when ``check_dense``, the dense
     adjacency matrix) are cached on the network and shared by every

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Union, cast
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -439,25 +439,45 @@ class BitOperand:
         return out
 
 
-KernelOperand = Union[DenseOperand, SparseOperand, BitOperand]
+@runtime_checkable
+class KernelOperand(Protocol):
+    """The surface :func:`resolve_channel` drives: what makes an operand.
+
+    The three backends above satisfy it structurally, and so does any
+    wrapper with the same members (the bisector's fault injector, a
+    timing wrapper), so ``isinstance(op, KernelOperand)`` checks an
+    operand's conformance at runtime.  ``tx`` is whatever the backend's
+    ``prepare_transmit`` returns: its own per-round form of the mask.
+    """
+
+    @property
+    def backend(self) -> str: ...
+
+    @property
+    def n(self) -> int: ...
+
+    def prepare_transmit(self, transmit: np.ndarray) -> Any: ...
+
+    def transmit_counts(self, tx: Any) -> np.ndarray: ...
+
+    def sender_ids(self, tx: Any, clean: np.ndarray) -> np.ndarray: ...
 
 
 def as_kernel_operand(operand: KernelOperand | np.ndarray) -> KernelOperand:
     """Normalize a kernel operand; a raw adjacency matrix means dense.
 
-    Anything already exposing the operand surface (``n``,
-    ``prepare_transmit``, ``transmit_counts``, ``sender_ids``) passes
-    through untouched — which is what lets wrapper operands (the
-    bisector's fault injector, a future GPU backend under sanitizer
-    certification) ride the engines without being one of the three
-    built-in classes.  Only a plain array is treated as an adjacency
-    matrix and wrapped dense.
+    Any :class:`KernelOperand` passes through untouched, which is what
+    lets wrapper operands (the bisector's fault injector, a timing
+    wrapper) ride the engines without being one of the three built-in
+    classes.  Only a plain array is treated as an adjacency matrix and
+    wrapped dense.
     """
+    # Concrete classes first: resolve_channel calls this every round.
     if isinstance(operand, (DenseOperand, SparseOperand, BitOperand)):
         return operand
-    if hasattr(operand, "transmit_counts"):
-        return cast(KernelOperand, operand)
-    return DenseOperand(operand)
+    if isinstance(operand, np.ndarray):
+        return DenseOperand(operand)
+    return operand
 
 
 def operand_from_csr(

@@ -192,9 +192,13 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
         self._init_broadcast_state(ctx)  # informed == "holds all k messages"
         n, k = ctx.n_nodes, self.k_messages
+        # Per-message bookkeeping (arrival rounds, send counts, requests)
+        # is read only when k > 1; at k = 1 it has zero columns, keeping
+        # the node axis that fusion and compaction index.
+        per_message = k if k > 1 else 0
         self.known = np.zeros((n, k), dtype=bool)
         self.known[ctx.source, :] = True
-        self.message_round = np.full((n, k), -1, dtype=np.int64)
+        self.message_round = np.full((n, per_message), -1, dtype=np.int64)
         self.message_round[ctx.source, :] = 0
         self.wave_distance = np.full(n, -1, dtype=np.int64)
         self.wave_distance[ctx.source] = 0
@@ -202,8 +206,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self._holds_any = self.known.any(axis=1)
         self._pulse_sent = np.zeros(n, dtype=bool)
         self._slots_contended = np.zeros(n, dtype=np.int64)
-        self._send_count = np.zeros((n, k), dtype=np.int64)
-        self._requested = np.zeros((n, k), dtype=bool)
+        self._send_count = np.zeros((n, per_message), dtype=np.int64)
+        self._requested = np.zeros((n, per_message), dtype=bool)
         self._coins = CoinDeck(ctx.streams)
         #: which message index each transmitter carries in the round being
         #: resolved (-1 for a content-free pulse); receivers index it by
@@ -212,7 +216,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         #: each payload carrier's piggybacked request in the round being
         #: resolved (-1 = missing nothing; stale where ``_tx_index`` is -1);
         #: receivers index it by sender id.
-        self._tx_want = np.full(n, -1, dtype=np.int64)
+        self._tx_want = np.full(n if k > 1 else (n, 0), -1, dtype=np.int64)
 
     def act(self, round_index: int) -> RoundPlan:
         r = round_index
@@ -315,7 +319,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         fresh_receivers, fresh_indices = receivers[fresh], indices[fresh]
         if fresh_receivers.size:
             self.known[fresh_receivers, fresh_indices] = True
-            self.message_round[fresh_receivers, fresh_indices] = r
+            if self.k_messages > 1:
+                self.message_round[fresh_receivers, fresh_indices] = r
             self._holds_any[fresh_receivers] = True
             completed = fresh_receivers[self.known[fresh_receivers].all(axis=1)]
             if completed.size:

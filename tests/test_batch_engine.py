@@ -305,7 +305,7 @@ class TestBatchEngine:
         # mutating it silently corrupted every later run and the grouping.
         net = line(4)
         with pytest.raises(ValueError, match="read-only"):
-            net.adjacency_matrix()[0, 1] = 0  # simlint: disable=SL004
+            net.adjacency_matrix()[0, 1] = 0
 
     def test_batching_does_not_change_results(self):
         # Mixed topologies and seeds in one batch vs the same runs alone.

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.simsan.bisect import WrongFeedbackOperand
 from repro.errors import SimulationError
 from repro.sim.core import (
     BitOperand,
     DenseOperand,
+    KernelOperand,
     SparseOperand,
     adjacency_operand,
     as_kernel_operand,
@@ -119,6 +121,18 @@ class TestBatched:
             [op.transmit_counts(op.prepare_transmit(row)) for row in transmit]
         )
         assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "bitpacked"])
+    def test_every_backend_is_a_kernel_operand(self, backend):
+        op = operand_from_csr(backend, *from_spec("grid", 16, seed=0).csr())
+        assert isinstance(op, KernelOperand)
+        assert op.backend == backend
+
+    def test_wrapper_operand_is_a_kernel_operand_and_passes_through(self):
+        inner = operand_from_csr("sparse", *from_spec("grid", 16, seed=0).csr())
+        wrapper = WrongFeedbackOperand(inner, wrong_from=0)
+        assert isinstance(wrapper, KernelOperand)
+        assert as_kernel_operand(wrapper) is wrapper
 
     def test_batch_shapes_carry_the_leading_axis(self):
         net = line(5)

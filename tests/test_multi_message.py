@@ -195,3 +195,14 @@ class TestArrayState:
         assert undelivered  # two rounds cannot possibly deliver everything
         held_all = np.nonzero(proto.known.all(axis=1))[0].tolist()
         assert sorted(set(range(net.n)) - set(undelivered)) == held_all
+
+    def test_single_message_allocates_no_per_message_state(self):
+        # At k = 1 nothing reads arrival rounds, send counts, requests or
+        # wants, so they carry zero columns (the node axis stays for fusion).
+        net = from_spec("grid", 16, seed=0)
+        proto = MultiMessageArrayProtocol(k_messages=1)
+        engine = ArrayEngine(net, proto, seed=0, collision_detection=True, params=FAST)
+        engine.run(10_000, stop_when=lambda e: proto.done())
+        assert proto.done()
+        for name in ("message_round", "_send_count", "_requested", "_tx_want"):
+            assert getattr(proto, name).shape == (net.n, 0), name

@@ -248,7 +248,7 @@ def test_wrong_feedback_operand_caught_at_injected_round():
         seed=2,
         collision_detection=True,
         params=params,
-        kernel_operand=operand,  # type: ignore[arg-type]
+        kernel_operand=operand,
         sanitize=True,
     )
     with pytest.raises(SanitizerError) as excinfo:
@@ -301,7 +301,7 @@ def test_cache_discipline_detects_thawed_cache():
     net = from_spec("grid", 16, seed=0)
     indptr, _ = net.csr()
     assert cache_discipline_violation(net, check_dense=False) is None
-    indptr.setflags(write=True)  # simlint: disable=SL004
+    indptr.setflags(write=True)
     try:
         problem = cache_discipline_violation(net, check_dense=False)
         assert problem is not None and "indptr" in problem

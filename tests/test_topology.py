@@ -103,7 +103,7 @@ class TestRadioNetwork:
         assert net.bfs_order(2)[0] is order  # cached, not re-traversed
         for array in (order, offsets):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1  # simlint: disable=SL004
+                array[0] = 1
         assert net.eccentricity() == 3
         assert not net._layers  # construction and eccentricity read the arrays only
         assert net.bfs_layers(2) == ((2,), (1, 3), (0, 4), (5,))
@@ -121,9 +121,9 @@ class TestRadioNetwork:
         net = line(5)
         mat = net.adjacency_matrix()
         with pytest.raises(ValueError, match="read-only"):
-            mat[0, 1] = 0  # simlint: disable=SL004
+            mat[0, 1] = 0
         with pytest.raises(ValueError, match="read-only"):
-            net.adjacency_matrix()[:] = 1  # simlint: disable=SL004
+            net.adjacency_matrix()[:] = 1
         # The cache itself is intact.
         assert net.adjacency_matrix()[0, 1] == 1
         assert net.adjacency_matrix()[0, 3] == 0
@@ -162,9 +162,9 @@ class TestRadioNetwork:
         net = line(5)
         indptr, indices = net.csr()
         with pytest.raises(ValueError, match="read-only"):
-            indices[0] = 3  # simlint: disable=SL004
+            indices[0] = 3
         with pytest.raises(ValueError, match="read-only"):
-            indptr[0] = 1  # simlint: disable=SL004
+            indptr[0] = 1
         assert net.csr()[0] is indptr  # cached, not rebuilt
 
     def test_csr_single_node(self):

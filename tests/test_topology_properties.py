@@ -8,7 +8,8 @@
   pointer doubling behind them runs many passes, and ``diameter`` its
   largest eccentricity without caching a traversal per root;
 * ``neighbors``/``degree``/``num_edges``/``adjacency_matrix`` are views of
-  ``csr()``, and every stored array stays read-only;
+  ``csr()``, and every cached accessor's arrays (``csr``,
+  ``adjacency_matrix``, ``bfs_order``) are read-only;
 * the neighbour-list constructor builds the same CSR as ``from_edges`` and
   rejects asymmetric input naming the first bad edge in row-major order.
 """
@@ -173,10 +174,11 @@ def test_derived_views_agree_with_csr(graph):
         assert net.degree(w) == row.size
         assert np.nonzero(mat[w])[0].tolist() == row.tolist()
     assert (mat == mat.T).all()
-    for array in (indptr, indices, mat):
+    order, offsets = net.bfs_order(0)
+    for array in (indptr, indices, mat, order, offsets):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0  # simlint: disable=SL004
+            array[...] = 0
 
 
 def _first_asymmetric_edge(rows):
