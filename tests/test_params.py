@@ -108,6 +108,78 @@ class TestDerivedQuantities:
                 params.ghk_multi_message_rounds(10, 64, bad_k)
 
 
+#: Exact derived quantities per preset and ``n_bound``:
+#: ``(decay_phase_length, decay_whp_phases, ghk_backoff_slots)``.
+PINNED_PER_N = {
+    "paper": {2: (1, 2, 1), 64: (6, 12, 6), 1024: (10, 20, 10), 65536: (16, 32, 16)},
+    "fast": {2: (1, 1, 1), 64: (6, 6, 6), 1024: (10, 10, 10), 65536: (16, 16, 16)},
+}
+
+#: Exact round budgets per preset, ``n_bound`` and diameter:
+#: ``(decay_broadcast_rounds, ghk_broadcast_rounds,
+#: ghk_multi_message_rounds at k = 1, at k = 16)``.
+PINNED_BUDGETS = {
+    "paper": {
+        2: {0: (40, 56, 92, 632), 10: (80, 176, 212, 752), 255: (1060, 3116, 3152, 3692)},
+        64: {0: (320, 896, 1112, 4352), 10: (560, 1016, 1232, 4472), 255: (6440, 3956, 4172, 7412)},
+        1024: {
+            0: (832, 2432, 2792, 8192),
+            10: (1232, 2552, 2912, 8312),
+            255: (11032, 5492, 5852, 11252),
+        },
+        65536: {
+            0: (2080, 6176, 6752, 15392),
+            10: (2720, 6296, 6872, 15512),
+            255: (18400, 9236, 9812, 18452),
+        },
+    },
+    "fast": {
+        2: {0: (27, 33, 60, 465), 10: (57, 123, 150, 555), 255: (792, 2328, 2355, 2760)},
+        64: {0: (132, 348, 510, 2940), 10: (312, 438, 600, 3030), 255: (4722, 2643, 2805, 5235)},
+        1024: {
+            0: (324, 924, 1194, 5244),
+            10: (624, 1014, 1284, 5334),
+            255: (7974, 3219, 3489, 7539),
+        },
+        65536: {
+            0: (792, 2328, 2760, 9240),
+            10: (1272, 2418, 2850, 9330),
+            255: (13032, 4623, 5055, 11535),
+        },
+    },
+}
+
+
+class TestPinnedBudgets:
+    """Every preset's phase lengths and budgets, pinned to exact values.
+
+    The committed science records replay only if no budget moves, so a
+    refactor of the budget rules must leave this table untouched.
+    """
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_PER_N))
+    @pytest.mark.parametrize("n", [2, 64, 1024, 65536])
+    def test_derived_quantities(self, preset, n):
+        params = getattr(ProtocolParams, preset)()
+        assert (
+            params.decay_phase_length(n),
+            params.decay_whp_phases(n),
+            params.ghk_backoff_slots(n),
+        ) == PINNED_PER_N[preset][n]
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_BUDGETS))
+    @pytest.mark.parametrize("n", [2, 64, 1024, 65536])
+    def test_budgets(self, preset, n):
+        params = getattr(ProtocolParams, preset)()
+        for diameter, expected in PINNED_BUDGETS[preset][n].items():
+            assert (
+                params.decay_broadcast_rounds(diameter, n),
+                params.ghk_broadcast_rounds(diameter, n),
+                params.ghk_multi_message_rounds(diameter, n, 1),
+                params.ghk_multi_message_rounds(diameter, n, 16),
+            ) == expected, (preset, n, diameter)
+
+
 POSITIVE_FIELDS = [
     "decay_phase_factor",
     "decay_whp_factor",
