@@ -35,10 +35,11 @@ each instance had run alone — bit for bit.
 
 Backend selection (:func:`resolve_channel_backend`) is per run:
 ``params.channel_backend`` forces ``"dense"``, ``"sparse"`` or
-``"bitpacked"``, and the default ``"auto"`` picks sparse whenever the
-graph's adjacency density is at or below
-``params.sparse_density_threshold`` and the bit-packed popcount kernel
-for dense-density graphs of at least ``params.bitpacked_min_n`` nodes.
+``"bitpacked"``, and the default ``"auto"`` picks by the module
+constants beside it: sparse for graphs of at least :data:`SPARSE_MIN_N`
+nodes whose adjacency density is at or below
+:data:`SPARSE_DENSITY_THRESHOLD`, the bit-packed popcount kernel for
+denser graphs of at least :data:`BITPACKED_MIN_N` nodes, dense otherwise.
 All backends are bitwise-identical in every observable (traces, round
 counts, channel totals), so the choice is purely a speed/memory knob.
 """
@@ -171,28 +172,50 @@ def _row(channel: ChannelRound, row: int) -> ChannelRound:
     return channel if channel.clean.ndim == 1 else channel.row(row)
 
 
+#: ``"auto"`` uses the sparse CSR backend when the adjacency density
+#: ``2·edges / n²`` is at or below this threshold; denser graphs keep the
+#: BLAS matmul, which wins when most of the matrix is nonzero.
+SPARSE_DENSITY_THRESHOLD = 0.25
+#: ``"auto"`` never goes sparse below this network size: small matmuls are
+#: so cheap (especially batched) that the CSR kernel's fixed per-call
+#: overhead (a dozen small numpy calls, ~40–60 µs) loses even on very
+#: sparse graphs.  Measured for the transmitter-driven CSR kernel with 5%
+#: of radios transmitting (grid, gnp and unit-disk, batch 1 and 8, one
+#: 2.1 GHz Xeon vCPU): dense still wins at n ≤ 256 and sparse wins from
+#: n = 512, so 1024 is conservative; the floor is kept until a benchmark
+#: workload covers n = 256–1024.
+SPARSE_MIN_N = 1024
+#: ``"auto"`` switches graphs too dense for the CSR backend from the
+#: float64 matmul to the bit-packed popcount kernel at or above this size:
+#: same Θ(n²) work but 64 adjacency entries per uint64 word, so the
+#: operand is ~64× smaller and the kernel clears the dense memory wall
+#: (n = 16384 at the 1 GiB ceiling).  Below it the BLAS matmul's per-call
+#: overhead is lower and dense stays.
+BITPACKED_MIN_N = 4096
+
+
 def resolve_channel_backend(network: RadioNetwork, params: ProtocolParams) -> str:
     """The concrete channel backend (``"dense"``/``"sparse"``/``"bitpacked"``).
 
     ``params.channel_backend`` wins when explicit.  ``"auto"`` picks by
-    density and size: networks below ``params.sparse_min_n`` keep the BLAS
+    density and size: networks below :data:`SPARSE_MIN_N` keep the BLAS
     matmul (which wins below the crossover even on sparse graphs); larger
-    networks whose adjacency density ``2·edges / n²`` is at or below the
-    params threshold get the CSR kernel (Θ(Σ deg(tx) + n) per round);
-    denser ones get the bit-packed popcount kernel from
-    ``params.bitpacked_min_n`` nodes up (same Θ(n²) work as dense, ~64×
-    less operand memory) and the matmul below it.  Every backend is
-    bitwise-identical in results.
+    networks whose adjacency density ``2·edges / n²`` is at or below
+    :data:`SPARSE_DENSITY_THRESHOLD` get the CSR kernel
+    (Θ(Σ deg(tx) + n) per round); denser ones get the bit-packed popcount
+    kernel from :data:`BITPACKED_MIN_N` nodes up (same Θ(n²) work as
+    dense, ~64× less operand memory) and the matmul below it.  Every
+    backend is bitwise-identical in results.
     """
     backend = params.channel_backend
     if backend != "auto":
         return backend
-    if network.n < params.sparse_min_n:
+    if network.n < SPARSE_MIN_N:
         return "dense"
     density = (2 * network.num_edges) / (network.n * network.n)
-    if density <= params.sparse_density_threshold:
+    if density <= SPARSE_DENSITY_THRESHOLD:
         return "sparse"
-    return "bitpacked" if network.n >= params.bitpacked_min_n else "dense"
+    return "bitpacked" if network.n >= BITPACKED_MIN_N else "dense"
 
 
 def select_kernel_operand(
@@ -266,7 +289,6 @@ class ArrayEngine:
         self._phase_seconds = _new_phase_seconds()
         self._wall_seconds = 0.0
         self._plan: RoundPlan | None = None
-        self._last_channel: ChannelRound | None = None
         # An attached *empty* schedule is a no-op by construction: no
         # FaultState is built, no engine-stream coin is ever drawn, and
         # SimResult.faults stays None — bitwise identical to no schedule.
@@ -333,16 +355,6 @@ class ArrayEngine:
         if self._fault_state is None:
             return self._operand
         return self._fault_state.operand
-
-    @property
-    def last_channel(self) -> ChannelRound | None:
-        """The most recently completed round as the radios perceived it.
-
-        Under a fault schedule this is the post-fault channel (loss and
-        jamming applied) — the one the protocol feedback and any
-        materialized :class:`RoundStats` saw — not the raw kernel output.
-        """
-        return self._last_channel
 
     @property
     def backend(self) -> str:
@@ -458,7 +470,6 @@ class ArrayEngine:
             # here on (feedback, counters, stats) only the perceived
             # channel exists, keeping all observables self-consistent.
             channel = self._fault_state.perceive(r, plan.listen, channel)
-        self._last_channel = channel
         self.protocol.on_feedback(r, channel)
         self._round += 1
         self._plan = None
@@ -904,7 +915,7 @@ class _FusedGroup:
         )
         retired: list[tuple[int, bool]] = []
         if self.round >= self.first_budget or done.any():
-            retired = self._retire(done | (self.round >= self.budgets), done, channel)
+            retired = self._retire(done | (self.round >= self.budgets), done)
         phase["feedback"] += time.perf_counter() - t2
         return retired
 
@@ -984,9 +995,7 @@ class _FusedGroup:
                 for observer in observers:
                     observer(stats)
 
-    def _retire(
-        self, finished: np.ndarray, done: np.ndarray, channel: ChannelRound
-    ) -> list[tuple[int, bool]]:
+    def _retire(self, finished: np.ndarray, done: np.ndarray) -> list[tuple[int, bool]]:
         """Write the finished rows back to their items and drop them from the group.
 
         A fused part fills each hole a retired row leaves with one of its
@@ -1006,7 +1015,6 @@ class _FusedGroup:
                 engine = batch.engines[i]
                 engine._round = self.round
                 engine._traffic[...] = self.traffic[:, b * n : (b + 1) * n]
-                engine._last_channel = _row(channel, b)
                 if self.faults is not None and engine.fault_state is not None:
                     self.faults.export(b, engine.fault_state)
                 if part.fused:

@@ -64,7 +64,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.errors import BroadcastFailure, TopologyError
-from repro.params import ProtocolParams
+from repro.params import WAVE_SPACING, ProtocolParams
 from repro.sim import runners
 from repro.sim.core import RoundStats, SimResult, resolve_channel_backend
 from repro.sim.faults import sample_fault_schedule
@@ -238,7 +238,7 @@ def _protocol_payload(
     return {
         **extra,
         "wave_depth": max(result.wave_distances),
-        "wave_spacing": params.wave_spacing,
+        "wave_spacing": WAVE_SPACING,
     }
 
 

@@ -31,14 +31,15 @@ item 2.  Decay's bound is ``O((D + log n) log n)``.
    nothing sends the content-free :data:`WAVE_PULSE`.
 
 2. **Layered slot schedule, one message per owned slot.**  After the wave,
-   layer ``d`` owns round ``t`` iff ``t ≡ d (mod wave_spacing)``.  With a
-   spacing of at least 3 a listener in layer ``d + 1`` only ever hears
-   layer-``d`` transmitters in layer ``d``'s slots, so the schedule removes
-   all cross-layer collisions and progress pipelines at one slot per hop
-   instead of one ``Θ(log n)`` Decay phase per hop.  Within a layer, a node
-   holding at least one message resolves the residual contention with
-   decay backoff: it transmits with probability ``2^-(j mod B)`` in its
-   ``j``-th owned slot, ``B = Θ(log n)``
+   layer ``d`` owns round ``t`` iff ``t ≡ d (mod 3)``
+   (:data:`~repro.params.WAVE_SPACING`).  With that period a listener in
+   layer ``d + 1`` only ever hears layer-``d`` transmitters in layer
+   ``d``'s slots, so the schedule removes all cross-layer collisions and
+   progress pipelines at one slot per hop instead of one ``Θ(log n)``
+   Decay phase per hop.  Within a layer, a node holding at least one
+   message resolves the residual contention with decay backoff: it
+   transmits with probability ``2^-(j mod B)`` in its ``j``-th owned
+   slot, ``B = Θ(log n)``
    (:meth:`ProtocolParams.ghk_backoff_slots`), so some slot has roughly one
    expected transmitter whatever the layer's population.  When its coin
    fires it transmits **one** message: the held message it has transmitted
@@ -62,7 +63,7 @@ item 2.  Decay's bound is ``O((D + log n) log n)``.
    slot without a coin: layer 0 is a singleton by definition (only the
    source is at distance 0), so there is no contention to back off from,
    and probabilistic injection would otherwise cap the whole broadcast at
-   one message per ``wave_spacing / E[2^-j]`` rounds regardless of ``k``.
+   one message per ``WAVE_SPACING / E[2^-j]`` rounds regardless of ``k``.
    With one message that cap does not bind, and the source backs off like
    every other holder.
 
@@ -108,6 +109,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.params import WAVE_SPACING
 from repro.sim.core.array_protocol import (
     ArrayContext,
     BroadcastArrayProtocol,
@@ -188,7 +190,6 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
                 "MultiMessageArrayProtocol requires collision detection: without "
                 "it the synchronization beep wave stalls at the first contended hop"
             )
-        self.spacing = ctx.params.wave_spacing
         self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
         self._init_broadcast_state(ctx)  # informed == "holds all k messages"
         n, k = ctx.n_nodes, self.k_messages
@@ -231,13 +232,13 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         relayers = np.nonzero(relay & holds_any)[0]
         if relayers.size:
             self._load(relayers)
-        # Layer slots: r > d and r ≡ d (mod spacing); unsynced rows hold -1
+        # Layer slots: r > d and r ≡ d (mod WAVE_SPACING); unsynced rows hold -1
         # but are masked out by `settled`.
         slot = (
             settled
             & holds_any
             & (r > self.wave_distance)
-            & ((r - self.wave_distance) % self.spacing == 0)
+            & ((r - self.wave_distance) % WAVE_SPACING == 0)
         )
         if pipelined:
             # Layer 0 is the source alone (no other node learns distance 0):

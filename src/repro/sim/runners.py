@@ -29,7 +29,6 @@ for ``"multimessage"`` at ``k > 1``).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -139,26 +138,6 @@ def _resolve_options(
     return dict(options)
 
 
-def _default_budget(
-    spec: BroadcastSpec,
-    params: ProtocolParams,
-    network: RadioNetwork,
-    bound: int,
-    options: Mapping[str, Any],
-    faults: FaultSchedule | None,
-) -> int:
-    """The spec's budget rule, scaled by the fault slack on faulted runs.
-
-    An explicit caller budget is never scaled — only the default — and a
-    missing or empty schedule leaves the default untouched, so fault-free
-    budgets are bit-for-bit what they were.
-    """
-    budget = spec.budget_for(params, network, bound, options)
-    if faults is not None and not faults.is_empty and params.fault_budget_slack != 1.0:
-        budget = int(math.ceil(budget * params.fault_budget_slack))
-    return budget
-
-
 def register_broadcast_spec(spec: BroadcastSpec) -> BroadcastSpec:
     """Register a protocol's driver spec (called by the algorithm modules)."""
     global BROADCAST_PROTOCOL_NAMES
@@ -263,9 +242,7 @@ def run_broadcast_batch(
                 network=net,
                 protocol=spec.array_factory(message=message, **options),
                 budget=(
-                    budget
-                    if budget is not None
-                    else _default_budget(spec, params, net, bound, options, schedule)
+                    budget if budget is not None else spec.budget_for(params, net, bound, options)
                 ),
                 seed=seed,
                 collision_detection=collision_detection,

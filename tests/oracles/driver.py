@@ -20,7 +20,7 @@ from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim.core.batch import ArrayEngine
 from repro.sim.faults import FaultSchedule
-from repro.sim.runners import BroadcastResult, _default_budget, broadcast_spec
+from repro.sim.runners import BroadcastResult, broadcast_spec
 from repro.sim.topology import RadioNetwork
 
 __all__ = ["ORACLES", "oracle_engine", "run_oracle"]
@@ -61,7 +61,7 @@ def run_oracle(
     params = params if params is not None else ProtocolParams.paper()
     bound = n_bound if n_bound is not None else network.n
     if budget is None:
-        budget = _default_budget(spec, params, network, bound, options, faults)
+        budget = spec.budget_for(params, network, bound, options)
     if collision_detection is None:
         collision_detection = spec.collision_detection
     protocols = [ORACLES[protocol](message=message, **options) for _ in range(network.n)]

@@ -32,6 +32,7 @@ from oracles.api import (
     is_beep,
 )
 from repro.errors import ConfigurationError
+from repro.params import WAVE_SPACING
 from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
 from repro.sim.core.channel import ChannelRound
 from repro.sim.multi_message import WAVE_PULSE
@@ -178,7 +179,6 @@ class MultiMessageProtocol(BroadcastProtocol):
                 "MultiMessageProtocol requires collision detection: without it "
                 "the synchronization beep wave stalls at the first contended hop"
             )
-        self.spacing = ctx.params.wave_spacing
         self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
         k = self.k_messages
         #: which of the k messages this node holds.
@@ -246,7 +246,7 @@ class MultiMessageProtocol(BroadcastProtocol):
                 return Action.transmit(WAVE_PULSE)
             return Action.transmit(self._transmit_payload(self._next_held()))
         holds_any = any(self.known)
-        if holds_any and in_layer_slot(round_index, self.wave_distance, self.spacing):
+        if holds_any and in_layer_slot(round_index, self.wave_distance, WAVE_SPACING):
             if self.ctx.is_source and self.k_messages > 1:
                 # Layer 0 is a singleton: the source pumps without a coin.
                 return Action.transmit(self._transmit_payload(self._next_held()))

@@ -16,14 +16,14 @@ from repro.params import ProtocolParams
 from repro.sim import ArrayEngine, BatchEngine, BatchItem, DecayArrayProtocol
 from repro.sim.core import (
     BitOperand,
-    DenseOperand,
+    batch,
     resolve_channel_backend,
     select_kernel_operand,
 )
 from repro.sim.core.channel import pack_mask, unpack_mask
 from repro.sim.faults import EdgeFlip, FaultSchedule
 from repro.sim.runners import run_broadcast
-from repro.sim.topology import from_spec, gnp, line, star
+from repro.sim.topology import from_spec, gnp, line
 
 FAST = ProtocolParams.fast()
 DENSE = FAST.with_overrides(channel_backend="dense")
@@ -175,18 +175,16 @@ class TestBackendSelection:
         net = from_spec("grid", 16, seed=0)
         assert resolve_channel_backend(net, BITPACKED) == "bitpacked"
 
-    def test_auto_picks_bitpacked_for_large_dense_graphs(self):
-        # Isolate the density × size rule with the floors dialed down.
-        auto = FAST.with_overrides(sparse_min_n=0, bitpacked_min_n=8)
-        dense_net = gnp(8, 0.9, seed=0)  # density well above the 0.25 threshold
-        assert resolve_channel_backend(dense_net, auto) == "bitpacked"
+    def test_auto_picks_bitpacked_for_large_dense_graphs(self, monkeypatch):
+        # A real gnp(4096, 0.3) takes over a second to build, so lower the
+        # bit-packed floor to the sparse one instead.
+        dense_net = gnp(1024, 0.3, seed=0)  # density above the 0.25 threshold
         # Below the bitpacked floor the matmul keeps dense-density graphs.
-        assert (
-            resolve_channel_backend(star(4), auto.with_overrides(bitpacked_min_n=8))
-            == "dense"
-        )
+        assert resolve_channel_backend(dense_net, FAST) == "dense"
+        monkeypatch.setattr(batch, "BITPACKED_MIN_N", 1024)
+        assert resolve_channel_backend(dense_net, FAST) == "bitpacked"
         # Sparse-density graphs still go to the CSR kernel, not bitpacked.
-        assert resolve_channel_backend(line(64), auto) == "sparse"
+        assert resolve_channel_backend(line(1024), FAST) == "sparse"
 
     def test_select_builds_the_matching_operand(self):
         net = line(32)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import MultiMessageProtocol
 from repro.errors import BroadcastFailure, ConfigurationError
-from repro.params import ProtocolParams
+from repro.params import WAVE_SPACING, ProtocolParams
 from repro.sim import (
     WAVE_PULSE,
     BroadcastResult,
@@ -60,7 +60,7 @@ class TestDelivery:
         # Every leaf neighbours the hub: the source pumps one message per
         # owned slot, so k messages land in O(k) slots.
         result = run_broadcast("multimessage", star(12), FAST, seed=0, options={"k_messages": 4})
-        assert result.rounds_to_delivery <= 4 * FAST.wave_spacing + 1
+        assert result.rounds_to_delivery <= 4 * WAVE_SPACING + 1
 
     def test_deterministic_in_seed(self):
         net = from_spec("gnp", 20, seed=5)

@@ -77,8 +77,9 @@ def test_sanitized_fault_runs_pass_clean(backend, engine):
         {"edge_flip_rate": 0.02},
     ):
         faults = sample_fault_schedule(net, seed=3, horizon=400, **knobs)
-        params = _params(backend, fault_budget_slack=4.0)
-        result = run("ghk", net, params, seed=3, sanitize=True, faults=faults)
+        params = _params(backend)
+        budget = 4 * broadcast_spec("ghk").budget_for(params, net, net.n, {})
+        result = run("ghk", net, params, seed=3, budget=budget, sanitize=True, faults=faults)
         assert result.sim.rounds_run > 0
 
 

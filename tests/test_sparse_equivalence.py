@@ -19,8 +19,9 @@ from repro.sim.core import (
     resolve_channel_backend,
     select_kernel_operand,
 )
+from repro.sim.core.batch import SPARSE_DENSITY_THRESHOLD, SPARSE_MIN_N
 from repro.sim.runners import run_broadcast
-from repro.sim.topology import from_spec, line, star
+from repro.sim.topology import from_spec, gnp, line
 
 FAST = ProtocolParams.fast()
 DENSE = FAST.with_overrides(channel_backend="dense")
@@ -71,23 +72,19 @@ class TestBackendSelection:
         assert resolve_channel_backend(net, SPARSE) == "sparse"
 
     def test_auto_uses_the_density_threshold(self):
-        # Disable the size floor to isolate the density rule.
-        auto = FAST.with_overrides(sparse_min_n=0)
-        sparse_net = line(64)  # density ~2/n, far below any threshold
-        dense_net = star(4)  # density 6/16 = 0.375, above the default 0.25
-        assert resolve_channel_backend(sparse_net, auto) == "sparse"
-        assert resolve_channel_backend(dense_net, auto) == "dense"
-        # The threshold itself is a knob: widen it and the star flips.
-        wide = auto.with_overrides(sparse_density_threshold=0.5)
-        assert resolve_channel_backend(dense_net, wide) == "sparse"
+        # At the size floor, density alone decides: a path (density ~2/n)
+        # goes sparse, gnp at p = 0.3 (above the 0.25 threshold) stays on
+        # the matmul, being below the bit-packed floor.
+        assert SPARSE_MIN_N == 1024 and SPARSE_DENSITY_THRESHOLD == 0.25
+        assert resolve_channel_backend(line(1024), FAST) == "sparse"
+        assert resolve_channel_backend(gnp(1024, 0.3, seed=0), FAST) == "dense"
 
     def test_auto_keeps_small_networks_dense(self):
         # Below the size floor the matmul wins even on very sparse graphs,
         # so auto stays dense regardless of density.
         assert resolve_channel_backend(line(64), FAST) == "dense"
-        floor = FAST.with_overrides(sparse_min_n=64)
-        assert resolve_channel_backend(line(64), floor) == "sparse"
-        assert resolve_channel_backend(line(63), floor) == "dense"
+        assert resolve_channel_backend(line(1023), FAST) == "dense"
+        assert resolve_channel_backend(line(1024), FAST) == "sparse"
 
     def test_select_builds_the_matching_operand(self):
         net = line(32)
