@@ -173,14 +173,22 @@ class ArrayProtocol(ABC):
                 setattr(fused, name, np.concatenate(values))
         return fused
 
-    def export(self, nodes: slice, into: ArrayProtocol) -> None:
-        """Write the state of the flat ``nodes`` of a fused instance into ``into``."""
+    def export(self, nodes: np.ndarray, into: Sequence[ArrayProtocol]) -> None:
+        """Write the state of copies of a fused instance into their own objects.
+
+        ``nodes`` is a ``(len(into), n)`` array: row ``j`` holds the flat
+        nodes of the copy whose state goes to ``into[j]``.
+        """
+        flat = nodes.reshape(-1)
         for name in self.node_state:
             value = getattr(self, name)
+            targets = [getattr(target, name) for target in into]
             if isinstance(value, CoinDeck):
-                value.export(nodes, getattr(into, name))
+                value.export(flat, targets)
             else:
-                getattr(into, name)[...] = value[nodes]
+                rows = value[flat].reshape(nodes.shape + value.shape[1:])
+                for target, row in zip(targets, rows):
+                    target[...] = row
 
     def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
         """Move the state of flat nodes ``src`` onto ``dst``, keep the first ``size``.
@@ -310,16 +318,20 @@ class CoinDeck:
         fused._empty()
         return fused
 
-    def export(self, nodes: slice, into: CoinDeck) -> None:
-        """Hand the cursors of ``nodes`` to ``into``, a deck over exactly those streams.
+    def export(self, nodes: np.ndarray, into: Sequence[CoinDeck]) -> None:
+        """Hand the cursors of ``nodes`` to the decks ``into``, in order.
 
-        ``into`` gets the streams positioned at their next unspent coin
-        and an empty buffer, which its next draw refills.
+        The decks together cover exactly those streams, each a run of
+        ``len(nodes) // len(into)`` of them; every one gets its streams
+        positioned at their next unspent coin and an empty buffer, which
+        its next draw refills.  One jump-ahead serves all the decks.
         """
-        into._state[...] = self._cursor(nodes)
-        into._empty()
+        cursor = self._cursor(nodes).reshape(4, len(into), -1)
+        for b, deck in enumerate(into):
+            deck._state[...] = cursor[:, b]
+            deck._empty()
 
-    def _cursor(self, nodes: slice) -> np.ndarray:
+    def _cursor(self, nodes: slice | np.ndarray) -> np.ndarray:
         """The states of ``nodes``' streams at their next unspent coin (a copy)."""
         state: np.ndarray = self._state[:, nodes].copy()
         if self._buf.size:

@@ -9,8 +9,9 @@ stopping early on a caller's predicate.  Its ``begin_round`` /
 to tooling (the sanitizer's bisector, the benchmark's tracer).
 
 :class:`BatchEngine` steps many *independent* instances — any mix of
-(seed × topology × protocol) — in one process.  It builds one
-:class:`ArrayEngine` per item (the per-item API and results), but runs
+(seed × topology × protocol) — in one process.  It seeds all items of one
+size in one pass and builds one :class:`ArrayEngine` per item (the
+per-item API and results), but runs
 them as *fused groups*: the items sharing a topology, channel backend,
 fault schedule and start round are stepped in lock-step as **one
 disjoint-union instance**.  On the sparse backend, fault-free items need
@@ -75,7 +76,7 @@ from repro.sim.core.stats import (
     TrafficTotals,
 )
 from repro.sim.faults import FaultSchedule, FaultState
-from repro.sim.rng import SeededStreams
+from repro.sim.rng import SeededStreams, spawn_streams
 from repro.sim.topology import RadioNetwork
 
 if TYPE_CHECKING:
@@ -252,6 +253,7 @@ class ArrayEngine:
         observers: Sequence[RoundObserver] | None = None,
         faults: FaultSchedule | None = None,
         sanitize: bool | SanitizerConfig | None = None,
+        streams: SeededStreams | None = None,
     ) -> None:
         if n_bound is not None and n_bound < network.n:
             raise SimulationError(
@@ -263,7 +265,16 @@ class ArrayEngine:
         self.params = params if params is not None else ProtocolParams.paper()
         self.n_bound = n_bound if n_bound is not None else network.n
         self.trace = trace
-        self.streams = SeededStreams(seed, network.n)
+        # A caller that already derived this run's streams (the batch
+        # engine, for all its items at once) passes them in.
+        if streams is None:
+            streams = SeededStreams(seed, network.n)
+        elif streams.seed != seed or len(streams) != network.n:
+            raise SimulationError(
+                f"streams for seed {streams.seed} over {len(streams)} nodes do not fit "
+                f"seed {seed} on {network.n} nodes"
+            )
+        self.streams = streams
         # A caller that already holds the kernel operand for this topology
         # (the batch engine sharing one per group) passes it in — a raw
         # adjacency matrix means dense; otherwise select dense or sparse
@@ -614,7 +625,9 @@ class BatchOutcome:
 class BatchEngine:
     """Step many independent array-protocol instances in one process.
 
-    Construction builds one :class:`ArrayEngine` per item; :meth:`run`
+    Construction derives the node streams of all items of one size in one
+    vectorized pass (:func:`~repro.sim.rng.spawn_streams`) and builds one
+    :class:`ArrayEngine` per item on its own streams; :meth:`run`
     steps every fused group (see the module docstring) as one
     disjoint-union instance, and retires each instance the moment its
     protocol reports ``done()`` (completed) or its round budget expires
@@ -676,6 +689,14 @@ class BatchEngine:
             operand_keys.append(operand_key)
             if operand_key not in operands:
                 operands[operand_key] = select_kernel_operand(item.network, params)
+        # Every item's node streams, one vectorized pass per network size.
+        by_size: dict[int, list[int]] = {}
+        for i, item in enumerate(self.items):
+            by_size.setdefault(item.network.n, []).append(i)
+        streams: dict[int, SeededStreams] = {}
+        for n, indices in by_size.items():
+            streams.update(zip(indices, spawn_streams([self.items[i].seed for i in indices], n)))
+
         def item_observers(i: int) -> list[RoundObserver] | None:
             if not observers:
                 return None
@@ -699,6 +720,7 @@ class BatchEngine:
                 observers=item_observers(i),
                 faults=item.faults,
                 sanitize=sanitize,
+                streams=streams[i],
             )
             for i, (item, operand_key) in enumerate(zip(self.items, operand_keys))
         ]
@@ -998,8 +1020,9 @@ class _FusedGroup:
     def _retire(self, finished: np.ndarray, done: np.ndarray) -> list[tuple[int, bool]]:
         """Write the finished rows back to their items and drop them from the group.
 
-        A fused part fills each hole a retired row leaves with one of its
-        last surviving rows, so only the moved rows' state is copied.
+        A fused part exports all its leaving rows in one call, then fills
+        each hole a retired row leaves with one of its last surviving rows,
+        so only the moved rows' state is copied.
         """
         batch, n = self.batch, self.n
         retired: list[tuple[int, bool]] = []
@@ -1008,18 +1031,20 @@ class _FusedGroup:
         start = 0
         for part in self.parts:
             gone = finished[start : start + len(part.items)].tolist()
-            for k, row_gone in enumerate(gone):
-                if not row_gone:
-                    continue
+            leaving = [k for k, row_gone in enumerate(gone) if row_gone]
+            for k in leaving:
                 b, i = start + k, part.items[k]
                 engine = batch.engines[i]
                 engine._round = self.round
                 engine._traffic[...] = self.traffic[:, b * n : (b + 1) * n]
                 if self.faults is not None and engine.fault_state is not None:
                     self.faults.export(b, engine.fault_state)
-                if part.fused:
-                    part.protocol.export(slice(k * n, (k + 1) * n), batch.items[i].protocol)
                 retired.append((i, bool(done[b])))
+            if part.fused and leaving:
+                part.protocol.export(
+                    _node_range(leaving, n).reshape(len(leaving), n),
+                    [batch.items[part.items[k]].protocol for k in leaving],
+                )
             survivors = [k for k, row_gone in enumerate(gone) if not row_gone]
             if survivors:
                 size = len(survivors)

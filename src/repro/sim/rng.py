@@ -9,12 +9,15 @@ anything that is not attributable to a single node.
 
 Node *i*'s stream is numpy's ``PCG64(SeedSequence(seed).spawn(n + 1)[i + 1])``
 — but no ``Generator`` object is built for it.  :func:`pcg64_node_states`
-reproduces ``SeedSequence`` spawning and PCG64 seeding for all nodes at
-once in vectorized ``uint64`` arithmetic, and :func:`pcg64_doubles` steps
-many PCG64 states together, returning exactly the values
-``Generator.random()`` would.  Setting up the streams of a 131072-node
-network then costs milliseconds instead of seconds, and every pinned seed
-keeps its results.
+reproduces ``SeedSequence`` spawning and PCG64 seeding for all nodes of
+many seeds at once in vectorized ``uint64`` arithmetic, and
+:func:`pcg64_doubles` steps many PCG64 states together, returning exactly
+the values ``Generator.random()`` would.  Setting up the streams of a
+131072-node network then costs milliseconds instead of seconds, and every
+pinned seed keeps its results.  :class:`SeededStreams` is one run's
+streams; :func:`spawn_streams` builds the streams of many runs of one
+size, as a batch does, in one pass over seeds × nodes, so a batch of
+small networks does not pay numpy's per-call cost once per run.
 
 A PCG64 state is four ``uint64`` words per stream, stored as the rows of a
 ``(4, k)`` array: the 128-bit LCG state (high, low) and its odd 128-bit
@@ -24,6 +27,7 @@ outputs ``xsl_rr(s) >> 11`` scaled by ``2^-53``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +35,14 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SeededStreams", "pcg64_advance", "pcg64_doubles", "pcg64_node_states", "stream"]
+__all__ = [
+    "SeededStreams",
+    "pcg64_advance",
+    "pcg64_doubles",
+    "pcg64_node_states",
+    "spawn_streams",
+    "stream",
+]
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
@@ -71,76 +82,65 @@ def stream(seed: int, *key: int) -> Generator:
 
 
 # ---------------------------------------------------------------------- #
-# SeedSequence spawning, vectorized over the spawn index
+# SeedSequence spawning, vectorized over seeds and spawn indices
 # ---------------------------------------------------------------------- #
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    value ^= hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
+@lru_cache(maxsize=64)  # one entry per seed width in use
+def _spawn_word_consts(words: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The hash constants of a child's spawn-word mix, for a seed of ``words`` words.
+
+    Every hash step multiplies the constant by ``_MULT_A``, and
+    ``SeedSequence`` takes ``4·words`` steps (``words`` at least the pool
+    size) before the spawn word; its four steps xor with the constants
+    ``4·words + j`` and multiply by ``4·words + j + 1``, for ``j = 0..3``.
+    """
+    consts = [
+        _INIT_A * pow(_MULT_A, 4 * words + j, 1 << 32) & _MASK32 for j in range(_POOL_SIZE + 1)
+    ]
+    return tuple(consts[:-1]), tuple(consts[1:])
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _uint32_words(value: int) -> list[int]:
-    """``value`` as little-endian 32-bit words, as SeedSequence reads an int."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _spawned_pools(seed: int, count: int) -> np.ndarray:
-    """``SeedSequence(seed).spawn(count + 1)[1:]``'s pools, shape (4, count).
+def _spawned_pools(seeds: Sequence[int], count: int) -> np.ndarray:
+    """``SeedSequence(seed).spawn(count + 1)[1:]``'s pools, shape (4, len(seeds), count).
 
     A child's entropy is the seed's words, zero-padded to the pool size,
     followed by one word holding its spawn index.  Mixing is sequential in
-    the words and the hash constants do not depend on the data, so the
-    pool after every word but the last is the same for all children: it is
-    computed once, and only the final mix with the spawn word runs
-    vectorized.
+    the words, and ``SeedSequence(seed)`` itself hashes a zero for each
+    word its seed lacks, so its ``pool`` is every child's pool before the
+    spawn word.  Only the final mix with the spawn word runs here,
+    vectorized over seeds × children; its hash constants depend on the
+    seed's word count alone, so seeds of any widths share the pass, each
+    with its own column of constants.
     """
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    pool = [0] * _POOL_SIZE
-    hash_const = _INIT_A
-    for i in range(_POOL_SIZE):
-        pool[i], hash_const = _hashmix(run[i], hash_const)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], hashed)
+    seeds = [int(seed) for seed in seeds]
+    prefix = np.array([SeedSequence(seed).pool for seed in seeds], dtype=_U64)
+    prefix = prefix.reshape(-1, _POOL_SIZE).T[..., None]
+    widths = [max(_POOL_SIZE, -(-seed.bit_length() // 32)) for seed in seeds]
+    # (2, 4, seeds, 1): per pool word and seed, the xor and multiplier
+    # constants of the spawn word's hash.
+    xor, mult = (
+        np.array([_spawn_word_consts(words) for words in widths], dtype=_U64)
+        .reshape(-1, 2, _POOL_SIZE)
+        .transpose(1, 2, 0)[..., None]
+    )
     spawn_word = np.arange(1, count + 1, dtype=_U64)
-    pools = np.empty((_POOL_SIZE, count), dtype=_U64)
-    for dst in range(_POOL_SIZE):
-        next_const = (hash_const * _MULT_A) & _MASK32
-        hashed = ((spawn_word ^ _U64(hash_const)) * _U64(next_const)) & _LOW32
-        hashed ^= hashed >> _U64(16)
-        hash_const = next_const
-        mixed = (_U64(_MIX_MULT_L * pool[dst] & _MASK32) - _U64(_MIX_MULT_R) * hashed) & _LOW32
-        pools[dst] = mixed ^ (mixed >> _U64(16))
+    hashed = ((spawn_word ^ xor) * mult) & _LOW32
+    hashed ^= hashed >> _U64(16)
+    pools: np.ndarray = (_U64(_MIX_MULT_L) * prefix - _U64(_MIX_MULT_R) * hashed) & _LOW32
+    pools ^= pools >> _U64(16)
     return pools
 
 
-def pcg64_node_states(seed: int, n_nodes: int) -> np.ndarray:
-    """PCG64 states of ``SeedSequence(seed).spawn(n_nodes + 1)[1:]``, shape (4, n_nodes).
+def pcg64_node_states(seeds: Sequence[int], n_nodes: int) -> np.ndarray:
+    """PCG64 states of every seed's ``SeedSequence(seed).spawn(n_nodes + 1)[1:]``.
 
-    Row ``i`` of the transpose is bit for bit the state and increment of
-    ``np.random.PCG64(child)`` for the ``i + 1``-th spawned child.
+    Shape ``(len(seeds), 4, n_nodes)``: entry ``s`` is seed ``s``'s
+    (4, n_nodes) state array (see the module docstring), and its column ``i`` is
+    bit for bit the state and increment of ``np.random.PCG64(child)`` for
+    the ``i + 1``-th spawned child.  All seeds take one vectorized pass.
     """
     if n_nodes > _MASK32:
         raise ValueError(f"n_nodes must be below 2**32, got {n_nodes}")
-    pools = _spawned_pools(int(seed), n_nodes)
+    pools = _spawned_pools(seeds, n_nodes)
     # SeedSequence.generate_state(4, uint64): eight hashed 32-bit words.
     words = []
     hash_const = _INIT_B
@@ -157,11 +157,11 @@ def pcg64_node_states(seed: int, n_nodes: int) -> np.ndarray:
     # pcg64_set_seed: inc = 2·seq + 1; state = ((inc + init)·M + inc).
     inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
     inc_lo = (seq_lo << _U64(1)) | _U64(1)
-    state = np.empty((4, n_nodes), dtype=_U64)
+    state = np.empty((len(pools[0]), 4, n_nodes), dtype=_U64)
     hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
     hi, lo = _mul128_const(hi, lo, _PCG_MULT)
-    state[0], state[1] = _add128(hi, lo, inc_hi, inc_lo)
-    state[2], state[3] = inc_hi, inc_lo
+    state[:, 0], state[:, 1] = _add128(hi, lo, inc_hi, inc_lo)
+    state[:, 2], state[:, 3] = inc_hi, inc_lo
     return state
 
 
@@ -316,6 +316,18 @@ def pcg64_doubles(state: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _checked_seed(seed: int) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _checked_size(n_nodes: int) -> int:
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+    return n_nodes
+
+
 class SeededStreams:
     """The full complement of streams used by one :class:`~repro.sim.core.batch.ArrayEngine` run.
 
@@ -325,17 +337,34 @@ class SeededStreams:
     ``Generator`` reserved for the simulator itself (the fault layer's
     coins), so engine-side randomness never perturbs node-side coin flips.
     Both are spawned children of ``SeedSequence(seed)``: the engine child 0,
-    node *i* child ``i + 1``.
+    node *i* child ``i + 1``.  :func:`spawn_streams` builds the streams of
+    many seeds at once.
     """
 
     def __init__(self, seed: int, n_nodes: int) -> None:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+        self._bind(_checked_seed(seed), pcg64_node_states([seed], _checked_size(n_nodes))[0])
+
+    def _bind(self, seed: int, state: np.ndarray) -> None:
         self.seed = seed
         self.engine = stream(seed, 0)
-        self.state = pcg64_node_states(seed, n_nodes)
+        self.state = state
 
     def __len__(self) -> int:
         return self.state.shape[1]
+
+
+def spawn_streams(seeds: Sequence[int], n_nodes: int) -> list[SeededStreams]:
+    """``SeededStreams(seed, n_nodes)`` for every seed, node states derived in one pass.
+
+    Every seed is checked as :class:`SeededStreams` checks it.  Each
+    result's ``state`` is one entry of a shared ``(len(seeds), 4, n_nodes)``
+    array, so it is contiguous, and writing it touches no other seed's.
+    """
+    checked = [_checked_seed(seed) for seed in seeds]
+    states = pcg64_node_states(checked, _checked_size(n_nodes))
+    result = []
+    for seed, state in zip(checked, states):
+        streams = SeededStreams.__new__(SeededStreams)
+        streams._bind(seed, state)
+        result.append(streams)
+    return result

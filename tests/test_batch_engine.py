@@ -318,6 +318,97 @@ class TestBatchEngine:
             assert got == alone
 
 
+    @staticmethod
+    def _decay_items(cases, budget=400):
+        return [
+            BatchItem(
+                network=net,
+                protocol=DecayArrayProtocol(),
+                budget=budget,
+                seed=seed,
+                collision_detection=False,
+                params=FAST,
+            )
+            for net, seed in cases
+        ]
+
+    @staticmethod
+    def _alone(item, **kwargs):
+        protocol = DecayArrayProtocol()
+        engine = ArrayEngine(
+            item.network,
+            protocol,
+            seed=item.seed,
+            collision_detection=False,
+            params=FAST,
+            **kwargs,
+        )
+        return engine.run(item.budget, stop_when=lambda e: e.protocol.done()), protocol
+
+    def test_items_of_two_sizes_equal_standalone_engines(self):
+        # Two sizes take two seeding passes; a five-word seed and repeated
+        # seeds share them with one-word seeds.
+        grid, path = from_spec("grid", 16, seed=0), from_spec("line", 12, seed=1)
+        big = 2**128 + 7
+        cases = [(grid, 0), (path, big), (grid, big), (path, 0), (grid, 3), (path, big)]
+        items = self._decay_items(cases)
+        outcomes = BatchEngine(items, trace=True).run()
+        for item, outcome in zip(items, outcomes, strict=True):
+            alone, protocol = self._alone(item, trace=True)
+            assert outcome.completed == protocol.done()
+            assert outcome.sim == alone
+            assert item.protocol.informed_rounds() == protocol.informed_rounds()
+
+    def test_streams_must_fit_the_engine(self):
+        streams = SeededStreams(4, 16)
+        with pytest.raises(SimulationError, match="do not fit"):
+            ArrayEngine(line(16), DecayArrayProtocol(), seed=5, streams=streams)
+        with pytest.raises(SimulationError, match="do not fit"):
+            ArrayEngine(line(12), DecayArrayProtocol(), seed=4, streams=streams)
+
+    def test_rows_retiring_together_export_exact_coin_cursors(self, monkeypatch):
+        # Rows 0, 2 and 3 of one fused group exhaust their budget in the
+        # same round; rows 1 and 4 finish later.  Each row's node streams,
+        # written back at retirement, must sit exactly where numpy's
+        # generators sit after the coins that item drew alone.
+        net = from_spec("grid", 16, seed=0)
+        seeds = [4, 5, 2**128 + 7, 6, 7]
+        items = self._decay_items([(net, seed) for seed in seeds])
+        for b in (0, 2, 3):
+            items[b].budget = 3
+        exports = []
+        export, draw = CoinDeck.export, CoinDeck.draw
+
+        def recording_export(deck, nodes, into):
+            exports.append(len(into))
+            export(deck, nodes, into)
+
+        monkeypatch.setattr(CoinDeck, "export", recording_export)
+        batch = BatchEngine(items)
+        outcomes = batch.run()
+        assert batch.group_sizes() == [5]
+        assert exports[0] == 3 and sum(exports) == 5
+        for item, outcome, engine in zip(items, outcomes, batch.engines, strict=True):
+            drawn = np.zeros(net.n, dtype=np.int64)
+
+            def counting_draw(deck, nodes, drawn=drawn):
+                drawn[nodes] += 1
+                return draw(deck, nodes)
+
+            monkeypatch.setattr(CoinDeck, "draw", counting_draw)
+            alone, _ = self._alone(item)
+            monkeypatch.setattr(CoinDeck, "draw", draw)
+            assert outcome.sim == alone
+            assert outcome.sim.rounds_run == (3 if item.budget == 3 else alone.rounds_run)
+            state = engine.streams.state
+            children = np.random.SeedSequence(item.seed).spawn(net.n + 1)[1:]
+            for v, child in enumerate(children):
+                generator = np.random.Generator(np.random.PCG64(child))
+                generator.random(drawn[v])
+                expected = generator.bit_generator.state["state"]["state"]
+                assert (int(state[0, v]) << 64) | int(state[1, v]) == expected
+
+
 class TestRunBroadcastAPI:
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="one seed per network"):

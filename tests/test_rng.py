@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import SeededStreams, pcg64_doubles, stream
+from repro.errors import ConfigurationError
+from repro.sim.rng import SeededStreams, pcg64_doubles, spawn_streams, stream
 
 
 def _numpy_node_generators(seed: int, n: int) -> list[np.random.Generator]:
@@ -56,3 +57,13 @@ def test_invalid_counts_rejected():
         SeededStreams(0, -1)
     with pytest.raises(ValueError):
         SeededStreams(0, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "7", None, True])
+def test_spawn_streams_checks_every_seed(bad):
+    with pytest.raises(ConfigurationError, match="seed"):
+        spawn_streams([0, 3, bad], 4)
+    with pytest.raises(ConfigurationError, match="seed"):
+        SeededStreams(bad, 4)
+    with pytest.raises(ValueError):
+        spawn_streams([0, 3], 0)

@@ -3,10 +3,11 @@
 :class:`~repro.sim.rng.SeededStreams` never builds a numpy ``Generator``
 per node; it reimplements ``SeedSequence.spawn`` and PCG64 stepping in
 ``uint64`` array arithmetic.  These tests pin that reimplementation to
-numpy itself: the spawned states, the doubles, the jump-ahead and the
+numpy itself: the spawned states (of one seed, and of many seeds of mixed
+widths in one pass), the doubles, the jump-ahead and the
 :class:`~repro.sim.core.array_protocol.CoinDeck` refill schedule, for
-seeds whose entropy spans one to five 32-bit words (five words take
-SeedSequence's extra mixing loop).
+seeds whose entropy spans one to six 32-bit words (five or more words
+take SeedSequence's extra mixing loop).
 """
 
 import warnings
@@ -17,10 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core.array_protocol import CoinDeck
-from repro.sim.rng import SeededStreams, pcg64_advance, pcg64_doubles, pcg64_node_states
+from repro.sim.rng import (
+    SeededStreams,
+    pcg64_advance,
+    pcg64_doubles,
+    pcg64_node_states,
+    spawn_streams,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**160 + 11]
 seeds = st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**170)
+
+
+@st.composite
+def seed_lists(draw):
+    """A few distinct seeds, drawn again in any order, so some repeat."""
+    distinct = draw(st.lists(seeds, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
 
 
 def _numpy_generators(seed: int, n: int) -> list[np.random.Generator]:
@@ -32,20 +46,53 @@ def _as_int(hi: np.uint64, lo: np.uint64) -> int:
     return (int(hi) << 64) | int(lo)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, n=st.integers(1, 300))
-def test_spawned_states_match_numpy(seed, n):
-    state = pcg64_node_states(seed, n)
-    for i, gen in enumerate(_numpy_generators(seed, n)):
+def _assert_numpy_states(state, seed):
+    for i, gen in enumerate(_numpy_generators(seed, state.shape[1])):
         expected = gen.bit_generator.state["state"]
         assert _as_int(state[0, i], state[1, i]) == expected["state"]
         assert _as_int(state[2, i], state[3, i]) == expected["inc"]
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 300))
+def test_spawned_states_match_numpy(seed, n):
+    (state,) = pcg64_node_states([seed], n)
+    _assert_numpy_states(state, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed_list=seed_lists(), n=st.integers(1, 300))
+def test_spawned_states_of_many_seeds_match_numpy(seed_list, n):
+    """One pass over seeds of mixed widths gives each seed numpy's states, in order."""
+    states = pcg64_node_states(seed_list, n)
+    assert states.shape == (len(seed_list), 4, n)
+    for seed, state in zip(seed_list, states):
+        _assert_numpy_states(state, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed_list=seed_lists(), n=st.integers(1, 300))
+def test_spawn_streams_equals_one_seed_streams(seed_list, n):
+    for seed, streams in zip(seed_list, spawn_streams(seed_list, n), strict=True):
+        alone = SeededStreams(seed, n)
+        assert streams.seed == seed and len(streams) == n
+        assert streams.state.flags.c_contiguous
+        assert np.array_equal(streams.state, alone.state)
+        assert streams.engine.bit_generator.state == alone.engine.bit_generator.state
+
+
+def test_node_count_must_fit_a_spawn_word():
+    """Spawn indices are 32-bit words: 2**32 nodes is refused before any allocation."""
+    with pytest.raises(ValueError, match="below 2"):
+        pcg64_node_states([0], 2**32)
+    with pytest.raises(ValueError, match="below 2"):
+        pcg64_node_states([0, 2**128 + 7], 2**40)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=st.integers(1, 300), count=st.integers(1, 130))
 def test_doubles_match_generator_random(seed, n, count):
-    state = pcg64_node_states(seed, n)
+    (state,) = pcg64_node_states([seed], n)
     before = state.copy()
     doubles = pcg64_doubles(state, count)
     assert np.array_equal(state, before)  # pure: the caller advances
@@ -57,7 +104,7 @@ def test_doubles_match_generator_random(seed, n, count):
 @given(seed=seeds, steps=st.lists(st.integers(1, 200), min_size=1, max_size=40))
 def test_advance_matches_numpy_advance(seed, steps):
     n = len(steps)
-    state = pcg64_node_states(seed, n)
+    (state,) = pcg64_node_states([seed], n)
     pcg64_advance(state, np.array(steps))
     for i, gen in enumerate(_numpy_generators(seed, n)):
         gen.bit_generator.advance(steps[i])

@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.experiments.trajectory import (
     harvest_history,
     record_metrics,
 )
+
+#: The checkout these tests live in, wherever pytest was started from.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRecordMetrics:
@@ -203,9 +207,13 @@ class TestMain:
         assert code == 2
         assert "trajectory error" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not (REPO_ROOT / ".git").exists(),
+        reason="not a git checkout (e.g. a `git archive` export): no history to harvest",
+    )
     def test_against_this_repository(self):
         # The repo's own committed records must harvest cleanly.
-        report = build_trajectory(repo_root=".")
+        report = build_trajectory(repo_root=REPO_ROOT)
         assert report["records"]
         for history in report["records"].values():
             assert any(s.get("metrics") for s in history)
