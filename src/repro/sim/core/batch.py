@@ -76,7 +76,7 @@ from repro.sim.core.stats import (
     TrafficTotals,
 )
 from repro.sim.faults import FaultSchedule, FaultState
-from repro.sim.rng import SeededStreams, spawn_streams
+from repro.sim.rng import SeededStreams, seed_together
 from repro.sim.topology import RadioNetwork
 
 if TYPE_CHECKING:
@@ -626,7 +626,7 @@ class BatchEngine:
     """Step many independent array-protocol instances in one process.
 
     Construction derives the node streams of all items of one size in one
-    vectorized pass (:func:`~repro.sim.rng.spawn_streams`) and builds one
+    vectorized pass (:func:`~repro.sim.rng.seed_together`) and builds one
     :class:`ArrayEngine` per item on its own streams; :meth:`run`
     steps every fused group (see the module docstring) as one
     disjoint-union instance, and retires each instance the moment its
@@ -690,12 +690,8 @@ class BatchEngine:
             if operand_key not in operands:
                 operands[operand_key] = select_kernel_operand(item.network, params)
         # Every item's node streams, one vectorized pass per network size.
-        by_size: dict[int, list[int]] = {}
-        for i, item in enumerate(self.items):
-            by_size.setdefault(item.network.n, []).append(i)
-        streams: dict[int, SeededStreams] = {}
-        for n, indices in by_size.items():
-            streams.update(zip(indices, spawn_streams([self.items[i].seed for i in indices], n)))
+        streams = [SeededStreams(item.seed, item.network.n) for item in self.items]
+        seed_together(streams)
 
         def item_observers(i: int) -> list[RoundObserver] | None:
             if not observers:

@@ -15,9 +15,9 @@ many seeds at once in vectorized ``uint64`` arithmetic, and
 the values ``Generator.random()`` would.  Setting up the streams of a
 131072-node network then costs milliseconds instead of seconds, and every
 pinned seed keeps its results.  :class:`SeededStreams` is one run's
-streams; :func:`spawn_streams` builds the streams of many runs of one
-size, as a batch does, in one pass over seeds × nodes, so a batch of
-small networks does not pay numpy's per-call cost once per run.
+streams; :func:`seed_together` derives the node states of many runs, as
+a batch does, in one pass over seeds × nodes per network size, so a
+batch of small networks does not pay numpy's per-call cost once per run.
 
 A PCG64 state is four ``uint64`` words per stream, stored as the rows of a
 ``(4, k)`` array: the 128-bit LCG state (high, low) and its odd 128-bit
@@ -40,7 +40,7 @@ __all__ = [
     "pcg64_advance",
     "pcg64_doubles",
     "pcg64_node_states",
-    "spawn_streams",
+    "seed_together",
     "stream",
 ]
 
@@ -337,34 +337,39 @@ class SeededStreams:
     ``Generator`` reserved for the simulator itself (the fault layer's
     coins), so engine-side randomness never perturbs node-side coin flips.
     Both are spawned children of ``SeedSequence(seed)``: the engine child 0,
-    node *i* child ``i + 1``.  :func:`spawn_streams` builds the streams of
-    many seeds at once.
+    node *i* child ``i + 1``.
+
+    The node states are derived when ``state`` is first read, unless
+    :func:`seed_together` has derived them first, for many runs in one pass.
     """
 
     def __init__(self, seed: int, n_nodes: int) -> None:
-        self._bind(_checked_seed(seed), pcg64_node_states([seed], _checked_size(n_nodes))[0])
-
-    def _bind(self, seed: int, state: np.ndarray) -> None:
-        self.seed = seed
+        self.seed = _checked_seed(seed)
+        self._n_nodes = _checked_size(n_nodes)
         self.engine = stream(seed, 0)
-        self.state = state
+        self._state: np.ndarray | None = None
+
+    @property
+    def state(self) -> np.ndarray:
+        if self._state is None:
+            self._state = pcg64_node_states([self.seed], self._n_nodes)[0]
+        return self._state
 
     def __len__(self) -> int:
-        return self.state.shape[1]
+        return self._n_nodes
 
 
-def spawn_streams(seeds: Sequence[int], n_nodes: int) -> list[SeededStreams]:
-    """``SeededStreams(seed, n_nodes)`` for every seed, node states derived in one pass.
+def seed_together(runs: Sequence[SeededStreams]) -> None:
+    """Derive the node states of every unseeded run, one vectorized pass per size.
 
-    Every seed is checked as :class:`SeededStreams` checks it.  Each
-    result's ``state`` is one entry of a shared ``(len(seeds), 4, n_nodes)``
-    array, so it is contiguous, and writing it touches no other seed's.
+    Each run's ``state`` becomes one entry of a shared ``(runs, 4, n)``
+    array, so it is contiguous, and writing it touches no other run's.
     """
-    checked = [_checked_seed(seed) for seed in seeds]
-    states = pcg64_node_states(checked, _checked_size(n_nodes))
-    result = []
-    for seed, state in zip(checked, states):
-        streams = SeededStreams.__new__(SeededStreams)
-        streams._bind(seed, state)
-        result.append(streams)
-    return result
+    by_size: dict[int, list[SeededStreams]] = {}
+    for run in runs:
+        if run._state is None:
+            by_size.setdefault(len(run), []).append(run)
+    for n_nodes, group in by_size.items():
+        states = pcg64_node_states([run.seed for run in group], n_nodes)
+        for run, state in zip(group, states):
+            run._state = state

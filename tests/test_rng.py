@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import SeededStreams, pcg64_doubles, spawn_streams, stream
+from repro.sim.rng import SeededStreams, pcg64_doubles, stream
 
 
 def _numpy_node_generators(seed: int, n: int) -> list[np.random.Generator]:
@@ -60,10 +60,6 @@ def test_invalid_counts_rejected():
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, "7", None, True])
-def test_spawn_streams_checks_every_seed(bad):
-    with pytest.raises(ConfigurationError, match="seed"):
-        spawn_streams([0, 3, bad], 4)
+def test_bad_seed_rejected(bad):
     with pytest.raises(ConfigurationError, match="seed"):
         SeededStreams(bad, 4)
-    with pytest.raises(ValueError):
-        spawn_streams([0, 3], 0)

@@ -23,7 +23,7 @@ from repro.sim.rng import (
     pcg64_advance,
     pcg64_doubles,
     pcg64_node_states,
-    spawn_streams,
+    seed_together,
 )
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**160 + 11]
@@ -72,13 +72,18 @@ def test_spawned_states_of_many_seeds_match_numpy(seed_list, n):
 
 @settings(max_examples=20, deadline=None)
 @given(seed_list=seed_lists(), n=st.integers(1, 300))
-def test_spawn_streams_equals_one_seed_streams(seed_list, n):
-    for seed, streams in zip(seed_list, spawn_streams(seed_list, n), strict=True):
-        alone = SeededStreams(seed, n)
-        assert streams.seed == seed and len(streams) == n
-        assert streams.state.flags.c_contiguous
-        assert np.array_equal(streams.state, alone.state)
-        assert streams.engine.bit_generator.state == alone.engine.bit_generator.state
+def test_seeding_together_equals_seeding_alone(seed_list, n):
+    """Runs of two sizes seeded in one call get the states each derives alone."""
+    runs = [SeededStreams(seed, n + i % 2) for i, seed in enumerate(seed_list)]
+    seed_together(runs)
+    first = runs[0].state
+    seed_together(runs)  # already seeded: left as they are
+    assert runs[0].state is first
+    for run in runs:
+        alone = SeededStreams(run.seed, len(run))
+        assert run.state.flags.c_contiguous
+        assert np.array_equal(run.state, alone.state)
+        assert run.engine.bit_generator.state == alone.engine.bit_generator.state
 
 
 def test_node_count_must_fit_a_spawn_word():
