@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 applications can catch a single base class.  More specific subclasses are
-raised by the substrate (simulator, graphs, coding) and by the protocol
-layers so that test suites and callers can assert on precise failure modes.
+raised by the simulator, the graphs and the analysis layer so that test
+suites and callers can assert on precise failure modes.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "SimulationError",
-    "ProtocolError",
     "TopologyError",
-    "GSTValidationError",
-    "ScheduleError",
-    "CodingError",
-    "DecodingError",
     "BroadcastFailure",
     "AnalysisError",
     "SanitizerError",
@@ -40,34 +35,9 @@ class SimulationError(ReproError):
     """
 
 
-class ProtocolError(ReproError):
-    """Raised when a protocol reaches an internal state that should be
-    impossible under the model assumptions (a bug, not a random failure)."""
-
-
 class TopologyError(ReproError):
     """Raised for invalid network topologies (disconnected graphs, missing
     source node, non-positive sizes, and similar)."""
-
-
-class GSTValidationError(ReproError):
-    """Raised when a tree claimed to be a Gathering Spanning Tree violates
-    one of the GST invariants (BFS property, ranking rule, collision
-    freeness)."""
-
-
-class ScheduleError(ReproError):
-    """Raised when a GST transmission schedule is constructed from
-    inconsistent labels (levels, ranks, virtual distances)."""
-
-
-class CodingError(ReproError):
-    """Raised by the GF(2) / network-coding substrate on invalid input."""
-
-
-class DecodingError(CodingError):
-    """Raised when message decoding is attempted without enough linearly
-    independent packets."""
 
 
 class BroadcastFailure(ReproError):

@@ -1,17 +1,9 @@
 """Array-native engines: one instance, or many batched in one process.
 
-:class:`ArrayEngine` drives a single
-:class:`~repro.sim.core.array_protocol.ArrayProtocol` on one network with
-the shared channel kernel, recording
-:class:`~repro.sim.core.stats.RoundStats` traces when ``trace=True`` and
-stopping early on a caller's predicate.  Its ``begin_round`` /
-``resolve_round`` / ``complete_round`` split exposes one round's phases
-to tooling (the sanitizer's bisector, the benchmark's tracer).
-
-:class:`BatchEngine` steps many *independent* instances — any mix of
-(seed × topology × protocol) — in one process.  It seeds all items of one
-size in one pass and builds one :class:`ArrayEngine` per item (the
-per-item API and results), but runs
+One round loop serves both.  :class:`BatchEngine` steps many
+*independent* instances — any mix of (seed × topology × protocol) — in
+one process.  It seeds all items of one size in one pass and builds one
+:class:`ArrayEngine` per item (the per-item API and results), but runs
 them as *fused groups*: the items sharing a topology, channel backend,
 fault schedule and start round are stepped in lock-step as **one
 disjoint-union instance**.  On the sparse backend, fault-free items need
@@ -34,6 +26,14 @@ written back to its own engine and protocol object, so a straggler never
 costs the finished instances anything and results read exactly as if
 each instance had run alone — bit for bit.
 
+A standalone :class:`ArrayEngine` is a one-row group over its own state
+(protocol, traffic counters, :class:`~repro.sim.faults.FaultState`),
+built on its first round.  Its ``begin_round`` / ``resolve_round`` /
+``complete_round`` split exposes that group's three phases to tooling
+(the sanitizer's bisector, the benchmark's tracer); it records
+:class:`~repro.sim.core.stats.RoundStats` traces when ``trace=True`` and
+stops early on a caller's predicate.
+
 Backend selection (:func:`resolve_channel_backend`) is per run:
 ``params.channel_backend`` forces ``"dense"``, ``"sparse"`` or
 ``"bitpacked"``, and the default ``"auto"`` picks by the module
@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, cast
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -122,16 +122,6 @@ _GroupKey = tuple[bytes | int, str, int]
 
 #: Row indices of the per-node traffic accumulator (see ArrayEngine).
 _TX, _RX, _COLL, _AWAKE = range(4)
-
-
-def _traffic_totals(counters: np.ndarray) -> TrafficTotals:
-    """Freeze a ``(4, n)`` counter window into a :class:`TrafficTotals`."""
-    return TrafficTotals(
-        transmissions=tuple(counters[_TX].tolist()),
-        receptions=tuple(counters[_RX].tolist()),
-        collisions_heard=tuple(counters[_COLL].tolist()),
-        awake_slots=tuple(counters[_AWAKE].tolist()),
-    )
 
 
 def _new_phase_seconds() -> dict[str, float]:
@@ -237,7 +227,11 @@ def select_kernel_operand(
 
 
 class ArrayEngine:
-    """Synchronous array-native simulator for one protocol run on one network."""
+    """Synchronous array-native simulator for one protocol run on one network.
+
+    The engine holds one run's state; its rounds run as a one-row
+    :class:`_FusedGroup` over that state (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -300,6 +294,7 @@ class ArrayEngine:
         self._phase_seconds = _new_phase_seconds()
         self._wall_seconds = 0.0
         self._plan: RoundPlan | None = None
+        self._group: _FusedGroup | None = None
         # An attached *empty* schedule is a no-op by construction: no
         # FaultState is built, no engine-stream coin is ever drawn, and
         # SimResult.faults stays None — bitwise identical to no schedule.
@@ -407,7 +402,7 @@ class ArrayEngine:
         """
         if self._fault_state is None:
             return None
-        return self._fault_state.totals(self._fault_state.counters)
+        return self._fault_state.totals(self._fault_state.counters[0])
 
     def telemetry(self) -> RunTelemetry:
         """Wall-clock observables accumulated so far (see :class:`RunTelemetry`).
@@ -426,37 +421,18 @@ class ArrayEngine:
     # ------------------------------------------------------------------ #
     def begin_round(self) -> RoundPlan:
         """Collect and validate the protocol's action masks for this round."""
-        t0 = time.perf_counter()
-        plan = _checked_plan(self.protocol.act(self._round), self.network.n)
-        # Disjointness of transmit/listen (half-duplex) is enforced by the
-        # channel kernel itself, for every caller — no engine-side copy.
-        crashed: np.ndarray | None = None
-        if self._fault_state is not None:
-            crashed = self._fault_state.begin_round(self._round)
-            if crashed is not None:
-                # A crashed node's radio is off: it neither transmits nor
-                # listens, and (via the awake counter summing these masks)
-                # accrues no awake slots.  The protocol's own arrays are
-                # untouched — nodes revive with their state intact.
-                plan = RoundPlan(
-                    transmit=plan.transmit & ~crashed,
-                    listen=plan.listen & ~crashed,
-                )
-        if self._sanitizer is not None:
-            self._sanitizer.on_begin_round(self._round, plan, crashed)
-        self._plan = plan
-        self._phase_seconds["act"] += time.perf_counter() - t0
-        return plan
+        if self._group is None:
+            self._group = _FusedGroup([self], self._phase_seconds)
+        # A batch may have stepped this engine through its own groups.
+        self._group.round = self._round
+        self._plan = self._group.begin()
+        return self._plan
 
     def resolve_round(self) -> ChannelRound:
         """Resolve the pending plan's channel round (timed as the kernel phase)."""
-        plan = self._plan
-        if plan is None:
+        if self._group is None or self._plan is None:
             raise SimulationError("resolve_round() called without begin_round()")
-        t0 = time.perf_counter()
-        channel = resolve_channel(self.round_operand(), plan.transmit, plan.listen)
-        self._phase_seconds["channel"] += time.perf_counter() - t0
-        return channel
+        return self._group.resolve(self._plan)
 
     def complete_round(self, channel: ChannelRound) -> RoundStats | None:
         """Apply one resolved round: feedback, counters, observers.
@@ -464,44 +440,11 @@ class ArrayEngine:
         Returns the round's :class:`RoundStats` when it was materialized
         (tracing or observers installed), ``None`` otherwise.
         """
-        plan = self._plan
-        if plan is None:
+        plan, self._plan = self._plan, None
+        if self._group is None or plan is None:
             raise SimulationError("complete_round() called without begin_round()")
-        t0 = time.perf_counter()
-        r = self._round
-        if self._sanitizer is not None:
-            # Differential + operand checks run on the *raw* kernel output
-            # (fault perception is a deliberate rewrite, not a divergence),
-            # against the operand this round actually resolved on.
-            self._sanitizer.on_channel(
-                r, plan, channel, self.round_operand(), self._fault_state
-            )
-        if self._fault_state is not None:
-            # Loss and jamming rewrite what the radios *perceive*; from
-            # here on (feedback, counters, stats) only the perceived
-            # channel exists, keeping all observables self-consistent.
-            channel = self._fault_state.perceive(r, plan.listen, channel)
-        self.protocol.on_feedback(r, channel)
-        self._round += 1
-        self._plan = None
-        traffic = self._traffic
-        _accumulate(traffic, plan.transmit, plan.listen, channel.clean, channel.collided)
-        if self._sanitizer is not None:
-            # Conservation checks see the *perceived* channel — the same
-            # masks the counters above just accumulated.
-            self._sanitizer.on_round_complete(
-                r,
-                plan,
-                channel,
-                traffic,
-                None if self._fault_state is None else self._fault_state.counters,
-            )
-        stats: RoundStats | None = None
-        if self._observers:
-            stats = round_stats(r, plan.transmit, channel)
-            for observer in self._observers:
-                observer(stats)
-        self._phase_seconds["feedback"] += time.perf_counter() - t0
+        stats = self._group.complete(plan, channel)
+        self._round = self._group.round
         return stats
 
     def step(self) -> RoundStats | None:
@@ -523,12 +466,14 @@ class ArrayEngine:
         if max_rounds < 0:
             raise SimulationError(f"max_rounds must be non-negative, got {max_rounds}")
         t0 = time.perf_counter()
-        start_round = self._round
-        start_traffic = self._traffic.copy()
-        fault_state = self._fault_state
-        start_faults = None if fault_state is None else fault_state.counters.copy()
         history = self._trace_observer.history if self._trace_observer else []
-        start_history = len(history)
+        fault_state = self._fault_state
+        start = (
+            self._round,
+            self._traffic.copy(),
+            0 if fault_state is None else fault_state.counters[0].copy(),
+            len(history),
+        )
         stopped_early = False
         if stop_when is not None and stop_when(self):
             stopped_early = True
@@ -539,53 +484,37 @@ class ArrayEngine:
                     stopped_early = True
                     break
         self._wall_seconds += time.perf_counter() - t0
-        return self._result(
-            rounds_run=self._round - start_round,
-            stopped_early=stopped_early,
-            counters=self._traffic - start_traffic,
-            history=tuple(history[start_history:]),
-            fault_counters=(
-                None if fault_state is None else fault_state.counters - start_faults
-            ),
-        )
+        return self._result(stopped_early, start)
 
     def snapshot(self, *, stopped_early: bool = False) -> SimResult:
         """A :class:`SimResult` covering every round executed so far."""
-        return self._result(
-            rounds_run=self._round,
-            stopped_early=stopped_early,
-            counters=self._traffic,
-            history=self.history,
-            fault_counters=(
-                None if self._fault_state is None else self._fault_state.counters
-            ),
-        )
+        return self._result(stopped_early)
 
     def _result(
         self,
-        *,
-        rounds_run: int,
         stopped_early: bool,
-        counters: np.ndarray,
-        history: tuple[RoundStats, ...],
-        fault_counters: np.ndarray | None = None,
+        start: tuple[int, np.ndarray | int, np.ndarray | int, int] = (0, 0, 0, 0),
     ) -> SimResult:
-        """Freeze one run window; scalar totals are sums of the per-node rows."""
-        traffic = _traffic_totals(counters)
-        faults: FaultTotals | None = None
-        if fault_counters is not None:
-            if self._fault_state is None:
-                raise SimulationError("fault counters present without a fault state")
-            faults = self._fault_state.totals(fault_counters)
+        """Freeze the window since ``start`` (round, traffic and fault
+        counters, trace length); scalar totals are sums of the per-node rows."""
+        start_round, start_traffic, start_faults, start_history = start
+        counters = self._traffic - start_traffic
+        history = self._trace_observer.history if self._trace_observer else []
+        state = self._fault_state
         result = SimResult(
-            rounds_run=rounds_run,
+            rounds_run=self._round - start_round,
             stopped_early=stopped_early,
             total_transmissions=int(counters[_TX].sum()),
             total_deliveries=int(counters[_RX].sum()),
             total_collisions=int(counters[_COLL].sum()),
-            history=history,
-            traffic=traffic,
-            faults=faults,
+            history=tuple(history[start_history:]),
+            traffic=TrafficTotals(
+                transmissions=tuple(counters[_TX].tolist()),
+                receptions=tuple(counters[_RX].tolist()),
+                collisions_heard=tuple(counters[_COLL].tolist()),
+                awake_slots=tuple(counters[_AWAKE].tolist()),
+            ),
+            faults=None if state is None else state.totals(state.counters[0] - start_faults),
         )
         if self._sanitizer is not None:
             self._sanitizer.on_result(self._round, result)
@@ -603,8 +532,6 @@ class BatchItem:
     collision_detection: bool = True
     params: ProtocolParams | None = None
     n_bound: int | None = None
-    #: opaque caller bookkeeping, carried through to the outcome.
-    tag: Any = None
     #: optional fault schedule (see :mod:`repro.sim.faults`); items whose
     #: schedules differ are never fused into one kernel call, because a
     #: schedule with edge flips makes the operand time-varying, and a
@@ -652,9 +579,10 @@ class BatchEngine:
         self._phase_seconds = _new_phase_seconds()
         self._wall_seconds = 0.0
         for item in self.items:
-            if item.budget < 0:
+            budget = item.budget
+            if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
                 raise SimulationError(
-                    f"budget must be non-negative, got {item.budget}"
+                    f"budget must be a non-negative integer, got {budget!r}"
                 )
         # Group the instances each of whose rounds can be one batched kernel
         # call.  Sparse fault-free items fuse whenever they share a size:
@@ -770,7 +698,15 @@ class BatchEngine:
         # rounds of every group (and their coin-buffer fills) then come
         # before any result is built, which keeps the peak memory of many
         # small groups at that of their live state.
-        groups = [_FusedGroup(self, indices) for indices in lockstep.values()]
+        groups = [
+            _FusedGroup(
+                [self.engines[i] for i in indices],
+                self._phase_seconds,
+                indices,
+                [self.items[i].budget for i in indices],
+            )
+            for indices in lockstep.values()
+        ]
         while groups:
             for group in groups:
                 for i, completed in group.step():
@@ -792,180 +728,223 @@ class _Part:
     """Consecutive rows of a fused group that one protocol object steps."""
 
     protocol: ArrayProtocol
-    #: the batch items of these rows, in row order.
-    items: list[int]
+    #: the engines of these rows, in row order.
+    engines: list[ArrayEngine]
     #: whether ``protocol`` is a fused instance over the rows' disjoint
     #: union (its state is written back per row) rather than the one
-    #: item's own object.
+    #: engine's own object.
     fused: bool
-
-    def label(self) -> str:
-        """The items, as error messages name them."""
-        return f"item {self.items[0]}" if len(self.items) == 1 else f"items {self.items}"
 
     def done(self) -> np.ndarray:
         """Per-row :meth:`~ArrayProtocol.done`."""
         if self.fused:
-            return self.protocol.done_rows(len(self.items))
+            return self.protocol.done_rows(len(self.engines))
         return np.array([self.protocol.done()])
 
 
 class _FusedGroup:
-    """A batch's items of one fusion key and start round, in lock-step.
+    """The one round loop: engines stepped in lock-step as one instance.
 
-    Rows are the live items, ordered by part; a part is a run of rows
+    A batch's items of one fusion key and start round, or a standalone
+    engine's one row.  Rows are ordered by part; a part is a run of rows
     sharing one protocol object (see :class:`_Part`).  The row state the
-    per-item engines keep — round, traffic counters, fault counters — is
-    held here with a row axis and written back to an item's
-    engine when its row retires.  Rows whose engines hold different
-    (sparse) operands resolve on one union operand over those graphs.
+    engines keep — round, traffic counters, fault counters — is held here
+    with a row axis and written back to a row's engine when it retires; a
+    lone row counts straight into its engine's own arrays and
+    :class:`FaultState`.  Rows whose engines hold different (sparse)
+    operands resolve on one union operand over those graphs.
     """
 
-    def __init__(self, batch: BatchEngine, indices: list[int]) -> None:
-        members: dict[Hashable, list[int]] = {}
-        for i in indices:
-            key = batch.items[i].protocol.fusion_key()
-            members.setdefault(("item", i) if key is None else key, []).append(i)
+    def __init__(
+        self,
+        engines: list[ArrayEngine],
+        phase: dict[str, float],
+        items: Sequence[int] = (),
+        budgets: Sequence[int] = (),
+    ) -> None:
+        """``items`` name the rows (batch item indices) in retirements and
+        errors, and ``budgets`` bound :meth:`step`, both in the order of
+        ``engines``; a standalone engine's row has neither."""
+        members: dict[Hashable, list[ArrayEngine]] = {}
+        for engine in engines:
+            # A lone row fuses with nothing, whatever its protocol.
+            key = engine.protocol.fusion_key() if len(engines) > 1 else None
+            members.setdefault(engine if key is None else key, []).append(engine)
         self.parts: list[_Part] = []
         for rows in members.values():
-            protocols = [batch.items[i].protocol for i in rows]
             if len(rows) == 1:
-                self.parts.append(_Part(protocols[0], rows, fused=False))
+                self.parts.append(_Part(rows[0].protocol, rows, fused=False))
             else:
-                fused = type(protocols[0]).fuse(protocols)
+                fused = type(rows[0].protocol).fuse([engine.protocol for engine in rows])
                 self.parts.append(_Part(fused, rows, fused=True))
-        self.batch = batch
-        self.items = [i for part in self.parts for i in part.items]
-        engines = [batch.engines[i] for i in self.items]
-        lead = engines[0]
+        self.phase = phase
+        self.names = dict(zip(engines, items))
+        self.engines = [engine for part in self.parts for engine in part.engines]
+        lead = self.engines[0]
         self.n = lead.network.n
         self.round = lead.round_index
-        #: each row's own engine operand, which its sanitizer checks against.
-        self.row_operands = [engine.kernel_operand for engine in engines]
-        graphs = list({id(op): op for op in self.row_operands}.values())
+        graphs = list({id(e.kernel_operand): e.kernel_operand for e in self.engines}.values())
         self.operand = graphs[0]
         if len(graphs) > 1:
             index = {id(op): g for g, op in enumerate(graphs)}
             self.operand = SparseOperand.union(
                 cast(list[SparseOperand], graphs),
-                np.array([index[id(op)] for op in self.row_operands]),
+                np.array([index[id(e.kernel_operand)] for e in self.engines]),
             )
-        states = [engine.fault_state for engine in engines if engine.fault_state is not None]
+        states = [e.fault_state for e in self.engines if e.fault_state is not None]
         self.faults = FaultState.fuse(states) if states else None
-        # ``(4, rows·n)`` over flat nodes; a lone row counts straight into
-        # its engine's own array.
+        # ``(4, rows·n)`` over flat nodes; a lone row's is its engine's own.
         self.traffic = (
             lead._traffic
-            if len(engines) == 1
-            else np.concatenate([engine._traffic for engine in engines], axis=1)
+            if len(self.engines) == 1
+            else np.concatenate([engine._traffic for engine in self.engines], axis=1)
         )
-        self.budgets = np.array([batch.items[i].budget for i in self.items])
+        budget = dict(zip(engines, budgets))
+        self.budgets = np.array([budget.get(engine, 0) for engine in self.engines])
         self.first_budget = int(self.budgets.min())
-        self.sanitizers = [engine._sanitizer for engine in engines]
-        self.observers = [engine._observers for engine in engines]
         self._watch()
         #: per-row offsets turning a fused part's sender ids into flat ids.
-        self.offsets = np.arange(len(self.items), dtype=np.int64)[:, None] * self.n
+        self.offsets = np.arange(len(self.engines), dtype=np.int64)[:, None] * self.n
 
     def _watch(self) -> None:
         """Note whether any live row has a sanitizer or round observers."""
-        self.sanitized = any(s is not None for s in self.sanitizers)
-        self.observed = any(self.observers)
+        self.sanitized = any(engine._sanitizer is not None for engine in self.engines)
+        self.observed = any(engine._observers for engine in self.engines)
+
+    def _items(self) -> list[int]:
+        """The batch items of the rows, in row order."""
+        return [self.names[engine] for engine in self.engines]
 
     def step(self) -> list[tuple[int, bool]]:
         """Run one round of every row; returns the ``(item, completed)`` retired."""
-        r, n = self.round, self.n
-        phase = self.batch._phase_seconds
+        plan = self.begin()
+        self.complete(plan, self.resolve(plan))
         t0 = time.perf_counter()
-        transmit, listen = self._act(r)
-        if len(self.items) > 1:
-            transmit = transmit.reshape(-1, n)
-            listen = listen.reshape(-1, n)
-        crashed: np.ndarray | None = None
-        if self.faults is not None:
-            crashed = self.faults.begin_round(r)
-            if crashed is not None:
-                # Crashed radios are off in every row (see ArrayEngine).
-                transmit = transmit & ~crashed
-                listen = listen & ~crashed
-        if self.sanitized:
-            self._sanitize_plans(r, transmit, listen, crashed)
-        t1 = time.perf_counter()
-        phase["act"] += t1 - t0
-        operand = self.operand if self.faults is None else self.faults.operand
-        try:
-            channel = resolve_channel(operand, transmit, listen)
-        except SimulationError as exc:
-            # The kernel reports positions in the fused stack; name the
-            # caller's items instead.
-            raise SimulationError(
-                f"{exc} (batch rows are items {self.items}, in order)"
-            ) from None
-        t2 = time.perf_counter()
-        phase["channel"] += t2 - t1
-        plans: list[RoundPlan] = []
-        if self.sanitized or self.observed:
-            rows = zip(transmit.reshape(-1, n), listen.reshape(-1, n))
-            plans = [RoundPlan(transmit=tx, listen=lx) for tx, lx in rows]
-        if self.sanitized:
-            # Raw kernel output, before fault perception (see ArrayEngine).
-            for b, sanitizer in enumerate(self.sanitizers):
-                if sanitizer is not None:
-                    row_operand = operand if self.faults is not None else self.row_operands[b]
-                    sanitizer.on_channel(
-                        r, plans[b], _row(channel, b), row_operand, self.faults
-                    )
-        if self.faults is not None:
-            channel = self.faults.perceive(r, listen, channel)
-        self._feedback(r, channel)
-        self.round += 1
-        _accumulate(
-            self.traffic,
-            transmit.reshape(-1),
-            listen.reshape(-1),
-            channel.clean.reshape(-1),
-            channel.collided.reshape(-1),
-        )
-        if plans:
-            self._report(r, plans, channel)
         done = self.parts[0].done() if len(self.parts) == 1 else np.concatenate(
             [part.done() for part in self.parts]
         )
         retired: list[tuple[int, bool]] = []
         if self.round >= self.first_budget or done.any():
             retired = self._retire(done | (self.round >= self.budgets), done)
-        phase["feedback"] += time.perf_counter() - t2
+        self.phase["feedback"] += time.perf_counter() - t0
         return retired
 
-    def _act(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every part's plan, as flat masks over all rows."""
+    def begin(self) -> RoundPlan:
+        """Every part's plan, crashed radios off: ``(n,)`` masks for a lone
+        row, ``(rows, n)`` for more."""
+        r = self.round
+        t0 = time.perf_counter()
+        plan = self._act(r)
+        crashed: np.ndarray | None = None
+        if self.faults is not None:
+            crashed = self.faults.begin_round(r)
+            if crashed is not None:
+                # A crashed node's radio is off in every row: it neither
+                # transmits nor listens, and (via the awake counter summing
+                # these masks) accrues no awake slots.  The protocols' own
+                # arrays are untouched — nodes revive with their state intact.
+                plan = RoundPlan(
+                    transmit=plan.transmit & ~crashed, listen=plan.listen & ~crashed
+                )
+        if self.sanitized:
+            self._sanitize_plans(r, plan, crashed)
+        self.phase["act"] += time.perf_counter() - t0
+        return plan
+
+    def resolve(self, plan: RoundPlan) -> ChannelRound:
+        """Resolve ``plan`` on the current operand (timed as the kernel phase)."""
+        t0 = time.perf_counter()
+        # Under edge flips the operand is the current adjacency's.
+        operand = self.operand if self.faults is None else self.faults.operand
+        try:
+            channel = resolve_channel(operand, plan.transmit, plan.listen)
+        except SimulationError as exc:
+            if not self.names:
+                raise
+            # The kernel reports positions in the fused stack; name the
+            # caller's items instead.
+            raise SimulationError(
+                f"{exc} (batch rows are items {self._items()}, in order)"
+            ) from None
+        self.phase["channel"] += time.perf_counter() - t0
+        return channel
+
+    def complete(self, plan: RoundPlan, channel: ChannelRound) -> RoundStats | None:
+        """Apply one resolved round: fault perception, feedback, counters, checks.
+
+        Returns the last observed row's :class:`RoundStats` (a lone row's
+        record), ``None`` when no row materialized one.
+        """
+        r, n = self.round, self.n
+        t0 = time.perf_counter()
+        transmit, listen = plan.transmit, plan.listen
+        plans: list[RoundPlan] = []
+        if self.sanitized or self.observed:
+            rows = zip(transmit.reshape(-1, n), listen.reshape(-1, n))
+            plans = [RoundPlan(transmit=tx, listen=lx) for tx, lx in rows]
+        if self.sanitized:
+            # Differential + operand checks run on the *raw* kernel output
+            # (fault perception is a deliberate rewrite, not a divergence),
+            # against the operand each row actually resolved on.
+            for b, engine in enumerate(self.engines):
+                if engine._sanitizer is not None:
+                    operand = engine.kernel_operand if self.faults is None else self.faults.operand
+                    engine._sanitizer.on_channel(
+                        r, plans[b], _row(channel, b), operand, self.faults
+                    )
+        if self.faults is not None:
+            # Loss and jamming rewrite what the radios *perceive*; from
+            # here on (feedback, counters, stats) only the perceived
+            # channel exists, keeping all observables self-consistent.
+            channel = self.faults.perceive(r, listen, channel)
+        self._feedback(r, channel)
+        self.round += 1
+        masks: tuple[np.ndarray, ...] = (transmit, listen, channel.clean, channel.collided)
+        if len(self.engines) > 1:
+            # Flat masks: numpy adds 1-D operands fastest.
+            masks = tuple(mask.reshape(-1) for mask in masks)
+        _accumulate(self.traffic, *masks)
+        stats = self._report(r, plans, channel) if plans else None
+        self.phase["feedback"] += time.perf_counter() - t0
+        return stats
+
+    def _act(self, r: int) -> RoundPlan:
+        """Every part's plan, stacked as ``(rows, n)`` masks over more than one row."""
         plans = []
         for part in self.parts:
             try:
                 plans.append(
-                    _checked_plan(part.protocol.act(r), len(part.items) * self.n)
+                    _checked_plan(part.protocol.act(r), len(part.engines) * self.n)
                 )
             except SimulationError as exc:
-                raise SimulationError(f"{exc} ({part.label()})") from None
+                if not self.names:
+                    raise
+                items = [self.names[engine] for engine in part.engines]
+                who = f"item {items[0]}" if len(items) == 1 else f"items {items}"
+                raise SimulationError(f"{exc} ({who})") from None
+        if len(self.engines) == 1:
+            return plans[0]
         if len(plans) == 1:
-            return plans[0].transmit, plans[0].listen
-        return (
-            np.concatenate([plan.transmit for plan in plans]),
-            np.concatenate([plan.listen for plan in plans]),
+            transmit, listen = plans[0].transmit, plans[0].listen
+        else:
+            transmit = np.concatenate([plan.transmit for plan in plans])
+            listen = np.concatenate([plan.listen for plan in plans])
+        return RoundPlan(
+            transmit=transmit.reshape(-1, self.n), listen=listen.reshape(-1, self.n)
         )
 
     def _feedback(self, r: int, channel: ChannelRound) -> None:
         """Hand every part its rows of the perceived channel, with flat sender ids."""
-        if len(self.items) == 1:
+        if len(self.engines) == 1:
             self.parts[0].protocol.on_feedback(r, channel)
             return
         start = 0
         for part in self.parts:
-            rows = slice(start, start + len(part.items))
+            rows = slice(start, start + len(part.engines))
             start = rows.stop
             senders = channel.senders[rows]
             if part.fused:
-                senders = senders + self.offsets[: len(part.items)]
+                senders = senders + self.offsets[: len(part.engines)]
             part.protocol.on_feedback(
                 r,
                 ChannelRound(
@@ -977,69 +956,73 @@ class _FusedGroup:
                 ),
             )
 
-    def _sanitize_plans(
-        self,
-        r: int,
-        transmit: np.ndarray,
-        listen: np.ndarray,
-        crashed: np.ndarray | None,
-    ) -> None:
-        """The kernel's mask contract, then each sanitized row's plan hook."""
-        try:
-            check_channel_masks(self.n, transmit, listen)
-        except SimulationError as exc:
-            raise SimulationError(
-                f"{exc} (batch rows are items {self.items}, in order)"
-            ) from None
+    def _sanitize_plans(self, r: int, plan: RoundPlan, crashed: np.ndarray | None) -> None:
+        """Each sanitized row's plan hook, after the kernel's mask contract
+        names the items of a stack of rows."""
+        transmit, listen = plan.transmit, plan.listen
+        if len(self.engines) > 1:
+            try:
+                check_channel_masks(self.n, transmit, listen)
+            except SimulationError as exc:
+                raise SimulationError(
+                    f"{exc} (batch rows are items {self._items()}, in order)"
+                ) from None
         rows = zip(transmit.reshape(-1, self.n), listen.reshape(-1, self.n))
-        for sanitizer, (tx, lx) in zip(self.sanitizers, rows):
-            if sanitizer is not None:
-                sanitizer.on_begin_round(r, RoundPlan(transmit=tx, listen=lx), crashed)
+        for engine, (tx, lx) in zip(self.engines, rows):
+            if engine._sanitizer is not None:
+                engine._sanitizer.on_begin_round(
+                    r, RoundPlan(transmit=tx, listen=lx), crashed
+                )
 
-    def _report(self, r: int, plans: list[RoundPlan], channel: ChannelRound) -> None:
+    def _report(
+        self, r: int, plans: list[RoundPlan], channel: ChannelRound
+    ) -> RoundStats | None:
         """Per-row sanitizer conservation checks and round observers."""
-        for b, (sanitizer, observers) in enumerate(zip(self.sanitizers, self.observers)):
+        stats: RoundStats | None = None
+        for b, engine in enumerate(self.engines):
             row = _row(channel, b)
-            if sanitizer is not None:
-                sanitizer.on_round_complete(
+            if engine._sanitizer is not None:
+                # Conservation checks see the *perceived* channel — the
+                # same masks the counters just accumulated.
+                engine._sanitizer.on_round_complete(
                     r,
                     plans[b],
                     row,
                     self.traffic[:, b * self.n : (b + 1) * self.n],
                     None if self.faults is None else self.faults.counters[b],
                 )
-            if observers:
+            if engine._observers:
                 stats = round_stats(r, plans[b].transmit, row)
-                for observer in observers:
+                for observer in engine._observers:
                     observer(stats)
+        return stats
 
     def _retire(self, finished: np.ndarray, done: np.ndarray) -> list[tuple[int, bool]]:
-        """Write the finished rows back to their items and drop them from the group.
+        """Write the finished rows back to their engines and drop them from the group.
 
         A fused part exports all its leaving rows in one call, then fills
         each hole a retired row leaves with one of its last surviving rows,
         so only the moved rows' state is copied.
         """
-        batch, n = self.batch, self.n
+        n = self.n
         retired: list[tuple[int, bool]] = []
         order: list[int] = []
         parts: list[_Part] = []
         start = 0
         for part in self.parts:
-            gone = finished[start : start + len(part.items)].tolist()
+            gone = finished[start : start + len(part.engines)].tolist()
             leaving = [k for k, row_gone in enumerate(gone) if row_gone]
             for k in leaving:
-                b, i = start + k, part.items[k]
-                engine = batch.engines[i]
+                b, engine = start + k, part.engines[k]
                 engine._round = self.round
                 engine._traffic[...] = self.traffic[:, b * n : (b + 1) * n]
                 if self.faults is not None and engine.fault_state is not None:
                     self.faults.export(b, engine.fault_state)
-                retired.append((i, bool(done[b])))
+                retired.append((self.names[engine], bool(done[b])))
             if part.fused and leaving:
                 part.protocol.export(
                     _node_range(leaving, n).reshape(len(leaving), n),
-                    [batch.items[part.items[k]].protocol for k in leaving],
+                    [part.engines[k].protocol for k in leaving],
                 )
             survivors = [k for k, row_gone in enumerate(gone) if not row_gone]
             if survivors:
@@ -1053,22 +1036,20 @@ class _FusedGroup:
                     part.protocol.compact(
                         _node_range(movers, n), _node_range(holes, n), size * n
                     )
-                part.items = [part.items[k] for k in rows]
+                part.engines = [part.engines[k] for k in rows]
                 order.extend(start + k for k in rows)
                 parts.append(part)
             start += len(gone)
         self.parts = parts
-        self.items = [i for part in parts for i in part.items]
+        self.engines = [engine for part in parts for engine in part.engines]
         self.traffic = self.traffic[:, _node_range(order, n)]
         self.budgets = self.budgets[order]
         self.first_budget = int(self.budgets.min()) if order else 0
-        self.sanitizers = [self.sanitizers[b] for b in order]
-        self.observers = [self.observers[b] for b in order]
-        self.row_operands = [self.row_operands[b] for b in order]
         if isinstance(self.operand, SparseOperand) and self.operand.row_base is not None:
             # Rows on different graphs: only the union's row map changes.
             self.operand = self.operand.select_rows(order)
-        if self.faults is not None:
+        if self.faults is not None and order:
+            # An emptied lone row's state is its engine's own: keep it whole.
             self.faults.select(order)
         self._watch()
         return retired

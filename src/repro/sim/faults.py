@@ -247,10 +247,10 @@ class FaultState:
         self._rngs = [rng]
         self._operand = operand
         self._backend = operand.backend
-        # Counter vector windowed by the engine exactly like its traffic
-        # counters: dropped receptions, jammed listens, crashed node
-        # rounds, edge flips applied.  A fused state holds one per row.
-        self.counters = np.zeros(4, dtype=np.int64)
+        # One counter row per engine row, windowed by the engine exactly
+        # like its traffic counters: dropped receptions, jammed listens,
+        # crashed node rounds, edge flips applied.
+        self.counters = np.zeros((1, 4), dtype=np.int64)
         # Edge flips are applied by a cursor over the round-sorted list.
         # The current adjacency is the network's CSR until the first flip;
         # from then on it is a sorted array of directed keys ``u*n + v``
@@ -284,13 +284,16 @@ class FaultState:
         """One state over the rows of ``states``, which share a schedule and round.
 
         The rows keep their own engine streams (shared, not copied) and
-        counters; the adjacency is the first state's.
+        counters; the adjacency is the first state's.  A lone state is
+        its own fusion, so a one-row group advances the engine's state.
         """
         lead = states[0]
+        if len(states) == 1:
+            return lead
         fused = cls(lead.schedule, lead.network, lead._operand, lead._rngs[0])
         fused._adopt_adjacency(lead)
         fused._rngs = [rng for state in states for rng in state._rngs]
-        fused.counters = np.stack([state.counters for state in states])
+        fused.counters = np.concatenate([state.counters for state in states])
         return fused
 
     def export(self, row: int, into: FaultState) -> None:

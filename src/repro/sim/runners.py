@@ -248,7 +248,6 @@ def run_broadcast_batch(
                 collision_detection=collision_detection,
                 params=params,
                 n_bound=bound,
-                tag=seed,
                 faults=schedule,
             )
         )

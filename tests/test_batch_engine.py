@@ -1,5 +1,7 @@
 """Tests for the array engines: ArrayEngine semantics and BatchEngine batching."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.sim import (
     BroadcastResult,
     DecayArrayProtocol,
     FaultSchedule,
+    NodeCrash,
     RoundPlan,
     array_protocol_class,
     available_array_protocols,
@@ -121,6 +124,32 @@ class TestArrayEngine:
         with pytest.raises(SimulationError, match="begin_round"):
             engine.complete_round(None)
 
+    def test_step_calls_instance_level_fault_hooks(self):
+        # Tooling (the benchmark's traced pass) times the fault layer by
+        # replacing these two methods on the engine's own FaultState, so
+        # a standalone engine must step that very object.
+        schedule = FaultSchedule(crashes=(NodeCrash(5, 0, 2),), loss_rate=0.2)
+        engine = ArrayEngine(
+            from_spec("grid", 16, seed=0),
+            DecayArrayProtocol(),
+            collision_detection=False,
+            params=FAST,
+            faults=schedule,
+        )
+        state = engine.fault_state
+        calls = Counter()
+        for name in ("begin_round", "perceive"):
+
+            def counted(*args, _name=name, _original=getattr(state, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            setattr(state, name, counted)
+        for _ in range(3):
+            engine.step()
+        assert calls == {"begin_round": 3, "perceive": 3}
+        assert engine.fault_totals().crashed_node_rounds == 2
+
     def test_totals_accumulate_without_trace(self):
         engine = ArrayEngine(star(4, source=0), SourceBeacon())
         assert engine.step() is None  # no per-round record unless tracing
@@ -198,6 +227,14 @@ class TestBatchEngine:
         )
         with pytest.raises(SimulationError, match="non-negative"):
             BatchEngine([item])
+        # Fractional, boolean and string budgets are not round counts.
+        for budget in (2.5, True, "5"):
+            item.budget = budget
+            with pytest.raises(SimulationError, match="non-negative integer"):
+                BatchEngine([item])
+        item.budget = np.int64(3)
+        (outcome,) = BatchEngine([item]).run()
+        assert outcome.sim.rounds_run <= 3
 
     def test_same_topology_instances_share_the_kernel_operand(self):
         nets = [from_spec("grid", 9, seed=s) for s in range(3)]  # identical graphs
@@ -355,6 +392,28 @@ class TestBatchEngine:
         outcomes = BatchEngine(items, trace=True).run()
         for item, outcome in zip(items, outcomes, strict=True):
             alone, protocol = self._alone(item, trace=True)
+            assert outcome.completed == protocol.done()
+            assert outcome.sim == alone
+            assert item.protocol.informed_rounds() == protocol.informed_rounds()
+
+    def test_items_stepped_before_run_equal_standalone_engines(self):
+        # Engines stepped directly before run() sit at different rounds, so
+        # the batch fuses each start round apart (its lockstep key); every
+        # item must still end exactly as if it had run alone, fault state
+        # included.
+        net = from_spec("grid", 16, seed=0)
+        schedule = FaultSchedule(crashes=(NodeCrash(5, 1, 6),), loss_rate=0.2)
+        items = self._decay_items([(net, seed) for seed in range(5)])
+        for item in items:
+            item.faults = schedule
+        batch = BatchEngine(items, trace=True)
+        for engine, rounds in zip(batch.engines, (0, 2, 2, 4, 0)):
+            for _ in range(rounds):
+                engine.step()
+        assert not any(item.protocol.done() for item in items)
+        outcomes = batch.run()
+        for item, outcome in zip(items, outcomes, strict=True):
+            alone, protocol = self._alone(item, trace=True, faults=schedule)
             assert outcome.completed == protocol.done()
             assert outcome.sim == alone
             assert item.protocol.informed_rounds() == protocol.informed_rounds()

@@ -18,7 +18,6 @@ def test_all_errors_derive_from_repro_error():
         (errors.ConfigurationError, errors.ReproError),
         (errors.SimulationError, errors.ReproError),
         (errors.TopologyError, errors.ReproError),
-        (errors.DecodingError, errors.CodingError),
         (errors.BroadcastFailure, errors.ReproError),
     ],
 )
