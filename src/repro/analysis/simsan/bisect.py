@@ -157,9 +157,8 @@ def _build_engine(
         operand = WrongFeedbackOperand(operand, inject_wrong_at)
     engine = ArrayEngine(
         network,
-        bspec.array_factory(message="broadcast"),
+        bspec.array_factory(),
         seed=spec.seed,
-        collision_detection=bspec.collision_detection,
         params=params,
         kernel_operand=operand,
         faults=faults,

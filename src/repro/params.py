@@ -193,12 +193,13 @@ class ProtocolParams:
         """Raise :class:`ConfigurationError` on any out-of-range parameter."""
         for name in ("decay_whp_factor", "schedule_slack"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     f"ProtocolParams.{name} must be a positive finite number, got {value!r}"
                 )
         additive = self.schedule_slack_additive
-        if not isinstance(additive, int) or additive < 0:
+        if not isinstance(additive, int) or isinstance(additive, bool) or additive < 0:
             raise ConfigurationError(
                 f"schedule_slack_additive must be a non-negative integer, got {additive!r}"
             )

@@ -57,7 +57,7 @@ from repro.sim.faults import (
     NodeCrash,
     sample_fault_schedule,
 )
-from repro.sim.multi_message import WAVE_PULSE, MultiMessageArrayProtocol
+from repro.sim.multi_message import MultiMessageArrayProtocol
 from repro.sim.rng import SeededStreams, stream
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
@@ -111,7 +111,6 @@ __all__ = [
     "SimResult",
     "SparseOperand",
     "TOPOLOGY_NAMES",
-    "WAVE_PULSE",
     "array_protocol_class",
     "available_array_protocols",
     "broadcast_spec",

@@ -75,16 +75,14 @@ _MIN_FUSED_CHUNK = 16
 class ArrayContext:
     """Everything an array protocol knows before round 0.
 
-    The public size bound, the source, shared parameters, the receivers'
-    collision-detection capability, and the full complement of per-node
-    random streams.
+    The public size bound, the source, shared parameters, and the full
+    complement of per-node random streams.
     """
 
     n_nodes: int
     n_bound: int
     source: int
     params: ProtocolParams
-    collision_detection: bool
     streams: "SeededStreams" = field(repr=False)
 
 
@@ -108,9 +106,10 @@ class ArrayProtocol(ABC):
 
     Lifecycle: the engine calls :meth:`setup` once before round 0, then
     for every round calls :meth:`act`, resolves the channel, and calls
-    :meth:`on_feedback` with the ground-truth resolution (the protocol
-    applies the collision-detection mapping itself, via
-    ``ctx.collision_detection``).
+    :meth:`on_feedback` with the ground-truth resolution.  Collision
+    detection is part of each protocol's model: one that assumes it reads
+    ``channel.collided`` as a beep, one that does not reads only
+    ``channel.clean``.
     """
 
     #: registry name, set by :func:`register_array_protocol`.
@@ -146,14 +145,14 @@ class ArrayProtocol(ABC):
         """What set-up instances must share to be fused; ``None`` never fuses.
 
         Fusable classes fuse instances of the same class, size, size
-        bound, parameters and collision-detection capability; a class
-        with further scalar configuration extends the key.
+        bound and parameters; a class with further scalar configuration
+        extends the key.
         """
         cls = type(self)
         if "node_state" not in vars(cls):
             return None
         ctx = self.ctx
-        return (cls, ctx.n_nodes, ctx.n_bound, ctx.params, ctx.collision_detection)
+        return (cls, ctx.n_nodes, ctx.n_bound, ctx.params)
 
     @classmethod
     def fuse(cls: type[_P], parts: Sequence[_P]) -> _P:
@@ -208,16 +207,11 @@ class ArrayProtocol(ABC):
 class BroadcastArrayProtocol(ArrayProtocol):
     """Base for array-native single-message broadcast protocols.
 
-    The payload is injected at construction, and completion is an
-    ``informed`` flag — a boolean array over all nodes, with ``informed_round[v]`` recording
-    when node ``v`` first received the message (0 for the source, -1 while
-    uninformed).
+    Completion is an ``informed`` flag — a boolean array over all nodes,
+    with ``informed_round[v]`` recording when node ``v`` first received
+    the message (0 for the source, -1 while uninformed).  The protocols
+    track which messages a node holds, never their payloads.
     """
-
-    def __init__(self, message: Any = "broadcast") -> None:
-        if message is None:
-            raise ConfigurationError("the broadcast message must be non-None")
-        self._injected_message = message
 
     def _init_broadcast_state(self, ctx: ArrayContext) -> None:
         """Initialize the shared ``informed`` / ``informed_round`` arrays."""

@@ -226,6 +226,12 @@ def select_kernel_operand(
     return DenseOperand(network.adjacency_matrix())
 
 
+def _check_round_count(name: str, value: object) -> None:
+    """Reject anything but a non-negative integer (``bool`` included) as a round count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise SimulationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 class ArrayEngine:
     """Synchronous array-native simulator for one protocol run on one network.
 
@@ -239,7 +245,6 @@ class ArrayEngine:
         protocol: ArrayProtocol,
         *,
         seed: int = 0,
-        collision_detection: bool = True,
         params: ProtocolParams | None = None,
         n_bound: int | None = None,
         trace: bool = False,
@@ -255,7 +260,6 @@ class ArrayEngine:
             )
         self.network = network
         self.protocol = protocol
-        self.collision_detection = collision_detection
         self.params = params if params is not None else ProtocolParams.paper()
         self.n_bound = n_bound if n_bound is not None else network.n
         self.trace = trace
@@ -335,7 +339,6 @@ class ArrayEngine:
                 n_bound=self.n_bound,
                 source=network.source,
                 params=self.params,
-                collision_detection=collision_detection,
                 streams=self.streams,
             )
         )
@@ -463,8 +466,7 @@ class ArrayEngine:
         The predicate is evaluated before the first round and after every
         round, so a vacuously-satisfied goal costs zero rounds.
         """
-        if max_rounds < 0:
-            raise SimulationError(f"max_rounds must be non-negative, got {max_rounds}")
+        _check_round_count("max_rounds", max_rounds)
         t0 = time.perf_counter()
         history = self._trace_observer.history if self._trace_observer else []
         fault_state = self._fault_state
@@ -529,7 +531,6 @@ class BatchItem:
     protocol: ArrayProtocol
     budget: int
     seed: int = 0
-    collision_detection: bool = True
     params: ProtocolParams | None = None
     n_bound: int | None = None
     #: optional fault schedule (see :mod:`repro.sim.faults`); items whose
@@ -579,11 +580,7 @@ class BatchEngine:
         self._phase_seconds = _new_phase_seconds()
         self._wall_seconds = 0.0
         for item in self.items:
-            budget = item.budget
-            if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
-                raise SimulationError(
-                    f"budget must be a non-negative integer, got {budget!r}"
-                )
+            _check_round_count("budget", item.budget)
         # Group the instances each of whose rounds can be one batched kernel
         # call.  Sparse fault-free items fuse whenever they share a size:
         # their group's operand stacks its distinct graphs' CSRs with a
@@ -636,7 +633,6 @@ class BatchEngine:
                 item.network,
                 item.protocol,
                 seed=item.seed,
-                collision_detection=item.collision_detection,
                 params=item.params,
                 n_bound=item.n_bound,
                 trace=trace,

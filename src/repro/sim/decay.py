@@ -13,7 +13,7 @@ collision-detection algorithms improve upon.
 
 Nodes that become informed mid-phase stay silent until the next phase
 boundary, matching the analysis.  The protocol never uses collision
-detection, so it behaves identically with and without it.
+detection: it reads only clean receipts, so a collision is silence to it.
 
 :class:`DecayArrayProtocol` holds every node's state as arrays and is
 driven by the array engines; run it with ``run_broadcast("decay", ...)``.

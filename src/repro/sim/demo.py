@@ -8,8 +8,9 @@ Prints the topology summary, the round budget, and the rounds it took to
 inform every node; exits non-zero on a :class:`BroadcastFailure` so the
 command doubles as a shell-scriptable smoke test.  ``--protocol decay``
 (the default) runs the collision-blind baseline; ``--protocol ghk`` runs
-the paper's collision-detection broadcast, which always models collision
-detection regardless of the flag.
+the paper's collision-detection broadcast.  Each protocol's spec states
+which channel model it assumes; the ``--json`` payload reports it as
+``collision_detection``.
 
 Runs go through the array-native batch engine.  ``--messages K``
 broadcasts ``K`` distinct messages with the k-message pipeline
@@ -124,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, default=None, help="edge probability for gnp")
     parser.add_argument("--radius", type=float, default=None, help="radius for unit_disk")
     parser.add_argument(
-        "--collision-detection",
-        action="store_true",
-        help="model collision detection (Decay ignores it; ghk always has it)",
-    )
-    parser.add_argument(
         "--backend",
         choices=("auto", "dense", "sparse", "bitpacked"),
         default="auto",
@@ -196,32 +192,35 @@ def _trace_rows(history: Sequence[RoundStats]) -> list[dict]:
     return [stats.as_row() for stats in history]
 
 
-def _traffic_payload(sim: SimResult | None) -> dict | None:
-    """Per-node traffic/energy totals of a run, or ``None`` without a sim."""
-    if sim is None or sim.traffic is None:
-        return None
-    return sim.traffic.as_dict()
-
-
-def _fault_totals_payload(sim: SimResult | None) -> dict | None:
-    """Injected-fault totals of a run, or ``None`` on fault-free runs."""
-    if sim is None or sim.faults is None:
-        return None
-    return sim.faults.as_dict()
-
-
-def _telemetry_payload(wall_seconds: float, rounds: int | None, engine_telemetry: dict) -> dict:
-    """Wall-clock observables: demo-level wall time plus engine phase timers."""
-    rps = (
-        round(rounds / wall_seconds, 1)
-        if rounds and wall_seconds > 0
-        else None
-    )
-    return {
-        "wall_seconds": round(wall_seconds, 6),
-        "rounds_per_sec": rps,
-        "phase_seconds": engine_telemetry.get("phase_seconds"),
+def _outcome_payload(
+    budget: int,
+    sim: SimResult,
+    wall_seconds: float,
+    engine_telemetry: dict,
+    trace: bool,
+) -> dict[str, Any]:
+    """The JSON keys a delivered and a failed run share, from the run's sim."""
+    rounds = sim.rounds_run
+    payload: dict[str, Any] = {
+        "budget": budget,
+        "rounds_run": rounds,
+        "transmissions": sim.total_transmissions,
+        "deliveries": sim.total_deliveries,
+        "collisions": sim.total_collisions,
+        "traffic": None if sim.traffic is None else sim.traffic.as_dict(),
+        "fault_totals": None if sim.faults is None else sim.faults.as_dict(),
+        # Wall-clock observables: demo-level wall time plus engine phase timers.
+        "telemetry": {
+            "wall_seconds": round(wall_seconds, 6),
+            "rounds_per_sec": (
+                round(rounds / wall_seconds, 1) if rounds and wall_seconds > 0 else None
+            ),
+            "phase_seconds": engine_telemetry.get("phase_seconds"),
+        },
     }
+    if trace:
+        payload["trace"] = _trace_rows(sim.history)
+    return payload
 
 
 def _protocol_payload(
@@ -306,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{net.name}: n={net.n} edges={net.num_edges} "
             f"source-ecc={net.eccentricity()} diameter={net.diameter()}"
         )
-    # Protocols that require collision detection always model it; for the
-    # rest (Decay, which ignores it anyway) it is the caller's choice.
-    collision_detection = spec.collision_detection or args.collision_detection
     # All knobs at zero means no schedule at all (not an empty one), so
     # the default demo run is bitwise-identical to the pre-fault CLI.
     faults = None
@@ -340,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "messages": args.messages,
         "preset": args.preset,
-        "collision_detection": collision_detection,
+        "collision_detection": spec.collision_detection,
         "sanitized": args.sanitize,
         "faults": {
             "crash_rate": args.crash_rate,
@@ -356,7 +352,6 @@ def main(argv: list[str] | None = None) -> int:
             net,
             params,
             seed=args.seed,
-            collision_detection=collision_detection,
             budget=args.budget,
             trace=args.trace,
             options=options,
@@ -370,34 +365,21 @@ def main(argv: list[str] | None = None) -> int:
         wall_seconds = time.perf_counter() - t0
         # The failure carries the executed rounds, so --trace still shows
         # what happened — the case where a trace is most useful.
-        sim = exc.sim
-        history = sim.history if sim is not None else ()
+        sim, budget = exc.sim, exc.budget
+        assert isinstance(sim, SimResult) and budget is not None  # run_broadcast sets both
         if args.json:
             # Same shape as the success payload (shared keys + status
             # discriminator) so one consumer schema parses both.
             payload.update(
                 status="failed",
-                budget=exc.budget,
-                rounds_run=sim.rounds_run if sim is not None else None,
-                transmissions=sim.total_transmissions if sim is not None else None,
-                deliveries=sim.total_deliveries if sim is not None else None,
-                collisions=sim.total_collisions if sim is not None else None,
                 error=str(exc),
                 undelivered=sorted(exc.undelivered),
-                traffic=_traffic_payload(sim),
-                fault_totals=_fault_totals_payload(sim),
-                telemetry=_telemetry_payload(
-                    wall_seconds,
-                    sim.rounds_run if sim is not None else None,
-                    engine_telemetry,
-                ),
+                **_outcome_payload(budget, sim, wall_seconds, engine_telemetry, args.trace),
             )
-            if args.trace:
-                payload["trace"] = _trace_rows(history)
             print(json.dumps(payload, indent=2))
         else:
             if args.trace:
-                _print_trace(history)
+                _print_trace(sim.history)
             print(f"FAILED: {exc} (undelivered: {sorted(exc.undelivered)})", file=sys.stderr)
         return 1
     wall_seconds = time.perf_counter() - t0
@@ -407,22 +389,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         payload.update(
             status="delivered",
-            budget=result.budget,
-            rounds_run=result.sim.rounds_run,
-            transmissions=result.sim.total_transmissions,
-            deliveries=result.sim.total_deliveries,
-            collisions=result.sim.total_collisions,
             rounds_to_delivery=result.rounds_to_delivery,
             informed_rounds=list(result.informed_rounds),
-            traffic=_traffic_payload(result.sim),
-            fault_totals=_fault_totals_payload(result.sim),
-            telemetry=_telemetry_payload(
-                wall_seconds, result.sim.rounds_run, engine_telemetry
+            **extra,
+            **_outcome_payload(
+                result.budget, result.sim, wall_seconds, engine_telemetry, args.trace
             ),
         )
-        payload.update(extra)
-        if args.trace:
-            payload["trace"] = _trace_rows(result.sim.history)
         print(json.dumps(payload, indent=2))
         return 0
     print(

@@ -24,11 +24,12 @@ item 2.  Decay's bound is ``O((D + log n) log n)``.
    advances one hop per round however many relays collide, and teaches
    every node its BFS layer ``d`` (``wave_distance``).  Without detection a
    collision is silence and the wave stalls wherever two relays overlap,
-   so the protocol rejects collision-blind channels.  Relay pulses carry a
-   held message as their payload, so wherever the wavefront is locally
-   uncontended (one relay per receiver: paths, rings, bridges, cluster
-   heads) the wave itself delivers at one hop per round; a relay holding
-   nothing sends the content-free :data:`WAVE_PULSE`.
+   so the protocol assumes detecting receivers: it always reads a
+   collision as a beep.  A relay holding a message carries it on its
+   pulse, so wherever the wavefront is locally uncontended (one relay per
+   receiver: paths, rings, bridges, cluster heads) the wave itself
+   delivers at one hop per round; a relay holding nothing sends a
+   content-free pulse.
 
 2. **Layered slot schedule, one message per owned slot.**  After the wave,
    layer ``d`` owns round ``t`` iff ``t ≡ d (mod 3)``
@@ -120,27 +121,10 @@ from repro.sim.core.array_protocol import (
 from repro.sim.core.channel import ChannelRound
 from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
-__all__ = ["WAVE_PULSE", "MultiMessageArrayProtocol"]
+__all__ = ["MultiMessageArrayProtocol"]
 
 
-class _WavePulse:
-    """Singleton payload of a content-free synchronization pulse."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "WAVE_PULSE"
-
-
-#: The payload a node transmits when it beeps without data to piggyback;
-#: reserved, so the broadcasts reject it as a message.
-WAVE_PULSE = _WavePulse()
-
-
-def _check_message_and_k(message: Any, k_messages: Any) -> int:
-    if message is WAVE_PULSE:
-        raise ConfigurationError(
-            "WAVE_PULSE is reserved for synchronization pulses and cannot be "
-            "the broadcast message"
-        )
+def _check_k(k_messages: Any) -> int:
     if not isinstance(k_messages, int) or isinstance(k_messages, bool) or k_messages < 1:
         raise ConfigurationError(
             f"k_messages must be a positive integer, got {k_messages!r}"
@@ -175,9 +159,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         "_tx_want",
     )
 
-    def __init__(self, message: Any = "broadcast", k_messages: int = 1) -> None:
-        super().__init__(message)
-        self.k_messages = _check_message_and_k(message, k_messages)
+    def __init__(self, k_messages: int = 1) -> None:
+        self.k_messages = _check_k(k_messages)
 
     def fusion_key(self) -> Hashable | None:
         key = super().fusion_key()
@@ -185,11 +168,6 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
 
     def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
-        if not ctx.collision_detection:
-            raise ConfigurationError(
-                "MultiMessageArrayProtocol requires collision detection: without "
-                "it the synchronization beep wave stalls at the first contended hop"
-            )
         self.backoff_slots = ctx.params.ghk_backoff_slots(ctx.n_bound)
         self._init_broadcast_state(ctx)  # informed == "holds all k messages"
         n, k = ctx.n_nodes, self.k_messages

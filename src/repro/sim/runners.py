@@ -4,7 +4,7 @@ Two layers live here:
 
 * **Specs.**  A :class:`BroadcastSpec` bundles everything a protocol needs
   to be driven end-to-end — its array-protocol factory, its round-budget
-  rule and whether it needs collision detection.
+  rule and the channel model it assumes.
   Algorithm modules register their spec at import time; the lookup
   functions lazily import them so ``runners`` never imports an algorithm
   module at its own import time (which would be circular — the algorithm
@@ -104,14 +104,14 @@ class BroadcastSpec:
     name: str
     #: human-readable label used in failure messages ("Decay", "GHK").
     label: str
-    #: whole-network array protocol factory, called with ``message=...``
-    #: plus any per-run options the spec declares in :attr:`option_names`.
+    #: whole-network array protocol factory, called with the per-run
+    #: options the spec declares in :attr:`option_names`.
     array_factory: Callable[..., BroadcastArrayProtocol]
     #: default round budget: ``(params, network, n_bound, options) -> rounds``.
     budget_for: Callable[[ProtocolParams, RadioNetwork, int, Mapping[str, Any]], int]
-    #: True when the protocol is only correct *with* collision detection;
-    #: it is then also the default.  False leaves the caller's choice (off
-    #: by default).
+    #: the channel model the protocol assumes: True when it reads a
+    #: collision as a beep (receivers detect collisions), False when it
+    #: reads only clean receipts.  Declarative; no run option changes it.
     collision_detection: bool
     #: per-run option names this protocol accepts (e.g. ``k_messages``);
     #: the run APIs reject options outside this set up front.
@@ -179,8 +179,6 @@ def run_broadcast_batch(
     *,
     seeds: Sequence[int] | None = None,
     params: ProtocolParams | None = None,
-    message: Any = "broadcast",
-    collision_detection: bool | None = None,
     n_bound: int | None = None,
     budget: int | None = None,
     trace: bool = False,
@@ -225,13 +223,6 @@ def run_broadcast_batch(
                 f"need one fault schedule per network: got {len(fault_list)} "
                 f"schedules for {len(networks)} networks"
             )
-    if collision_detection is None:
-        collision_detection = spec.collision_detection
-    if spec.collision_detection and not collision_detection:
-        raise ConfigurationError(
-            f"{spec.label} requires collision detection; "
-            f"run_broadcast_batch cannot model a collision-blind channel for it"
-        )
     options = _resolve_options(spec, options)
     params = params if params is not None else ProtocolParams.paper()
     items: list[BatchItem] = []
@@ -240,12 +231,11 @@ def run_broadcast_batch(
         items.append(
             BatchItem(
                 network=net,
-                protocol=spec.array_factory(message=message, **options),
+                protocol=spec.array_factory(**options),
                 budget=(
                     budget if budget is not None else spec.budget_for(params, net, bound, options)
                 ),
                 seed=seed,
-                collision_detection=collision_detection,
                 params=params,
                 n_bound=bound,
                 faults=schedule,
@@ -287,8 +277,6 @@ def run_broadcast(
     params: ProtocolParams | None = None,
     *,
     seed: int = 0,
-    message: Any = "broadcast",
-    collision_detection: bool | None = None,
     n_bound: int | None = None,
     budget: int | None = None,
     trace: bool = False,
@@ -312,8 +300,6 @@ def run_broadcast(
         [network],
         seeds=[seed],
         params=params,
-        message=message,
-        collision_detection=collision_detection,
         n_bound=n_bound,
         budget=budget,
         trace=trace,

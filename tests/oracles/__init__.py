@@ -32,6 +32,7 @@ from oracles.api import (
 )
 from oracles.driver import ORACLES, oracle_engine, run_oracle
 from oracles.protocols import (
+    WAVE_PULSE,
     BeepWaveArrayProtocol,
     BeepWaveProtocol,
     DecayProtocol,
@@ -40,6 +41,7 @@ from oracles.protocols import (
 
 __all__ = [
     "ORACLES",
+    "WAVE_PULSE",
     "Action",
     "ActionKind",
     "BeepWaveArrayProtocol",

@@ -168,12 +168,19 @@ def in_layer_slot(round_index: int, wave_distance: int, spacing: int) -> bool:
 
 
 class ObjectProtocolAdapter(ArrayProtocol):
-    """Wrap one per-node :class:`Protocol` object per node as an ArrayProtocol."""
+    """Wrap one per-node :class:`Protocol` object per node as an ArrayProtocol.
 
-    def __init__(self, protocols: Sequence[Protocol]) -> None:
+    ``collision_detection`` is the receivers' model: with it a collision
+    reaches a listener as ``COLLISION``, without it as ``SILENCE``.
+    """
+
+    def __init__(
+        self, protocols: Sequence[Protocol], *, collision_detection: bool = True
+    ) -> None:
         if len(set(map(id, protocols))) != len(protocols):
             raise SimulationError("the same Protocol instance was given for two nodes")
         self.protocols = tuple(protocols)
+        self.collision_detection = collision_detection
         self._actions: tuple[Action, ...] = ()
 
     def setup(self, ctx: ArrayContext) -> None:
@@ -195,7 +202,7 @@ class ObjectProtocolAdapter(ArrayProtocol):
                     is_source=(node == ctx.source),
                     params=ctx.params,
                     rng=np.random.Generator(np.random.PCG64(children[node])),
-                    collision_detection=ctx.collision_detection,
+                    collision_detection=self.collision_detection,
                 )
             )
 
@@ -237,7 +244,7 @@ class ObjectProtocolAdapter(ArrayProtocol):
                 ),
             )
         collision_kind = (
-            FeedbackKind.COLLISION if self.ctx.collision_detection else FeedbackKind.SILENCE
+            FeedbackKind.COLLISION if self.collision_detection else FeedbackKind.SILENCE
         )
         for recv in np.nonzero(channel.collided)[0].tolist():
             self.protocols[recv].on_feedback(r, Feedback(collision_kind, round_index=r))

@@ -1,7 +1,8 @@
 """Run the oracles end to end, the way ``run_broadcast`` runs the array protocols.
 
 :func:`run_oracle` takes the same arguments as
-:func:`repro.sim.runners.run_broadcast` (minus the streaming hooks),
+:func:`repro.sim.runners.run_broadcast` (minus the streaming hooks, plus
+the payload ``message`` the oracles carry),
 resolves the same defaults from the protocol's ``BroadcastSpec``, drives
 one oracle object per node through :class:`~repro.sim.core.batch.ArrayEngine`
 until every node is informed, and returns the same
@@ -34,10 +35,19 @@ ORACLES: dict[str, type[Protocol]] = {
 
 
 def oracle_engine(
-    network: RadioNetwork, protocols: Sequence[Protocol], **kwargs: Any
+    network: RadioNetwork,
+    protocols: Sequence[Protocol],
+    *,
+    collision_detection: bool = True,
+    **kwargs: Any,
 ) -> ArrayEngine:
-    """An :class:`ArrayEngine` over one oracle object per node."""
-    return ArrayEngine(network, ObjectProtocolAdapter(protocols), **kwargs)
+    """An :class:`ArrayEngine` over one oracle object per node.
+
+    ``collision_detection`` is the receivers' model, passed to the
+    :class:`ObjectProtocolAdapter`; the other keywords go to the engine.
+    """
+    adapter = ObjectProtocolAdapter(protocols, collision_detection=collision_detection)
+    return ArrayEngine(network, adapter, **kwargs)
 
 
 def run_oracle(
@@ -47,7 +57,6 @@ def run_oracle(
     *,
     seed: int = 0,
     message: Any = "broadcast",
-    collision_detection: bool | None = None,
     n_bound: int | None = None,
     budget: int | None = None,
     trace: bool = False,
@@ -55,21 +64,23 @@ def run_oracle(
     faults: FaultSchedule | None = None,
     sanitize: bool | None = None,
 ) -> BroadcastResult:
-    """The oracle twin of ``run_broadcast``: same defaults, same result."""
+    """The oracle twin of ``run_broadcast``: same defaults, same result.
+
+    The receivers detect collisions exactly when the spec says the
+    protocol assumes it.
+    """
     spec = broadcast_spec(protocol)
     options = dict(options or {})
     params = params if params is not None else ProtocolParams.paper()
     bound = n_bound if n_bound is not None else network.n
     if budget is None:
         budget = spec.budget_for(params, network, bound, options)
-    if collision_detection is None:
-        collision_detection = spec.collision_detection
     protocols = [ORACLES[protocol](message=message, **options) for _ in range(network.n)]
     engine = oracle_engine(
         network,
         protocols,
         seed=seed,
-        collision_detection=collision_detection,
+        collision_detection=spec.collision_detection,
         params=params,
         n_bound=bound,
         trace=trace,

@@ -17,6 +17,7 @@ show it stalling without collision detection.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from typing import Any
 
 import numpy as np
@@ -35,14 +36,26 @@ from repro.errors import ConfigurationError
 from repro.params import WAVE_SPACING
 from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
 from repro.sim.core.channel import ChannelRound
-from repro.sim.multi_message import WAVE_PULSE
 
 __all__ = [
+    "WAVE_PULSE",
     "BeepWaveArrayProtocol",
     "BeepWaveProtocol",
     "DecayProtocol",
     "MultiMessageProtocol",
 ]
+
+
+class _WavePulse:
+    """Singleton payload of a content-free synchronization pulse."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "WAVE_PULSE"
+
+
+#: The payload an oracle node transmits when it beeps without data to
+#: piggyback; reserved, so the k-message oracle rejects it as a message.
+WAVE_PULSE = _WavePulse()
 
 
 class DecayProtocol(BroadcastProtocol):
@@ -107,16 +120,22 @@ class BeepWaveArrayProtocol(ArrayProtocol):
     """:class:`BeepWaveProtocol` for the whole network at once, as array state.
 
     ``wave_distance == -1`` stands in for "not yet reached".  Without
-    collision detection a collision is perceived as silence, so only clean
-    receipts count as beeps and the wave stalls (or detours) wherever two
-    relays collide.  The protocol is coin-free.
+    ``collision_detection`` a collision is perceived as silence, so only
+    clean receipts count as beeps and the wave stalls (or detours) wherever
+    two relays collide.  The protocol is coin-free.
     """
 
     node_state = ("wave_distance", "pulse_sent")
 
+    def __init__(self, *, collision_detection: bool = True) -> None:
+        self.collision_detection = collision_detection
+
+    def fusion_key(self) -> Hashable | None:
+        key = super().fusion_key()
+        return None if key is None else (key, self.collision_detection)
+
     def setup(self, ctx: ArrayContext) -> None:
         super().setup(ctx)
-        self.collision_detection = ctx.collision_detection
         self.wave_distance = np.full(ctx.n_nodes, -1, dtype=np.int64)
         self.wave_distance[ctx.source] = 0
         self.pulse_sent = np.zeros(ctx.n_nodes, dtype=bool)

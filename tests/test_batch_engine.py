@@ -118,6 +118,13 @@ class TestArrayEngine:
     def test_negative_max_rounds_rejected(self):
         with pytest.raises(SimulationError, match="non-negative"):
             ArrayEngine(line(3), SourceBeacon()).run(-1)
+        # The batch budget's check: True is not one round, and a float or a
+        # string fails here rather than as a raw TypeError in the loop.
+        engine = ArrayEngine(line(8), DecayArrayProtocol(), params=FAST)
+        for bad in (True, 2.5, "3"):
+            with pytest.raises(SimulationError, match="non-negative integer"):
+                engine.run(bad)
+        assert engine.round_index == 0
 
     def test_complete_round_requires_begin_round(self):
         engine = ArrayEngine(line(3), SourceBeacon())
@@ -132,7 +139,6 @@ class TestArrayEngine:
         engine = ArrayEngine(
             from_spec("grid", 16, seed=0),
             DecayArrayProtocol(),
-            collision_detection=False,
             params=FAST,
             faults=schedule,
         )
@@ -177,7 +183,6 @@ class TestBatchEngine:
                 protocol=DecayArrayProtocol(),
                 budget=1,
                 seed=0,
-                collision_detection=False,
                 params=FAST,
             ),
             BatchItem(
@@ -185,7 +190,6 @@ class TestBatchEngine:
                 protocol=DecayArrayProtocol(),
                 budget=500,
                 seed=0,
-                collision_detection=False,
                 params=FAST,
             ),
         ]
@@ -201,7 +205,6 @@ class TestBatchEngine:
             network=line(4),
             protocol=DecayArrayProtocol(),
             budget=0,
-            collision_detection=False,
             params=FAST,
         )
         (outcome,) = BatchEngine([item]).run()
@@ -213,7 +216,6 @@ class TestBatchEngine:
             network=line(1),
             protocol=DecayArrayProtocol(),
             budget=10,
-            collision_detection=False,
             params=FAST,
         )
         (outcome,) = BatchEngine([item]).run()
@@ -244,7 +246,6 @@ class TestBatchEngine:
                 protocol=DecayArrayProtocol(),
                 budget=50,
                 seed=s,
-                collision_detection=False,
                 params=FAST,
             )
             for s, net in enumerate(nets)
@@ -274,7 +275,6 @@ class TestBatchEngine:
                 protocol=DecayArrayProtocol(),
                 budget=10,
                 seed=s,
-                collision_detection=False,
                 params=FAST,
             )
             for s in range(5)
@@ -306,7 +306,7 @@ class TestBatchEngine:
         engine = BatchEngine(
             [
                 BatchItem(network=net, protocol=DecayArrayProtocol(), budget=50,
-                          seed=s, collision_detection=False, params=sparse)
+                          seed=s, params=sparse)
                 for s, net in enumerate(nets)
             ]
         )
@@ -329,7 +329,7 @@ class TestBatchEngine:
         engine = BatchEngine(
             [
                 BatchItem(network=net, protocol=DecayArrayProtocol(), budget=50,
-                          seed=s, collision_detection=False, params=params,
+                          seed=s, params=params,
                           faults=schedule)
                 for s, net in enumerate(nets)
             ]
@@ -363,7 +363,6 @@ class TestBatchEngine:
                 protocol=DecayArrayProtocol(),
                 budget=budget,
                 seed=seed,
-                collision_detection=False,
                 params=FAST,
             )
             for net, seed in cases
@@ -376,7 +375,6 @@ class TestBatchEngine:
             item.network,
             protocol,
             seed=item.seed,
-            collision_detection=False,
             params=FAST,
             **kwargs,
         )
@@ -477,10 +475,6 @@ class TestRunBroadcastAPI:
         with pytest.raises(ConfigurationError, match="unknown broadcast protocol"):
             run_broadcast_batch("gossip", [line(4)])
 
-    def test_collision_blind_ghk_batch_rejected(self):
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            run_broadcast_batch("ghk", [line(4)], collision_detection=False)
-
     def test_failures_are_returned_not_raised(self):
         results = run_broadcast_batch(
             "decay", [line(16)], seeds=[0], params=FAST, budget=2, trace=True
@@ -496,8 +490,7 @@ class TestRunBroadcastAPI:
             run_broadcast("decay", line(16), FAST, budget=2)
 
     def test_defaults_resolve_from_the_spec(self):
-        # Budgets come from each spec's rule; GHK runs without an explicit
-        # collision_detection because its spec defaults it on.
+        # Budgets come from each spec's rule.
         decay = run_broadcast("decay", line(4), FAST, seed=1)
         assert decay.budget == FAST.decay_broadcast_rounds(3, 4)
         assert decay.n == 4

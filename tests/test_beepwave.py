@@ -8,9 +8,16 @@ collision detection is shown by the test-side wave on its own
 
 import pytest
 
-from oracles import BeepWaveArrayProtocol, Feedback, FeedbackKind, in_layer_slot, is_beep
+from oracles import (
+    WAVE_PULSE,
+    BeepWaveArrayProtocol,
+    Feedback,
+    FeedbackKind,
+    in_layer_slot,
+    is_beep,
+)
 from repro.params import ProtocolParams
-from repro.sim import WAVE_PULSE, ArrayEngine, run_broadcast
+from repro.sim import ArrayEngine, run_broadcast
 from repro.sim.topology import dumbbell, from_spec, grid2d, line, star
 
 FAST = ProtocolParams.fast()
@@ -26,8 +33,8 @@ def true_layers(net) -> list[int]:
 
 def wave_alone(net, *, collision_detection, rounds=None):
     """The wave by itself for ``rounds`` rounds (default ``ecc + 1``, exactly enough)."""
-    protocol = BeepWaveArrayProtocol()
-    engine = ArrayEngine(net, protocol, collision_detection=collision_detection, params=FAST)
+    protocol = BeepWaveArrayProtocol(collision_detection=collision_detection)
+    engine = ArrayEngine(net, protocol, params=FAST)
     budget = net.eccentricity() + 1 if rounds is None else rounds
     engine.run(budget, stop_when=lambda _: protocol.done())
     return protocol
@@ -122,6 +129,6 @@ class TestPrimitives:
 
     def test_wave_pulse_is_a_singleton_sentinel(self):
         assert repr(WAVE_PULSE) == "WAVE_PULSE"
-        from repro.sim import multi_message
+        from oracles import protocols
 
-        assert multi_message.WAVE_PULSE is WAVE_PULSE
+        assert protocols.WAVE_PULSE is WAVE_PULSE

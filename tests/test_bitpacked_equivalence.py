@@ -209,7 +209,6 @@ class TestBatchMixedBackends:
                 protocol=DecayArrayProtocol(),
                 budget=200,
                 seed=s,
-                collision_detection=False,
                 params=params,
             )
             for s, params in enumerate([DENSE, SPARSE, BITPACKED, BITPACKED])
@@ -228,7 +227,6 @@ class TestBatchMixedBackends:
                 protocol=DecayArrayProtocol(),
                 budget=200,
                 seed=7,
-                collision_detection=False,
                 params=params,
             )
             for params in (DENSE, SPARSE, BITPACKED)

@@ -28,11 +28,18 @@ def test_demo_every_topology(topology, capsys):
 
 
 def test_demo_paper_preset_and_collision_detection(capsys):
-    rc = demo.main(
-        ["--topology", "grid", "--n", "16", "--preset", "paper", "--collision-detection"]
-    )
+    rc = demo.main(["--topology", "grid", "--n", "16", "--preset", "paper"])
     assert rc == 0
     assert "collisions=" in capsys.readouterr().out
+    # Collision detection is each protocol's own model, stated by its spec
+    # and reported in the JSON, not a run flag.
+    with pytest.raises(SystemExit) as exc:
+        demo.main(["--topology", "grid", "--n", "16", "--collision-detection"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --collision-detection" in capsys.readouterr().err
+    for protocol, detects in (("decay", False), ("ghk", True), ("multimessage", True)):
+        assert demo.main(["--n", "16", "--protocol", protocol, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["collision_detection"] is detects
 
 
 def test_demo_ghk_protocol(capsys):
@@ -324,9 +331,22 @@ def test_demo_trace_survives_a_failed_run(monkeypatch, capsys):
 
 def test_demo_json_failure_reports_undelivered(monkeypatch, capsys):
     from repro.errors import BroadcastFailure
+    from repro.sim import SimResult
 
     def starved(*args, **kwargs):
-        raise BroadcastFailure("Decay left 2 of 6 nodes uninformed", (4, 5))
+        # As run_broadcast raises it: with the executed rounds and budget.
+        raise BroadcastFailure(
+            "Decay left 2 of 6 nodes uninformed",
+            (4, 5),
+            sim=SimResult(
+                rounds_run=3,
+                stopped_early=False,
+                total_transmissions=2,
+                total_deliveries=1,
+                total_collisions=0,
+            ),
+            budget=3,
+        )
 
     monkeypatch.setattr(demo, "run_broadcast", starved)
     rc = demo.main(["--topology", "line", "--n", "6", "--json"])
@@ -335,8 +355,6 @@ def test_demo_json_failure_reports_undelivered(monkeypatch, capsys):
     assert payload["status"] == "failed"
     assert payload["undelivered"] == [4, 5]
     assert "uninformed" in payload["error"]
-    # A raiser without sim/budget still produces the shared keys (as null),
-    # so the consumer schema never loses fields.
     assert SHARED_JSON_KEYS <= set(payload)
-    assert payload["budget"] is None
-    assert payload["rounds_run"] is None
+    assert payload["budget"] == 3
+    assert payload["rounds_run"] == 3

@@ -113,10 +113,8 @@ def test_beepwave_traces_are_bitwise_identical(family, cd):
     )
     obj_sim = obj_engine.run(rounds)
 
-    arr_proto = BeepWaveArrayProtocol()
-    arr_engine = ArrayEngine(
-        net, arr_proto, seed=seed, collision_detection=cd, params=FAST, trace=True
-    )
+    arr_proto = BeepWaveArrayProtocol(collision_detection=cd)
+    arr_engine = ArrayEngine(net, arr_proto, seed=seed, params=FAST, trace=True)
     arr_sim = arr_engine.run(rounds)
 
     assert arr_sim == obj_sim

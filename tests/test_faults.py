@@ -205,9 +205,8 @@ class TestFaultSemantics:
         net = line(8)
         engine = ArrayEngine(
             net,
-            DecayArrayProtocol(message="m"),
+            DecayArrayProtocol(),
             seed=0,
-            collision_detection=False,
             params=FAST,
             faults=FaultSchedule(loss_rate=1.0),
         )
@@ -294,7 +293,6 @@ class TestBatchFaults:
                 protocol=DecayArrayProtocol(),
                 budget=100,
                 seed=s,
-                collision_detection=False,
                 params=FAST,
                 faults=faults,
             )
@@ -356,7 +354,6 @@ class TestFusedPathErrorHygiene:
                 protocol=proto,
                 budget=50,
                 seed=s,
-                collision_detection=False,
                 params=FAST,
             )
             for s, proto in enumerate(protocols)

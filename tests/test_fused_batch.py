@@ -15,6 +15,7 @@ one operand rebuild per edge flip.
 """
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from oracles import BeepWaveArrayProtocol
 from repro.analysis.simsan.core import Sanitizer
+from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim import (
     ArrayEngine,
@@ -37,6 +39,7 @@ from repro.sim import (
     MultiMessageArrayProtocol,
     NodeCrash,
     broadcast_spec,
+    run_broadcast,
     run_broadcast_batch,
 )
 from repro.sim import faults as faults_module
@@ -46,13 +49,13 @@ from repro.sim.topology import RadioNetwork, from_spec
 
 FAST = ProtocolParams.fast()
 
-#: Protocol cases: (class, constructor options, collision detection).
+#: Protocol cases: (class, constructor options).
 PROTOCOLS = {
-    "decay": (DecayArrayProtocol, {}, False),
-    "multimessage-k1": (MultiMessageArrayProtocol, {"k_messages": 1}, True),
-    "multimessage-k3": (MultiMessageArrayProtocol, {"k_messages": 3}, True),
-    "beepwave": (BeepWaveArrayProtocol, {}, True),
-    "beepwave-blind": (BeepWaveArrayProtocol, {}, False),
+    "decay": (DecayArrayProtocol, {}),
+    "multimessage-k1": (MultiMessageArrayProtocol, {"k_messages": 1}),
+    "multimessage-k3": (MultiMessageArrayProtocol, {"k_messages": 3}),
+    "beepwave": (BeepWaveArrayProtocol, {}),
+    "beepwave-blind": (BeepWaveArrayProtocol, {"collision_detection": False}),
 }
 
 
@@ -101,7 +104,7 @@ def fused_cases(draw):
 
 
 def _protocol(case):
-    cls, options, _ = PROTOCOLS[case]
+    cls, options = PROTOCOLS[case]
     return cls(**options)
 
 
@@ -127,7 +130,6 @@ def _alone(net, case, backend, seed, budget, schedule):
         net,
         protocol,
         seed=seed,
-        collision_detection=PROTOCOLS[case][2],
         params=FAST.with_overrides(channel_backend=backend),
         observers=[records.append],
         faults=schedule,
@@ -174,7 +176,6 @@ def test_fused_run_equals_items_run_alone(case):
             protocol=_protocol(protocol),
             budget=budget,
             seed=seed,
-            collision_detection=PROTOCOLS[protocol][2],
             params=params,
             faults=schedule,
         )
@@ -308,22 +309,118 @@ def test_mixed_protocol_classes_share_one_kernel_call(protocol):
         pass
 
     net = from_spec("grid", 9, seed=0)
-    cd = protocol == "ghk"
     items = [
-        BatchItem(net, cls(), budget=200, seed=seed, collision_detection=cd, params=FAST)
+        BatchItem(net, cls(), budget=200, seed=seed, params=FAST)
         for seed, cls in enumerate(
             [base, Subclassed, base]
         )
     ]
     outcomes = BatchEngine(items).run()
     for outcome in outcomes:
-        alone = ArrayEngine(
-            net,
-            base(),
-            seed=outcome.item.seed,
-            collision_detection=cd,
-            params=FAST,
-        )
+        alone = ArrayEngine(net, base(), seed=outcome.item.seed, params=FAST)
         sim = alone.run(200, stop_when=lambda engine: engine.protocol.done())
         assert outcome.sim == sim
         assert outcome.completed
+
+
+def test_blind_and_detecting_waves_never_fuse():
+    # The wave's channel model is its own constructor argument, so it is
+    # part of the fusion key: on a contended grid the blind wave stalls
+    # inside the very group where the detecting waves sweep cleanly.
+    net = from_spec("grid", 64, seed=0)
+    flags = [True, False, True]
+    items = [
+        BatchItem(net, BeepWaveArrayProtocol(collision_detection=cd), budget=40, seed=0)
+        for cd in flags
+    ]
+    outcomes = BatchEngine(items).run()
+    for outcome, cd in zip(outcomes, flags):
+        alone = BeepWaveArrayProtocol(collision_detection=cd)
+        sim = ArrayEngine(net, alone).run(40, stop_when=lambda engine: engine.protocol.done())
+        assert outcome.sim == sim
+        assert _state(outcome.item.protocol) == _state(alone)
+        assert bool(outcome.item.protocol.unsynchronized()) is not cd
+
+
+#: ``run_broadcast`` cases: (protocol, options).
+RUNS = [
+    ("decay", None),
+    ("ghk", None),
+    ("multimessage", {"k_messages": 2}),
+    ("multimessage", {"k_messages": 4}),
+]
+
+
+@st.composite
+def batch_runs(draw):
+    """``(protocol, options, backend, networks, seeds, faults, budget)``.
+
+    The networks have mixed sizes, so a batch spans several groups;
+    ``faults`` is ``None``, one schedule shared by every item (sampled on
+    the smallest network, so every node it names exists everywhere), or
+    one sampled schedule per item; ``budget`` is the default or one small
+    enough to starve most runs.
+    """
+    protocol, options = draw(st.sampled_from(RUNS))
+    backend = draw(st.sampled_from(["dense", "sparse", "bitpacked"]))
+    nets = []
+    for n in draw(st.lists(st.integers(2, 9), min_size=2, max_size=5)):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        order = draw(st.permutations(range(n)))
+        nets.append(_network(n, order, draw(st.lists(pair, max_size=n))))
+    seeds = draw(st.lists(st.integers(0, 999), min_size=len(nets), max_size=len(nets)))
+    mode = draw(st.sampled_from(["none", "shared", "per-item"]))
+    fault_seed = draw(st.integers(0, 999))
+    if mode == "none":
+        faults = None
+    elif mode == "shared":
+        smallest = min(nets, key=lambda net: net.n)
+        faults = sample_fault_schedule(
+            smallest, seed=fault_seed, horizon=60, crash_rate=0.3, loss_rate=0.2
+        )
+    else:
+        faults = [
+            sample_fault_schedule(
+                net,
+                seed=fault_seed + i,
+                horizon=60,
+                crash_rate=0.2,
+                loss_rate=0.2,
+                jammers=min(1, net.n - 1),
+                edge_flip_rate=0.2,
+            )
+            for i, net in enumerate(nets)
+        ]
+    budget = draw(st.sampled_from([None, 3, 12]))
+    return protocol, options, backend, nets, seeds, faults, budget
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch_runs())
+def test_batch_entries_equal_each_item_run_alone(case):
+    # The run API's contract: whatever a batch groups and fuses, entry i is
+    # what ``run_broadcast`` returns or raises for item i on its own.
+    protocol, options, backend, nets, seeds, faults, budget = case
+    params = FAST.with_overrides(channel_backend=backend)
+    per_item = faults if isinstance(faults, list) else [faults] * len(nets)
+    entries = run_broadcast_batch(
+        protocol, nets, seeds=seeds, params=params, budget=budget, options=options,
+        faults=faults,
+    )
+    assert len(entries) == len(nets)
+    for entry, net, seed, schedule in zip(entries, nets, seeds, per_item):
+        alone = partial(
+            run_broadcast, protocol, net, params, seed=seed, budget=budget, options=options,
+            faults=schedule,
+        )
+        if isinstance(entry, BroadcastFailure):
+            with pytest.raises(BroadcastFailure) as raised:
+                alone()
+            failure = raised.value
+            assert (failure.undelivered, failure.budget, failure.sim) == (
+                entry.undelivered, entry.budget, entry.sim
+            )
+        else:
+            assert alone() == entry

@@ -3,9 +3,9 @@
 import pytest
 
 from oracles import MultiMessageProtocol, oracle_engine
-from repro.errors import BroadcastFailure, ConfigurationError
+from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
-from repro.sim import WAVE_PULSE, MultiMessageArrayProtocol, broadcast_spec, run_broadcast
+from repro.sim import MultiMessageArrayProtocol, broadcast_spec, run_broadcast
 from repro.sim.topology import dumbbell, from_spec, gnp, grid2d, line, ring, star
 
 FAST = ProtocolParams.fast()
@@ -85,36 +85,6 @@ class TestMessageInjection:
         )
         assert all(p.informed for p in protocols)
         assert all(p.payloads[0] is payload for p in protocols)
-
-    def test_none_message_rejected_at_both_boundaries(self):
-        with pytest.raises(ConfigurationError, match="non-None"):
-            run_broadcast("ghk", grid2d(3, 3), FAST, message=None)
-        with pytest.raises(ConfigurationError, match="non-None"):
-            MultiMessageArrayProtocol(message=None)
-
-    def test_wave_pulse_sentinel_rejected_as_message(self):
-        # The sentinel payload means "content-free pulse": a broadcast of
-        # the sentinel itself could never be recognised as delivered, so it
-        # must be rejected up front, not burn the budget into a misleading
-        # BroadcastFailure.
-        with pytest.raises(ConfigurationError, match="reserved"):
-            run_broadcast("ghk", grid2d(3, 3), FAST, message=WAVE_PULSE)
-        with pytest.raises(ConfigurationError, match="reserved"):
-            MultiMessageArrayProtocol(message=WAVE_PULSE)
-
-
-class TestCollisionDetectionRequirement:
-    def test_driver_rejects_collision_blind_channel(self):
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            run_broadcast("ghk", line(4), FAST, collision_detection=False)
-
-    def test_protocol_rejects_collision_blind_engine(self):
-        from repro.sim import ArrayEngine
-
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            ArrayEngine(
-                line(3), MultiMessageArrayProtocol(), collision_detection=False, params=FAST
-            )
 
 
 class TestFailureAndReproducibility:

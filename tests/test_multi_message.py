@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import MultiMessageProtocol
+from oracles import WAVE_PULSE, MultiMessageProtocol
 from repro.errors import BroadcastFailure, ConfigurationError
 from repro.params import WAVE_SPACING, ProtocolParams
 from repro.sim import (
-    WAVE_PULSE,
     BroadcastResult,
     MultiMessageArrayProtocol,
     run_broadcast,
@@ -97,30 +96,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="k_messages"):
             proto_cls(k_messages=bad_k)
 
-    @pytest.mark.parametrize("proto_cls", [MultiMessageProtocol, MultiMessageArrayProtocol])
+    # Only the oracle transmits payload objects, so only it reserves the
+    # pulse sentinel.
+    @pytest.mark.parametrize("proto_cls", [MultiMessageProtocol])
     def test_rejects_wave_pulse_payload(self, proto_cls):
         with pytest.raises(ConfigurationError, match="WAVE_PULSE"):
             proto_cls(message=WAVE_PULSE)
-
-    def test_rejects_none_message(self):
-        with pytest.raises(ConfigurationError, match="non-None"):
-            MultiMessageArrayProtocol(message=None)
-
-    def test_runner_rejects_collision_blind(self):
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            run_broadcast("multimessage", line(4), FAST, collision_detection=False)
-
-    def test_batch_rejects_collision_blind(self):
-        with pytest.raises(ConfigurationError, match="requires collision detection"):
-            run_broadcast_batch(
-                "multimessage", [line(4)], collision_detection=False
-            )
-
-    def test_array_setup_rejects_collision_blind(self):
-        with pytest.raises(ConfigurationError, match="collision detection"):
-            ArrayEngine(
-                line(4), MultiMessageArrayProtocol(k_messages=2), collision_detection=False
-            )
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigurationError, match="does not accept option"):
@@ -176,7 +157,7 @@ class TestArrayState:
     def test_message_delivery_rounds_match_result(self):
         net = from_spec("grid", 16, seed=0)
         proto = MultiMessageArrayProtocol(k_messages=3)
-        engine = ArrayEngine(net, proto, seed=0, collision_detection=True, params=FAST)
+        engine = ArrayEngine(net, proto, seed=0, params=FAST)
         engine.run(10_000, stop_when=lambda e: proto.done())
         result = run_broadcast(
             "multimessage", net, FAST, seed=0, options={"k_messages": 3}
@@ -189,7 +170,7 @@ class TestArrayState:
     def test_undelivered_lists_nodes_missing_any_message(self):
         net = line(12)
         proto = MultiMessageArrayProtocol(k_messages=2)
-        engine = ArrayEngine(net, proto, seed=0, collision_detection=True, params=FAST)
+        engine = ArrayEngine(net, proto, seed=0, params=FAST)
         engine.run(2)
         undelivered = proto.undelivered()
         assert undelivered  # two rounds cannot possibly deliver everything
@@ -201,7 +182,7 @@ class TestArrayState:
         # wants, so they carry zero columns (the node axis stays for fusion).
         net = from_spec("grid", 16, seed=0)
         proto = MultiMessageArrayProtocol(k_messages=1)
-        engine = ArrayEngine(net, proto, seed=0, collision_detection=True, params=FAST)
+        engine = ArrayEngine(net, proto, seed=0, params=FAST)
         engine.run(10_000, stop_when=lambda e: proto.done())
         assert proto.done()
         for name in ("message_round", "_send_count", "_requested", "_tx_want"):

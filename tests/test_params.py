@@ -182,16 +182,16 @@ POSITIVE_FIELDS = ["decay_whp_factor", "schedule_slack"]
 
 class TestValidation:
     @pytest.mark.parametrize("name", POSITIVE_FIELDS)
-    @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf, "2", True])
     def test_construction_rejects_non_positive(self, name, bad):
         # Non-finite factors must fail here, not as a raw ValueError or
-        # OverflowError inside a budget rule.
+        # OverflowError inside a budget rule; True is not silently 1.
         with pytest.raises(ConfigurationError, match=name):
             ProtocolParams(**{name: bad})
 
     def test_construction_rejects_negative_additive_slack(self):
         # A fractional additive slack would give a fractional round budget.
-        for bad in (-1, 2.5, 32.0, "32"):
+        for bad in (-1, 2.5, 32.0, "32", True):
             with pytest.raises(ConfigurationError, match="schedule_slack_additive"):
                 ProtocolParams(schedule_slack_additive=bad)
 

@@ -51,9 +51,8 @@ def _params(backend, **overrides):
 def _decay_engine(net, *, seed=0, sanitize=None, backend="dense", **kwargs):
     return ArrayEngine(
         net,
-        broadcast_spec("decay").array_factory(message="broadcast"),
+        broadcast_spec("decay").array_factory(),
         seed=seed,
-        collision_detection=False,
         params=_params(backend),
         sanitize=sanitize,
         **kwargs,
@@ -171,7 +170,6 @@ def _engine_with_protocol(protocol, *, n=16, sanitize=True):
         net,
         protocol,
         seed=0,
-        collision_detection=True,
         params=ProtocolParams.fast(),
         sanitize=sanitize,
     )
@@ -245,9 +243,8 @@ def test_wrong_feedback_operand_caught_at_injected_round():
     operand = WrongFeedbackOperand(select_kernel_operand(net, params), wrong_from=4)
     engine = ArrayEngine(
         net,
-        broadcast_spec("ghk").array_factory(message="broadcast"),
+        broadcast_spec("ghk").array_factory(),
         seed=2,
-        collision_detection=True,
         params=params,
         kernel_operand=operand,
         sanitize=True,

@@ -115,7 +115,6 @@ class TestBatchMixedBackends:
                 protocol=DecayArrayProtocol(),
                 budget=200,
                 seed=s,
-                collision_detection=False,
                 params=params,
             )
             for s, params in enumerate([DENSE, SPARSE, DENSE, SPARSE])
@@ -134,7 +133,6 @@ class TestBatchMixedBackends:
                 protocol=DecayArrayProtocol(),
                 budget=200,
                 seed=7,
-                collision_detection=False,
                 params=params,
             )
             for params in (DENSE, SPARSE)
