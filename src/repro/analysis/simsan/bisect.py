@@ -184,8 +184,11 @@ def _coin_cursor(engine: ArrayEngine) -> dict:
     A node's coin cursor is its PCG64 state, which moves only when its
     :class:`~repro.sim.core.array_protocol.CoinDeck` buffer is refilled,
     together with the coins spent from that buffer — so the digest covers
-    the streams' state array and every deck's positions.
+    the streams' state array and every deck's positions.  The fault layer
+    draws loss coins ahead, so its streams are rewound to the round first.
     """
+    if engine.fault_state is not None:
+        engine.fault_state.sync()
     node_digest = hashlib.sha256(engine.streams.state.tobytes())
     for value in vars(engine.protocol).values():
         if isinstance(value, CoinDeck):

@@ -8,6 +8,11 @@ suites and callers can assert on precise failure modes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.sim.core.stats import SimResult
+
 __all__ = [
     "ReproError",
     "ConfigurationError",
@@ -46,11 +51,10 @@ class BroadcastFailure(ReproError):
     the round budget was too small).
 
     ``sim`` carries the failed run's
-    :class:`~repro.sim.core.stats.SimResult` when the driver has one, so
-    callers (e.g. the demo's ``--trace``) can inspect the rounds that
-    *were* executed.  ``budget`` carries the round budget the run
-    exhausted (``None`` when the raiser did not know it), so failure
-    consumers can report the same fields a success result exposes.
+    :class:`~repro.sim.core.stats.SimResult`, so callers (e.g. the demo's
+    ``--trace``) can inspect the rounds that *were* executed, and
+    ``budget`` the round budget the run exhausted, so failure consumers
+    can report the same fields a success result exposes.
     """
 
     def __init__(
@@ -58,8 +62,8 @@ class BroadcastFailure(ReproError):
         message: str,
         undelivered: tuple[int, ...] = (),
         *,
-        sim: object = None,
-        budget: int | None = None,
+        sim: SimResult,
+        budget: int,
     ) -> None:
         super().__init__(message)
         self.undelivered = tuple(undelivered)

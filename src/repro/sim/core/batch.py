@@ -380,7 +380,8 @@ class ArrayEngine:
 
         Read-only introspection for tooling (the sanitizer's bisector
         records its adjacency version in repro bundles); mutating it
-        mid-run is undefined behaviour.
+        mid-run is undefined behaviour, except :meth:`FaultState.sync`,
+        which leaves every outcome unchanged.
         """
         return self._fault_state
 
@@ -503,6 +504,9 @@ class ArrayEngine:
         counters = self._traffic - start_traffic
         history = self._trace_observer.history if self._trace_observer else []
         state = self._fault_state
+        if state is not None:
+            # A result leaves the engine stream exact: no loss coin drawn ahead.
+            state.sync()
         result = SimResult(
             rounds_run=self._round - start_round,
             stopped_early=stopped_early,

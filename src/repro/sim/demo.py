@@ -366,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
         # The failure carries the executed rounds, so --trace still shows
         # what happened — the case where a trace is most useful.
         sim, budget = exc.sim, exc.budget
-        assert isinstance(sim, SimResult) and budget is not None  # run_broadcast sets both
         if args.json:
             # Same shape as the success payload (shared keys + status
             # discriminator) so one consumer schema parses both.

@@ -30,7 +30,11 @@ engine's own stream (:attr:`~repro.sim.rng.SeededStreams.engine`), which
 node protocols never touch — so attaching an empty schedule, or none,
 leaves every run bitwise-identical to the fault-free simulator, and a
 faulted run is reproducible across the dense/sparse channel backends
-(and between each protocol and its per-node test oracle) alike.
+(and between each protocol and its per-node test oracle) alike.  Each
+round consumes ``n`` loss coins per row, in round order; they are drawn
+a block of rounds ahead in one call per row, and the stream is rewound
+past the unspent ones (:meth:`FaultState.sync`) wherever its cursor is
+read, so it always sits where per-round draws would have left it.
 """
 
 from __future__ import annotations
@@ -200,6 +204,14 @@ _DROPPED, _JAMMED, _CRASHED, _FLIPPED = range(4)
 #: Stop round of a window that never closes.
 _FOREVER = np.iinfo(np.int64).max
 
+#: Loss coins one block holds over all rows of a :class:`FaultState`: each
+#: row draws ``max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))`` rounds' worth
+#: per call.
+_LOSS_BLOCK_ELEMENTS = 1 << 15
+
+#: The PCG64 period: advancing by ``_PERIOD - k`` steps rewinds ``k``.
+_PERIOD = 1 << 128
+
 
 def _windows(
     entries: tuple[NodeCrash, ...] | tuple[Jammer, ...],
@@ -224,7 +236,10 @@ class FaultState:
     adjacency and rebuilds the kernel operand on the engine's backend
     whenever an edge flips — once per flip, whatever the row count.  Each
     row draws its loss coins from its own engine stream — never from a
-    node stream — and keeps its own counters.
+    node stream — and keeps its own counters.  The coins come a block of
+    rounds at a time, one ``random`` call per row, kept as booleans; the
+    streams run ahead of the rounds until :meth:`sync` (or :meth:`fuse`,
+    or :meth:`export` for the leaving row) rewinds them.
     """
 
     def __init__(
@@ -267,6 +282,11 @@ class FaultState:
         # cache it keyed by both so static phases pay nothing per round.
         self._adjacency_version = 0
         self._jam_cache: tuple[tuple[int, ...], int, np.ndarray] | None = None
+        # Loss coins drawn ahead: ``(rows, block, n)`` flags ``coin <
+        # loss_rate``, of which rounds ``_spent`` onwards are unspent; every
+        # row's stream sits past the whole block.
+        self._lost: np.ndarray | None = None
+        self._spent = 0
 
     # Crash and jammer windows as arrays: the round's down set is one
     # comparison over them, not a loop over the schedule.  Built on first
@@ -283,13 +303,16 @@ class FaultState:
     def fuse(cls, states: Sequence[FaultState]) -> FaultState:
         """One state over the rows of ``states``, which share a schedule and round.
 
-        The rows keep their own engine streams (shared, not copied) and
-        counters; the adjacency is the first state's.  A lone state is
-        its own fusion, so a one-row group advances the engine's state.
+        The rows keep their own engine streams (shared, not copied, and
+        first rewound past any coins drawn ahead) and counters; the
+        adjacency is the first state's.  A lone state is its own fusion,
+        so a one-row group advances the engine's state.
         """
         lead = states[0]
         if len(states) == 1:
             return lead
+        for state in states:
+            state.sync()
         fused = cls(lead.schedule, lead.network, lead._operand, lead._rngs[0])
         fused._adopt_adjacency(lead)
         fused._rngs = [rng for state in states for rng in state._rngs]
@@ -297,14 +320,38 @@ class FaultState:
         return fused
 
     def export(self, row: int, into: FaultState) -> None:
-        """Write ``row``'s counters and the current adjacency into ``into``."""
+        """Write ``row``'s counters and the current adjacency into ``into``,
+        and rewind ``row``'s stream past its unspent loss coins."""
         into.counters[...] = self.counters[row]
         into._adopt_adjacency(self)
+        if into is self:
+            self.sync()
+        else:
+            _rewind(self._rngs[row], self._unspent())
 
     def select(self, rows: list[int]) -> None:
         """Keep only ``rows``, in that order."""
         self._rngs = [self._rngs[row] for row in rows]
         self.counters = self.counters[rows]
+        if self._lost is not None:
+            self._lost = self._lost[rows]
+
+    def sync(self) -> None:
+        """Rewind every row's stream past its unspent loss coins.
+
+        The streams then sit where drawing ``n`` coins per round would
+        have left them; the next round draws a fresh block.
+        """
+        unspent = self._unspent()
+        for rng in self._rngs:
+            _rewind(rng, unspent)
+        self._lost = None
+
+    def _unspent(self) -> int:
+        """Loss coins each row's stream has drawn ahead of the rounds."""
+        if self._lost is None:
+            return 0
+        return (self._lost.shape[1] - self._spent) * self._n
 
     def _adopt_adjacency(self, other: FaultState) -> None:
         self._flip_cursor = other._flip_cursor
@@ -390,16 +437,18 @@ class FaultState:
         """
         cover = self._jam_cover(round_index)
         jammed = (listen & cover) if cover is not None else None
-        # The loss coins are drawn once per round and row whenever the
-        # schedule has a loss rate — independent of how many clean
-        # receptions this round produced — so stream consumption (and
-        # therefore every later draw) is identical across protocol forms,
-        # backends and batch shapes.
-        coins: np.ndarray | None = None
+        # Every round spends n loss coins per row whenever the schedule
+        # has a loss rate — independent of how many clean receptions this
+        # round produced — so stream consumption (and therefore every
+        # later draw) is identical across protocol forms, backends and
+        # batch shapes.  They are drawn a block of rounds at a time.
+        lost: np.ndarray | None = None
         if self.schedule.loss_rate > 0.0:
-            coins = np.empty(listen.shape)
-            for row, rng in zip(coins.reshape(-1, self._n), self._rngs):
-                rng.random(out=row)
+            block = self._lost
+            if block is None or self._spent == block.shape[1]:
+                block = self._draw_losses()
+            lost = block[:, self._spent].reshape(listen.shape)
+            self._spent += 1
         clean = channel.clean
         collided = channel.collided
         silent = channel.silent
@@ -408,10 +457,10 @@ class FaultState:
             collided = collided | jammed
             silent = silent & ~jammed
             self.counters[..., _JAMMED] += np.count_nonzero(jammed, axis=-1)
-        if coins is not None:
-            dropped = clean & (coins < self.schedule.loss_rate)
+        if lost is not None:
+            dropped = clean & lost
             if dropped.any():
-                clean = clean & ~dropped
+                clean = clean ^ dropped
                 silent = silent | dropped
                 self.counters[..., _DROPPED] += np.count_nonzero(dropped, axis=-1)
         if clean is channel.clean and collided is channel.collided:
@@ -427,6 +476,21 @@ class FaultState:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _draw_losses(self) -> np.ndarray:
+        """Draw the next block of loss coins: one ``random`` call per row."""
+        n, rows = self._n, len(self._rngs)
+        block = max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))
+        lost = self._lost
+        if lost is None or lost.shape != (rows, block, n):
+            lost = np.empty((rows, block, n), dtype=bool)
+        draws = np.empty(block * n)
+        for row, rng in zip(lost, self._rngs):
+            rng.random(out=draws)
+            np.less(draws, self.schedule.loss_rate, out=row.reshape(-1))
+        self._lost = lost
+        self._spent = 0
+        return lost
+
     def _apply_flip(self, flip: EdgeFlip) -> None:
         """Toggle ``{u, v}`` in the directed keys; rebuild CSR and operand.
 
@@ -473,6 +537,12 @@ class FaultState:
             cover[indices[indptr[node] : indptr[node + 1]]] = True
         self._jam_cache = (active, self._adjacency_version, cover)
         return cover
+
+
+def _rewind(rng: np.random.Generator, steps: int) -> None:
+    """Move ``rng``'s stream back by ``steps`` draws."""
+    if steps:
+        rng.bit_generator.advance(_PERIOD - steps)
 
 
 def sample_fault_schedule(

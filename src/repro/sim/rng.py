@@ -335,7 +335,10 @@ class SeededStreams:
     array (see the module docstring); :class:`~repro.sim.core.array_protocol.CoinDeck`
     draws from it and advances it in place.  ``engine`` is a numpy
     ``Generator`` reserved for the simulator itself (the fault layer's
-    coins), so engine-side randomness never perturbs node-side coin flips.
+    loss coins: ``n`` per round, drawn a block of rounds ahead and
+    rewound past the unspent ones before anyone reads the cursor, see
+    :meth:`~repro.sim.faults.FaultState.sync`), so engine-side randomness
+    never perturbs node-side coin flips.
     Both are spawned children of ``SeedSequence(seed)``: the engine child 0,
     node *i* child ``i + 1``.
 

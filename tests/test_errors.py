@@ -3,6 +3,16 @@
 import pytest
 
 from repro import errors
+from repro.sim.core import SimResult
+
+#: The executed rounds a raiser attaches to every failure.
+SIM = SimResult(
+    rounds_run=3,
+    stopped_early=False,
+    total_transmissions=0,
+    total_deliveries=0,
+    total_collisions=0,
+)
 
 
 def test_all_errors_derive_from_repro_error():
@@ -26,19 +36,27 @@ def test_specific_parentage(child, parent):
 
 
 def test_broadcast_failure_carries_undelivered_set():
-    exc = errors.BroadcastFailure("budget expired", undelivered=[3, 1, 2])
+    exc = errors.BroadcastFailure("budget expired", undelivered=[3, 1, 2], sim=SIM, budget=3)
     assert exc.undelivered == (3, 1, 2)
     assert isinstance(exc.undelivered, tuple)
+    assert (exc.sim, exc.budget) == (SIM, 3)
     assert "budget expired" in str(exc)
 
 
 def test_broadcast_failure_default_undelivered_is_empty():
-    assert errors.BroadcastFailure("oops").undelivered == ()
+    assert errors.BroadcastFailure("oops", sim=SIM, budget=3).undelivered == ()
+
+
+def test_broadcast_failure_requires_sim_and_budget():
+    with pytest.raises(TypeError, match="sim"):
+        errors.BroadcastFailure("oops", budget=3)
+    with pytest.raises(TypeError, match="budget"):
+        errors.BroadcastFailure("oops", sim=SIM)
 
 
 def test_catching_base_class_catches_subclasses():
     with pytest.raises(errors.ReproError):
-        raise errors.BroadcastFailure("x", (0,))
+        raise errors.BroadcastFailure("x", (0,), sim=SIM, budget=3)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True])

@@ -22,9 +22,11 @@ import numpy as np
 import pytest
 
 from oracles import run_oracle
+from repro.analysis.simsan.bisect import ReplaySpec, replay_digests
 from repro.errors import BroadcastFailure, ConfigurationError, SimulationError
 from repro.params import ProtocolParams
 from repro.sim import (
+    ArrayEngine,
     BatchEngine,
     BatchItem,
     DecayArrayProtocol,
@@ -39,6 +41,7 @@ from repro.sim import (
     sample_fault_schedule,
 )
 from repro.sim.core import RoundPlan, select_kernel_operand
+from repro.sim.rng import stream
 from repro.sim.topology import from_spec, grid2d, line
 
 FAST = ProtocolParams.fast()
@@ -319,6 +322,66 @@ class TestBatchFaults:
             run_broadcast_batch(
                 "decay", [net] * 3, seeds=range(3), params=FAST, faults=[COMBINED]
             )
+
+
+class TestLossCoinCursor:
+    """The fault layer draws loss coins a block of rounds ahead, yet each
+    run's engine stream must sit exactly ``rounds · n`` draws past its
+    seed wherever it can be read: after a batch, after a standalone run,
+    and in a bisector capture mid-run."""
+
+    @staticmethod
+    def _cursor(seed, draws):
+        generator = stream(seed, 0)
+        generator.bit_generator.advance(draws)
+        return generator.bit_generator.state
+
+    def test_batch_and_standalone_runs_leave_exact_cursors(self):
+        net = from_spec("grid", 64, seed=0)
+        shared = FaultSchedule(crashes=(NodeCrash(9, 2, 20),), loss_rate=0.2)
+        # Items 0-3 fuse from round 0 and retire mid-block, at 13 and 37
+        # rounds or on delivery; items 4 and 5 are stepped before run()
+        # and fuse from round 5; item 6's own schedule makes it a lone row.
+        budgets = [13, 37, 13, 400, 37, 400, 30]
+        schedules = [shared] * 6 + [FaultSchedule(loss_rate=0.2)]
+        items = [
+            BatchItem(
+                net, DecayArrayProtocol(), budget=budget, seed=seed, params=FAST, faults=schedule
+            )
+            for seed, (budget, schedule) in enumerate(zip(budgets, schedules))
+        ]
+        batch = BatchEngine(items)
+        for engine in batch.engines[4:6]:
+            for _ in range(5):
+                engine.step()
+        outcomes = batch.run()
+        assert batch.group_sizes() == [6, 1]
+        assert [o.completed for o in outcomes] == [False, False, False, True, False, True, False]
+        for outcome in outcomes:
+            item = outcome.item
+            alone = ArrayEngine(
+                net, DecayArrayProtocol(), seed=item.seed, params=FAST, faults=item.faults
+            )
+            assert outcome.sim == alone.run(
+                item.budget, stop_when=lambda engine: engine.protocol.done()
+            )
+        standalone = ArrayEngine(net, DecayArrayProtocol(), seed=7, params=FAST, faults=shared)
+        standalone.run(29)
+        engines = [*batch.engines, standalone]
+        rounds = [engine.round_index for engine in engines]
+        assert rounds[:3] == [13, 37, 13] and rounds[4] == 37 and rounds[6:] == [30, 29]
+        for seed, engine in enumerate(engines):
+            state = engine.streams.engine.bit_generator.state
+            assert state == self._cursor(seed, engine.round_index * net.n)
+
+    def test_bisector_capture_reports_the_exact_cursor(self):
+        spec = ReplaySpec(
+            protocol="decay", topology="grid", n=64, seed=3, backend="dense", loss_rate=0.2
+        )
+        for r in (0, 13, 37):
+            _, capture = replay_digests(spec, backend="dense", capture_at=r)
+            state = capture["coin_cursor"]["engine_stream_state"]
+            assert state == self._cursor(3, r * 64)
 
 
 class _ExplodingProtocol(DecayArrayProtocol):

@@ -16,6 +16,7 @@ one operand rebuild per edge flip.
 
 from collections import Counter
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -346,6 +347,7 @@ def test_blind_and_detecting_waves_never_fuse():
 RUNS = [
     ("decay", None),
     ("ghk", None),
+    ("multimessage", {"k_messages": 1}),
     ("multimessage", {"k_messages": 2}),
     ("multimessage", {"k_messages": 4}),
 ]
@@ -353,23 +355,35 @@ RUNS = [
 
 @st.composite
 def batch_runs(draw):
-    """``(protocol, options, backend, networks, seeds, faults, budget)``.
+    """``(protocol, options, backend, networks, seeds, faults, budget, stepped)``.
 
-    The networks have mixed sizes, so a batch spans several groups;
-    ``faults`` is ``None``, one schedule shared by every item (sampled on
-    the smallest network, so every node it names exists everywhere), or
-    one sampled schedule per item; ``budget`` is the default or one small
-    enough to starve most runs.
+    The networks have mixed sizes, so a batch spans several groups; or
+    one size, as distinct graphs or as a few graphs repeated, so faulted
+    items fuse.  ``faults`` is ``None``, one schedule shared by every item
+    (sampled on the smallest network, so every node it names exists
+    everywhere), or one sampled schedule per item; ``budget`` is the
+    default or one small enough to starve most runs; ``stepped`` counts
+    the rounds each item runs on its own before the batch runs.
     """
     protocol, options = draw(st.sampled_from(RUNS))
     backend = draw(st.sampled_from(["dense", "sparse", "bitpacked"]))
-    nets = []
-    for n in draw(st.lists(st.integers(2, 9), min_size=2, max_size=5)):
+    shape = draw(st.sampled_from(["mixed sizes", "one size", "repeated"]))
+    count = draw(st.integers(2, 5))
+    if shape == "mixed sizes":
+        sizes = draw(st.lists(st.integers(2, 9), min_size=count, max_size=count))
+    else:
+        sizes = [draw(st.integers(2, 9))] * (count if shape == "one size" else 2)
+    graphs = []
+    for n in sizes:
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
             lambda p: p[0] != p[1]
         )
         order = draw(st.permutations(range(n)))
-        nets.append(_network(n, order, draw(st.lists(pair, max_size=n))))
+        graphs.append(_network(n, order, draw(st.lists(pair, max_size=n))))
+    nets = graphs
+    if shape == "repeated":
+        picks = st.lists(st.sampled_from(graphs), min_size=count, max_size=count)
+        nets = draw(picks)
     seeds = draw(st.lists(st.integers(0, 999), min_size=len(nets), max_size=len(nets)))
     mode = draw(st.sampled_from(["none", "shared", "per-item"]))
     fault_seed = draw(st.integers(0, 999))
@@ -394,26 +408,38 @@ def batch_runs(draw):
             for i, net in enumerate(nets)
         ]
     budget = draw(st.sampled_from([None, 3, 12]))
-    return protocol, options, backend, nets, seeds, faults, budget
+    stepped = draw(st.lists(st.integers(0, 2), min_size=len(nets), max_size=len(nets)))
+    return protocol, options, backend, nets, seeds, faults, budget, stepped
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch_runs())
 def test_batch_entries_equal_each_item_run_alone(case):
     # The run API's contract: whatever a batch groups and fuses, entry i is
-    # what ``run_broadcast`` returns or raises for item i on its own.
-    protocol, options, backend, nets, seeds, faults, budget = case
+    # what ``run_broadcast`` returns or raises for item i on its own —
+    # even when some items ran a few rounds alone before the batch did.
+    protocol, options, backend, nets, seeds, faults, budget, stepped = case
     params = FAST.with_overrides(channel_backend=backend)
     per_item = faults if isinstance(faults, list) else [faults] * len(nets)
-    entries = run_broadcast_batch(
-        protocol, nets, seeds=seeds, params=params, budget=budget, options=options,
-        faults=faults,
-    )
+    run = BatchEngine.run
+
+    def run_after_stepping(batch):
+        for engine, item, rounds in zip(batch.engines, batch.items, stepped):
+            for _ in range(min(rounds, item.budget - 1)):
+                if not item.protocol.done():
+                    engine.step()
+        return run(batch)
+
+    with patch.object(BatchEngine, "run", run_after_stepping):
+        entries = run_broadcast_batch(
+            protocol, nets, seeds=seeds, params=params, budget=budget, options=options,
+            faults=faults, sanitize=True,
+        )
     assert len(entries) == len(nets)
     for entry, net, seed, schedule in zip(entries, nets, seeds, per_item):
         alone = partial(
             run_broadcast, protocol, net, params, seed=seed, budget=budget, options=options,
-            faults=schedule,
+            faults=schedule, sanitize=True,
         )
         if isinstance(entry, BroadcastFailure):
             with pytest.raises(BroadcastFailure) as raised:
