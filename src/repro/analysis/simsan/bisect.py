@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.params import ProtocolParams
-from repro.sim.core.array_protocol import CoinDeck, RoundPlan
+from repro.sim.core.array_protocol import RoundPlan
 from repro.sim.core.batch import ArrayEngine, select_kernel_operand
 from repro.sim.core.channel import ChannelRound, KernelOperand, pack_mask
 from repro.sim.faults import FaultSchedule, sample_fault_schedule
@@ -181,18 +181,15 @@ def _round_digest(plan: RoundPlan, channel: ChannelRound) -> bytes:
 def _coin_cursor(engine: ArrayEngine) -> dict:
     """The engine-stream RNG state plus a digest of the node streams' cursor.
 
-    A node's coin cursor is its PCG64 state, which moves only when its
-    :class:`~repro.sim.core.array_protocol.CoinDeck` buffer is refilled,
-    together with the coins spent from that buffer — so the digest covers
-    the streams' state array and every deck's positions.  The fault layer
-    draws loss coins ahead, so its streams are rewound to the round first.
+    A node's coin cursor is its PCG64 state, which its
+    :class:`~repro.sim.core.array_protocol.CoinDeck` steps with every coin
+    it draws, so the digest covers the streams' state array alone.  The
+    fault layer draws loss coins ahead, so its streams are rewound to the
+    round first.
     """
     if engine.fault_state is not None:
         engine.fault_state.sync()
     node_digest = hashlib.sha256(engine.streams.state.tobytes())
-    for value in vars(engine.protocol).values():
-        if isinstance(value, CoinDeck):
-            node_digest.update(value.positions.tobytes())
     return {
         "engine_stream_state": engine.streams.engine.bit_generator.state,
         "node_streams_sha256": node_digest.hexdigest(),

@@ -24,13 +24,12 @@ exactly as if they had run alone.
 
 Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
 node's coins from that node's own PCG64 stream in
-:class:`~repro.sim.rng.SeededStreams`, in chunks (a stream yields the same
-sequence whether drawn one value at a time or in blocks).  A per-node
-implementation that calls ``rng.random()`` on numpy's generator for the
-same spawned child, for the same nodes in the same rounds, is therefore
-*bitwise identical* to the array form — same traces, same
-rounds-to-delivery, same failures — which is how the test suite's
-per-node oracles check the array protocols.  A fused deck is the
+:class:`~repro.sim.rng.SeededStreams`, stepping only the streams that
+draw, once each.  A per-node implementation that calls ``rng.random()``
+on numpy's generator for the same spawned child, for the same nodes in
+the same rounds, is therefore *bitwise identical* to the array form —
+same traces, same rounds-to-delivery, same failures — which is how the
+test suite's per-node oracles check the array protocols.  A fused deck is the
 concatenation of its copies' decks, so fusing changes no coin.
 
 A registry maps protocol names to their array protocol classes.
@@ -46,9 +45,9 @@ from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.params import ProtocolParams
-from repro.sim.rng import pcg64_advance, pcg64_doubles
+from repro.sim.rng import pcg64_step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core.channel import ChannelRound
@@ -66,10 +65,6 @@ __all__ = [
 ]
 
 _P = TypeVar("_P", bound="ArrayProtocol")
-
-#: The fewest coins per stream a fused :class:`CoinDeck` buffers.
-_MIN_FUSED_CHUNK = 16
-
 
 @dataclass(frozen=True)
 class ArrayContext:
@@ -245,126 +240,44 @@ class CoinDeck:
     ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node,
     taken from that node's own stream — the *same* values, in the same
     per-node order, that per-node ``Generator.random()`` calls on the
-    node's spawned child would produce.  Each node has a buffer of
-    ``chunk`` coins computed ahead, so a round's draws cost a few
-    fancy-indexing operations.
-
-    The deck owns the streams' ``state``: node i's state always sits at
-    the first coin of its current buffer, and ``_pos[i]`` counts the
-    coins spent from it, so ``(state, positions)`` is the exact cursor.
-    The first draw fills every buffer in one vectorized PCG64 pass
-    (:func:`~repro.sim.rng.pcg64_doubles`).  Once some buffer is empty,
-    the next draw advances every node that has spent at least half its
-    buffer past its spent coins and refills it, so refills come in
-    batches — at most one per ``chunk / 2`` draws — instead of one per
-    node.
+    node's spawned child would produce.  A draw steps exactly the drawing
+    streams, once each (:func:`~repro.sim.rng.pcg64_step`), and no coin is
+    held ahead: the deck's ``state`` — for a deck built on
+    :class:`~repro.sim.rng.SeededStreams`, that object's very ``state``
+    array — is every stream's exact cursor at every moment.
     """
 
-    def __init__(self, streams: "SeededStreams", *, chunk: int = 64) -> None:
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be positive, got {chunk}")
+    def __init__(self, streams: "SeededStreams") -> None:
         self._state = streams.state
-        self._chunk = chunk
-        self._empty()
-
-    def _empty(self) -> None:
-        """Drop every buffer; ``_state`` must already sit at the next coins."""
-        n = self._state.shape[1]
-        #: buffered coins, one column per node, empty until the first draw;
-        #: node i's next coin is ``_buf[_pos[i], i]``.
-        self._buf = np.empty((0, n), dtype=np.float64)
-        self._pos = np.full(n, self._chunk, dtype=np.int64)
-        #: draws guaranteed to find every buffer non-empty: a draw spends
-        #: at most one coin per node, so ``chunk - max(_pos)`` is safe.
-        self._headroom = 0
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Per-node count of coins spent from the current buffer (read-only view)."""
-        view = self._pos.view()
-        view.flags.writeable = False
-        return view
 
     def draw(self, nodes: np.ndarray) -> np.ndarray:
         """One coin per node in ``nodes`` (unique indices), from its own stream."""
-        if self._headroom <= 0:
-            self._replenish()
-        self._headroom -= 1
-        pos = self._pos[nodes]
-        coins = self._buf[pos, nodes]
-        self._pos[nodes] = pos + 1
-        return coins
+        return pcg64_step(self._state, nodes)
 
     @classmethod
     def concat(cls, decks: Sequence[CoinDeck]) -> CoinDeck:
-        """One deck over the concatenated streams of ``decks``, cursors kept.
-
-        It starts with empty buffers, and buffers fewer coins per stream
-        than its parts (their chunk over their count, at least
-        ``_MIN_FUSED_CHUNK``): one refill call serves every part, so a
-        shorter buffer amortizes it as well, and the fused buffer — a
-        fused instance's largest array — stays a fraction of its parts'
-        buffers together.
-        """
+        """One deck over the concatenated streams of ``decks``, cursors kept."""
         fused = cls.__new__(cls)
-        fused._state = np.concatenate([deck._cursor(slice(None)) for deck in decks], axis=1)
-        fused._chunk = max(_MIN_FUSED_CHUNK, max(deck._chunk for deck in decks) // len(decks))
-        fused._empty()
+        fused._state = np.concatenate([deck._state for deck in decks], axis=1)
         return fused
 
     def export(self, nodes: np.ndarray, into: Sequence[CoinDeck]) -> None:
         """Hand the cursors of ``nodes`` to the decks ``into``, in order.
 
         The decks together cover exactly those streams, each a run of
-        ``len(nodes) // len(into)`` of them; every one gets its streams
-        positioned at their next unspent coin and an empty buffer, which
-        its next draw refills.  One jump-ahead serves all the decks.
+        ``len(nodes) // len(into)`` of them.
         """
-        cursor = self._cursor(nodes).reshape(4, len(into), -1)
+        cursor = self._state[:, nodes].reshape(4, len(into), -1)
         for b, deck in enumerate(into):
             deck._state[...] = cursor[:, b]
-            deck._empty()
-
-    def _cursor(self, nodes: slice | np.ndarray) -> np.ndarray:
-        """The states of ``nodes``' streams at their next unspent coin (a copy)."""
-        state: np.ndarray = self._state[:, nodes].copy()
-        if self._buf.size:
-            pos = self._pos[nodes]
-            spent = np.flatnonzero(pos)
-            if spent.size:
-                moved = state[:, spent]
-                pcg64_advance(moved, pos[spent])
-                state[:, spent] = moved
-        return state
 
     def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
         """Move the cursors of streams ``src`` onto ``dst``, keep the first ``size``.
 
-        In place, like :meth:`ArrayProtocol.compact`: the coin buffer is
-        the largest array a fused instance holds.
+        In place, like :meth:`ArrayProtocol.compact`.
         """
         self._state[:, dst] = self._state[:, src]
         self._state = self._state[:, :size]
-        self._pos[dst] = self._pos[src]
-        self._pos = self._pos[:size]
-        if self._buf.size:
-            self._buf[:, dst] = self._buf[:, src]
-            self._buf = self._buf[:, :size]
-
-    def _replenish(self) -> None:
-        """Refill the buffers if any is empty, then recompute the headroom."""
-        chunk = self._chunk
-        if not self._buf.size:
-            self._buf = pcg64_doubles(self._state, chunk)
-            self._pos[:] = 0
-        elif self._pos.max() >= chunk:
-            rows = np.flatnonzero(2 * self._pos >= chunk)
-            state = self._state[:, rows]
-            pcg64_advance(state, self._pos[rows])
-            self._buf[:, rows] = pcg64_doubles(state, chunk)
-            self._state[:, rows] = state
-            self._pos[rows] = 0
-        self._headroom = chunk - int(self._pos.max())
 
 
 # ---------------------------------------------------------------------- #

@@ -478,6 +478,8 @@ class ArrayEngine:
             len(history),
         )
         stopped_early = False
+        if fault_state is not None:
+            fault_state.horizon = self._round + max_rounds
         if stop_when is not None and stop_when(self):
             stopped_early = True
         else:
@@ -486,6 +488,8 @@ class ArrayEngine:
                 if stop_when is not None and stop_when(self):
                     stopped_early = True
                     break
+        if fault_state is not None:
+            fault_state.horizon = None
         self._wall_seconds += time.perf_counter() - t0
         return self._result(stopped_early, start)
 
@@ -802,6 +806,8 @@ class _FusedGroup:
         budget = dict(zip(engines, budgets))
         self.budgets = np.array([budget.get(engine, 0) for engine in self.engines])
         self.first_budget = int(self.budgets.min())
+        if self.faults is not None and budgets:
+            self.faults.horizon = int(self.budgets.max())
         self._watch()
         #: per-row offsets turning a fused part's sender ids into flat ids.
         self.offsets = np.arange(len(self.engines), dtype=np.int64)[:, None] * self.n
@@ -1048,9 +1054,11 @@ class _FusedGroup:
         if isinstance(self.operand, SparseOperand) and self.operand.row_base is not None:
             # Rows on different graphs: only the union's row map changes.
             self.operand = self.operand.select_rows(order)
-        if self.faults is not None and order:
-            # An emptied lone row's state is its engine's own: keep it whole.
-            self.faults.select(order)
+        if self.faults is not None:
+            self.faults.horizon = int(self.budgets.max()) if order else None
+            if order:
+                # An emptied lone row's state is its engine's own: keep it whole.
+                self.faults.select(order)
         self._watch()
         return retired
 

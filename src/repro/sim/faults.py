@@ -206,7 +206,7 @@ _FOREVER = np.iinfo(np.int64).max
 
 #: Loss coins one block holds over all rows of a :class:`FaultState`: each
 #: row draws ``max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))`` rounds' worth
-#: per call.
+#: per call, or fewer where :attr:`FaultState.horizon` is nearer.
 _LOSS_BLOCK_ELEMENTS = 1 << 15
 
 #: The PCG64 period: advancing by ``_PERIOD - k`` steps rewinds ``k``.
@@ -287,6 +287,10 @@ class FaultState:
         # row's stream sits past the whole block.
         self._lost: np.ndarray | None = None
         self._spent = 0
+        #: The round no row runs to, when the owner knows it: no block of
+        #: loss coins reaches past it.  It bounds only the coins drawn
+        #: ahead, never which coins a round spends.
+        self.horizon: int | None = None
 
     # Crash and jammer windows as arrays: the round's down set is one
     # comparison over them, not a loop over the schedule.  Built on first
@@ -446,7 +450,7 @@ class FaultState:
         if self.schedule.loss_rate > 0.0:
             block = self._lost
             if block is None or self._spent == block.shape[1]:
-                block = self._draw_losses()
+                block = self._draw_losses(round_index)
             lost = block[:, self._spent].reshape(listen.shape)
             self._spent += 1
         clean = channel.clean
@@ -476,10 +480,12 @@ class FaultState:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _draw_losses(self) -> np.ndarray:
-        """Draw the next block of loss coins: one ``random`` call per row."""
+    def _draw_losses(self, round_index: int) -> np.ndarray:
+        """Draw the block of loss coins from ``round_index`` on: one ``random`` call per row."""
         n, rows = self._n, len(self._rngs)
         block = max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))
+        if self.horizon is not None:
+            block = max(1, min(block, self.horizon - round_index))
         lost = self._lost
         if lost is None or lost.shape != (rows, block, n):
             lost = np.empty((rows, block, n), dtype=bool)

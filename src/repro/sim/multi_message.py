@@ -149,6 +149,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         "known",
         "message_round",
         "wave_distance",
+        "_wave_phase",
         "_holds_any",
         "_pulse_sent",
         "_slots_contended",
@@ -181,6 +182,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self.message_round[ctx.source, :] = 0
         self.wave_distance = np.full(n, -1, dtype=np.int64)
         self.wave_distance[ctx.source] = 0
+        #: ``wave_distance % WAVE_SPACING`` (-1 while unsynced), set with it.
+        self._wave_phase = self.wave_distance.astype(np.int8)
         #: ``known.any(axis=1)``, kept up to date on every fresh receipt.
         self._holds_any = self.known.any(axis=1)
         self._pulse_sent = np.zeros(n, dtype=bool)
@@ -216,7 +219,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
             settled
             & holds_any
             & (r > self.wave_distance)
-            & ((r - self.wave_distance) % WAVE_SPACING == 0)
+            & (self._wave_phase == r % WAVE_SPACING)
         )
         if pipelined:
             # Layer 0 is the source alone (no other node learns distance 0):
@@ -287,6 +290,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         beep = channel.clean | channel.collided
         newly_synced = beep & (self.wave_distance < 0)
         self.wave_distance[newly_synced] = r + 1
+        self._wave_phase[newly_synced] = (r + 1) % WAVE_SPACING
         # Message receipt: a clean transmission carrying a payload index.
         heard = np.flatnonzero(channel.clean)
         heard_indices = self._tx_index[channel.senders[heard]]

@@ -11,13 +11,15 @@ Node *i*'s stream is numpy's ``PCG64(SeedSequence(seed).spawn(n + 1)[i + 1])``
 — but no ``Generator`` object is built for it.  :func:`pcg64_node_states`
 reproduces ``SeedSequence`` spawning and PCG64 seeding for all nodes of
 many seeds at once in vectorized ``uint64`` arithmetic, and
-:func:`pcg64_doubles` steps many PCG64 states together, returning exactly
-the values ``Generator.random()`` would.  Setting up the streams of a
-131072-node network then costs milliseconds instead of seconds, and every
-pinned seed keeps its results.  :class:`SeededStreams` is one run's
-streams; :func:`seed_together` derives the node states of many runs, as
-a batch does, in one pass over seeds × nodes per network size, so a
-batch of small networks does not pay numpy's per-call cost once per run.
+:func:`pcg64_step` steps any subset of the streams once each, in place,
+returning exactly the values ``Generator.random()`` would.  No coin is
+computed before it is drawn, so a stream's state is its exact cursor at
+every moment.  Setting up the streams of a 131072-node network costs
+milliseconds instead of seconds, and every pinned seed keeps its results.
+:class:`SeededStreams` is one run's streams; :func:`seed_together`
+derives the node states of many runs, as a batch does, in one pass over
+seeds × nodes per network size, so a batch of small networks does not pay
+numpy's per-call cost once per run.
 
 A PCG64 state is four ``uint64`` words per stream, stored as the rows of a
 ``(4, k)`` array: the 128-bit LCG state (high, low) and its odd 128-bit
@@ -37,9 +39,8 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "SeededStreams",
-    "pcg64_advance",
-    "pcg64_doubles",
     "pcg64_node_states",
+    "pcg64_step",
     "seed_together",
     "stream",
 ]
@@ -49,7 +50,6 @@ _LOW32 = _U64(0xFFFFFFFF)
 _32 = _U64(32)
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -62,13 +62,8 @@ _POOL_SIZE = 4
 
 #: PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-#: Target element count of one vectorized LCG step: wider blocks stop
-#: paying numpy's per-call overhead, narrower ones stay in cache.
-_STEP_ELEMENTS = 4096
-#: Element count of one slab of draws (128 KiB of uint64, under glibc's
-#: default mmap threshold).
-_SLAB_ELEMENTS = 1 << 14
+_PCG_MULT_HI = _U64(_PCG_MULT >> 64)
+_PCG_MULT_LO = _U64(_PCG_MULT & _MASK64)
 
 
 def stream(seed: int, *key: int) -> Generator:
@@ -200,120 +195,33 @@ def _add128(
     return hi, lo
 
 
-def _jump_table(width: int) -> np.ndarray:
-    """Jump-ahead constants for ``j = 1..width`` steps, shape (4, width).
+def pcg64_step(state: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Step the streams ``nodes`` of the (4, k) ``state`` once each; their doubles.
 
-    ``j`` LCG steps take ``s`` to ``A_j·s + G_j·inc`` with ``A_j = M^j`` and
-    ``G_j = 1 + M + ... + M^(j-1)`` (mod 2^128).  The rows are the limbs
-    ``A hi, A lo, G hi, G lo``; column ``j - 1`` is for ``j`` steps.
+    ``nodes`` lists unique columns.  Their LCG states move one step in
+    place, and the result holds the ``Generator.random()`` value each
+    stream yields at that step, in the order of ``nodes``.
     """
-    return _jump_table_pow2((width - 1).bit_length())[:, :width]
-
-
-@lru_cache(maxsize=None)  # one read-only entry per power of two
-def _jump_table_pow2(log_width: int) -> np.ndarray:
-    a, g = 1, 0
-    columns = []
-    for _ in range(1 << log_width):
-        a = (a * _PCG_MULT) & _MASK128
-        g = (g * _PCG_MULT + 1) & _MASK128
-        columns.append((a >> 64, a & _MASK64, g >> 64, g & _MASK64))
-    table = np.array(columns, dtype=_U64).T.copy()
-    table.setflags(write=False)
-    return table
-
-
-def _jump(state: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``A·s + G·inc (mod 2^128)`` elementwise, for (4, k) states and jump constants.
-
-    Both operands are full, contiguous arrays: numpy's vectorized integer
-    loops only apply when neither side is broadcast.
-    """
-    s_hi, s_lo, inc_hi, inc_lo = state
-    a_hi, a_lo, g_hi, g_lo = table
-    hi = _mulhi64(s_lo, a_lo)
-    hi += a_hi * s_lo
-    hi += a_lo * s_hi
-    hi += _mulhi64(inc_lo, g_lo)
-    hi += g_hi * inc_lo
-    hi += g_lo * inc_hi
-    x_lo = a_lo * s_lo
-    lo = g_lo * inc_lo
-    lo += x_lo
-    hi += lo < x_lo
-    return hi, lo
-
-
-def pcg64_advance(state: np.ndarray, steps: np.ndarray) -> None:
-    """Advance each stream of the (4, k) ``state`` by ``steps[i]`` draws, in place.
-
-    ``steps`` holds one count per stream, each at least 1; the result
-    equals numpy's ``PCG64.advance(steps[i])``.
-    """
-    table = _jump_table(int(steps.max()))
-    state[0], state[1] = _jump(state, table[:, steps - 1])
-
-
-def _lcg_trajectory(state: np.ndarray, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The LCG states after 1..``count`` steps of each stream: (count, k) hi and lo.
-
-    The first ``width`` rows come straight from the jump table, as one
-    flat pass over the streams tiled ``width`` times; every later block of
-    ``width`` rows is one constant-multiplier step of the block before it
-    (``A_width·s + G_width·inc``), so the trajectory costs one 128-bit
-    multiply per draw in ``(width, k)`` array operations.
-    """
-    k = state.shape[1]
-    table = _jump_table(width)
-    first_hi, first_lo = _jump(np.tile(state, width), np.repeat(table, k, axis=1))
-    if count == width:
-        return first_hi.reshape(width, k), first_lo.reshape(width, k)
-    hi = np.empty((count, k), dtype=_U64)
-    lo = np.empty_like(hi)
-    hi[:width] = first_hi.reshape(width, k)
-    lo[:width] = first_lo.reshape(width, k)
-    a_step = (int(table[0, -1]) << 64) | int(table[1, -1])
-    g_step = (int(table[2, -1]) << 64) | int(table[3, -1])
-    add_hi, add_lo = (np.tile(x, (width, 1)) for x in _mul128_const(state[2], state[3], g_step))
-    for start in range(width, count, width):
-        stop = min(start + width, count)
-        prev = slice(start - width, stop - width)
-        x_hi, x_lo = _mul128_const(hi[prev], lo[prev], a_step)
-        x_hi += add_hi[: stop - start]
-        np.add(x_lo, add_lo[: stop - start], out=lo[start:stop])
-        x_hi += lo[start:stop] < x_lo
-        hi[start:stop] = x_hi
-    return hi, lo
-
-
-def pcg64_doubles(state: np.ndarray, count: int) -> np.ndarray:
-    """The next ``count`` ``Generator.random()`` values of each PCG64 stream.
-
-    ``state`` is a (4, k) array of PCG64 states (see the module docstring);
-    it is not modified — :func:`pcg64_advance` moves it past the values a
-    caller consumes.  Returns a ``(count, k)`` array whose ``[j, i]`` entry
-    is stream *i*'s ``j``-th next double.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    k = state.shape[1]
-    out = np.empty((count, k), dtype=np.float64)
-    # Slabs of streams keep every temporary small enough to be recycled
-    # by the allocator instead of being mapped afresh.
-    slab = max(1, _SLAB_ELEMENTS // count)
-    width = min(count, max(1, _STEP_ELEMENTS // max(1, min(k, slab))))
-    for start in range(0, k, slab):
-        cols = slice(start, start + slab)
-        hi, lo = _lcg_trajectory(state[:, cols], count, width)
-        # XSL-RR output: rotate (hi ^ lo) right by the top six state bits.
-        bits = hi ^ lo
-        hi >>= _U64(58)
-        lo = bits << ((_U64(64) - hi) & _U64(63))
-        bits >>= hi
-        bits |= lo
-        bits >>= _U64(11)
-        np.multiply(bits, 1.0 / 9007199254740992.0, out=out[:, cols])
-    return out
+    s_hi, s_lo, inc_hi, inc_lo = state.take(nodes, axis=1)
+    # s <- M·s + inc (mod 2^128), on 64-bit limbs.
+    hi = _mulhi64(s_lo, _PCG_MULT_LO)
+    hi += s_hi * _PCG_MULT_LO
+    hi += s_lo * _PCG_MULT_HI
+    hi += inc_hi
+    lo = s_lo * _PCG_MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+    # Row by row: numpy scatters into a 1-d view several times faster.
+    state[0][nodes] = hi
+    state[1][nodes] = lo
+    # XSL-RR output: rotate (hi ^ lo) right by the top six state bits.
+    bits = hi ^ lo
+    hi >>= _U64(58)
+    lo = bits << ((_U64(64) - hi) & _U64(63))
+    bits >>= hi
+    bits |= lo
+    bits >>= _U64(11)
+    return bits * (1.0 / 9007199254740992.0)
 
 
 def _checked_seed(seed: int) -> int:
@@ -333,7 +241,8 @@ class SeededStreams:
 
     ``state`` holds every node's private PCG64 stream as a (4, n) ``uint64``
     array (see the module docstring); :class:`~repro.sim.core.array_protocol.CoinDeck`
-    draws from it and advances it in place.  ``engine`` is a numpy
+    steps it in place, one column per coin drawn, so it always holds
+    every node's exact cursor.  ``engine`` is a numpy
     ``Generator`` reserved for the simulator itself (the fault layer's
     loss coins: ``n`` per round, drawn a block of rounds ahead and
     rewound past the unspent ones before anyone reads the cursor, see

@@ -522,7 +522,7 @@ class TestCoinDeck:
         a = SeededStreams(9, 5)
         children = np.random.SeedSequence(9).spawn(6)[1:]
         b = [np.random.Generator(np.random.PCG64(c)) for c in children]
-        deck = CoinDeck(a, chunk=3)  # tiny chunk to force refills
+        deck = CoinDeck(a)
         seen = {i: [] for i in range(5)}
         rng = np.random.default_rng(0)
         for _ in range(40):
@@ -533,10 +533,6 @@ class TestCoinDeck:
         for node in range(5):
             expected = [b[node].random() for _ in range(len(seen[node]))]
             assert seen[node] == expected
-
-    def test_rejects_non_positive_chunk(self):
-        with pytest.raises(ConfigurationError, match="chunk"):
-            CoinDeck(SeededStreams(0, 2), chunk=0)
 
 
 class TestArrayRegistry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import SeededStreams, pcg64_doubles, stream
+from repro.sim.rng import SeededStreams, pcg64_step, stream
 
 
 def _numpy_node_generators(seed: int, n: int) -> list[np.random.Generator]:
@@ -13,20 +13,26 @@ def _numpy_node_generators(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
+def _doubles(streams: SeededStreams, count: int) -> np.ndarray:
+    """``count`` coins of every node stream, as a ``(count, n)`` array."""
+    nodes = np.arange(len(streams))
+    return np.array([pcg64_step(streams.state, nodes) for _ in range(count)])
+
+
 def test_same_seed_same_draws():
-    a = pcg64_doubles(SeededStreams(42, 5).state, 8)
-    b = pcg64_doubles(SeededStreams(42, 5).state, 8)
+    a = _doubles(SeededStreams(42, 5), 8)
+    b = _doubles(SeededStreams(42, 5), 8)
     assert a.tolist() == b.tolist()
 
 
 def test_different_seeds_differ():
-    a = pcg64_doubles(SeededStreams(1, 3).state, 8)
-    b = pcg64_doubles(SeededStreams(2, 3).state, 8)
+    a = _doubles(SeededStreams(1, 3), 8)
+    b = _doubles(SeededStreams(2, 3), 8)
     assert a[:, 0].tolist() != b[:, 0].tolist()
 
 
 def test_node_streams_are_mutually_independent():
-    draws = pcg64_doubles(SeededStreams(7, 2).state, 8)
+    draws = _doubles(SeededStreams(7, 2), 8)
     assert draws[:, 0].tolist() != draws[:, 1].tolist()
 
 
@@ -42,8 +48,8 @@ def test_seeded_streams_shape_and_reproducibility():
     t = SeededStreams(9, 4)
     assert s.engine.random(4).tolist() == t.engine.random(4).tolist()
     expected = _numpy_node_generators(9, 4)[3].random(4).tolist()
-    assert pcg64_doubles(s.state, 4)[:, 3].tolist() == expected
-    assert pcg64_doubles(t.state, 4)[:, 3].tolist() == expected
+    assert _doubles(s, 4)[:, 3].tolist() == expected
+    assert _doubles(t, 4)[:, 3].tolist() == expected
 
 
 def test_engine_stream_is_spawned_child_zero():

@@ -4,10 +4,11 @@
 per node; it reimplements ``SeedSequence.spawn`` and PCG64 stepping in
 ``uint64`` array arithmetic.  These tests pin that reimplementation to
 numpy itself: the spawned states (of one seed, and of many seeds of mixed
-widths in one pass), the doubles, the jump-ahead and the
-:class:`~repro.sim.core.array_protocol.CoinDeck` refill schedule, for
-seeds whose entropy spans one to six 32-bit words (five or more words
-take SeedSequence's extra mixing loop).
+widths in one pass), the stepped doubles, and the
+:class:`~repro.sim.core.array_protocol.CoinDeck` cursors through
+``concat``, ``compact`` and ``export``, for seeds whose entropy spans one
+to six 32-bit words (five or more words take SeedSequence's extra mixing
+loop).
 """
 
 import warnings
@@ -20,9 +21,8 @@ from hypothesis import strategies as st
 from repro.sim.core.array_protocol import CoinDeck
 from repro.sim.rng import (
     SeededStreams,
-    pcg64_advance,
-    pcg64_doubles,
     pcg64_node_states,
+    pcg64_step,
     seed_together,
 )
 
@@ -94,48 +94,46 @@ def test_node_count_must_fit_a_spawn_word():
         pcg64_node_states([0, 2**128 + 7], 2**40)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, n=st.integers(1, 300), count=st.integers(1, 130))
-def test_doubles_match_generator_random(seed, n, count):
-    (state,) = pcg64_node_states([seed], n)
-    before = state.copy()
-    doubles = pcg64_doubles(state, count)
-    assert np.array_equal(state, before)  # pure: the caller advances
-    expected = np.array([gen.random(count) for gen in _numpy_generators(seed, n)]).T
-    assert doubles.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, steps=st.lists(st.integers(1, 200), min_size=1, max_size=40))
-def test_advance_matches_numpy_advance(seed, steps):
-    n = len(steps)
-    (state,) = pcg64_node_states([seed], n)
-    pcg64_advance(state, np.array(steps))
-    for i, gen in enumerate(_numpy_generators(seed, n)):
-        gen.bit_generator.advance(steps[i])
+def _assert_numpy_cursors(state, gens):
+    """Every stream's LCG state is its numpy generator's, with no advance."""
+    for i, gen in enumerate(gens):
         expected = gen.bit_generator.state["state"]["state"]
         assert _as_int(state[0, i], state[1, i]) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 300), count=st.integers(1, 130))
+def test_doubles_match_generator_random(seed, n, count):
+    (state,) = pcg64_node_states([seed], n)
+    every = np.arange(n)
+    doubles = np.array([pcg64_step(state, every) for _ in range(count)])
+    gens = _numpy_generators(seed, n)
+    expected = np.array([gen.random(count) for gen in gens]).T
+    assert doubles.tobytes() == expected.tobytes()
+    _assert_numpy_cursors(state, gens)
+
+
+def _patterns(rng, n, rounds, density):
+    """Per round, the unique nodes drawing a coin, at skewed per-node rates."""
+    rates = density * rng.random(n) ** 2
+    return [np.flatnonzero(rng.random(n) < rates) for _ in range(rounds)]
+
+
 @st.composite
 def draw_patterns(draw):
-    """(n, chunk, rounds): per round, the unique nodes drawing a coin."""
+    """(n, rounds): per round, the unique nodes drawing a coin."""
     n = draw(st.integers(1, 300))
-    chunk = draw(st.sampled_from([1, 3, 64]))
     density = draw(st.floats(0.0, 1.0))
     rounds = draw(st.integers(1, 160))
-    pattern_seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(pattern_seed)
-    # Skewed per-node rates, so some buffers run dry long before others.
-    rates = density * rng.random(n) ** 2
-    return n, chunk, [np.flatnonzero(rng.random(n) < rates) for _ in range(rounds)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, _patterns(rng, n, rounds, density)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, case=draw_patterns())
 def test_coin_deck_matches_per_node_generators(seed, case):
-    n, chunk, rounds = case
-    deck = CoinDeck(SeededStreams(seed, n), chunk=chunk)
+    n, rounds = case
+    deck = CoinDeck(SeededStreams(seed, n))
     gens = _numpy_generators(seed, n)
     for nodes in rounds:
         coins = deck.draw(nodes)
@@ -144,9 +142,9 @@ def test_coin_deck_matches_per_node_generators(seed, case):
 
 
 def test_coin_deck_cursor_tracks_the_numpy_state():
-    """After any draws, advancing the state by the spent positions is numpy's state."""
+    """After any draws, the streams' state is numpy's state, with no advance."""
     streams = SeededStreams(5, 40)
-    deck = CoinDeck(streams, chunk=8)
+    deck = CoinDeck(streams)
     gens = _numpy_generators(5, 40)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -154,15 +152,65 @@ def test_coin_deck_cursor_tracks_the_numpy_state():
         deck.draw(nodes)
         for i in nodes.tolist():
             gens[i].random()
-    state = streams.state.copy()
-    spent = np.asarray(deck.positions)
-    moved = np.flatnonzero(spent > 0)
-    sub = state[:, moved]
-    pcg64_advance(sub, spent[moved])
-    state[:, moved] = sub
-    for i, gen in enumerate(gens):
-        expected = gen.bit_generator.state["state"]["state"]
-        assert _as_int(state[0, i], state[1, i]) == expected
+        _assert_numpy_cursors(streams.state, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed_list=st.lists(seeds, min_size=1, max_size=4, unique=True),
+    n=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    gone=st.lists(st.booleans(), min_size=4, max_size=4),
+    pattern_seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_decks_keep_every_stream_exact(seed_list, n, density, gone, pattern_seed):
+    """Draws before ``concat``, on the fused deck, and after ``compact`` and
+    ``export`` — as a batch retires rows — all equal the per-node numpy
+    generators, and every stream's state is numpy's at each step."""
+    rng = np.random.default_rng(pattern_seed)
+    streams = [SeededStreams(seed, n) for seed in seed_list]
+    decks = [CoinDeck(s) for s in streams]
+    gens = [_numpy_generators(seed, n) for seed in seed_list]
+
+    def draw(deck, nodes, rows):
+        """Draw ``nodes`` of a deck whose copy ``b`` is row ``rows[b]``."""
+        coins = deck.draw(nodes)
+        expected = [gens[rows[i // n]][i % n].random() for i in nodes.tolist()]
+        assert coins.tolist() == expected
+
+    for row, deck in enumerate(decks):
+        for nodes in _patterns(rng, n, 5, density):
+            draw(deck, nodes, [row])
+        _assert_numpy_cursors(streams[row].state, gens[row])
+    rows = list(range(len(decks)))
+    fused = CoinDeck.concat(decks)
+    for nodes in _patterns(rng, len(rows) * n, 5, density):
+        draw(fused, nodes, rows)
+    _assert_numpy_cursors(fused._state, [g for row in rows for g in gens[row]])
+
+    def node_range(positions):
+        return (np.array(positions, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
+
+    leaving = [k for k in range(len(rows)) if gone[k]]
+    survivors = [k for k in range(len(rows)) if not gone[k]]
+    if leaving:
+        fused.export(node_range(leaving), [decks[rows[k]] for k in leaving])
+    if survivors:
+        size = len(survivors)
+        holes = [k for k in range(size) if gone[k]]
+        movers = [k for k in survivors if k >= size]
+        fused.compact(node_range(movers), node_range(holes), size * n)
+        kept = list(range(size))
+        for hole, mover in zip(holes, movers):
+            kept[hole] = mover
+        rows = [rows[k] for k in kept]
+        for nodes in _patterns(rng, size * n, 5, density):
+            draw(fused, nodes, rows)
+        fused.export(node_range(range(size)), [decks[row] for row in rows])
+    for row, deck in enumerate(decks):
+        _assert_numpy_cursors(streams[row].state, gens[row])
+        for nodes in _patterns(rng, n, 3, density):
+            draw(deck, nodes, [row])
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
@@ -171,9 +219,9 @@ def test_no_numpy_warnings(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         streams = SeededStreams(seed, 300)
-        deck = CoinDeck(streams, chunk=3)
+        deck = CoinDeck(streams)
         rng = np.random.default_rng(0)
         for _ in range(20):
             deck.draw(np.flatnonzero(rng.random(300) < 0.5))
-        pcg64_doubles(streams.state, 130)
-        pcg64_advance(streams.state.copy(), np.full(300, 77))
+        for _ in range(3):
+            pcg64_step(streams.state, np.arange(300))

@@ -391,8 +391,9 @@ def test_bundle_contents(tmp_path):
 
 
 def test_coin_cursor_moves_with_every_coin_and_agrees_across_backends():
-    # Decay draws one coin per transmitter per round; after round 0's first
-    # fill no coin buffer is refilled, so only the spent positions move.
+    # Decay draws one coin per transmitter per round, and every coin steps
+    # its node's stream state, so the digest moves exactly in the rounds
+    # that draw.
     spec = ReplaySpec(protocol="decay", topology="grid", n=36, seed=4, backend="sparse")
     captures = {
         backend: [replay_digests(spec, backend=backend, capture_at=r)[1] for r in range(8)]
