@@ -319,11 +319,12 @@ class SparseOperand:
         degrees = self.indptr[rows + 1] - starts
         ends = np.cumsum(degrees)
         # Expansion slot j of transmitter t is CSR slot
-        # starts[t] + j - (ends[t] - degrees[t]).
-        slots = np.arange(ends[-1] if ends.size else 0) + np.repeat(
-            starts - ends + degrees, degrees
-        )
+        # starts[t] + j - (ends[t] - degrees[t]); adding j in place keeps
+        # two slot-sized arrays live, not three.
+        slots = np.repeat(starts - ends + degrees, degrees)
+        slots += np.arange(slots.size)
         keys = self.indices[slots]
+        del slots
         if transmit.ndim > 1:
             keys += np.repeat(flat - senders, degrees)
         return SparsePush(keys, senders, degrees, transmit.shape)

@@ -460,13 +460,13 @@ class FaultState:
             clean = clean & ~jammed
             collided = collided | jammed
             silent = silent & ~jammed
-            self.counters[..., _JAMMED] += np.count_nonzero(jammed, axis=-1)
+            self.counters[..., _JAMMED] += np.add.reduce(jammed, axis=-1, dtype=np.int64)
         if lost is not None:
             dropped = clean & lost
             if dropped.any():
                 clean = clean ^ dropped
                 silent = silent | dropped
-                self.counters[..., _DROPPED] += np.count_nonzero(dropped, axis=-1)
+                self.counters[..., _DROPPED] += np.add.reduce(dropped, axis=-1, dtype=np.int64)
         if clean is channel.clean and collided is channel.collided:
             return channel
         return ChannelRound(

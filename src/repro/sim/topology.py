@@ -9,9 +9,10 @@ geometric radio setting), sparse random graphs, and "dumbbell" graphs whose
 narrow bridge stresses progress through a single bottleneck edge.
 
 The adjacency is held in exactly one form, read-only CSR arrays, built by
-one vectorized builder (sort the directed edge keys ``u*n + v``, drop
-duplicates, count rows); both constructors and every generator go through
-it, and one compiled BFS (``scipy.sparse.csgraph``) over it checks connectivity,
+one vectorized builder (sort the directed edge keys ``u*n + v`` in the
+narrowest unsigned dtype that holds them, drop duplicates, binary-search
+each row's start); both constructors and every generator go through it,
+and one compiled BFS (``scipy.sparse.csgraph``) over it checks connectivity,
 so no per-node Python object is built.  Every generator validates its output
 (connected, source present, no self loops) and is deterministic given its seed.
 """
@@ -44,29 +45,32 @@ __all__ = [
 ]
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """``keys`` sorted with duplicates dropped.
+def _sorted_distinct(keys: np.ndarray, n: int) -> np.ndarray:
+    """Non-negative keys below ``n*n`` sorted, duplicates dropped, as int64.
 
-    Sorting and dropping each key equal to its predecessor gives the same
-    result as ``np.unique``, whose hash-based path is many times slower on
-    these int64 keys.
+    The sort runs in the narrowest unsigned dtype that holds ``n*n - 1``
+    (uint32 up to n = 65536), which halves the bytes it moves, and dropping
+    each key equal to its predecessor gives the same result as
+    ``np.unique``, whose hash-based path is many times slower.
     """
-    keys = np.sort(keys)
+    keys = np.sort(keys.astype(np.min_scalar_type(n * n - 1)))
     fresh = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    return keys[fresh]
+    return keys[fresh].astype(np.int64)
 
 
 def csr_from_keys(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR ``(indptr, indices)`` from sorted, distinct keys ``u*n + v``.
+    """Read-only CSR ``(indptr, indices)`` from sorted, distinct int64 keys ``u*n + v``.
 
     Sorted directed-edge keys are already in CSR order (row-major,
-    ascending neighbours), so the column of each key is its index entry
-    and the row counts give ``indptr``.
+    ascending neighbours), so row ``u`` starts where the first key
+    ``>= u*n`` sits, and a key's index entry is the key minus its row's
+    ``u*n``: a binary search per row and one subtraction, no division.
+    A row with no keys gets equal consecutive ``indptr`` entries.
     """
-    rows, indices = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    row_keys = np.arange(0, n * n + 1, n, dtype=np.int64)
+    indptr = np.searchsorted(keys, row_keys)
+    indices = keys - np.repeat(row_keys[:-1], np.diff(indptr))
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
@@ -108,13 +112,13 @@ class RadioNetwork:
             if a == b:
                 raise TopologyError(f"self-loop at node {a}")
             raise TopologyError(f"edge ({a}, {b}) out of range for {n} nodes")
-        keys = _sorted_distinct(u * n + v)
+        keys = _sorted_distinct(u * n + v, n)
         # Symmetric iff the reversed keys are the same set.  Both arrays
         # hold the same number of distinct keys, so a mismatch always
         # leaves some forward key without its reverse; reporting the first
         # one in key order names the first (u, v) in row-major order.
         src, dst = np.divmod(keys, n)
-        reverse = np.sort(dst * n + src)
+        reverse = _sorted_distinct(dst * n + src, n)
         if not np.array_equal(keys, reverse):
             at = np.minimum(np.searchsorted(reverse, keys), keys.size - 1)
             first = int(np.argmax(reverse[at] != keys))
@@ -161,7 +165,7 @@ class RadioNetwork:
                 raise TopologyError(
                     f"self-loop at node {int(u[np.nonzero(loops)[0][0]])}"
                 )
-        keys = _sorted_distinct(np.concatenate([u * n + v, v * n + u]))
+        keys = _sorted_distinct(np.concatenate([u * n + v, v * n + u]), n)
         net = object.__new__(cls)
         net._adopt(n, keys, source, name)
         return net
@@ -500,43 +504,53 @@ def gnp(n: int, p: float, *, seed: int = 0, source: int = 0, max_tries: int = _R
 def _close_pairs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)`` within ``radius`` of each other, each unordered pair once.
 
-    Cell binning: points are bucketed into a grid of radius-sized cells, so
-    any two points within ``radius`` sit in the same or in adjacent cells.
-    Sorting the points by cell id ``cx * cells + cy`` makes every column a
-    contiguous run, so a point's *forward* cells are two contiguous runs of
-    the sorted order: the later points of its own cell together with the
-    cell above it, then the three cells of the next column.  Pairing each
-    point with its forward runs visits every pair of the 3×3 neighbourhood
-    exactly once, in two vectorized range expansions.  The predicate
-    ``dx*dx + dy*dy <= r*r`` is the all-pairs one and is sign-symmetric in
-    IEEE arithmetic (``a - b`` is exactly ``-(b - a)``), so evaluating it in
-    one orientation keeps every seed's graph bit-identical.
+    Strip sweep: points are cut into radius-wide columns (strips) ``cx``, so
+    any two points within ``radius`` sit in the same or in adjacent strips.
+    Sorting the points by the one float key ``cx * sep + y``, with ``sep``
+    above ``1 + 2·reach``, orders every strip by ``y`` and keeps each
+    window below from reaching a third strip, so a point's candidates are
+    two contiguous runs of the sorted order found by binary search: the
+    later points of its own strip with ``y <= yᵢ + reach``, then the points
+    of the next strip with ``|y - yᵢ| <= reach``.  ``reach`` exceeds
+    ``radius`` by more than the keys and bounds can round, so it can only
+    add candidates, never drop a pair.  Pairing each point with its
+    two runs emits every candidate pair exactly once, in two vectorized
+    range expansions.  The predicate ``dx*dx + dy*dy <= r*r`` is the
+    all-pairs one and is sign-symmetric in IEEE arithmetic (``a - b`` is
+    exactly ``-(b - a)``), so evaluating it in one orientation keeps every
+    seed's graph bit-identical.
     """
     n = pts.shape[0]
-    cells = max(1, math.ceil(1.0 / radius))
-    cx = np.minimum((pts[:, 0] / radius).astype(np.int64), cells - 1)
-    cy = np.minimum((pts[:, 1] / radius).astype(np.int64), cells - 1)
-    cid = cx * cells + cy
-    order = np.argsort(cid, kind="stable")
-    cid, cx, cy = cid[order], cx[order], cy[order]
+    strips = max(1, math.ceil(1.0 / radius))
+    cx = np.minimum((pts[:, 0] / radius).astype(np.int64), strips - 1)
+    sep = 2.0 + 2.0 * radius
+    key = cx * sep + pts[:, 1]
+    # A key or window bound is at most a few ulps of the largest key off its
+    # exact value (the strip offset and each sum round once), so a slack of
+    # eight such ulps can only add candidates, never drop a pair.
+    reach = radius + 8 * float(np.spacing(strips * sep))
+    order = np.argsort(key)
+    key = key[order]
     xs, ys = pts[order, 0], pts[order, 1]
-    at = np.arange(n, dtype=np.int64)
-    # Run 1: own cell after this point, through the cell above (when the
-    # column has one).  Run 2: rows cy-1..cy+1 of the next column; past the
-    # last column those ids exceed every cell id, so the run is empty.
-    own_hi = np.searchsorted(cid, cid + (cy < cells - 1), side="right")
-    nxt = (cx + 1) * cells
-    next_lo = np.searchsorted(cid, nxt + np.maximum(cy - 1, 0), side="left")
-    next_hi = np.searchsorted(cid, nxt + np.minimum(cy + 1, cells - 1), side="right")
-    lo = np.concatenate([at + 1, next_lo])
+    # Run 1: own strip after this point up to yᵢ + reach.  Run 2: the next
+    # strip within reach of yᵢ; past the last strip both bounds exceed
+    # every key, so the run is empty.
+    own_hi = np.searchsorted(key, key + reach, side="right")
+    next_lo = np.searchsorted(key, key + (sep - reach), side="left")
+    next_hi = np.searchsorted(key, key + (sep + reach), side="right")
+    lo = np.concatenate([np.arange(1, n + 1), next_lo])
     counts = np.concatenate([own_hi, next_hi]) - lo
-    total = int(counts.sum())
-    left = np.repeat(np.concatenate([at, at]), counts)
-    right = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    dxs = xs[left] - xs[right]
-    dys = ys[left] - ys[right]
-    keep = (dxs * dxs + dys * dys) <= radius * radius
-    return order[left[keep]], order[right[keep]]
+    # Candidate c pairs a sorted point, repeated once per candidate of its
+    # runs (cheaper than a gather), with the sorted point right[c].
+    right = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    right += np.arange(right.size)
+    dxs = np.repeat(np.concatenate([xs, xs]), counts) - xs[right]
+    dys = np.repeat(np.concatenate([ys, ys]), counts) - ys[right]
+    dxs *= dxs
+    dys *= dys
+    dxs += dys
+    keep = dxs <= radius * radius
+    return np.repeat(np.concatenate([order, order]), counts)[keep], order[right[keep]]
 
 
 def unit_disk(
@@ -549,10 +563,11 @@ def unit_disk(
 ) -> RadioNetwork:
     """Unit-disk graph: ``n`` points in the unit square, edge iff distance <= radius.
 
-    Cell-binned (:func:`_close_pairs`): only points in the same or adjacent
-    radius-sized cells are compared, each pair once, so building the graph costs
-    Θ(n + candidate pairs) instead of the ~3·n² float64 the all-pairs delta
-    tensor used to peak at.  The point sampling, edge predicate, and
+    Strip-swept (:func:`_close_pairs`): only points of the same or adjacent
+    radius-wide strips whose y differs by at most about ``radius`` are
+    compared, each pair once, so building the graph costs
+    Θ(n log n + candidate pairs) instead of the ~3·n² float64 the all-pairs
+    delta tensor used to peak at.  The point sampling, edge predicate, and
     retry-until-connected semantics are unchanged, so every seed maps to
     exactly the same graph as the all-pairs version.
     """

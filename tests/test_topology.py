@@ -360,7 +360,7 @@ class TestGenerators:
         [(40, 0.35, 1), (60, 0.25, 3), (7, 1.5, 0), (25, 0.3, 2), (30, 0.28, 7)],
     )
     def test_unit_disk_cell_binning_matches_all_pairs_reference(self, n, radius, seed):
-        # The cell-binned generator must keep the exact seeds-to-graph map
+        # The strip-swept generator must keep the exact seeds-to-graph map
         # of the all-pairs version it replaced: same point stream, same
         # retry loop, same float comparison — so reimplement that version
         # here (including retries) and compare adjacency byte-for-byte.

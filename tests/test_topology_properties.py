@@ -1,8 +1,12 @@
 """Property tests: the CSR-native ``RadioNetwork`` against per-node references.
 
-* ``_close_pairs`` (forward-cell enumeration, each unordered pair once)
-  plus ``from_edges`` equals the all-pairs unit-disk graph, ``cells == 1``
-  and points on cell boundaries or in the clamped last cell included;
+* ``_close_pairs`` (y-sorted strip sweep, each unordered pair once) plus
+  ``from_edges`` equals the all-pairs unit-disk graph, one strip
+  (``radius >= 1``), points on strip boundaries or in the clamped last
+  strip, equal y values and pairs exactly ``radius`` apart included;
+* ``csr_from_keys`` equals the ``divmod`` + ``bincount`` reference, rows
+  with no keys included, and ``_sorted_distinct`` equals the int64
+  ``np.unique`` at each edge of its narrow sort dtype;
 * ``bfs_layers`` and ``eccentricity`` equal the FIFO-queue BFS of
   ``oracles.graph``, layer order included, on graphs deep enough that the
   pointer doubling behind them runs many passes, and ``diameter`` its
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from oracles.graph import deque_bfs_layers
 from repro.errors import TopologyError
-from repro.sim.topology import RadioNetwork, _close_pairs
+from repro.sim.topology import RadioNetwork, _close_pairs, _sorted_distinct, csr_from_keys, line
 
 
 def _all_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
@@ -32,28 +36,8 @@ def _all_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
     return close
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    n=st.integers(1, 400),
-    radius=st.floats(0.02, 1.5),
-    seed=st.integers(0, 2**32 - 1),
-    snap=st.booleans(),
-)
-@example(n=1, radius=0.5, seed=0, snap=False)
-@example(n=60, radius=1.5, seed=1, snap=False)  # cells == 1
-@example(n=60, radius=1.0, seed=2, snap=True)  # cells == 1, points at x = 1 - ulp
-@example(n=200, radius=0.1, seed=3, snap=True)  # boundaries and the last cell
-@example(n=300, radius=0.3, seed=4, snap=True)  # 1 / 0.3 is not an integer
-def test_forward_cell_pairs_match_the_all_pairs_reference(n, radius, seed, snap):
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    if snap:
-        # Move some coordinates onto cell boundaries k * radius and some to
-        # the largest double below 1, which bins into the clamped last cell.
-        picks = rng.random((n, 2))
-        on_edge = np.minimum(np.floor(pts / radius) * radius, np.nextafter(1.0, 0.0))
-        pts = np.where(picks < 0.3, on_edge, pts)
-        pts = np.where(picks > 0.9, np.nextafter(1.0, 0.0), pts)
+def _assert_pairs_match_the_all_pairs_reference(pts: np.ndarray, radius: float) -> None:
+    n = pts.shape[0]
     left, right = _close_pairs(pts, radius)
     assert not (left == right).any()
     lo, hi = np.minimum(left, right), np.maximum(left, right)
@@ -73,6 +57,133 @@ def test_forward_cell_pairs_match_the_all_pairs_reference(n, radius, seed, snap)
     indptr, indices = net.csr()
     assert indptr.tolist() == [0, *np.cumsum(close.sum(axis=1)).tolist()]
     assert indices.tolist() == np.nonzero(close)[1].tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    radius=st.floats(0.02, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+    snap=st.booleans(),
+)
+@example(n=1, radius=0.5, seed=0, snap=False)
+@example(n=60, radius=1.5, seed=1, snap=False)  # one strip
+@example(n=60, radius=1.0, seed=2, snap=True)  # one strip, points at y = 1 - ulp above y = 0
+@example(n=200, radius=0.1, seed=3, snap=True)  # boundaries and the last strip
+@example(n=300, radius=0.3, seed=4, snap=True)  # 1 / 0.3 is not an integer
+def test_forward_cell_pairs_match_the_all_pairs_reference(n, radius, seed, snap):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    if snap:
+        # Move some coordinates onto strip boundaries k * radius and some to
+        # the largest double below 1, which bins into the clamped last strip.
+        picks = rng.random((n, 2))
+        on_edge = np.minimum(np.floor(pts / radius) * radius, np.nextafter(1.0, 0.0))
+        pts = np.where(picks < 0.3, on_edge, pts)
+        pts = np.where(picks > 0.9, np.nextafter(1.0, 0.0), pts)
+    _assert_pairs_match_the_all_pairs_reference(pts, radius)
+
+
+_TOP = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("points", "radius"),
+    [
+        pytest.param(
+            [(x, 0.5) for x in np.linspace(0.0, 1.0, 41)] + [(0.3, 0.5), (0.3, 0.5)],
+            0.05,
+            id="equal-y-on-a-row",
+        ),
+        pytest.param([(0.3, 0.25)] * 4 + [(0.7, 0.25)] * 3, 0.4, id="coincident-points"),
+        pytest.param(
+            [(0.0, 0.0), (0.0, _TOP), (_TOP, 0.0), (_TOP, _TOP), (0.5, 0.5)],
+            1.0,
+            id="one-strip-radius-1",
+        ),
+        pytest.param(
+            [(0.0, 0.0), (_TOP, _TOP), (0.0, _TOP), (0.2, 0.9)], 1.5, id="one-strip-radius-1.5"
+        ),
+        # 3/16, 4/16 and 5/16 square exactly: a 3-4-5 triangle is exactly
+        # radius long, here across a strip boundary, in both y orders.
+        pytest.param(
+            [(0.25, 0.5), (0.4375, 0.75), (0.25, 0.75), (0.4375, 0.5)],
+            0.3125,
+            id="exactly-radius-across-strips",
+        ),
+        pytest.param(
+            [(0.125, 0.25), (0.125, 0.5), (0.375, 0.25)], 0.25, id="exactly-radius-on-an-axis"
+        ),
+        pytest.param(
+            [(_TOP, _TOP), (_TOP, 0.95), (0.95, _TOP), (_TOP, 0.0), (0.0, _TOP)],
+            0.05,
+            id="one-ulp-below-1",
+        ),
+        # dy within radius, but the rounded keys of the last strip are
+        # further apart than radius (and than radius·(1 + 1e-9) at the
+        # smaller radius): the window needs slack of a few key ulps.
+        pytest.param(
+            [(_TOP, 0.024803201918761533), (_TOP, 0.04480320191876153)],
+            0.02,
+            id="key-rounding",
+        ),
+        pytest.param(
+            [(_TOP, 0.23608200639766455), (_TOP, 0.23610752814949562)],
+            2.5521751831074538e-05,
+            id="key-rounding-tiny-radius",
+        ),
+    ],
+)
+def test_strip_sweep_edge_cases_match_the_all_pairs_reference(points, radius):
+    _assert_pairs_match_the_all_pairs_reference(np.array(points, dtype=np.float64), radius)
+
+
+def _csr_reference(n: int, keys: np.ndarray) -> tuple[list[int], list[int]]:
+    rows, indices = np.divmod(keys, n)
+    return [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()], indices.tolist()
+
+
+@st.composite
+def sorted_distinct_keys(draw):
+    """``(n, keys)``: sorted distinct keys below ``n*n``, some rows left empty."""
+    n = draw(st.integers(1, 40))
+    keys = draw(st.sets(st.integers(0, n * n - 1), max_size=4 * n))
+    empty = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return n, np.array(sorted(k for k in keys if k // n not in empty), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_distinct_keys())
+@example(graph=(1, np.empty(0, dtype=np.int64)))
+@example(graph=(5, np.empty(0, dtype=np.int64)))
+@example(graph=(1, np.array([0], dtype=np.int64)))
+@example(graph=(4, np.array([6, 7, 9, 11], dtype=np.int64)))  # rows 0 and 3 empty
+@example(graph=(5, np.array([1, 4, 20, 24], dtype=np.int64)))  # rows 1-3 empty
+def test_csr_from_keys_matches_the_divmod_reference(graph):
+    n, keys = graph
+    indptr, indices = csr_from_keys(n, keys)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert (indptr.tolist(), indices.tolist()) == _csr_reference(n, keys)
+    assert not indptr.flags.writeable and not indices.flags.writeable
+
+
+@pytest.mark.parametrize(
+    ("n", "dtype"), [(256, np.uint16), (65536, np.uint32), (65537, np.uint64)]
+)
+def test_sorted_distinct_matches_int64_unique_at_each_dtype_edge(n, dtype):
+    assert np.min_scalar_type(n * n - 1) == dtype
+    u = np.arange(n - 1, dtype=np.int64)
+    # The line's directed keys in reverse order, duplicated, plus the
+    # extreme keys 0 and n*n - 1 that the narrow dtype must still hold.
+    keys = np.concatenate([(u + 1) * n + u, u * n + u + 1, [n * n - 1, 0, n * n - 1]])[::-1]
+    keys = np.concatenate([keys, keys[::3]])
+    got = _sorted_distinct(keys, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(keys))
+    net = line(n)
+    indptr, indices = net.csr()
+    expected = _csr_reference(n, np.unique(np.concatenate([u * n + u + 1, (u + 1) * n + u])))
+    assert (indptr.tolist(), indices.tolist()) == expected
 
 
 @st.composite
