@@ -3,9 +3,7 @@
 The engine is deliberately small and dependency-free (``ast`` +
 ``tokenize`` from the stdlib): it parses each analyzed file once, walks
 the tree a single time dispatching nodes to every applicable rule, and
-collects :class:`Finding` records plus per-file *facts*
-(cross-file rules such as SL005 run from the aggregated facts after every
-file has been visited).
+collects :class:`Finding` records.  Every rule is file-local.
 
 Two engine services every rule gets for free:
 
@@ -192,9 +190,6 @@ class FileContext:
         self.tree = tree
         self.imports = ImportMap(tree)
         self.findings: list[Finding] = []
-        #: per-file facts, merged across rules; project
-        #: rules consume the aggregation in :meth:`Rule.finalize`.
-        self.facts: dict[str, Any] = {}
 
     def report(self, rule_id: str, node: ast.AST | int, message: str) -> None:
         if isinstance(node, int):
@@ -210,9 +205,8 @@ class Rule:
 
     Subclasses set :attr:`id`, :attr:`title` and :attr:`doc`, scope
     themselves via :meth:`applies_to`, and implement any combination of
-    ``visit_<NodeType>(node, ctx)`` methods plus the per-file and
-    project-level hooks.  One rule instance is shared across all files of
-    a run, so per-file state must be reset in :meth:`begin_file`.
+    ``visit_<NodeType>(node, ctx)`` methods.  One rule instance is shared
+    across all files of a run, so it keeps no per-file state.
     """
 
     id: str = ""
@@ -224,24 +218,13 @@ class Rule:
     def applies_to(self, path: str) -> bool:
         return True
 
-    def begin_file(self, ctx: FileContext) -> None:
-        """Reset per-file state; called before the tree walk."""
-
-    def end_file(self, ctx: FileContext) -> None:
-        """Flush file-level findings/facts; called after the tree walk."""
-
-    def finalize(self, facts: dict[str, dict[str, Any]]) -> list[Finding]:
-        """Project-level pass over ``{path: facts}`` for cross-file rules."""
-        return []
-
 
 @dataclass
 class FileResult:
-    """Analysis of one file: raw findings, facts, suppressions."""
+    """Analysis of one file: raw findings and suppressions."""
 
     path: str
     findings: list[Finding] = field(default_factory=list)
-    facts: dict[str, Any] = field(default_factory=dict)
     file_disables: set[str] = field(default_factory=set)
     line_disables: dict[int, set[str]] = field(default_factory=dict)
 
@@ -363,19 +346,13 @@ class RuleEngine:
             result.findings.append(parse_error_finding(path, exc))
             return result
         ctx = FileContext(path, source, tree)
-        active = [rule for rule in self.rules if rule.applies_to(path)]
-        active_set = set(map(id, active))
-        for rule in active:
-            rule.begin_file(ctx)
+        active = {id(rule) for rule in self.rules if rule.applies_to(path)}
         for node in ast_dfs(tree):
             for rule, visitor in self._dispatch.get(type(node).__name__, ()):
-                if id(rule) in active_set:
+                if id(rule) in active:
                     visitor(node, ctx)
-        for rule in active:
-            rule.end_file(ctx)
         # Deduplicate (nested scans may revisit a node) and order findings.
         result.findings = sorted(set(ctx.findings), key=Finding.sort_key)
-        result.facts = ctx.facts
         return result
 
     def run(self, paths: Sequence[str | Path]) -> LintReport:
@@ -388,17 +365,10 @@ class RuleEngine:
             except (OSError, UnicodeDecodeError) as exc:
                 raise AnalysisError(f"cannot read {path}: {exc}") from exc
             results.append(self.analyze_source(path, source))
-        findings = [f for result in results for f in result.findings]
-        facts = {result.path: result.facts for result in results if result.facts}
-        for rule in self.rules:
-            findings.extend(rule.finalize(facts))
-        by_path = {result.path: result for result in results}
         kept = [
-            f
-            for f in findings
-            if f.path not in by_path or not by_path[f.path].suppresses(f)
+            f for result in results for f in result.findings if not result.suppresses(f)
         ]
         return LintReport(
-            findings=sorted(set(kept), key=Finding.sort_key),
+            findings=sorted(kept, key=Finding.sort_key),
             files_checked=len(files),
         )

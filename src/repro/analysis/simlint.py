@@ -17,18 +17,15 @@ from collections.abc import Sequence
 from repro.analysis.core import Finding, Rule, RuleEngine
 from repro.analysis.rules_contract import OperandConstructionRule
 from repro.analysis.rules_order import UnorderedIterationRule
-from repro.analysis.rules_registry import RegistryCompletenessRule
 from repro.analysis.rules_rng import GlobalRngRule, WallClockRule
 from repro.errors import AnalysisError
 
 __all__ = ["DEFAULT_RULES", "build_engine", "main"]
 
-#: rule classes in id order; ``build_engine`` instantiates fresh copies so
-#: concurrent engines never share per-file state.
+#: rule classes in id order; ``build_engine`` instantiates fresh copies.
 DEFAULT_RULES: tuple[type[Rule], ...] = (
     GlobalRngRule,
     WallClockRule,
-    RegistryCompletenessRule,
     UnorderedIterationRule,
     OperandConstructionRule,
 )

@@ -7,8 +7,8 @@ Layers, bottom-up:
 * :mod:`repro.sim.faults` — crash windows, edge flips, message loss and
   jammers, attachable to any run;
 * :mod:`repro.sim.core` — the array-native execution core: the batched
-  channel kernel, the :class:`ArrayProtocol` API and registry, and the
-  single/batch array engines;
+  channel kernel, the :class:`ArrayProtocol` API, and the single/batch
+  array engines;
 * :mod:`repro.sim.decay` — the collision-blind Decay baseline (BGI 1992);
 * :mod:`repro.sim.multi_message` — a simplification of the paper's
   collision-detection broadcast of ``k`` messages: a beep wave that
@@ -17,7 +17,7 @@ Layers, bottom-up:
   (``"ghk"``) is its ``k = 1`` case, budgeted like ``O(D + log^2 n)``
   (the paper proves ``O(D + log^6 n)``); ``"multimessage"`` is budgeted
   like ``O(D + k log n + log^2 n)`` (the paper's bound for known topology);
-* :mod:`repro.sim.runners` — the protocol specs and the run API,
+* :mod:`repro.sim.runners` — the one table of protocol specs and the run API,
   :func:`run_broadcast` / :func:`run_broadcast_batch`, which return one
   :class:`BroadcastResult` type for every protocol.
 
@@ -40,9 +40,6 @@ from repro.sim.core import (
     FaultTotals,
     RoundPlan,
     SparseOperand,
-    array_protocol_class,
-    available_array_protocols,
-    register_array_protocol,
     resolve_channel,
     resolve_channel_backend,
     select_kernel_operand,
@@ -64,7 +61,6 @@ from repro.sim.runners import (
     BroadcastResult,
     BroadcastSpec,
     broadcast_spec,
-    register_broadcast_spec,
     run_broadcast,
     run_broadcast_batch,
 )
@@ -111,16 +107,12 @@ __all__ = [
     "SimResult",
     "SparseOperand",
     "TOPOLOGY_NAMES",
-    "array_protocol_class",
-    "available_array_protocols",
     "broadcast_spec",
     "dumbbell",
     "from_spec",
     "gnp",
     "grid2d",
     "line",
-    "register_array_protocol",
-    "register_broadcast_spec",
     "resolve_channel",
     "resolve_channel_backend",
     "ring",

@@ -8,7 +8,7 @@ Layers, bottom-up:
   adjacency matmul → silence/clean/collision outcome arrays + sender ids;
 * :mod:`repro.sim.core.array_protocol` — the :class:`ArrayProtocol` API
   (one instance holds all nodes' state as arrays) with per-node seeded
-  randomness preserved via :class:`CoinDeck`, plus the array registry;
+  randomness preserved via :class:`CoinDeck`;
 * :mod:`repro.sim.core.batch` — :class:`ArrayEngine` (one instance) and
   :class:`BatchEngine` (many independent seed × topology × protocol
   instances, fused into batched kernel calls — per topology, or per size
@@ -21,9 +21,6 @@ from repro.sim.core.array_protocol import (
     BroadcastArrayProtocol,
     CoinDeck,
     RoundPlan,
-    array_protocol_class,
-    available_array_protocols,
-    register_array_protocol,
 )
 from repro.sim.core.batch import (
     ArrayEngine,
@@ -77,10 +74,7 @@ __all__ = [
     "TraceObserver",
     "TrafficTotals",
     "adjacency_operand",
-    "array_protocol_class",
     "as_kernel_operand",
-    "available_array_protocols",
-    "register_array_protocol",
     "resolve_channel",
     "resolve_channel_backend",
     "round_stats",

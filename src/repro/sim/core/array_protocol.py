@@ -32,14 +32,15 @@ same traces, same rounds-to-delivery, same failures — which is how the
 test suite's per-node oracles check the array protocols.  A fused deck is the
 concatenation of its copies' decks, so fusing changes no coin.
 
-A registry maps protocol names to their array protocol classes.
+The runnable protocols and their specs are listed once, in
+:mod:`repro.sim.runners`.
 """
 
 from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
@@ -59,9 +60,6 @@ __all__ = [
     "ArrayProtocol",
     "BroadcastArrayProtocol",
     "CoinDeck",
-    "register_array_protocol",
-    "array_protocol_class",
-    "available_array_protocols",
 ]
 
 _P = TypeVar("_P", bound="ArrayProtocol")
@@ -107,7 +105,7 @@ class ArrayProtocol(ABC):
     ``channel.clean``.
     """
 
-    #: registry name, set by :func:`register_array_protocol`.
+    #: the protocol's name; wrappers copy it from the protocol they wrap.
     name: str = ""
 
     #: The attributes holding per-node state: arrays indexed by node on
@@ -278,41 +276,3 @@ class CoinDeck:
         """
         self._state[:, dst] = self._state[:, src]
         self._state = self._state[:, :size]
-
-
-# ---------------------------------------------------------------------- #
-# Registry
-# ---------------------------------------------------------------------- #
-_ARRAY_REGISTRY: dict[str, type[ArrayProtocol]] = {}
-
-
-def register_array_protocol(
-    name: str,
-) -> Callable[[type[ArrayProtocol]], type[ArrayProtocol]]:
-    """Class decorator registering an :class:`ArrayProtocol` under ``name``."""
-
-    def deco(cls: type[ArrayProtocol]) -> type[ArrayProtocol]:
-        if not (isinstance(cls, type) and issubclass(cls, ArrayProtocol)):
-            raise SimulationError(f"{cls!r} is not an ArrayProtocol subclass")
-        if name in _ARRAY_REGISTRY and _ARRAY_REGISTRY[name] is not cls:
-            raise SimulationError(f"array protocol name {name!r} is already registered")
-        cls.name = name
-        _ARRAY_REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def array_protocol_class(name: str) -> type[ArrayProtocol]:
-    """Look up a registered array protocol class by name."""
-    try:
-        return _ARRAY_REGISTRY[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown array protocol {name!r}; registered: {sorted(_ARRAY_REGISTRY)}"
-        ) from None
-
-
-def available_array_protocols() -> tuple[str, ...]:
-    """Names of all registered array protocols, sorted."""
-    return tuple(sorted(_ARRAY_REGISTRY))

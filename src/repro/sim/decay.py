@@ -30,15 +30,12 @@ from repro.sim.core.array_protocol import (
     BroadcastArrayProtocol,
     CoinDeck,
     RoundPlan,
-    register_array_protocol,
 )
 from repro.sim.core.channel import ChannelRound
-from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
 __all__ = ["DecayArrayProtocol"]
 
 
-@register_array_protocol("decay")
 class DecayArrayProtocol(BroadcastArrayProtocol):
     """Whole-network Decay: all nodes' state as arrays, one act() per round.
 
@@ -47,6 +44,7 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
     whether it stays active for the next round.
     """
 
+    name = "decay"
     node_state = ("informed", "informed_round", "_active", "_coins")
 
     def setup(self, ctx: ArrayContext) -> None:
@@ -74,15 +72,3 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
             self.informed |= newly
             self.informed_round[newly] = round_index
 
-
-DECAY_SPEC = register_broadcast_spec(
-    BroadcastSpec(
-        name="decay",
-        label="Decay",
-        array_factory=DecayArrayProtocol,
-        budget_for=lambda params, net, bound, options: params.decay_broadcast_rounds(
-            net.eccentricity(), bound
-        ),
-        collision_detection=False,
-    )
-)

@@ -41,7 +41,8 @@ give bitwise-identical runs, so the flag is purely a speed/memory knob.
 ``--crash-rate``, ``--loss-rate`` and ``--jammers`` inject seeded faults
 (see :mod:`repro.sim.faults`): each non-source node crashes for one
 window with the crash probability, each clean reception is dropped with
-the loss probability, and the jammer count places always-on jammers.
+the loss probability, and the jammer count places that many jammers,
+each active for one sampled window.
 The schedule is sampled from the run seed (its own stream — coins are
 unchanged), both ``--json`` shapes carry the knobs under ``"faults"``
 plus the injected totals under ``"fault_totals"``, and all three at
@@ -153,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="J",
-        help="number of always-on jamming nodes (never the source); every "
-        "listener they cover perceives a collision (default: 0)",
+        help="number of jamming nodes (never the source), each active for "
+        "one sampled window; every listener an active jammer covers "
+        "perceives a collision (default: 0)",
     )
     parser.add_argument(
         "--sanitize",

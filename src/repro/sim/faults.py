@@ -560,7 +560,6 @@ def sample_fault_schedule(
     loss_rate: float = 0.0,
     jammers: int = 0,
     edge_flip_rate: float = 0.0,
-    protect_source: bool = True,
 ) -> FaultSchedule:
     """Sample one reproducible schedule from per-family intensity knobs.
 
@@ -571,9 +570,9 @@ def sample_fault_schedule(
     own sampled window, like a crash), and ``loss_rate`` passes through.
     The draw uses its own domain-separated stream of ``seed``, so the
     same seed drives the same protocol coins
-    with or without faults.  ``protect_source`` (default) keeps the
-    broadcast source out of the crash and jammer pools — a crashed source
-    trivially fails every delivery metric, which is rarely the question.
+    with or without faults.  The broadcast source is kept out of the
+    crash and jammer pools — a crashed source trivially fails every
+    delivery metric, which is rarely the question.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
@@ -590,7 +589,7 @@ def sample_fault_schedule(
     crashes = []
     if crash_rate > 0.0:
         for node in range(n):
-            if protect_source and node == source:
+            if node == source:
                 continue
             if rng.random() >= crash_rate:
                 continue
@@ -613,7 +612,7 @@ def sample_fault_schedule(
 
     jam = []
     if jammers:
-        pool = [v for v in range(n) if not (protect_source and v == source)]
+        pool = [v for v in range(n) if v != source]
         if jammers > len(pool):
             raise ConfigurationError(
                 f"cannot place {jammers} jammers on a network with only "

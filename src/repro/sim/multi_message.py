@@ -116,10 +116,8 @@ from repro.sim.core.array_protocol import (
     BroadcastArrayProtocol,
     CoinDeck,
     RoundPlan,
-    register_array_protocol,
 )
 from repro.sim.core.channel import ChannelRound
-from repro.sim.runners import BroadcastSpec, register_broadcast_spec
 
 __all__ = ["MultiMessageArrayProtocol"]
 
@@ -132,7 +130,6 @@ def _check_k(k_messages: Any) -> int:
     return k_messages
 
 
-@register_array_protocol("multimessage")
 class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     """Whole-network k-message broadcast as array state.
 
@@ -143,6 +140,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
     holding all ``k`` messages; ``k_messages=1`` is single-message GHK.
     """
 
+    name = "multimessage"
     node_state = (
         "informed",
         "informed_round",
@@ -336,28 +334,3 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
             )
         return fields
 
-
-GHK_SPEC = register_broadcast_spec(
-    BroadcastSpec(
-        name="ghk",
-        label="GHK",
-        array_factory=MultiMessageArrayProtocol,
-        budget_for=lambda params, net, bound, options: params.ghk_broadcast_rounds(
-            net.eccentricity(), bound
-        ),
-        collision_detection=True,
-    )
-)
-
-MULTI_MESSAGE_SPEC = register_broadcast_spec(
-    BroadcastSpec(
-        name="multimessage",
-        label="k-message GHK",
-        array_factory=MultiMessageArrayProtocol,
-        budget_for=lambda params, net, bound, options: params.ghk_multi_message_rounds(
-            net.eccentricity(), bound, options.get("k_messages", 1)
-        ),
-        collision_detection=True,
-        option_names=frozenset({"k_messages"}),
-    )
-)

@@ -4,11 +4,8 @@ Two layers live here:
 
 * **Specs.**  A :class:`BroadcastSpec` bundles everything a protocol needs
   to be driven end-to-end — its array-protocol factory, its round-budget
-  rule and the channel model it assumes.
-  Algorithm modules register their spec at import time; the lookup
-  functions lazily import them so ``runners`` never imports an algorithm
-  module at its own import time (which would be circular — the algorithm
-  modules import the spec types below).
+  rule and the channel model it assumes.  ``_SPECS`` lists every runnable
+  protocol once; the test suite checks that each has a per-node oracle.
 
 * **Execution.**  :func:`run_broadcast_batch` drives any number of
   (network, seed) instances of one protocol through the array-native
@@ -38,7 +35,9 @@ from repro.params import ProtocolParams
 from repro.sim.core.array_protocol import BroadcastArrayProtocol
 from repro.sim.core.batch import BatchEngine, BatchItem
 from repro.sim.core.stats import RoundStats, SimResult
+from repro.sim.decay import DecayArrayProtocol
 from repro.sim.faults import FaultSchedule
+from repro.sim.multi_message import MultiMessageArrayProtocol
 from repro.sim.topology import RadioNetwork
 
 __all__ = [
@@ -47,23 +46,15 @@ __all__ = [
     "BroadcastSpec",
     "broadcast_result",
     "broadcast_spec",
-    "register_broadcast_spec",
     "run_broadcast",
     "run_broadcast_batch",
 ]
-
-#: All runnable broadcast protocol names, sorted; rebound on every spec
-#: registration so it always mirrors the registry (read it as
-#: ``runners.BROADCAST_PROTOCOL_NAMES`` at use time, not via a from-import
-#: snapshot, if registrations may happen after your module loads).
-BROADCAST_PROTOCOL_NAMES: tuple[str, ...] = ()
-
 
 @dataclass(frozen=True)
 class BroadcastResult:
     """Outcome of one delivered broadcast, whatever the protocol."""
 
-    #: the registered protocol name (``"decay"``, ``"ghk"``, ...).
+    #: the protocol name (``"decay"``, ``"ghk"``, ...).
     protocol: str
     network: str
     n: int
@@ -101,7 +92,6 @@ def broadcast_result(
 class BroadcastSpec:
     """Everything needed to drive one broadcast protocol end-to-end."""
 
-    name: str
     #: human-readable label used in failure messages ("Decay", "GHK").
     label: str
     #: whole-network array protocol factory, called with the per-run
@@ -120,7 +110,37 @@ class BroadcastSpec:
     build_result: Callable[..., BroadcastResult] = broadcast_result
 
 
-_SPECS: dict[str, BroadcastSpec] = {}
+_SPECS: dict[str, BroadcastSpec] = {
+    "decay": BroadcastSpec(
+        label="Decay",
+        array_factory=DecayArrayProtocol,
+        budget_for=lambda params, net, bound, options: params.decay_broadcast_rounds(
+            net.eccentricity(), bound
+        ),
+        collision_detection=False,
+    ),
+    # Single-message GHK is the k-message protocol at k = 1, on its own budget.
+    "ghk": BroadcastSpec(
+        label="GHK",
+        array_factory=MultiMessageArrayProtocol,
+        budget_for=lambda params, net, bound, options: params.ghk_broadcast_rounds(
+            net.eccentricity(), bound
+        ),
+        collision_detection=True,
+    ),
+    "multimessage": BroadcastSpec(
+        label="k-message GHK",
+        array_factory=MultiMessageArrayProtocol,
+        budget_for=lambda params, net, bound, options: params.ghk_multi_message_rounds(
+            net.eccentricity(), bound, options.get("k_messages", 1)
+        ),
+        collision_detection=True,
+        option_names=frozenset({"k_messages"}),
+    ),
+}
+
+#: All runnable broadcast protocol names, sorted.
+BROADCAST_PROTOCOL_NAMES: tuple[str, ...] = tuple(sorted(_SPECS))
 
 
 def _resolve_options(
@@ -138,29 +158,8 @@ def _resolve_options(
     return dict(options)
 
 
-def register_broadcast_spec(spec: BroadcastSpec) -> BroadcastSpec:
-    """Register a protocol's driver spec (called by the algorithm modules)."""
-    global BROADCAST_PROTOCOL_NAMES
-    if spec.name in _SPECS:
-        raise ConfigurationError(
-            f"broadcast protocol {spec.name!r} is already registered"
-        )
-    _SPECS[spec.name] = spec
-    BROADCAST_PROTOCOL_NAMES = tuple(sorted(_SPECS))
-    return spec
-
-
-def _ensure_specs_loaded() -> None:
-    # The algorithm modules register their specs at import time; importing
-    # them here (instead of at module top) keeps runners <-> algorithms
-    # acyclic while making every lookup self-sufficient.
-    import repro.sim.decay  # noqa: F401
-    import repro.sim.multi_message  # noqa: F401
-
-
 def broadcast_spec(name: str) -> BroadcastSpec:
     """Look up a broadcast driver spec by protocol name."""
-    _ensure_specs_loaded()
     try:
         return _SPECS[name]
     except KeyError:
@@ -267,7 +266,7 @@ def run_broadcast_batch(
                 )
             )
             continue
-        results.append(spec.build_result(spec.name, item, proto, outcome.sim))
+        results.append(spec.build_result(protocol, item, proto, outcome.sim))
     return results
 
 

@@ -458,7 +458,7 @@ def _sample_distinct(
     return np.sort(picked)
 
 
-def gnp(n: int, p: float, *, seed: int = 0, source: int = 0, max_tries: int = _RANDOM_TRIES) -> RadioNetwork:
+def gnp(n: int, p: float, *, seed: int = 0, source: int = 0) -> RadioNetwork:
     """Erdős–Rényi G(n, p), resampled until connected (or :class:`TopologyError`).
 
     Edge-sampled: the edge count is drawn from ``Binomial(C(n,2), p)`` and
@@ -478,7 +478,7 @@ def gnp(n: int, p: float, *, seed: int = 0, source: int = 0, max_tries: int = _R
     # linearized-index offset where row a's pairs begin.
     firsts = np.arange(n, dtype=np.int64)
     rowstart = firsts * (2 * n - firsts - 1) // 2
-    for attempt in range(max_tries):
+    for attempt in range(_RANDOM_TRIES):
         rng = stream(seed, 1, attempt)
         edge_count = (
             total_pairs if p == 1.0 else int(rng.binomial(total_pairs, p))
@@ -497,7 +497,7 @@ def gnp(n: int, p: float, *, seed: int = 0, source: int = 0, max_tries: int = _R
             continue
         return net
     raise TopologyError(
-        f"G({n}, {p}) was disconnected in {max_tries} attempts; increase p"
+        f"G({n}, {p}) was disconnected in {_RANDOM_TRIES} attempts; increase p"
     )
 
 
@@ -559,7 +559,6 @@ def unit_disk(
     *,
     seed: int = 0,
     source: int = 0,
-    max_tries: int = _RANDOM_TRIES,
 ) -> RadioNetwork:
     """Unit-disk graph: ``n`` points in the unit square, edge iff distance <= radius.
 
@@ -576,7 +575,7 @@ def unit_disk(
         raise TopologyError(f"radius must be positive, got {radius}")
     if not 0 <= source < n:
         raise TopologyError(f"source {source} out of range for {n} nodes")
-    for attempt in range(max_tries):
+    for attempt in range(_RANDOM_TRIES):
         rng = stream(seed, 2, attempt)
         pts = rng.random((n, 2))
         left, right = _close_pairs(pts, radius)
@@ -588,7 +587,7 @@ def unit_disk(
             continue
         return net
     raise TopologyError(
-        f"unit-disk({n}, r={radius}) was disconnected in {max_tries} attempts; "
+        f"unit-disk({n}, r={radius}) was disconnected in {_RANDOM_TRIES} attempts; "
         "increase the radius"
     )
 

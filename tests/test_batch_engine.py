@@ -16,9 +16,6 @@ from repro.sim import (
     FaultSchedule,
     NodeCrash,
     RoundPlan,
-    array_protocol_class,
-    available_array_protocols,
-    register_array_protocol,
     run_broadcast,
     run_broadcast_batch,
     runners,
@@ -533,21 +530,3 @@ class TestCoinDeck:
         for node in range(5):
             expected = [b[node].random() for _ in range(len(seen[node]))]
             assert seen[node] == expected
-
-
-class TestArrayRegistry:
-    def test_builtin_protocols_are_registered(self):
-        assert set(available_array_protocols()) == {"decay", "multimessage"}
-        assert array_protocol_class("decay") is DecayArrayProtocol
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SimulationError, match="unknown array protocol"):
-            array_protocol_class("no-such-protocol")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SimulationError, match="already registered"):
-            register_array_protocol("decay")(SourceBeacon)
-
-    def test_non_protocol_registration_rejected(self):
-        with pytest.raises(SimulationError, match="not an ArrayProtocol"):
-            register_array_protocol("bogus")(dict)

@@ -12,7 +12,6 @@ from oracles import DecayProtocol, FeedbackKind, oracle_engine
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim import run_broadcast
-from repro.sim.decay import DecayArrayProtocol
 from repro.sim.topology import dumbbell, gnp, grid2d, line, ring, star, unit_disk
 
 FAST = ProtocolParams.fast()
@@ -137,12 +136,6 @@ class TestFailureAndObservability:
 
 
 class TestProtocolDetails:
-    def test_decay_is_registered(self):
-        from repro.sim.core import array_protocol_class, available_array_protocols
-
-        assert "decay" in available_array_protocols()
-        assert array_protocol_class("decay") is DecayArrayProtocol
-
     def test_custom_message_arrives_verbatim_at_every_node(self):
         # Regression for the injection-ordering bug: the driver used to
         # patch protocols[source].message *after* setup() had already stored

@@ -12,10 +12,17 @@ import dataclasses
 
 import pytest
 
-from oracles import BeepWaveArrayProtocol, BeepWaveProtocol, oracle_engine, run_oracle
+from oracles import (
+    ORACLES,
+    BeepWaveArrayProtocol,
+    BeepWaveProtocol,
+    oracle_engine,
+    run_oracle,
+)
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
 from repro.sim import (
+    BROADCAST_PROTOCOL_NAMES,
     ArrayEngine,
     broadcast_spec,
     run_broadcast,
@@ -32,9 +39,15 @@ FAMILIES = ("line", "ring", "grid", "gnp", "dumbbell", "unit_disk")
 SEEDS = (0, 3)
 
 
+def test_every_protocol_has_an_oracle():
+    # The spec table and the oracle table list the same protocols, so a
+    # runnable protocol cannot go unchecked by the trace comparison below.
+    assert set(ORACLES) == set(BROADCAST_PROTOCOL_NAMES)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("protocol", ["decay", "ghk"])
+@pytest.mark.parametrize("protocol", BROADCAST_PROTOCOL_NAMES)
 def test_broadcast_traces_are_bitwise_identical(family, seed, protocol):
     net = from_spec(family, 24, seed=seed)
     obj = run_oracle(protocol, net, FAST, seed=seed, trace=True)
@@ -49,11 +62,12 @@ def test_broadcast_traces_are_bitwise_identical(family, seed, protocol):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [3])
 def test_multimessage_traces_are_bitwise_identical(family, seed, k):
     # The k-message pipeline draws two kinds of coins (backoff and
     # selection tie-breaks), so this covers a strictly richer coin
-    # discipline than the single-message protocols.
+    # discipline than the single-message protocols.  Its k = 1 case is
+    # the table-driven test above.
     net = from_spec(family, 24, seed=seed)
     obj = run_oracle(
         "multimessage", net, FAST, seed=seed, options={"k_messages": k}, trace=True

@@ -1,13 +1,14 @@
 """Self-tests for the simlint static-analysis suite.
 
-Fixture-driven: every rule has a good/bad corpus under
-``tests/fixtures/simlint/`` (laid out with ``sim/`` / ``sim/core/`` path
-segments so the path-scoped rules engage), plus suppression and
-parse-error checks and a smoke run over the real tree.
+Fixture-driven: every rule (all of them file-local) has a good/bad corpus
+under ``tests/fixtures/simlint/`` (laid out with ``sim/`` / ``sim/core/``
+path segments so the path-scoped rules engage), plus suppression and
+parse-error checks and a smoke run over the real tree.  Oracle coverage
+is a test over the protocol table (``tests/test_equivalence.py``), not a
+lint rule.
 """
 
 import json
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -77,23 +78,6 @@ def test_sl007_exempts_factories_kernel_module_and_non_sim_code():
     assert hit == []
 
 
-def test_sl005_uncovered_by_equivalence_tests():
-    hit, report = rules_hit(FIXTURES / "sl005" / "bad_uncovered")
-    assert hit == ["SL005"]
-    assert "equivalence" in report.findings[0].message
-
-
-def test_sl005_clean_when_paired_and_covered():
-    hit, _ = rules_hit(FIXTURES / "sl005" / "good")
-    assert hit == []
-
-
-def test_sl005_coverage_check_skipped_without_equivalence_module():
-    # Linting just the registering file must not demand coverage proof.
-    hit, _ = rules_hit(FIXTURES / "sl005" / "bad_uncovered" / "protocols.py")
-    assert hit == []
-
-
 # --------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------- #
@@ -105,30 +89,6 @@ def test_inline_and_file_suppressions():
         str(FIXTURES / "suppress" / "sim" / "unsuppressed.py")
     ]
     assert report.findings[0].rule == "SL001"
-
-
-def test_suppression_applies_to_project_level_findings():
-    engine = build_engine()
-    source = textwrap.dedent(
-        """
-        def register_array_protocol(name):
-            def deco(cls):
-                return cls
-            return deco
-
-        @register_array_protocol("solo")
-        class SoloArrayProtocol:  # simlint: disable=SL005
-            pass
-        """
-    )
-    result = engine.analyze_source("protocols.py", source)
-    other = engine.analyze_source("test_other_equivalence.py", 'COVERED = ["toy"]\n')
-    registry_rule = next(r for r in engine.rules if r.id == "SL005")
-    findings = registry_rule.finalize(
-        {"protocols.py": result.facts, "test_other_equivalence.py": other.facts}
-    )
-    assert findings, "sanity: the raw project finding exists"
-    assert all(result.suppresses(f) for f in findings)
 
 
 # --------------------------------------------------------------------- #

@@ -337,7 +337,7 @@ class TestGenerators:
 
     def test_gnp_gives_up_when_hopeless(self):
         with pytest.raises(TopologyError, match="disconnected"):
-            gnp(30, 0.0, seed=0, max_tries=3)
+            gnp(30, 0.0, seed=0)
 
     def test_gnp_bad_source_fails_fast_not_as_disconnection(self):
         # An always-connected graph with an invalid source must report the
@@ -353,7 +353,7 @@ class TestGenerators:
 
     def test_unit_disk_gives_up_when_hopeless(self):
         with pytest.raises(TopologyError):
-            unit_disk(30, 0.001, seed=0, max_tries=3)
+            unit_disk(30, 0.001, seed=0)
 
     @pytest.mark.parametrize(
         ("n", "radius", "seed"),
