@@ -1,39 +1,8 @@
-"""Static analysis for the simulator: determinism & kernel-contract lints.
+"""Run-time analysis of the simulator.
 
-``repro.analysis`` hosts **simlint**, an AST-based checker enforcing the
-repo's load-bearing invariants that no runtime check covers:
-
-* seeded-RNG discipline (SL001) and wall-clock independence (SL002),
-  which keep runs bitwise-reproducible;
-* ordered iteration in hot paths (SL006), which keeps iteration order
-  deterministic;
-* operand construction through ``select_kernel_operand`` in ``sim/``
-  code (SL007), which keeps the channel-backend policy in one place.
-
-The kernel-operand surface is the runtime-checkable
-:class:`~repro.sim.core.channel.KernelOperand` protocol and the cached
-topology arrays are frozen by numpy's read-only flags; tests, and the
-runtime sanitizer in :mod:`repro.analysis.simsan`, check those.  That
-every protocol in the spec table has a per-node oracle is a test too
-(``tests/test_equivalence.py``).
-
-Run it as ``python -m repro.analysis.simlint src tests``.  Suppress a
-single finding with a ``# simlint: disable=SL00X`` comment on the same
-line; see ``--explain SL00X`` for per-rule documentation.
+``repro.analysis`` is the parent package of :mod:`repro.analysis.simsan`,
+the opt-in runtime sanitizer and cross-backend divergence bisector.  The
+source rules that keep a run a pure function of its seed (no global RNG,
+no clock, no set order, operands built only by the factories) are a test,
+``tests/test_source_rules.py``.
 """
-
-from repro.analysis.core import (
-    FileContext,
-    Finding,
-    LintReport,
-    Rule,
-    RuleEngine,
-)
-
-__all__ = [
-    "FileContext",
-    "Finding",
-    "LintReport",
-    "Rule",
-    "RuleEngine",
-]

@@ -1,8 +1,7 @@
 """simsan: the opt-in runtime invariant sanitizer for simulator runs.
 
-The dynamic counterpart of :mod:`repro.analysis` lint rules — where
-simlint proves invariants about the *source*, simsan checks them on a
-*live run*, every round: kernel-boundary contracts, traffic/energy
+simsan checks the simulator's invariants on a *live run*, every
+round: kernel-boundary contracts, traffic/energy
 conservation, fault accounting, cache freezing, and a differential
 re-execution of the channel kernel against a dense reference operand
 (the certification gate for any new backend).

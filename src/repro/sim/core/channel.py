@@ -490,9 +490,10 @@ def operand_from_csr(
     as CSR rather than as a :class:`~repro.sim.topology.RadioNetwork` — the
     fault layer's per-flip rebuilds and the sanitizer's reference operand.
     Engine-layer code selecting a backend by policy goes through
-    :func:`~repro.sim.core.batch.select_kernel_operand` instead (simlint
-    rule SL007 enforces that split).  The dense path scatters the CSR into
-    a 0/1 matrix, so it is Θ(n²) memory like any dense operand.
+    :func:`~repro.sim.core.batch.select_kernel_operand` instead
+    (``tests/test_source_rules.py`` checks that split).  The dense path
+    scatters the CSR into a 0/1 matrix, so it is Θ(n²) memory like any
+    dense operand.
     """
     if backend == "sparse":
         return SparseOperand(indptr, indices)

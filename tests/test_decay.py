@@ -57,13 +57,19 @@ class TestDelivery:
         assert result.informed_rounds == (0,)
 
     def test_line_advances_one_layer_per_phase(self):
-        # On a path the frontier node has exactly one informed neighbour,
-        # which transmits deterministically in the first round of each
-        # phase, so delivery takes exactly (n-1) phases.
-        net = line(32)
-        result = run_broadcast("decay", net, FAST, seed=0)
-        phase_length = FAST.decay_phase_length(net.n)
-        assert -(-result.rounds_to_delivery // phase_length) == 31
+        # On a path with the source at one end, the frontier node's only
+        # informed neighbour transmits in the first round of every phase
+        # (every informed node starts a phase active) and alone, so node i
+        # hears it in round (i-1)·L whatever the seed or preset.
+        for n in (32, 1024):
+            net = line(n)
+            for seed, params in ((0, FAST), (1, ProtocolParams.paper())):
+                result = run_broadcast("decay", net, params, seed=seed)
+                phase_length = params.decay_phase_length(n)
+                assert result.rounds_to_delivery == (n - 2) * phase_length + 1
+                assert result.informed_rounds == (0,) + tuple(
+                    (i - 1) * phase_length for i in range(1, n)
+                )
 
 
 class TestReproducibility:
