@@ -21,7 +21,7 @@ throughput number.
 
 The same ``--max-operand-mib`` ceiling as the scale bench applies: cells
 whose operand alone (``8·n²`` dense, ``8·n·ceil(n/64)`` bit-packed,
-``8·(n+1) + 16·edges`` CSR) would exceed it are recorded as skipped,
+``4·(n+1) + 8·edges`` CSR) would exceed it are recorded as skipped,
 which is how the record shows dense stopping at n=8192 while bit-packed
 continues — the density win made measurable.
 """
@@ -64,9 +64,9 @@ def _operand_bytes(backend: str, n: int, edges: int) -> int:
         return 8 * n * n
     if backend == "bitpacked":
         return 8 * n * (-(-n // 64))
-    # Exactly the two arrays SparseOperand holds: int64 indptr (n + 1
-    # entries) and int64 indices (two directed slots per undirected edge).
-    return 8 * (n + 1) + 16 * edges
+    # Exactly the two arrays SparseOperand holds: int32 indptr (n + 1
+    # entries) and int32 indices (two directed slots per undirected edge).
+    return 4 * (n + 1) + 8 * edges
 
 
 def _build_operand(backend: str, net):

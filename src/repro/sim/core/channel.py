@@ -7,21 +7,26 @@ One round of the single-hop radio channel is three array operations:
 * outcome masks — a listener with count 0 hears silence, with count 1
   receives the unique neighbour's transmission, with count >= 2 suffers a
   collision;
-* ``senders`` — for a listener with count 1 the id-weighted neighbour
-  count *is* the id of its unique transmitting neighbour.
+* ``senders`` — for a listener with count 1, the id of its unique
+  transmitting neighbour (the id-weighted neighbour count on the float
+  backends, a gather on the sparse one, a bit index on the bit-packed
+  one).
 
 Three interchangeable **kernel operands** implement those reductions:
 
 * :class:`DenseOperand` — the symmetric 0/1 adjacency as a ``float64``
   matrix; counts are one BLAS matmul (``transmit @ A``).  Θ(n²) memory and
   time per round regardless of the edge count.
-* :class:`SparseOperand` — the same graph as CSR neighbour arrays
+* :class:`SparseOperand` — the same graph as int32 CSR neighbour arrays
   (``indptr``/``indices``); the transmitters push into their neighbours:
   counts are one ``np.bincount`` over the transmitters' CSR rows only.
-  Θ(m) memory and Θ(Σ deg(tx) + batch·n) time per round, which is what
-  lets the simulator past the dense-matmul wall on sparse topologies
-  (line/grid/gnp/unit-disk at n ≳ 4096) and makes a round in which few
-  radios transmit cheap.
+  Θ(m) memory — 4 bytes per directed slot plus 4 per node (8 per node
+  of a union's int64 ``indptr``), shared with the network's own CSR for
+  a single graph — and Θ(Σ deg(tx) + batch·n) time per round, which is
+  what lets the simulator past the dense-matmul wall on sparse
+  topologies (line/grid/gnp/unit-disk at n ≳ 4096) and makes a round in
+  which few radios transmit cheap.  A round's push holds about 16 bytes
+  per pushed slot at its peak.
 * :class:`BitOperand` — the adjacency bit-packed into an
   ``(n, ceil(n/64))`` uint64 word matrix; the per-round transmit mask is
   packed once into ``ceil(n/64)`` words and counts are ``AND`` +
@@ -166,15 +171,24 @@ def adjacency_operand(adjacency: np.ndarray) -> np.ndarray:
 def _validate_csr(
     indptr: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validate CSR neighbour arrays; returns ``(indptr, indices, n)`` as int64."""
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
+    """Validate CSR neighbour arrays; returns ``(indptr, indices, n)`` as int32.
+
+    The ranges are checked on the input as given, so nothing outside
+    int32 is ever narrowed; an int32 input (every
+    :meth:`~repro.sim.topology.RadioNetwork.csr`) is returned uncopied.
+    """
+    indptr = np.asarray(indptr)
+    indices = np.asarray(indices)
     if indptr.ndim != 1 or indptr.size < 1 or indices.ndim != 1:
         raise SimulationError(
             f"CSR arrays must be 1-D with indptr non-empty, got indptr "
             f"shape {indptr.shape} and indices shape {indices.shape}"
         )
     n = indptr.size - 1
+    if max(n, indices.size) >= 2**31:
+        raise SimulationError(
+            f"a CSR of {n} nodes and {indices.size} slots exceeds int32 indexing"
+        )
     if indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any():
         raise SimulationError(
             "indptr must start at 0, be non-decreasing, and end at "
@@ -185,7 +199,7 @@ def _validate_csr(
             f"CSR indices must be node ids in [0, {n}), got range "
             f"[{indices.min()}, {indices.max()}]"
         )
-    return indptr, indices, n
+    return indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False), n
 
 
 class DenseOperand:
@@ -235,14 +249,16 @@ class DenseOperand:
 class SparsePush(NamedTuple):
     """One round's transmitters pushed into their CSR rows.
 
-    ``keys`` holds one listener per CSR slot, indexing the raveled
-    ``shape`` output; transmitter ``t`` (row-local id ``senders[t]``)
-    owns ``degrees[t]`` consecutive keys.
+    ``keys`` (intp, what ``np.bincount`` takes) holds one listener per
+    CSR slot, indexing the raveled ``shape`` output; transmitter ``t``
+    (row-local id ``senders[t]``) owns keys ``ends[t-1]:ends[t]`` (from 0
+    for ``t = 0``), so ``ends`` is the cumulative transmitter degree and
+    repeats where a transmitter has no neighbour.
     """
 
     keys: np.ndarray
     senders: np.ndarray
-    degrees: np.ndarray
+    ends: np.ndarray
     shape: tuple[int, ...]
 
 
@@ -280,9 +296,11 @@ class SparseOperand:
     ) -> SparseOperand:
         """One operand over ``graphs`` (all of ``n`` nodes), row ``b`` on ``graph_of_row[b]``.
 
-        Each graph's ``indices`` are concatenated as they are (neighbour
-        ids stay graph-local) and each ``indptr`` is offset by the slots
-        before it, so the union costs one copy of the graphs' CSRs.
+        Each graph's int32 ``indices`` are concatenated as they are
+        (neighbour ids stay graph-local, so they fit) and each ``indptr``
+        is offset by the slots before it into one int64 ``indptr`` of
+        ``len(graphs)·n + 1`` entries, whose offsets may pass 2**31.  So
+        the union costs one copy of the graphs' CSRs.
         """
         n = graphs[0].n
         if any(graph.n != n for graph in graphs):
@@ -294,7 +312,7 @@ class SparseOperand:
         union = cls.__new__(cls)
         union.n = n
         union.indptr = np.concatenate(
-            [graph.indptr[:-1] + base for graph, base in zip(graphs, slots)]
+            [graph.indptr[:-1].astype(np.int64) + base for graph, base in zip(graphs, slots)]
             + [slots[-1:]]
         )
         union.indices = np.concatenate([graph.indices for graph in graphs])
@@ -323,11 +341,15 @@ class SparseOperand:
         # two slot-sized arrays live, not three.
         slots = np.repeat(starts - ends + degrees, degrees)
         slots += np.arange(slots.size)
-        keys = self.indices[slots]
+        neighbours = self.indices[slots]
         del slots
         if transmit.ndim > 1:
-            keys += np.repeat(flat - senders, degrees)
-        return SparsePush(keys, senders, degrees, transmit.shape)
+            # The int32 row-local neighbour ids offset into each row's range.
+            keys = np.repeat(flat - senders, degrees)
+            keys += neighbours
+        else:
+            keys = neighbours.astype(np.intp)
+        return SparsePush(keys, senders, ends, transmit.shape)
 
     def transmit_counts(self, push: SparsePush) -> np.ndarray:
         """Per-node transmitting-neighbour counts."""
@@ -336,15 +358,20 @@ class SparseOperand:
         return counts.astype(np.int64, copy=False).reshape(push.shape)
 
     def sender_ids(self, push: SparsePush, clean: np.ndarray) -> np.ndarray:
-        """Sender ids valid at ``clean`` positions (garbage elsewhere).
+        """Sender ids valid at ``clean`` positions (zero elsewhere).
 
-        The id-weighted count: at a count-1 listener it is exactly the
-        unique sender's row-local id (a float64 sum of one id, far below
-        2**53).
+        A gather, not a second reduction: a clean listener has count 1, so
+        exactly one key is its position.  The slots ``hits`` whose key is
+        clean are therefore the deliveries, and slot ``j`` belongs to the
+        transmitter whose key run ``ends[t-1] <= j < ends[t]`` holds it,
+        i.e. the number of ``ends`` at or below ``j`` (``side="right"``
+        steps past the repeated ends of degree-0 transmitters).
         """
-        weights = np.repeat(push.senders.astype(np.float64), push.degrees)
-        ids = np.bincount(push.keys, weights=weights, minlength=clean.size)
-        return ids.astype(np.int64).reshape(push.shape)
+        hits = np.flatnonzero(clean.ravel()[push.keys])
+        owner = np.searchsorted(push.ends, hits, side="right")
+        out = np.zeros(clean.size, dtype=np.int64)
+        out[push.keys[hits]] = push.senders[owner]
+        return out.reshape(push.shape)
 
 
 class BitOperand:

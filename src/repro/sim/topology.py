@@ -59,18 +59,32 @@ def _sorted_distinct(keys: np.ndarray, n: int) -> np.ndarray:
     return keys[fresh].astype(np.int64)
 
 
+#: Node ids and directed slot offsets are held as int32, so a graph with
+#: this many nodes or directed slots (twice its edges) is rejected.
+_CSR_INDEX_LIMIT = 2**31
+
+
 def csr_from_keys(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR ``(indptr, indices)`` from sorted, distinct int64 keys ``u*n + v``.
+    """Read-only int32 CSR ``(indptr, indices)`` from sorted, distinct int64 keys ``u*n + v``.
 
     Sorted directed-edge keys are already in CSR order (row-major,
     ascending neighbours), so row ``u`` starts where the first key
     ``>= u*n`` sits, and a key's index entry is the key minus its row's
     ``u*n``: a binary search per row and one subtraction, no division.
-    A row with no keys gets equal consecutive ``indptr`` entries.
+    A row with no keys gets equal consecutive ``indptr`` entries.  A graph
+    with ``_CSR_INDEX_LIMIT`` or more nodes or keys raises
+    :class:`TopologyError` before either array is allocated.
     """
+    if n >= _CSR_INDEX_LIMIT or keys.size >= _CSR_INDEX_LIMIT:
+        raise TopologyError(
+            f"{n} nodes with {keys.size} directed slots exceed the int32 CSR "
+            f"(both must stay below {_CSR_INDEX_LIMIT})"
+        )
     row_keys = np.arange(0, n * n + 1, n, dtype=np.int64)
-    indptr = np.searchsorted(keys, row_keys)
-    indices = keys - np.repeat(row_keys[:-1], np.diff(indptr))
+    indptr = np.searchsorted(keys, row_keys).astype(np.int32)
+    offsets = np.repeat(row_keys[:-1], np.diff(indptr))
+    np.subtract(keys, offsets, out=offsets)
+    indices = offsets.astype(np.int32)
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
@@ -242,7 +256,7 @@ class RadioNetwork:
         return self._adjacency
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR neighbour arrays ``(indptr, indices)``, read-only int64.
+        """The CSR neighbour arrays ``(indptr, indices)``, read-only int32.
 
         ``indices[indptr[v]:indptr[v+1]]`` lists node ``v``'s neighbours in
         ascending order.  This is the network's one stored adjacency (and
@@ -260,12 +274,14 @@ class RadioNetwork:
         size and never build it); basing it on the CSR arrays (with the
         node count prefixed to keep the encoding unambiguous) keeps it
         O(edges) and dense-matrix-free, so grouping huge graphs never
-        allocates n² bytes.
+        allocates n² bytes.  The node count and both arrays are serialized
+        as int64, whatever the CSR's own index dtype.
         """
         if self._adjacency_key is None:
             indptr, indices = self.csr()
-            self._adjacency_key = (
-                np.int64(self._n).tobytes() + indptr.tobytes() + indices.tobytes()
+            self._adjacency_key = b"".join(
+                np.asarray(part, dtype=np.int64).tobytes()
+                for part in (self._n, indptr, indices)
             )
         return self._adjacency_key
 
@@ -275,8 +291,9 @@ class RadioNetwork:
     def _traverse(self, roots: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Uncached :meth:`bfs_order` per root: compiled FIFO traversal, depth by pointer doubling.
 
-        One scipy view over the shared ``indptr``/``indices`` (float64 ones as data: no conversion)
-        serves every root; ⌈log₂ D⌉ O(n) passes double each jump up the predecessor tree.
+        One scipy view over the shared int32 ``indptr``/``indices`` (float64 ones as data: no
+        conversion copy) serves every root; ⌈log₂ D⌉ O(n) passes double each jump up the
+        predecessor tree.
         """
         indptr, indices = self._csr
         graph = csr_array((np.ones(indices.size), indices, indptr), shape=(self._n, self._n))

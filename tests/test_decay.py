@@ -6,13 +6,17 @@ grid, G(n,p), and dumbbell topologies (n up to 256) within
 seed, with collision events observable through the engine's feedback API.
 """
 
+import math
+
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 from oracles import DecayProtocol, FeedbackKind, oracle_engine
 from repro.errors import BroadcastFailure
 from repro.params import ProtocolParams
-from repro.sim import run_broadcast
-from repro.sim.topology import dumbbell, gnp, grid2d, line, ring, star, unit_disk
+from repro.sim import BroadcastResult, run_broadcast, run_broadcast_batch
+from repro.sim.topology import RadioNetwork, dumbbell, gnp, grid2d, line, ring, star, unit_disk
 
 FAST = ProtocolParams.fast()
 
@@ -182,3 +186,76 @@ class TestProtocolDetails:
         )
         assert len(received) == net.n - 1
         assert all(msg is sentinel for msg in received)
+
+
+class TestDiamondLemma:
+    """Decay on the diamond K(1, d, 1) against its exact success probability.
+
+    The source informs the d relays in round 0; they stay silent until
+    phase 2, when all d start active.  Each active relay transmits and
+    then stays active with probability 1/2, so the active count is d and
+    then a Binomial(·, 1/2) thinning per round.  The sink (joined to
+    every relay) hears a clean transmission in phase 2 exactly when some
+    round of it has one active relay.  A DP over the count gives the
+    exact probability, which 2000 fixed seeds must match within |z| < 4
+    (threshold fixed before measuring).
+    """
+
+    SEEDS = 2000
+
+    @staticmethod
+    def diamond(d: int):
+        relays = np.arange(1, d + 1)
+        sink = d + 1
+        return RadioNetwork.from_edges(
+            d + 2,
+            np.concatenate([np.zeros(d, dtype=np.int64), relays]),
+            np.concatenate([relays, np.full(d, sink)]),
+        )
+
+    @staticmethod
+    def exact(d: int, rounds: int) -> float:
+        """P(some round of ``rounds`` has exactly one active relay), from d active."""
+        counts = np.arange(d + 1)
+        # thin[a, k] = P(k of a active relays stay active); scipy's pmf,
+        # since integer binomial coefficients overflow float64 at d = 512.
+        thin = binom.pmf(counts[None, :], counts[:, None], 0.5)
+        alive = np.zeros(d + 1)
+        alive[d] = 1.0
+        hit = 0.0
+        for _ in range(rounds):
+            hit += alive[1]
+            alive[1] = 0.0
+            alive = alive @ thin
+        return hit
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param(2, marks=pytest.mark.statistical),
+            8,
+            pytest.param(64, marks=pytest.mark.statistical),
+            pytest.param(512, marks=pytest.mark.statistical),
+        ],
+    )
+    def test_sink_informed_in_phase_two_at_the_exact_rate(self, d):
+        net = self.diamond(d)
+        phase = FAST.decay_phase_length(net.n)
+        results = run_broadcast_batch(
+            "decay", [net] * self.SEEDS, seeds=range(self.SEEDS), params=FAST
+        )
+        sink = d + 1
+        hits = sum(
+            isinstance(result, BroadcastResult)
+            and phase <= result.informed_rounds[sink] < 2 * phase
+            for result in results
+        )
+        p = self.exact(d, phase)
+        z = (hits / self.SEEDS - p) / math.sqrt(p * (1 - p) / self.SEEDS)
+        assert abs(z) < 4, (d, phase, p, hits / self.SEEDS, z)
+
+    def test_exact_probabilities_match_the_hand_values(self):
+        # d = 2, L = 2: the two relays split in round 1 with probability 1/2.
+        assert self.exact(2, 2) == pytest.approx(0.5)
+        assert self.exact(8, 4) == pytest.approx(0.5418, abs=5e-5)
+        assert self.exact(64, 7) == pytest.approx(0.5413, abs=5e-5)

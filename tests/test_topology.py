@@ -131,8 +131,12 @@ class TestRadioNetwork:
     def test_adjacency_key_is_csr_based_and_cached(self):
         net = line(5)
         indptr, indices = net.csr()
+        # int64 bytes whatever the CSR's own dtype: the format the
+        # topology sha256 pins hash.
         expected = (
-            np.int64(net.n).tobytes() + indptr.tobytes() + indices.tobytes()
+            np.int64(net.n).tobytes()
+            + indptr.astype(np.int64).tobytes()
+            + indices.astype(np.int64).tobytes()
         )
         assert net.adjacency_key() == expected
         assert net.adjacency_key() is net.adjacency_key()  # cached, not rebuilt
@@ -171,6 +175,15 @@ class TestRadioNetwork:
         indptr, indices = RadioNetwork([[]]).csr()
         assert indptr.tolist() == [0, 0]
         assert indices.size == 0
+
+    def test_int32_csr_limit_is_a_topology_error(self, monkeypatch):
+        # The limit is patched small: no graph near 2**31 is ever built.
+        monkeypatch.setattr(topology, "_CSR_INDEX_LIMIT", 8)
+        assert line(4).csr()[1].size == 6  # 4 nodes and 6 slots fit
+        with pytest.raises(TopologyError, match="int32"):
+            line(5)  # 8 directed slots
+        with pytest.raises(TopologyError, match="int32"):
+            RadioNetwork.from_edges(8, [], [])  # 8 nodes, checked before connectivity
 
     def test_list_constructor_symmetry_check_is_not_quadratic(self):
         # The neighbour-list constructor used to test symmetry with

@@ -162,7 +162,7 @@ def sorted_distinct_keys(draw):
 def test_csr_from_keys_matches_the_divmod_reference(graph):
     n, keys = graph
     indptr, indices = csr_from_keys(n, keys)
-    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.dtype == indices.dtype == np.int32
     assert (indptr.tolist(), indices.tolist()) == _csr_reference(n, keys)
     assert not indptr.flags.writeable and not indices.flags.writeable
 
@@ -276,7 +276,7 @@ def test_derived_views_agree_with_csr(graph):
     n, u, v = graph
     net = RadioNetwork.from_edges(n, u, v)
     indptr, indices = net.csr()
-    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.dtype == indices.dtype == np.int32
     assert net.num_edges * 2 == indices.size == indptr[-1]
     mat = net.adjacency_matrix()
     for w in range(n):
