@@ -1,11 +1,20 @@
 """Tests for the GHK collision-detection broadcast: the k-message protocol at k = 1."""
 
+import numpy as np
 import pytest
+from scipy.stats import chi2
+from test_decay import TestDiamondLemma as DecayDiamond
 
 from oracles import MultiMessageProtocol, oracle_engine
 from repro.errors import BroadcastFailure
-from repro.params import ProtocolParams
-from repro.sim import MultiMessageArrayProtocol, broadcast_spec, run_broadcast
+from repro.params import WAVE_SPACING, ProtocolParams
+from repro.sim import (
+    BroadcastResult,
+    MultiMessageArrayProtocol,
+    broadcast_spec,
+    run_broadcast,
+    run_broadcast_batch,
+)
 from repro.sim.topology import dumbbell, from_spec, gnp, grid2d, line, ring, star
 
 FAST = ProtocolParams.fast()
@@ -122,3 +131,84 @@ class TestFailureAndReproducibility:
             s for s in result.sim.history if s.collisions and s.round_index < 14
         ]
         assert first_wave_collisions, "the sync wave itself must collide on a grid"
+
+
+class TestDiamondLemma:
+    """GHK's layer slots on the diamond K(1, d, 1) against their exact distribution.
+
+    The source's wave pulse informs the d relays (layer 1) in round 0; their
+    relay pulses collide at the sink in round 1 (d >= 2), which syncs it as
+    layer 2 without informing it.  From then on the relays own the rounds
+    ``r > 1`` with ``r ≡ 1 (mod 3)``, i.e. ``r = 4 + 3j`` for their j-th
+    owned slot, and the sink listens in every round from 3 on, hearing
+    nothing but the relays.  In slot j each relay fires independently with
+    probability ``q = 2^-(j mod B)``, so the slot is clean for the sink
+    with probability ``d·q·(1 - q)^(d-1)``, independently across slots.
+    The sink's informed round is therefore ``4 + 3j`` at the first clean
+    j, with an exact geometric-like law; rounds past the budget are a
+    failure.  2000 fixed seeds per d must fit that law with a chi-square
+    p-value of at least 1e-4 (threshold fixed before measuring).
+    """
+
+    SEEDS = 2000
+    #: The smallest chi-square p-value the measured slots may have.
+    P_MIN = 1e-4
+
+    @staticmethod
+    def slot_law(d: int, backoff: int, budget: int) -> np.ndarray:
+        """P(the sink is informed in owned slot j), for every j within
+        ``budget``, followed by P(not within the budget)."""
+        slots = (budget - 5) // WAVE_SPACING + 1  # 4 + 3j <= budget - 1
+        q = 2.0 ** -(np.arange(slots) % backoff)
+        clean = d * q * (1 - q) ** (d - 1)
+        missed = np.concatenate([[1.0], np.cumprod(1 - clean)])
+        return np.append(missed[:-1] * clean, missed[-1])
+
+    @staticmethod
+    def chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+        """Pearson's statistic and degrees of freedom, pooling every bin
+        expected below 5 into one."""
+        rare = expected < 5
+        obs = np.append(observed[~rare], observed[rare].sum())
+        exp = np.append(expected[~rare], expected[rare].sum())
+        keep = exp > 0
+        assert obs[~keep].sum() == 0  # nothing lands where it cannot
+        obs, exp = obs[keep], exp[keep]
+        return float(((obs - exp) ** 2 / exp).sum()), obs.size - 1
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param(2, marks=pytest.mark.statistical),
+            8,
+            pytest.param(64, marks=pytest.mark.statistical),
+            pytest.param(512, marks=pytest.mark.statistical),
+        ],
+    )
+    def test_sink_slot_follows_the_exact_law(self, d):
+        net = DecayDiamond.diamond(d)
+        sink = d + 1
+        results = run_broadcast_batch(
+            "ghk", [net] * self.SEEDS, seeds=range(self.SEEDS), params=FAST
+        )
+        budget = results[0].budget
+        law = self.slot_law(d, FAST.ghk_backoff_slots(net.n), budget)
+        observed = np.zeros(law.size)
+        for result in results:
+            if isinstance(result, BroadcastResult):
+                r = result.informed_rounds[sink]
+                assert r >= 4 and (r - 4) % WAVE_SPACING == 0, r
+                observed[(r - 4) // WAVE_SPACING] += 1
+            else:
+                assert result.undelivered == (sink,)
+                observed[-1] += 1
+        stat, dof = self.chi_square(observed, law * self.SEEDS)
+        p_value = chi2.sf(stat, dof)
+        assert p_value >= self.P_MIN, (d, stat, dof, p_value)
+
+    def test_slot_law_matches_the_hand_values(self):
+        # d = 2: slot 0 always collides (both fire w.p. 1), slot 1 is clean
+        # w.p. 2·(1/2)·(1/2) = 1/2, slot 2 w.p. 2·(1/4)·(3/4) = 3/8.
+        law = self.slot_law(2, 3, 4 + 3 * 2 + 1)
+        assert law == pytest.approx([0.0, 0.5, 0.5 * 3 / 8, 0.5 * 5 / 8])
+        assert self.slot_law(8, 4, 186).sum() == pytest.approx(1.0)
