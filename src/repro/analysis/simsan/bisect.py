@@ -7,7 +7,8 @@ replay — once on the active backend, once on the dense reference — records
 a per-round sha256 digest over the packed plan masks and the raw kernel
 output, binary-searches the digest sequences to the **first divergent
 round**, and dumps a minimal repro bundle (packed masks at the divergent
-round, adjacency version, the engine stream's coin cursor) as JSON.
+round, adjacency version) as JSON.  Coins are a pure function of the
+seed, node and round (:mod:`repro.sim.rng`), so the spec replays them.
 
 Usage::
 
@@ -178,24 +179,6 @@ def _round_digest(plan: RoundPlan, channel: ChannelRound) -> bytes:
     return h.digest()
 
 
-def _coin_cursor(engine: ArrayEngine) -> dict:
-    """The engine-stream RNG state plus a digest of the node streams' cursor.
-
-    A node's coin cursor is its PCG64 state, which its
-    :class:`~repro.sim.core.array_protocol.CoinDeck` steps with every coin
-    it draws, so the digest covers the streams' state array alone.  The
-    fault layer draws loss coins ahead, so its streams are rewound to the
-    round first.
-    """
-    if engine.fault_state is not None:
-        engine.fault_state.sync()
-    node_digest = hashlib.sha256(engine.streams.state.tobytes())
-    return {
-        "engine_stream_state": engine.streams.engine.bit_generator.state,
-        "node_streams_sha256": node_digest.hexdigest(),
-    }
-
-
 def replay_digests(
     spec: ReplaySpec,
     *,
@@ -206,7 +189,7 @@ def replay_digests(
     """Replay one run on ``backend``; per-round digests plus an optional capture.
 
     ``capture_at`` snapshots the repro-bundle ingredients (packed plan
-    masks, adjacency version, coin cursor) just before that round's
+    masks, adjacency version) just before that round's
     feedback is applied — the state a debugger needs to re-resolve the
     divergent round in isolation.
     """
@@ -228,7 +211,6 @@ def replay_digests(
                     0 if fault_state is None else fault_state.adjacency_version
                 ),
                 "digest": digests[-1].hex(),
-                "coin_cursor": _coin_cursor(engine),
             }
         engine.complete_round(channel)
         if capture_at is not None and current >= capture_at:

@@ -2,7 +2,8 @@
 
 Layers, bottom-up:
 
-* :mod:`repro.sim.rng` — seeded per-node random streams (reproducibility);
+* :mod:`repro.sim.rng` — keyed per-node coins and input-sampling streams
+  (reproducibility);
 * :mod:`repro.sim.topology` — :class:`RadioNetwork` and graph generators;
 * :mod:`repro.sim.faults` — crash windows, edge flips, message loss and
   jammers, attachable to any run;
@@ -55,7 +56,7 @@ from repro.sim.faults import (
     sample_fault_schedule,
 )
 from repro.sim.multi_message import MultiMessageArrayProtocol
-from repro.sim.rng import SeededStreams, stream
+from repro.sim.rng import SeededStreams
 from repro.sim.runners import (
     BROADCAST_PROTOCOL_NAMES,
     BroadcastResult,
@@ -121,6 +122,5 @@ __all__ = [
     "sample_fault_schedule",
     "select_kernel_operand",
     "star",
-    "stream",
     "unit_disk",
 ]

@@ -7,8 +7,8 @@ Layers, bottom-up:
 * :mod:`repro.sim.core.channel` — the pure, batched channel kernel:
   adjacency matmul → silence/clean/collision outcome arrays + sender ids;
 * :mod:`repro.sim.core.array_protocol` — the :class:`ArrayProtocol` API
-  (one instance holds all nodes' state as arrays) with per-node seeded
-  randomness preserved via :class:`CoinDeck`;
+  (one instance holds all nodes' state as arrays) with per-node keyed
+  coins drawn through :class:`CoinDeck`;
 * :mod:`repro.sim.core.batch` — :class:`ArrayEngine` (one instance) and
   :class:`BatchEngine` (many independent seed × topology × protocol
   instances, fused into batched kernel calls — per topology, or per size

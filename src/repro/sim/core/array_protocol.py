@@ -22,15 +22,14 @@ copy writes its slice back to that instance's own protocol object
 (:meth:`~ArrayProtocol.export`), so callers read per-instance objects
 exactly as if they had run alone.
 
-Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
-node's coins from that node's own PCG64 stream in
-:class:`~repro.sim.rng.SeededStreams`, stepping only the streams that
-draw, once each.  A per-node implementation that calls ``rng.random()``
-on numpy's generator for the same spawned child, for the same nodes in
-the same rounds, is therefore *bitwise identical* to the array form —
-same traces, same rounds-to-delivery, same failures — which is how the
-test suite's per-node oracles check the array protocols.  A fused deck is the
-concatenation of its copies' decks, so fusing changes no coin.
+Per-node randomness is a pure function: :class:`CoinDeck` returns each
+drawing node's coin ``u(row key, purpose, node, round)``
+(:func:`~repro.sim.rng.keyed_coins`), with no stream state.  A per-node
+implementation that computes the same function for the same nodes in the
+same rounds is therefore *bitwise identical* to the array form — same
+traces, same rounds-to-delivery, same failures — which is how the test
+suite's per-node oracles check the array protocols.  A fused deck holds
+one key per row, so fusing changes no coin.
 
 The runnable protocols and their specs are listed once, in
 :mod:`repro.sim.runners`.
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.params import ProtocolParams
-from repro.sim.rng import pcg64_step
+from repro.sim.rng import Purpose, keyed_coins, purpose_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core.channel import ChannelRound
@@ -68,8 +67,8 @@ _P = TypeVar("_P", bound="ArrayProtocol")
 class ArrayContext:
     """Everything an array protocol knows before round 0.
 
-    The public size bound, the source, shared parameters, and the full
-    complement of per-node random streams.
+    The public size bound, the source, shared parameters, and the run's
+    coin key.
     """
 
     n_nodes: int
@@ -169,18 +168,18 @@ class ArrayProtocol(ABC):
         """Write the state of copies of a fused instance into their own objects.
 
         ``nodes`` is a ``(len(into), n)`` array: row ``j`` holds the flat
-        nodes of the copy whose state goes to ``into[j]``.
+        nodes of the copy whose state goes to ``into[j]``.  A
+        :class:`CoinDeck` has no state to write: each copy's deck keeps
+        its own key.
         """
         flat = nodes.reshape(-1)
         for name in self.node_state:
             value = getattr(self, name)
-            targets = [getattr(target, name) for target in into]
             if isinstance(value, CoinDeck):
-                value.export(flat, targets)
-            else:
-                rows = value[flat].reshape(nodes.shape + value.shape[1:])
-                for target, row in zip(targets, rows):
-                    target[...] = row
+                continue
+            rows = value[flat].reshape(nodes.shape + value.shape[1:])
+            for target, row in zip(into, rows):
+                getattr(target, name)[...] = row
 
     def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
         """Move the state of flat nodes ``src`` onto ``dst``, keep the first ``size``.
@@ -233,46 +232,38 @@ class BroadcastArrayProtocol(ArrayProtocol):
 
 
 class CoinDeck:
-    """Vectorized access to per-node seeded coin streams.
+    """One purpose's coins for the nodes of a run, or of a fused group's rows.
 
-    ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node,
-    taken from that node's own stream — the *same* values, in the same
-    per-node order, that per-node ``Generator.random()`` calls on the
-    node's spawned child would produce.  A draw steps exactly the drawing
-    streams, once each (:func:`~repro.sim.rng.pcg64_step`), and no coin is
-    held ahead: the deck's ``state`` — for a deck built on
-    :class:`~repro.sim.rng.SeededStreams`, that object's very ``state``
-    array — is every stream's exact cursor at every moment.
+    ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node:
+    ``u(row key, purpose, node, round)`` at the deck's :attr:`round`, which
+    the protocol sets at the top of each ``act``.  The only state is one
+    ``uint64`` key per row (:func:`~repro.sim.rng.purpose_key`), so a fused
+    deck is its rows' keys side by side, and retiring a row moves one key.
     """
 
-    def __init__(self, streams: "SeededStreams") -> None:
-        self._state = streams.state
+    def __init__(self, streams: "SeededStreams", purpose: Purpose) -> None:
+        self.keys = np.array([purpose_key(streams.key, purpose)], dtype=np.uint64)
+        self.n = len(streams)
+        #: the round the next draws belong to.
+        self.round = 0
 
     def draw(self, nodes: np.ndarray) -> np.ndarray:
-        """One coin per node in ``nodes`` (unique indices), from its own stream."""
-        return pcg64_step(self._state, nodes)
+        """One coin per node in ``nodes`` (flat, unique indices) this round."""
+        return keyed_coins(self.keys, self.round, nodes, self.n)
 
     @classmethod
     def concat(cls, decks: Sequence[CoinDeck]) -> CoinDeck:
-        """One deck over the concatenated streams of ``decks``, cursors kept."""
-        fused = cls.__new__(cls)
-        fused._state = np.concatenate([deck._state for deck in decks], axis=1)
+        """One deck over the rows of ``decks``, in order."""
+        fused = copy.copy(decks[0])
+        fused.keys = np.concatenate([deck.keys for deck in decks])
         return fused
 
-    def export(self, nodes: np.ndarray, into: Sequence[CoinDeck]) -> None:
-        """Hand the cursors of ``nodes`` to the decks ``into``, in order.
-
-        The decks together cover exactly those streams, each a run of
-        ``len(nodes) // len(into)`` of them.
-        """
-        cursor = self._state[:, nodes].reshape(4, len(into), -1)
-        for b, deck in enumerate(into):
-            deck._state[...] = cursor[:, b]
-
     def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
-        """Move the cursors of streams ``src`` onto ``dst``, keep the first ``size``.
+        """Move the rows of flat nodes ``src`` onto ``dst``, keep the first ``size`` nodes.
 
-        In place, like :meth:`ArrayProtocol.compact`.
+        Like :meth:`ArrayProtocol.compact`; whole rows move, so only their
+        keys do.
         """
-        self._state[:, dst] = self._state[:, src]
-        self._state = self._state[:, :size]
+        n = self.n
+        self.keys[dst[::n] // n] = self.keys[src[::n] // n]
+        self.keys = self.keys[: size // n]

@@ -2,8 +2,8 @@
 
 One round loop serves both.  :class:`BatchEngine` steps many
 *independent* instances — any mix of (seed × topology × protocol) — in
-one process.  It seeds all items of one size in one pass and builds one
-:class:`ArrayEngine` per item (the per-item API and results), but runs
+one process.  It builds one :class:`ArrayEngine` per item (the per-item
+API and results), but runs
 them as *fused groups*: the items sharing a topology, channel backend,
 fault schedule and start round are stepped in lock-step as **one
 disjoint-union instance**.  On the sparse backend, fault-free items need
@@ -18,7 +18,7 @@ then one ``act`` per part, one kernel call over all rows — a
 ``(B, n) @ (n, n)`` matmul on the dense backend, one CSR push of the
 transmitters and one ``bincount`` of length ``B·n`` on the sparse one — one
 fault pass (a shared crash mask, jam cover and edge-flip timeline, loss
-coins per row from each item's own engine stream), one ``on_feedback``
+coins keyed by each row's own seed), one ``on_feedback``
 per part with flat sender ids, one ``(4, B·n)`` counter update and one
 vectorized done/budget check, whatever ``B`` is.  A row leaves the group
 the moment its instance completes or exhausts its budget: its state is
@@ -76,7 +76,7 @@ from repro.sim.core.stats import (
     TrafficTotals,
 )
 from repro.sim.faults import FaultSchedule, FaultState
-from repro.sim.rng import SeededStreams, seed_together
+from repro.sim.rng import SeededStreams
 from repro.sim.topology import RadioNetwork
 
 if TYPE_CHECKING:
@@ -263,8 +263,8 @@ class ArrayEngine:
         self.params = params if params is not None else ProtocolParams.paper()
         self.n_bound = n_bound if n_bound is not None else network.n
         self.trace = trace
-        # A caller that already derived this run's streams (the batch
-        # engine, for all its items at once) passes them in.
+        # A caller that already keyed this run (the batch engine) passes
+        # its key in.
         if streams is None:
             streams = SeededStreams(seed, network.n)
         elif streams.seed != seed or len(streams) != network.n:
@@ -300,13 +300,11 @@ class ArrayEngine:
         self._plan: RoundPlan | None = None
         self._group: _FusedGroup | None = None
         # An attached *empty* schedule is a no-op by construction: no
-        # FaultState is built, no engine-stream coin is ever drawn, and
+        # FaultState is built, no loss coin is ever drawn, and
         # SimResult.faults stays None — bitwise identical to no schedule.
         self._fault_state: FaultState | None = None
         if faults is not None and not faults.is_empty:
-            self._fault_state = FaultState(
-                faults, network, self._operand, self.streams.engine
-            )
+            self._fault_state = FaultState(faults, network, self._operand, self.streams.key)
         # Opt-in runtime sanitizer (see repro.analysis.simsan).  ``None``
         # defers to the REPRO_SANITIZE environment variable; a disabled
         # engine holds no sanitizer object, so its only per-round cost is
@@ -380,8 +378,7 @@ class ArrayEngine:
 
         Read-only introspection for tooling (the sanitizer's bisector
         records its adjacency version in repro bundles); mutating it
-        mid-run is undefined behaviour, except :meth:`FaultState.sync`,
-        which leaves every outcome unchanged.
+        mid-run is undefined behaviour.
         """
         return self._fault_state
 
@@ -478,8 +475,6 @@ class ArrayEngine:
             len(history),
         )
         stopped_early = False
-        if fault_state is not None:
-            fault_state.horizon = self._round + max_rounds
         if stop_when is not None and stop_when(self):
             stopped_early = True
         else:
@@ -488,8 +483,6 @@ class ArrayEngine:
                 if stop_when is not None and stop_when(self):
                     stopped_early = True
                     break
-        if fault_state is not None:
-            fault_state.horizon = None
         self._wall_seconds += time.perf_counter() - t0
         return self._result(stopped_early, start)
 
@@ -508,9 +501,6 @@ class ArrayEngine:
         counters = self._traffic - start_traffic
         history = self._trace_observer.history if self._trace_observer else []
         state = self._fault_state
-        if state is not None:
-            # A result leaves the engine stream exact: no loss coin drawn ahead.
-            state.sync()
         result = SimResult(
             rounds_run=self._round - start_round,
             stopped_early=stopped_early,
@@ -561,9 +551,8 @@ class BatchOutcome:
 class BatchEngine:
     """Step many independent array-protocol instances in one process.
 
-    Construction derives the node streams of all items of one size in one
-    vectorized pass (:func:`~repro.sim.rng.seed_together`) and builds one
-    :class:`ArrayEngine` per item on its own streams; :meth:`run`
+    Construction keys every item by its seed and builds one
+    :class:`ArrayEngine` per item; :meth:`run`
     steps every fused group (see the module docstring) as one
     disjoint-union instance, and retires each instance the moment its
     protocol reports ``done()`` (completed) or its round budget expires
@@ -622,9 +611,7 @@ class BatchEngine:
             operand_keys.append(operand_key)
             if operand_key not in operands:
                 operands[operand_key] = select_kernel_operand(item.network, params)
-        # Every item's node streams, one vectorized pass per network size.
         streams = [SeededStreams(item.seed, item.network.n) for item in self.items]
-        seed_together(streams)
 
         def item_observers(i: int) -> list[RoundObserver] | None:
             if not observers:
@@ -699,9 +686,9 @@ class BatchEngine:
                 else:
                     lockstep.setdefault((key, engine.round_index), []).append(i)
         # Groups advance round-robin, one round each per sweep: the first
-        # rounds of every group (and their coin-buffer fills) then come
-        # before any result is built, which keeps the peak memory of many
-        # small groups at that of their live state.
+        # rounds of every group then come before any result is built, which
+        # keeps the peak memory of many small groups at that of their live
+        # state.
         groups = [
             _FusedGroup(
                 [self.engines[i] for i in indices],
@@ -806,8 +793,6 @@ class _FusedGroup:
         budget = dict(zip(engines, budgets))
         self.budgets = np.array([budget.get(engine, 0) for engine in self.engines])
         self.first_budget = int(self.budgets.min())
-        if self.faults is not None and budgets:
-            self.faults.horizon = int(self.budgets.max())
         self._watch()
         #: per-row offsets turning a fused part's sender ids into flat ids.
         self.offsets = np.arange(len(self.engines), dtype=np.int64)[:, None] * self.n
@@ -1054,11 +1039,9 @@ class _FusedGroup:
         if isinstance(self.operand, SparseOperand) and self.operand.row_base is not None:
             # Rows on different graphs: only the union's row map changes.
             self.operand = self.operand.select_rows(order)
-        if self.faults is not None:
-            self.faults.horizon = int(self.budgets.max()) if order else None
-            if order:
-                # An emptied lone row's state is its engine's own: keep it whole.
-                self.faults.select(order)
+        if self.faults is not None and order:
+            # An emptied lone row's state is its engine's own: keep it whole.
+            self.faults.select(order)
         self._watch()
         return retired
 

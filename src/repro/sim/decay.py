@@ -17,8 +17,9 @@ detection: it reads only clean receipts, so a collision is silence to it.
 
 :class:`DecayArrayProtocol` holds every node's state as arrays and is
 driven by the array engines; run it with ``run_broadcast("decay", ...)``.
-Each transmitter draws its coin from its own private stream, so the
-per-node reference form the tests keep reproduces its traces bit for bit.
+Each transmitter's coin is its keyed coin for (node, round)
+(:mod:`repro.sim.rng`), so the per-node reference form the tests keep
+reproduces its traces bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.sim.core.array_protocol import (
     RoundPlan,
 )
 from repro.sim.core.channel import ChannelRound
+from repro.sim.rng import Purpose
 
 __all__ = ["DecayArrayProtocol"]
 
@@ -40,8 +42,8 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
     """Whole-network Decay: all nodes' state as arrays, one act() per round.
 
     Phase boundaries re-activate every informed node; each transmitter
-    then draws one coin per round from its private stream to decide
-    whether it stays active for the next round.
+    then draws one keyed coin per round to decide whether it stays active
+    for the next round.
     """
 
     name = "decay"
@@ -52,9 +54,10 @@ class DecayArrayProtocol(BroadcastArrayProtocol):
         self.phase_length = ctx.params.decay_phase_length(ctx.n_bound)
         self._init_broadcast_state(ctx)
         self._active = np.zeros(ctx.n_nodes, dtype=bool)
-        self._coins = CoinDeck(ctx.streams)
+        self._coins = CoinDeck(ctx.streams, Purpose.DECAY_STAY)
 
     def act(self, round_index: int) -> RoundPlan:
+        self._coins.round = round_index
         if round_index % self.phase_length == 0:
             np.copyto(self._active, self.informed)
         transmit = self.informed & self._active

@@ -25,20 +25,18 @@ as a declarative, seed-reproducible :class:`FaultSchedule`:
 Faults act on *perception*, not ground truth: :meth:`FaultState.perceive`
 rewrites the ``clean``/``collided``/``silent``/``senders`` masks the
 protocol feedback sees, while ``counts`` stays the physical transmit
-count (no protocol consumes it).  All fault randomness is drawn from the
-engine's own stream (:attr:`~repro.sim.rng.SeededStreams.engine`), which
-node protocols never touch — so attaching an empty schedule, or none,
-leaves every run bitwise-identical to the fault-free simulator, and a
-faulted run is reproducible across the dense/sparse channel backends
-(and between each protocol and its per-node test oracle) alike.  Each
-round consumes ``n`` loss coins per row, in round order; they are drawn
-a block of rounds ahead in one call per row, and the stream is rewound
-past the unspent ones (:meth:`FaultState.sync`) wherever its cursor is
-read, so it always sits where per-round draws would have left it.
+count (no protocol consumes it).  A loss coin is the run's keyed coin
+``u(row key, LOSS, listener, round)`` (:mod:`repro.sim.rng`), a purpose
+no protocol draws, and it is evaluated only where a clean reception could
+be dropped — so attaching an empty schedule, or none, leaves every run
+bitwise-identical to the fault-free simulator, and a faulted run is
+reproducible across the channel backends, batch shapes (and between each
+protocol and its per-node test oracle) alike.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +50,7 @@ from repro.sim.core.channel import (
     operand_from_csr,
 )
 from repro.sim.core.stats import FaultTotals
-from repro.sim.rng import stream
+from repro.sim.rng import Purpose, keyed_coins, purpose_key, stream
 from repro.sim.topology import RadioNetwork, csr_from_keys
 
 __all__ = [
@@ -204,14 +202,6 @@ _DROPPED, _JAMMED, _CRASHED, _FLIPPED = range(4)
 #: Stop round of a window that never closes.
 _FOREVER = np.iinfo(np.int64).max
 
-#: Loss coins one block holds over all rows of a :class:`FaultState`: each
-#: row draws ``max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))`` rounds' worth
-#: per call, or fewer where :attr:`FaultState.horizon` is nearer.
-_LOSS_BLOCK_ELEMENTS = 1 << 15
-
-#: The PCG64 period: advancing by ``_PERIOD - k`` steps rewinds ``k``.
-_PERIOD = 1 << 128
-
 
 def _windows(
     entries: tuple[NodeCrash, ...] | tuple[Jammer, ...],
@@ -235,11 +225,8 @@ class FaultState:
     timeline per round: it tracks the current (possibly flipped)
     adjacency and rebuilds the kernel operand on the engine's backend
     whenever an edge flips — once per flip, whatever the row count.  Each
-    row draws its loss coins from its own engine stream — never from a
-    node stream — and keeps its own counters.  The coins come a block of
-    rounds at a time, one ``random`` call per row, kept as booleans; the
-    streams run ahead of the rounds until :meth:`sync` (or :meth:`fuse`,
-    or :meth:`export` for the leaving row) rewinds them.
+    row keeps its own loss-coin key (one ``uint64``, from its run's
+    :attr:`~repro.sim.rng.SeededStreams.key`) and its own counters.
     """
 
     def __init__(
@@ -247,7 +234,7 @@ class FaultState:
         schedule: FaultSchedule,
         network: RadioNetwork,
         operand: KernelOperand,
-        rng: np.random.Generator,
+        key: int,
     ) -> None:
         n = network.n
         top = schedule.max_node()
@@ -259,7 +246,7 @@ class FaultState:
         self.schedule = schedule
         self.network = network
         self._n = n
-        self._rngs = [rng]
+        self._loss_keys = np.array([purpose_key(key, Purpose.LOSS)], dtype=np.uint64)
         self._operand = operand
         self._backend = operand.backend
         # One counter row per engine row, windowed by the engine exactly
@@ -282,15 +269,6 @@ class FaultState:
         # cache it keyed by both so static phases pay nothing per round.
         self._adjacency_version = 0
         self._jam_cache: tuple[tuple[int, ...], int, np.ndarray] | None = None
-        # Loss coins drawn ahead: ``(rows, block, n)`` flags ``coin <
-        # loss_rate``, of which rounds ``_spent`` onwards are unspent; every
-        # row's stream sits past the whole block.
-        self._lost: np.ndarray | None = None
-        self._spent = 0
-        #: The round no row runs to, when the owner knows it: no block of
-        #: loss coins reaches past it.  It bounds only the coins drawn
-        #: ahead, never which coins a round spends.
-        self.horizon: int | None = None
 
     # Crash and jammer windows as arrays: the round's down set is one
     # comparison over them, not a loop over the schedule.  Built on first
@@ -307,55 +285,27 @@ class FaultState:
     def fuse(cls, states: Sequence[FaultState]) -> FaultState:
         """One state over the rows of ``states``, which share a schedule and round.
 
-        The rows keep their own engine streams (shared, not copied, and
-        first rewound past any coins drawn ahead) and counters; the
+        The rows keep their own loss-coin keys and counters; the
         adjacency is the first state's.  A lone state is its own fusion,
         so a one-row group advances the engine's state.
         """
         lead = states[0]
         if len(states) == 1:
             return lead
-        for state in states:
-            state.sync()
-        fused = cls(lead.schedule, lead.network, lead._operand, lead._rngs[0])
-        fused._adopt_adjacency(lead)
-        fused._rngs = [rng for state in states for rng in state._rngs]
+        fused = copy.copy(lead)
+        fused._loss_keys = np.concatenate([state._loss_keys for state in states])
         fused.counters = np.concatenate([state.counters for state in states])
         return fused
 
     def export(self, row: int, into: FaultState) -> None:
-        """Write ``row``'s counters and the current adjacency into ``into``,
-        and rewind ``row``'s stream past its unspent loss coins."""
+        """Write ``row``'s counters and the current adjacency into ``into``."""
         into.counters[...] = self.counters[row]
         into._adopt_adjacency(self)
-        if into is self:
-            self.sync()
-        else:
-            _rewind(self._rngs[row], self._unspent())
 
     def select(self, rows: list[int]) -> None:
         """Keep only ``rows``, in that order."""
-        self._rngs = [self._rngs[row] for row in rows]
+        self._loss_keys = self._loss_keys[rows]
         self.counters = self.counters[rows]
-        if self._lost is not None:
-            self._lost = self._lost[rows]
-
-    def sync(self) -> None:
-        """Rewind every row's stream past its unspent loss coins.
-
-        The streams then sit where drawing ``n`` coins per round would
-        have left them; the next round draws a fresh block.
-        """
-        unspent = self._unspent()
-        for rng in self._rngs:
-            _rewind(rng, unspent)
-        self._lost = None
-
-    def _unspent(self) -> int:
-        """Loss coins each row's stream has drawn ahead of the rounds."""
-        if self._lost is None:
-            return 0
-        return (self._lost.shape[1] - self._spent) * self._n
 
     def _adopt_adjacency(self, other: FaultState) -> None:
         self._flip_cursor = other._flip_cursor
@@ -434,25 +384,15 @@ class FaultState:
 
         ``listen`` and the channel are ``(n,)`` for one row or
         ``(rows, n)``.  Jamming forces every covered listener to a
-        perceived collision; loss then independently drops surviving
-        clean receptions into perceived silence.  ``counts`` is left as
-        physical ground truth.  When the round is untouched the original
-        channel object is returned, so fault-free rounds allocate nothing.
+        perceived collision; loss then drops each surviving clean
+        reception into perceived silence where its keyed loss coin falls
+        below the loss rate (coins are evaluated at those receptions
+        only).  ``counts`` is left as physical ground truth.  When the
+        round is untouched the original channel object is returned, so
+        fault-free rounds allocate nothing.
         """
         cover = self._jam_cover(round_index)
         jammed = (listen & cover) if cover is not None else None
-        # Every round spends n loss coins per row whenever the schedule
-        # has a loss rate — independent of how many clean receptions this
-        # round produced — so stream consumption (and therefore every
-        # later draw) is identical across protocol forms, backends and
-        # batch shapes.  They are drawn a block of rounds at a time.
-        lost: np.ndarray | None = None
-        if self.schedule.loss_rate > 0.0:
-            block = self._lost
-            if block is None or self._spent == block.shape[1]:
-                block = self._draw_losses(round_index)
-            lost = block[:, self._spent].reshape(listen.shape)
-            self._spent += 1
         clean = channel.clean
         collided = channel.collided
         silent = channel.silent
@@ -461,12 +401,18 @@ class FaultState:
             collided = collided | jammed
             silent = silent & ~jammed
             self.counters[..., _JAMMED] += np.add.reduce(jammed, axis=-1, dtype=np.int64)
-        if lost is not None:
-            dropped = clean & lost
-            if dropped.any():
-                clean = clean ^ dropped
-                silent = silent | dropped
-                self.counters[..., _DROPPED] += np.add.reduce(dropped, axis=-1, dtype=np.int64)
+        if self.schedule.loss_rate > 0.0:
+            heard = np.flatnonzero(clean)
+            coins = keyed_coins(self._loss_keys, round_index, heard, self._n)
+            lost = heard[coins < self.schedule.loss_rate]
+            if lost.size:
+                clean = clean.copy()
+                clean.flat[lost] = False
+                silent = silent.copy()
+                silent.flat[lost] = True
+                self.counters[:, _DROPPED] += np.bincount(
+                    lost // self._n, minlength=self._loss_keys.size
+                )
         if clean is channel.clean and collided is channel.collided:
             return channel
         return ChannelRound(
@@ -480,23 +426,6 @@ class FaultState:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _draw_losses(self, round_index: int) -> np.ndarray:
-        """Draw the block of loss coins from ``round_index`` on: one ``random`` call per row."""
-        n, rows = self._n, len(self._rngs)
-        block = max(1, _LOSS_BLOCK_ELEMENTS // (rows * n))
-        if self.horizon is not None:
-            block = max(1, min(block, self.horizon - round_index))
-        lost = self._lost
-        if lost is None or lost.shape != (rows, block, n):
-            lost = np.empty((rows, block, n), dtype=bool)
-        draws = np.empty(block * n)
-        for row, rng in zip(lost, self._rngs):
-            rng.random(out=draws)
-            np.less(draws, self.schedule.loss_rate, out=row.reshape(-1))
-        self._lost = lost
-        self._spent = 0
-        return lost
-
     def _apply_flip(self, flip: EdgeFlip) -> None:
         """Toggle ``{u, v}`` in the directed keys; rebuild CSR and operand.
 
@@ -543,12 +472,6 @@ class FaultState:
             cover[indices[indptr[node] : indptr[node + 1]]] = True
         self._jam_cache = (active, self._adjacency_version, cover)
         return cover
-
-
-def _rewind(rng: np.random.Generator, steps: int) -> None:
-    """Move ``rng``'s stream back by ``steps`` draws."""
-    if steps:
-        rng.bit_generator.advance(_PERIOD - steps)
 
 
 def sample_fault_schedule(

@@ -118,6 +118,7 @@ from repro.sim.core.array_protocol import (
     RoundPlan,
 )
 from repro.sim.core.channel import ChannelRound
+from repro.sim.rng import Purpose
 
 __all__ = ["MultiMessageArrayProtocol"]
 
@@ -154,6 +155,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         "_send_count",
         "_requested",
         "_coins",
+        "_ties",
         "_tx_index",
         "_tx_want",
     )
@@ -188,7 +190,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         self._slots_contended = np.zeros(n, dtype=np.int64)
         self._send_count = np.zeros((n, per_message), dtype=np.int64)
         self._requested = np.zeros((n, per_message), dtype=bool)
-        self._coins = CoinDeck(ctx.streams)
+        self._coins = CoinDeck(ctx.streams, Purpose.BACKOFF)
+        self._ties = CoinDeck(ctx.streams, Purpose.TIE_BREAK)
         #: which message index each transmitter carries in the round being
         #: resolved (-1 for a content-free pulse); receivers index it by
         #: sender id.
@@ -200,6 +203,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
 
     def act(self, round_index: int) -> RoundPlan:
         r = round_index
+        self._coins.round = self._ties.round = r
         pipelined = self.k_messages > 1
         unsynced = self.wave_distance < 0
         relay = ~unsynced & ~self._pulse_sent & (r >= self.wave_distance)
@@ -249,9 +253,8 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         pool is each node's held-and-requested messages, falling back to
         all held messages when nothing is requested; candidates are the
         pool entries with the minimal send count; a node with >= 2
-        candidates draws one tie-break coin from its private stream (nodes
-        with a unique candidate draw nothing, so ``k_messages=1`` draws no
-        selection coins at all).  The chosen transmissions are tallied;
+        candidates draws one tie-break coin (nodes with a unique candidate
+        draw nothing, so ``k_messages=1`` draws no selection coins at all).  The chosen transmissions are tallied;
         request flags survive until observably served (see module
         docstring).  The request is the node's lowest missing index, -1 for
         a node holding everything.
@@ -272,7 +275,7 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         pick = np.zeros(nodes.size, dtype=np.int64)
         tied = num_candidates > 1
         if tied.any():
-            coins = self._coins.draw(nodes[tied])
+            coins = self._ties.draw(nodes[tied])
             pick[tied] = (coins * num_candidates[tied]).astype(np.int64)
         # The pick-th candidate column per row: first column where the
         # candidate cumulative count exceeds pick.

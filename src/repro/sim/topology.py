@@ -28,7 +28,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
 
 from repro.errors import TopologyError
-from repro.sim.rng import stream
+from repro.sim.rng import Generator, stream
 
 __all__ = [
     "RadioNetwork",
@@ -448,7 +448,7 @@ _RANDOM_TRIES = 50
 
 
 def _sample_distinct(
-    rng: np.random.Generator, population: int, count: int
+    rng: Generator, population: int, count: int
 ) -> np.ndarray:
     """A uniform ``count``-subset of ``range(population)``, as a sorted array.
 

@@ -11,7 +11,7 @@ the model of Section 1.1 of the paper.
 single :class:`~repro.sim.core.array_protocol.ArrayProtocol`, so the
 oracles run on the same :class:`~repro.sim.core.batch.ArrayEngine` round
 loop and channel kernel as the library's array protocols.  It wires each
-node's ``NodeContext`` (including its private random stream), validates
+node's ``NodeContext`` (including its keyed coins), validates
 actions, and delivers feedback in a fixed order (clean receivers, then
 collided, then silent, each in ascending node order) with real message
 objects.
@@ -29,8 +29,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.params import ProtocolParams
+from oracles.coins import node_coin
 from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
 from repro.sim.core.channel import ChannelRound
+from repro.sim.rng import Purpose
 
 __all__ = [
     "Action",
@@ -105,8 +107,8 @@ class NodeContext:
 
     Per the model: its own id, the public bound ``n_bound`` on the network
     size, whether it is the source, the shared parameters, whether the
-    receivers have collision detection, and a private random stream.
-    Nodes do *not* get the topology.
+    receivers have collision detection, and its private coins
+    (:meth:`coin`).  Nodes do *not* get the topology.
     """
 
     node: int
@@ -114,8 +116,12 @@ class NodeContext:
     n_bound: int
     is_source: bool
     params: ProtocolParams
-    rng: np.random.Generator = field(repr=False)
+    seed: int = field(repr=False)
     collision_detection: bool = True
+
+    def coin(self, purpose: Purpose, round_index: int) -> float:
+        """This node's coin for ``purpose`` in ``round_index``."""
+        return node_coin(self.seed, purpose, self.node, round_index)
 
 
 class Protocol(ABC):
@@ -190,9 +196,6 @@ class ObjectProtocolAdapter(ArrayProtocol):
                 f"need exactly one protocol per node: got {len(self.protocols)} "
                 f"protocols for {ctx.n_nodes} nodes"
             )
-        # Numpy's own generators for the children SeededStreams mirrors, so
-        # every oracle-vs-array comparison also checks the vectorized PCG64.
-        children = np.random.SeedSequence(ctx.streams.seed).spawn(ctx.n_nodes + 1)[1:]
         for node, proto in enumerate(self.protocols):
             proto.setup(
                 NodeContext(
@@ -201,7 +204,7 @@ class ObjectProtocolAdapter(ArrayProtocol):
                     n_bound=ctx.n_bound,
                     is_source=(node == ctx.source),
                     params=ctx.params,
-                    rng=np.random.Generator(np.random.PCG64(children[node])),
+                    seed=ctx.streams.seed,
                     collision_detection=self.collision_detection,
                 )
             )

@@ -5,9 +5,9 @@ the paper's per-node rules.  The library implements the same rules once
 more, whole-network and vectorized, as the array protocols in
 :mod:`repro.sim.decay` and :mod:`repro.sim.multi_message` (whose ``k = 1``
 case is single-message GHK); see those modules for the algorithms
-themselves.  Both forms draw each node's coins from the same private
-stream in the same order, so on a shared seed they must produce
-bit-for-bit identical traces — which is what the equivalence tests check.
+themselves.  Both forms draw the same keyed coin for each (purpose, node,
+round), so on a shared seed they must produce bit-for-bit identical
+traces — which is what the equivalence tests check.
 
 The synchronization beep wave on its own lives here in both forms
 (:class:`BeepWaveProtocol` and :class:`BeepWaveArrayProtocol`): the
@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError
 from repro.params import WAVE_SPACING
 from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
 from repro.sim.core.channel import ChannelRound
+from repro.sim.rng import Purpose
 
 __all__ = [
     "WAVE_PULSE",
@@ -77,9 +78,8 @@ class DecayProtocol(BroadcastProtocol):
             return Action.listen()
         if not self._active:
             return Action.sleep()
-        # Stay active next round with probability 1/2 (decide now so the
-        # whole phase consumes a deterministic number of coins per node).
-        self._active = self.ctx.rng.random() < 0.5
+        # Stay active next round with probability 1/2.
+        self._active = self.ctx.coin(Purpose.DECAY_STAY, round_index) < 0.5
         return Action.transmit(self.message)
 
     def on_feedback(self, round_index: int, feedback: Feedback) -> None:
@@ -227,7 +227,7 @@ class MultiMessageProtocol(BroadcastProtocol):
                 return index
         return -1
 
-    def _next_held(self) -> int:
+    def _next_held(self, round_index: int) -> int:
         """Requested-first, least-sent-first selection (caller holds >= 1).
 
         Candidates are the held-and-requested messages with the minimal
@@ -248,7 +248,8 @@ class MultiMessageProtocol(BroadcastProtocol):
         if len(candidates) == 1:
             chosen = candidates[0]
         else:
-            chosen = candidates[int(self.ctx.rng.random() * len(candidates))]
+            coin = self.ctx.coin(Purpose.TIE_BREAK, round_index)
+            chosen = candidates[int(coin * len(candidates))]
         self._send_count[chosen] += 1
         return chosen
 
@@ -263,16 +264,16 @@ class MultiMessageProtocol(BroadcastProtocol):
             self._pulse_sent = True
             if not any(self.known):
                 return Action.transmit(WAVE_PULSE)
-            return Action.transmit(self._transmit_payload(self._next_held()))
+            return Action.transmit(self._transmit_payload(self._next_held(round_index)))
         holds_any = any(self.known)
         if holds_any and in_layer_slot(round_index, self.wave_distance, WAVE_SPACING):
             if self.ctx.is_source and self.k_messages > 1:
                 # Layer 0 is a singleton: the source pumps without a coin.
-                return Action.transmit(self._transmit_payload(self._next_held()))
+                return Action.transmit(self._transmit_payload(self._next_held(round_index)))
             j = self._slots_contended % self.backoff_slots
             self._slots_contended += 1
-            if self.ctx.rng.random() < 2.0 ** (-j):
-                return Action.transmit(self._transmit_payload(self._next_held()))
+            if self.ctx.coin(Purpose.BACKOFF, round_index) < 2.0 ** (-j):
+                return Action.transmit(self._transmit_payload(self._next_held(round_index)))
         # Listen whenever not transmitting; with one message a holder has
         # nothing left to hear.
         if holds_any and self.k_messages == 1:

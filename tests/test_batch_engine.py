@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles.coins import node_coin
 from repro.errors import BroadcastFailure, ConfigurationError, SimulationError
 from repro.params import ProtocolParams
 from repro.sim import (
@@ -21,7 +22,7 @@ from repro.sim import (
     runners,
 )
 from repro.sim.core.array_protocol import ArrayProtocol, CoinDeck
-from repro.sim.rng import SeededStreams
+from repro.sim.rng import Purpose, SeededStreams
 from repro.sim.topology import RadioNetwork, from_spec, line, star
 
 FAST = ProtocolParams.fast()
@@ -420,47 +421,35 @@ class TestBatchEngine:
         with pytest.raises(SimulationError, match="do not fit"):
             ArrayEngine(line(12), DecayArrayProtocol(), seed=4, streams=streams)
 
-    def test_rows_retiring_together_export_exact_coin_cursors(self, monkeypatch):
+    def test_rows_retiring_together_keep_their_own_coin_keys(self, monkeypatch):
         # Rows 0, 2 and 3 of one fused group exhaust their budget in the
-        # same round; rows 1 and 4 finish later.  Each row's node streams,
-        # written back at retirement, must sit exactly where numpy's
-        # generators sit after the coins that item drew alone.
+        # same round; rows 1 and 4 finish later, after the group compacts.
+        # Every item must run exactly as it would alone, and each item's
+        # own deck must still hold its own key (the fused deck's rows are
+        # never written back).
         net = from_spec("grid", 16, seed=0)
         seeds = [4, 5, 2**128 + 7, 6, 7]
         items = self._decay_items([(net, seed) for seed in seeds])
         for b in (0, 2, 3):
             items[b].budget = 3
         exports = []
-        export, draw = CoinDeck.export, CoinDeck.draw
+        export = ArrayProtocol.export
 
-        def recording_export(deck, nodes, into):
+        def recording_export(protocol, nodes, into):
             exports.append(len(into))
-            export(deck, nodes, into)
+            export(protocol, nodes, into)
 
-        monkeypatch.setattr(CoinDeck, "export", recording_export)
+        monkeypatch.setattr(ArrayProtocol, "export", recording_export)
         batch = BatchEngine(items)
         outcomes = batch.run()
         assert batch.group_sizes() == [5]
         assert exports[0] == 3 and sum(exports) == 5
-        for item, outcome, engine in zip(items, outcomes, batch.engines, strict=True):
-            drawn = np.zeros(net.n, dtype=np.int64)
-
-            def counting_draw(deck, nodes, drawn=drawn):
-                drawn[nodes] += 1
-                return draw(deck, nodes)
-
-            monkeypatch.setattr(CoinDeck, "draw", counting_draw)
+        for item, outcome in zip(items, outcomes, strict=True):
             alone, _ = self._alone(item)
-            monkeypatch.setattr(CoinDeck, "draw", draw)
             assert outcome.sim == alone
             assert outcome.sim.rounds_run == (3 if item.budget == 3 else alone.rounds_run)
-            state = engine.streams.state
-            children = np.random.SeedSequence(item.seed).spawn(net.n + 1)[1:]
-            for v, child in enumerate(children):
-                generator = np.random.Generator(np.random.PCG64(child))
-                generator.random(drawn[v])
-                expected = generator.bit_generator.state["state"]["state"]
-                assert (int(state[0, v]) << 64) | int(state[1, v]) == expected
+            own = CoinDeck(SeededStreams(item.seed, net.n), Purpose.DECAY_STAY)
+            assert item.protocol._coins.keys.tolist() == own.keys.tolist()
 
 
 class TestRunBroadcastAPI:
@@ -516,17 +505,13 @@ class TestRunBroadcastAPI:
 
 class TestCoinDeck:
     def test_draws_match_per_node_streams(self):
-        a = SeededStreams(9, 5)
-        children = np.random.SeedSequence(9).spawn(6)[1:]
-        b = [np.random.Generator(np.random.PCG64(c)) for c in children]
-        deck = CoinDeck(a)
-        seen = {i: [] for i in range(5)}
+        # Each node's coins are the per-node reference function of (seed,
+        # purpose, node, round), whichever nodes draw alongside it.
+        deck = CoinDeck(SeededStreams(9, 5), Purpose.BACKOFF)
         rng = np.random.default_rng(0)
-        for _ in range(40):
+        for round_index in range(40):
             nodes = np.nonzero(rng.random(5) < 0.6)[0]
+            deck.round = round_index
             coins = deck.draw(nodes)
-            for node, coin in zip(nodes.tolist(), coins.tolist()):
-                seen[node].append(coin)
-        for node in range(5):
-            expected = [b[node].random() for _ in range(len(seen[node]))]
-            assert seen[node] == expected
+            expected = [node_coin(9, Purpose.BACKOFF, v, round_index) for v in nodes.tolist()]
+            assert coins.tolist() == expected

@@ -270,7 +270,7 @@ PROTOCOL_KEYS = {"phase_length", "phases_to_delivery", "k_messages", "wave_depth
 @pytest.mark.parametrize(
     ("argv", "expected"),
     [
-        (["--protocol", "decay"], {"phase_length": 6, "phases_to_delivery": 15}),
+        (["--protocol", "decay"], {"phase_length": 6, "phases_to_delivery": 14}),
         (["--protocol", "ghk"], {"wave_depth": 14, "wave_spacing": 3}),
         (
             ["--protocol", "multimessage", "--messages", "4"],

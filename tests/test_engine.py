@@ -9,6 +9,7 @@ import pytest
 
 from oracles import Action, Feedback, FeedbackKind, Protocol, oracle_engine
 from repro.errors import SimulationError
+from repro.sim.rng import Purpose
 from repro.sim.topology import line, star
 
 
@@ -182,8 +183,8 @@ def test_node_context_wiring():
     assert not protos[1].ctx.is_source
     assert protos[2].ctx.n_bound == 16
     assert protos[3].ctx.n_nodes == 4
-    # per-node streams are distinct objects with independent draws
-    assert protos[0].ctx.rng is not protos[1].ctx.rng
+    # each node draws its own coins
+    assert protos[0].ctx.coin(Purpose.BACKOFF, 0) != protos[1].ctx.coin(Purpose.BACKOFF, 0)
 
 
 def test_determinism_same_seed_same_trace():

@@ -20,6 +20,7 @@ from oracles.graph import NeighborSetMirror
 from repro.params import ProtocolParams
 from repro.sim import EdgeFlip, FaultSchedule, FaultState, Jammer, NodeCrash
 from repro.sim.core import ChannelRound, DenseOperand, resolve_channel, select_kernel_operand
+from repro.sim.rng import row_key
 from repro.sim.topology import RadioNetwork
 
 FAST = ProtocolParams.fast()
@@ -65,7 +66,7 @@ def test_flipped_adjacency_matches_the_neighbor_set_mirror(case):
     net, schedule, backend = case
     params = FAST.with_overrides(channel_backend=backend)
     state = FaultState(
-        schedule, net, select_kernel_operand(net, params), np.random.default_rng(0)
+        schedule, net, select_kernel_operand(net, params), row_key(0)
     )
     mirror = NeighborSetMirror(net)
     pending = sorted(schedule.edge_flips, key=lambda f: (f.round_index, f.u, f.v))
@@ -138,7 +139,7 @@ def test_window_arrays_match_the_per_fault_loop(case, rows):
     net, schedule = case
     operand = select_kernel_operand(net, FAST)
     states = [
-        FaultState(schedule, net, operand, np.random.default_rng(row)) for row in range(rows)
+        FaultState(schedule, net, operand, row_key(row)) for row in range(rows)
     ]
     state = states[0] if rows == 1 else FaultState.fuse(states)
     shape = (net.n,) if rows == 1 else (rows, net.n)

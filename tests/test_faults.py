@@ -4,7 +4,8 @@ The load-bearing contracts, in order of importance:
 
 * an **empty schedule is a no-op** — attaching ``FaultSchedule()`` leaves
   a run bitwise-identical (``==`` on ``SimResult``) to not attaching one,
-  on both channel backends, because fault coins live on their own stream;
+  on both channel backends, because loss coins have a purpose of their
+  own and an empty schedule evaluates none;
 * **faulted runs are oracle- and backend-independent** — per-node oracle
   vs array protocol and dense vs sparse agree bit for bit under every
   fault family;
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from oracles import run_oracle
-from repro.analysis.simsan.bisect import ReplaySpec, replay_digests
+from oracles.coins import node_coin
 from repro.errors import BroadcastFailure, ConfigurationError, SimulationError
 from repro.params import ProtocolParams
 from repro.sim import (
@@ -40,8 +41,8 @@ from repro.sim import (
     run_broadcast_batch,
     sample_fault_schedule,
 )
-from repro.sim.core import RoundPlan, select_kernel_operand
-from repro.sim.rng import stream
+from repro.sim.core import RoundPlan, resolve_channel, select_kernel_operand
+from repro.sim.rng import Purpose, row_key
 from repro.sim.topology import from_spec, grid2d, line
 
 FAST = ProtocolParams.fast()
@@ -104,10 +105,9 @@ class TestScheduleValidation:
     def test_state_rejects_out_of_range_nodes(self):
         net = line(4)
         operand = select_kernel_operand(net, DENSE)
-        rng = np.random.default_rng(0)
         schedule = FaultSchedule(crashes=(NodeCrash(7),))
         with pytest.raises(ConfigurationError, match="node 7"):
-            FaultState(schedule, net, operand, rng)
+            FaultState(schedule, net, operand, row_key(0))
 
     def test_sampler_validates_its_knobs(self):
         net = line(6)
@@ -146,7 +146,7 @@ class TestEmptyScheduleIdentity:
         assert base.sim == empty.sim
         assert base == empty
         # The pinned regression value survives an attached-but-empty layer.
-        assert empty.rounds_to_delivery == 57
+        assert empty.rounds_to_delivery == 56
         assert empty.sim.faults is None  # no state, no counters, no coins
 
     def test_faulted_result_carries_fault_totals(self):
@@ -324,24 +324,17 @@ class TestBatchFaults:
             )
 
 
-class TestLossCoinCursor:
-    """The fault layer draws loss coins a block of rounds ahead, yet each
-    run's engine stream must sit exactly ``rounds · n`` draws past its
-    seed wherever it can be read: after a batch, after a standalone run,
-    and in a bisector capture mid-run."""
+class TestLossCoins:
+    """A loss coin is the run's keyed coin ``u(seed, LOSS, listener, round)``,
+    evaluated only at clean receptions, so batch shape, retirement and
+    standalone stepping cannot move it."""
 
-    @staticmethod
-    def _cursor(seed, draws):
-        generator = stream(seed, 0)
-        generator.bit_generator.advance(draws)
-        return generator.bit_generator.state
-
-    def test_batch_and_standalone_runs_leave_exact_cursors(self):
+    def test_batch_and_standalone_runs_agree(self):
         net = from_spec("grid", 64, seed=0)
         shared = FaultSchedule(crashes=(NodeCrash(9, 2, 20),), loss_rate=0.2)
-        # Items 0-3 fuse from round 0 and retire mid-block, at 13 and 37
-        # rounds or on delivery; items 4 and 5 are stepped before run()
-        # and fuse from round 5; item 6's own schedule makes it a lone row.
+        # Items 0-3 fuse from round 0 and retire at 13 and 37 rounds or on
+        # delivery; items 4 and 5 are stepped before run() and fuse from
+        # round 5; item 6's own schedule makes it a lone row.
         budgets = [13, 37, 13, 400, 37, 400, 30]
         schedules = [shared] * 6 + [FaultSchedule(loss_rate=0.2)]
         items = [
@@ -356,7 +349,7 @@ class TestLossCoinCursor:
                 engine.step()
         outcomes = batch.run()
         assert batch.group_sizes() == [6, 1]
-        assert [o.completed for o in outcomes] == [False, False, False, True, False, True, False]
+        assert sum(o.sim.faults.dropped_receptions for o in outcomes) > 0
         for outcome in outcomes:
             item = outcome.item
             alone = ArrayEngine(
@@ -365,23 +358,34 @@ class TestLossCoinCursor:
             assert outcome.sim == alone.run(
                 item.budget, stop_when=lambda engine: engine.protocol.done()
             )
-        standalone = ArrayEngine(net, DecayArrayProtocol(), seed=7, params=FAST, faults=shared)
-        standalone.run(29)
-        engines = [*batch.engines, standalone]
-        rounds = [engine.round_index for engine in engines]
-        assert rounds[:3] == [13, 37, 13] and rounds[4] == 37 and rounds[6:] == [30, 29]
-        for seed, engine in enumerate(engines):
-            state = engine.streams.engine.bit_generator.state
-            assert state == self._cursor(seed, engine.round_index * net.n)
 
-    def test_bisector_capture_reports_the_exact_cursor(self):
-        spec = ReplaySpec(
-            protocol="decay", topology="grid", n=64, seed=3, backend="dense", loss_rate=0.2
-        )
-        for r in (0, 13, 37):
-            _, capture = replay_digests(spec, backend="dense", capture_at=r)
-            state = capture["coin_cursor"]["engine_stream_state"]
-            assert state == self._cursor(3, r * 64)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_drops_exactly_the_clean_listeners_whose_coin_is_low(self, rows):
+        net = grid2d(6, 6)
+        n, rate = net.n, 0.3
+        schedule = FaultSchedule(loss_rate=rate)
+        operand = select_kernel_operand(net, FAST)
+        seeds = [11, 12, 2**70 + 3][:rows]
+        states = [FaultState(schedule, net, operand, row_key(seed)) for seed in seeds]
+        state = states[0] if rows == 1 else FaultState.fuse(states)
+        shape = (n,) if rows == 1 else (rows, n)
+        rng = np.random.default_rng(5)
+        for round_index in range(6):
+            transmit = rng.random(shape) < 0.2
+            channel = resolve_channel(operand, transmit, ~transmit)
+            seen = state.perceive(round_index, ~transmit, channel)
+            clean = channel.clean.reshape(rows, n)
+            for b, seed in enumerate(seeds):
+                lost = [
+                    v
+                    for v in np.flatnonzero(clean[b]).tolist()
+                    if node_coin(seed, Purpose.LOSS, v, round_index) < rate
+                ]
+                kept = seen.clean.reshape(rows, n)[b]
+                assert np.flatnonzero(clean[b] & ~kept).tolist() == lost
+                assert not (kept & ~clean[b]).any()
+        totals = [state.totals(counters) for counters in state.counters]
+        assert sum(t.dropped_receptions for t in totals) > 0
 
 
 class _ExplodingProtocol(DecayArrayProtocol):

@@ -32,6 +32,7 @@ from repro.sim import (
     BatchEngine,
     BatchItem,
     BroadcastArrayProtocol,
+    CoinDeck,
     DecayArrayProtocol,
     EdgeFlip,
     FaultSchedule,
@@ -111,11 +112,11 @@ def _protocol(case):
 
 def _state(protocol):
     """Everything a run leaves in a protocol object, as plain data."""
-    state = {
-        name: np.asarray(getattr(protocol, name)).tolist()
-        for name in type(protocol).node_state
-        if name != "_coins"
-    }
+    state = {}
+    for name in type(protocol).node_state:
+        value = getattr(protocol, name)
+        # A coin deck's only state is its row keys.
+        state[name] = (value.keys if isinstance(value, CoinDeck) else np.asarray(value)).tolist()
     state["done"] = protocol.done()
     if isinstance(protocol, BroadcastArrayProtocol):
         # What a BroadcastFailure carries.

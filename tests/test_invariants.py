@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from oracles import Action, FeedbackKind, Protocol, oracle_engine
+from repro.sim.rng import Purpose
 from repro.sim.topology import gnp
 
 N_ROUNDS = 25
@@ -39,7 +40,7 @@ class RandomActor(Protocol):
         self.heard: dict[int, object] = {}
 
     def act(self, round_index):
-        roll = self.ctx.rng.random()
+        roll = self.ctx.coin(Purpose.DECAY_STAY, round_index)
         if roll < 0.35:
             message = (self.ctx.node, round_index)
             self.sent[round_index] = message

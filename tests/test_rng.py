@@ -1,39 +1,49 @@
-"""Tests for seeded per-node random streams."""
+"""Tests for a run's keyed coins and the input-sampling streams."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import SeededStreams, pcg64_step, stream
+from repro.sim.core.array_protocol import CoinDeck
+from repro.sim.rng import Purpose, SeededStreams, purpose_key, row_key, stream
 
 
-def _numpy_node_generators(seed: int, n: int) -> list[np.random.Generator]:
-    """Numpy's own generators for the children SeededStreams mirrors."""
-    children = np.random.SeedSequence(seed).spawn(n + 1)[1:]
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-
-def _doubles(streams: SeededStreams, count: int) -> np.ndarray:
-    """``count`` coins of every node stream, as a ``(count, n)`` array."""
+def _coins(
+    streams: SeededStreams, rounds: int, purpose: Purpose = Purpose.DECAY_STAY
+) -> np.ndarray:
+    """Every node's coin in rounds ``0 .. rounds - 1``, as a ``(rounds, n)`` array."""
+    deck = CoinDeck(streams, purpose)
     nodes = np.arange(len(streams))
-    return np.array([pcg64_step(streams.state, nodes) for _ in range(count)])
+    coins = []
+    for r in range(rounds):
+        deck.round = r
+        coins.append(deck.draw(nodes))
+    return np.array(coins)
 
 
 def test_same_seed_same_draws():
-    a = _doubles(SeededStreams(42, 5), 8)
-    b = _doubles(SeededStreams(42, 5), 8)
+    a = _coins(SeededStreams(42, 5), 8)
+    b = _coins(SeededStreams(42, 5), 8)
     assert a.tolist() == b.tolist()
+    assert ((a >= 0) & (a < 1)).all()
 
 
 def test_different_seeds_differ():
-    a = _doubles(SeededStreams(1, 3), 8)
-    b = _doubles(SeededStreams(2, 3), 8)
+    a = _coins(SeededStreams(1, 3), 8)
+    b = _coins(SeededStreams(2, 3), 8)
     assert a[:, 0].tolist() != b[:, 0].tolist()
 
 
 def test_node_streams_are_mutually_independent():
-    draws = _doubles(SeededStreams(7, 2), 8)
+    draws = _coins(SeededStreams(7, 2), 8)
     assert draws[:, 0].tolist() != draws[:, 1].tolist()
+
+
+def test_purposes_and_rounds_give_different_coins():
+    streams = SeededStreams(7, 4)
+    by_purpose = [_coins(streams, 3, purpose) for purpose in Purpose]
+    assert len({coins.tobytes() for coins in by_purpose}) == len(Purpose)
+    assert len({row.tobytes() for row in by_purpose[0]}) == 3
 
 
 def test_stream_domain_separation():
@@ -45,17 +55,14 @@ def test_seeded_streams_shape_and_reproducibility():
     s = SeededStreams(9, 4)
     assert len(s) == 4
     assert s.seed == 9
-    t = SeededStreams(9, 4)
-    assert s.engine.random(4).tolist() == t.engine.random(4).tolist()
-    expected = _numpy_node_generators(9, 4)[3].random(4).tolist()
-    assert _doubles(s, 4)[:, 3].tolist() == expected
-    assert _doubles(t, 4)[:, 3].tolist() == expected
+    assert s.key == SeededStreams(9, 4).key == row_key(9)
+    assert _coins(s, 4).tolist() == _coins(SeededStreams(9, 4), 4).tolist()
 
 
-def test_engine_stream_is_spawned_child_zero():
-    engine_child = np.random.SeedSequence(9).spawn(5)[0]
-    expected = np.random.Generator(np.random.PCG64(engine_child)).random(4)
-    assert SeededStreams(9, 4).engine.random(4).tolist() == expected.tolist()
+def test_row_keys_are_distinct_across_seeds_and_words():
+    seeds = [*range(1000), 2**64 - 1, 2**64, 2**64 + 1, 2**128]
+    assert len({row_key(seed) for seed in seeds}) == len(seeds)
+    assert len({purpose_key(row_key(3), purpose) for purpose in Purpose}) == len(Purpose)
 
 
 def test_invalid_counts_rejected():

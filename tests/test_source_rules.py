@@ -1,14 +1,18 @@
 """Source rules that keep every simulated run a pure function of its seed.
 
 A run must depend only on (topology, protocol, seed), so the simulator
-source under ``src/repro/sim`` obeys four rules, checked here on its AST
+source under ``src/repro/sim`` obeys five rules, checked here on its AST
 with ``import … as`` and ``from … import … as`` aliases resolved:
 
-* global-rng (all of ``sim/``): no stdlib ``random`` and no
-  ``numpy.random.*`` beyond ``SeedSequence``/``Generator``/
-  ``BitGenerator``/``PCG64``/``default_rng``, and ``default_rng`` only with
-  an explicit non-``None`` seed.  Randomness flows through
-  :mod:`repro.sim.rng` streams.
+* global-rng (all of ``sim/``): no stdlib ``random``; ``numpy.random`` only
+  in ``rng.py``, and there nothing beyond ``SeedSequence``/``Generator``/
+  ``BitGenerator``/``PCG64``/``default_rng``, with ``default_rng`` only
+  given an explicit non-``None`` seed.  Randomness flows through
+  :mod:`repro.sim.rng`.
+* stream-scope (all of ``sim/``): ``rng.stream`` is used only where a
+  run's inputs are sampled — ``topology.py`` and
+  ``faults.sample_fault_schedule`` — so no stream, and no stream state,
+  reaches the round loop; its coins are keyed (``rng.keyed_coins``).
 * clock (``sim/core/``): no ``time.*`` and no ``datetime.now/today/utcnow``;
   ``core/batch.py`` may read the monotonic timers that feed its telemetry.
 * set-order (``sim/core/``): a set display, set comprehension or
@@ -32,6 +36,10 @@ SEEDED_NP_RANDOM = {"SeedSequence", "Generator", "BitGenerator", "PCG64", "defau
 TELEMETRY_TIMERS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"}
 OPERANDS = {"DenseOperand", "SparseOperand", "BitOperand"}
 FACTORIES = {"select_kernel_operand", "operand_from_csr"}
+#: The files that may import ``rng.stream``, and the one function in each
+#: that may use it (``None``: any).
+STREAM_SCOPES = {"topology.py": None, "faults.py": "sample_fault_schedule"}
+STREAM = "repro.sim.rng.stream"
 
 
 def _bound(node: ast.Import | ast.ImportFrom, rel: str) -> dict[str, str]:
@@ -89,8 +97,7 @@ def violations(rel: str, source: str) -> list[tuple[str, int, str]]:
         parts = name.split(".")
         if parts[0] == "random" or (
             parts[:2] == ["numpy", "random"]
-            and len(parts) > 2
-            and parts[2] not in SEEDED_NP_RANDOM
+            and (rel != "rng.py" or (len(parts) > 2 and parts[2] not in SEEDED_NP_RANDOM))
         ):
             found.append(("global-rng", node.lineno, name))
         timer = rel == "core/batch.py" and parts[-1] in TELEMETRY_TIMERS
@@ -104,10 +111,14 @@ def violations(rel: str, source: str) -> list[tuple[str, int, str]]:
         if isinstance(node, ast.Import | ast.ImportFrom):
             for origin in _bound(node, rel).values():
                 check_name(origin, node)
+                if origin == STREAM and rel not in STREAM_SCOPES:
+                    found.append(("stream-scope", node.lineno, origin))
         elif isinstance(node, ast.Attribute | ast.Name):
             origin = _origin(node, origins)
             if origin is not None and not isinstance(parent, ast.Attribute):
                 check_name(origin, node)
+                if origin == STREAM and STREAM_SCOPES.get(rel, "") not in (None, scope):
+                    found.append(("stream-scope", node.lineno, origin))
         if isinstance(node, ast.Call):
             origin = _origin(node.func, origins) or ast.unparse(node.func)
             if origin == "numpy.random.default_rng" and _seedless(node):
@@ -191,6 +202,19 @@ def test_sim_files_are_found():
         ("faults.py", "SparseOperand(*network.csr())", "operand-build"),
         ("core/channel.py", "DenseOperand(a)", None),
         ("faults.py", "from .core.channel import DenseOperand\nisinstance(op, DenseOperand)", None),
+        ("decay.py", "from numpy.random import Generator", "global-rng"),
+        ("topology.py", "import numpy as np\nx: np.random.Generator", "global-rng"),
+        ("decay.py", "from repro.sim.rng import stream\nstream(0, 1)", "stream-scope"),
+        ("core/batch.py", "from ..rng import stream", "stream-scope"),
+        ("decay.py", "from repro.sim import rng\nrng.stream(0, 1)", "stream-scope"),
+        ("topology.py", "from repro.sim import rng\nrng.stream(0, 1)", None),
+        ("topology.py", "from .rng import stream\ndef f(seed):\n    return stream(seed, 1)", None),
+        ("faults.py", "from .rng import stream\ndef f(seed):\n    return stream(seed, 3)", "stream-scope"),
+        (
+            "faults.py",
+            "from .rng import stream\ndef sample_fault_schedule(seed):\n    return stream(seed, 3)",
+            None,
+        ),
     ],
 )
 def test_rule_fires(rel, source, rule):
