@@ -66,9 +66,9 @@ __all__ = [
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"
 
 #: Spawn key of the sanitizer's private sampling stream — domain-separated
-#: from the protocol streams, the topology generators (keys 1 and 2), and
-#: the fault sampler (key 3), so sampled differential rows never perturb
-#: the run under check.
+#: from the topology generators (keys 1 and 2) and the fault sampler (key
+#: 3); the run's own coins are keyed and use no stream, so sampled
+#: differential rows never perturb the run under check.
 _SANITIZER_STREAM_KEY = 4
 
 

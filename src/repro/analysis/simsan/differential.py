@@ -16,7 +16,7 @@ and compared bitwise against the active backend's output:
   dominate the run): a per-round sample of listener rows has its counts,
   feedback outcome, and sender id re-derived directly from the CSR
   neighbour lists.  Sampling coins come from the sanitizer's private
-  stream, never the engine's.
+  stream, never from the run's keyed coins.
 
 Findings are returned as ``(check_id, message, details)`` tuples; the
 harness turns them into :class:`~repro.errors.SanitizerError` with run

@@ -3,10 +3,9 @@
 One round loop serves both.  :class:`BatchEngine` steps many
 *independent* instances — any mix of (seed × topology × protocol) — in
 one process.  It builds one :class:`ArrayEngine` per item (the per-item
-API and results), but runs
-them as *fused groups*: the items sharing a topology, channel backend,
-fault schedule and start round are stepped in lock-step as **one
-disjoint-union instance**.  On the sparse backend, fault-free items need
+API and results), but runs them as *fused groups*: the items sharing a
+topology, channel backend, fault schedule and start round are stepped in
+lock-step as **one disjoint-union instance**.  On the sparse backend, fault-free items need
 only share a size and start round: their graphs may differ, and the
 group resolves on one union CSR operand that maps each row to its own
 graph (:meth:`~repro.sim.core.channel.SparseOperand.union`).  Within a

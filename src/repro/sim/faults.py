@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 #: Spawn key for the fault-sampling stream — domain-separated from the
-#: run's protocol streams and from the topology generators (which use
-#: keys 1 and 2), so sampling a schedule never perturbs either.
+#: topology generators (which use keys 1 and 2); the run's coins are keyed
+#: and use no stream, so sampling a schedule perturbs neither.
 _FAULT_STREAM_KEY = 3
 
 

@@ -4,8 +4,9 @@
 ``u(row key, purpose, node, round)`` for many nodes at once in ``uint64``
 numpy arithmetic.  These tests pin it to the per-node reference written
 in Python integers (:func:`oracles.coins.node_coin`) for seeds of one to
-three 64-bit words; check that a fused deck's coins are each row's deck
-alone, in any row order and after ``compact``; and check the function's
+three 64-bit words; check that a batch keys its items as engines built
+alone would, and that a fused deck's coins are each row's deck alone, in
+any row order and after ``compact``; and check the function's
 statistical quality: uniformity of 2^20 outputs, and no correlation
 between the coins of adjacent nodes, adjacent rounds, different purposes
 and adjacent seeds.
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from oracles.coins import node_coin
+from repro.sim import ArrayEngine, BatchEngine, BatchItem, DecayArrayProtocol
 from repro.sim.core.array_protocol import CoinDeck
 from repro.sim.rng import Purpose, SeededStreams
+from repro.sim.topology import line
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**160 + 11]
 seeds = st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**170)
@@ -111,6 +114,20 @@ def test_fused_decks_keep_every_stream_exact(case, purpose, n, density, pattern_
         assert fused.keys.size == size
         for r in range(4, 8):
             check(r)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed_list=st.lists(seeds, min_size=1, max_size=6), n=st.integers(1, 40))
+def test_seeding_together_equals_seeding_alone(seed_list, n):
+    """A batch keys each item, repeated seeds included, exactly as an
+    engine built alone on that seed: the same run key and deck keys."""
+    net = line(n)
+    items = [BatchItem(net, DecayArrayProtocol(), budget=1, seed=seed) for seed in seed_list]
+    batch = BatchEngine(items)
+    for seed, engine in zip(seed_list, batch.engines):
+        alone = ArrayEngine(net, DecayArrayProtocol(), seed=seed)
+        assert engine.streams.key == alone.streams.key == SeededStreams(seed, n).key
+        assert engine.protocol._coins.keys.tolist() == alone.protocol._coins.keys.tolist()
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
