@@ -36,7 +36,6 @@ protocol and its per-node test oracle) alike.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -292,7 +291,8 @@ class FaultState:
         lead = states[0]
         if len(states) == 1:
             return lead
-        fused = copy.copy(lead)
+        fused = cls(lead.schedule, lead.network, lead._operand, 0)
+        fused._adopt_adjacency(lead)
         fused._loss_keys = np.concatenate([state._loss_keys for state in states])
         fused.counters = np.concatenate([state.counters for state in states])
         return fused
