@@ -254,10 +254,10 @@ class MultiMessageArrayProtocol(BroadcastArrayProtocol):
         all held messages when nothing is requested; candidates are the
         pool entries with the minimal send count; a node with >= 2
         candidates draws one tie-break coin (nodes with a unique candidate
-        draw nothing, so ``k_messages=1`` draws no selection coins at all).  The chosen transmissions are tallied;
-        request flags survive until observably served (see module
-        docstring).  The request is the node's lowest missing index, -1 for
-        a node holding everything.
+        draw nothing, so ``k_messages=1`` draws no selection coins at
+        all).  The chosen transmissions are tallied; request flags survive
+        until observably served (see module docstring).  The request is
+        the node's lowest missing index, -1 for a node holding everything.
         """
         if self.k_messages == 1:
             # One message: nothing to choose or request, so send counts and

@@ -27,9 +27,9 @@ from typing import Any
 
 import numpy as np
 
+from oracles.coins import node_coin
 from repro.errors import ConfigurationError, SimulationError
 from repro.params import ProtocolParams
-from oracles.coins import node_coin
 from repro.sim.core.array_protocol import ArrayContext, ArrayProtocol, RoundPlan
 from repro.sim.core.channel import ChannelRound
 from repro.sim.rng import Purpose

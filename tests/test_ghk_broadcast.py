@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from scipy.stats import chi2
-from test_decay import TestDiamondLemma as DecayDiamond
 
 from oracles import MultiMessageProtocol, oracle_engine
 from repro.errors import BroadcastFailure
@@ -16,6 +15,7 @@ from repro.sim import (
     run_broadcast_batch,
 )
 from repro.sim.topology import dumbbell, from_spec, gnp, grid2d, line, ring, star
+from test_decay import TestDiamondLemma as DecayDiamond
 
 FAST = ProtocolParams.fast()
 

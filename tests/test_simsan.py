@@ -28,7 +28,6 @@ from repro.analysis.simsan.bisect import (
     WrongFeedbackOperand,
     bisect_run,
     first_divergent_round,
-    replay_digests,
     write_bundle,
 )
 from repro.analysis.simsan.bisect import main as bisect_main
