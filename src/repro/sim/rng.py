@@ -98,14 +98,21 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
 def row_key(seed: int) -> int:
     """A run's coin key: its seed mixed one 64-bit word at a time.
 
-    Injective on seeds below 2^64, since the finalizer is a bijection.
+    Word ``i`` (least significant first) is added with step ``(i + 1)·γ``,
+    so a word's position is part of the key and the running key after
+    some words is not the key of a shorter seed.  Injective on seeds
+    below 2^64, since the finalizer is a bijection; wider seeds outnumber
+    the 2^64 keys, so each of them shares its key with some seed below
+    2^64 however the words are folded.
     """
     key = 0
+    step = _GAMMA
     while True:
-        key = _mix((key + (seed & _MASK64) + _GAMMA) & _MASK64)
+        key = _mix((key + (seed & _MASK64) + step) & _MASK64)
         seed >>= 64
         if not seed:
             return key
+        step = (step + _GAMMA) & _MASK64
 
 
 def purpose_key(key: int, purpose: Purpose) -> int:
@@ -121,18 +128,11 @@ def keyed_coins(keys: np.ndarray, round_index: int, nodes: np.ndarray, n: int) -
     of row ``f // n``.  Each row's head ``mix(key + round·γ)`` is hashed
     once per call, then one finalizer runs over the drawing nodes.
     """
-    step = round_index * _GAMMA & _MASK64
-    if keys.size == 1:
-        # One row: its head in Python ints, and no divmod by n.
-        x = nodes.astype(np.uint64)
-        x *= _U64_GAMMA
-        x += np.uint64(_mix((int(keys[0]) + step) & _MASK64))
-    else:
-        heads = _mix_array(keys + np.uint64(step))
-        rows, cols = np.divmod(nodes, n)
-        x = cols.astype(np.uint64)
-        x *= _U64_GAMMA
-        x += heads[rows]
+    heads = _mix_array(keys + np.uint64(round_index * _GAMMA & _MASK64))
+    rows, cols = np.divmod(nodes, n)
+    x = cols.astype(np.uint64)
+    x *= _U64_GAMMA
+    x += heads[rows]
     x = _mix_array(x)
     x >>= _U64_11
     return x * (1.0 / 9007199254740992.0)

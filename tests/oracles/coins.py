@@ -27,8 +27,8 @@ def node_coin(seed: int, purpose: int, node: int, round_index: int) -> float:
     """``u(row key of seed, purpose, node, round)``, a double in ``[0, 1)``."""
     key = 0
     words = [(seed >> shift) & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
-    for word in words:
-        key = _splitmix64((key + word + _GAMMA) & _MASK)
+    for position, word in enumerate(words, start=1):
+        key = _splitmix64((key + word + position * _GAMMA) & _MASK)
     key = _splitmix64(key ^ (purpose * 0x94D049BB133111EB & _MASK))
     head = _splitmix64((key + round_index * _GAMMA) & _MASK)
     return (_splitmix64((head + node * _GAMMA) & _MASK) >> 11) / 2.0**53

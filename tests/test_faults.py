@@ -349,6 +349,9 @@ class TestLossCoins:
                 engine.step()
         outcomes = batch.run()
         assert batch.group_sizes() == [6, 1]
+        assert [o.completed for o in outcomes] == [False, False, False, True, False, True, False]
+        rounds = [engine.round_index for engine in batch.engines]
+        assert rounds[:3] == [13, 37, 13] and rounds[4] == 37 and rounds[6] == 30
         assert sum(o.sim.faults.dropped_receptions for o in outcomes) > 0
         for outcome in outcomes:
             item = outcome.item

@@ -62,6 +62,11 @@ def test_seeded_streams_shape_and_reproducibility():
 def test_row_keys_are_distinct_across_seeds_and_words():
     seeds = [*range(1000), 2**64 - 1, 2**64, 2**64 + 1, 2**128]
     assert len({row_key(seed) for seed in seeds}) == len(seeds)
+    # Chaining every word with one step would give hi·2^64 + lo the key
+    # of the one-word seed row_key(lo) + hi, e.g. 2^64 that of mix(γ) + 1.
+    for lo, hi in [(0, 1), (5, 1), (3, 64), (7, 2**64)]:
+        wide = (hi << 64) + lo
+        assert row_key(wide) != row_key((row_key(lo) + hi) % 2**64)
     assert len({purpose_key(row_key(3), purpose) for purpose in Purpose}) == len(Purpose)
 
 
