@@ -14,10 +14,12 @@ Enablement (all three routes build the same :class:`Sanitizer`):
 * ``REPRO_SANITIZE=1`` in the environment (e.g. for a whole pytest run)
   — consulted whenever ``sanitize`` is left as ``None``.
 
-Violations raise :class:`~repro.errors.SanitizerError`; differential
-(``diff.*``) findings can then be localized to their first divergent
-round with ``python -m repro.analysis.simsan.bisect``.  Run
-``python -m repro.analysis.simsan`` for the registered check table.
+Violations raise :class:`~repro.errors.SanitizerError`; a differential
+(``diff.*``) finding carries its round's repro bundle.
+``python -m repro.analysis.simsan.bisect`` runs a spec sanitized, every
+round compared whole on the dense reference, and writes the bundle of
+its first divergent round.  Run ``python -m repro.analysis.simsan`` for
+the registered check table.
 
 This package deliberately never imports the engine modules at import
 time (the engines import *it*); only :mod:`repro.analysis.simsan.bisect`

@@ -2,34 +2,34 @@
 
 When the sanitizer's differential check reports a ``diff.*`` violation,
 the :class:`~repro.errors.SanitizerError` carries everything needed to
-replay the run: seed, topology, protocol backend.  This module does the
-replay — once on the active backend, once on the dense reference — records
-a per-round sha256 digest over the packed plan masks and the raw kernel
-output, binary-searches the digest sequences to the **first divergent
-round**, and dumps a minimal repro bundle (packed masks at the divergent
-round, adjacency version) as JSON.  Coins are a pure function of the
-seed, node and round (:mod:`repro.sim.rng`), so the spec replays them.
+run it again: seed, topology, protocol backend.  This module runs that
+spec once, on the suspect backend, with the differential check in full
+mode at every size: each round is re-resolved on the dense reference, so
+the first ``diff.*`` error names the **first divergent round**.  The
+error's details hold the minimal repro bundle (packed plan masks at that
+round, adjacency version, the mismatching node's active and reference
+values), dumped as JSON.  Coins are a pure function of the seed, node
+and round (:mod:`repro.sim.rng`), so the spec alone reproduces them.
 
 Usage::
 
     python -m repro.analysis.simsan.bisect --protocol decay \\
         --topology grid --n 64 --seed 3 --backend sparse --out-dir /tmp
 
-Exit status: 0 when the replays agree on every round, 1 when a divergence
-was found (the bundle path is printed), 2 on usage errors.
+Exit status: 0 when every round matches the reference, 1 when a
+divergence was found (the bundle path is printed), 2 on usage errors.
 
-``--inject-wrong-at R`` wraps the active backend's operand so it returns
+``--inject-wrong-at R`` wraps the suspect backend's operand so it returns
 a corrupted neighbour count from round ``R`` on — the self-test knob the
 test suite (and the README walkthrough) uses to prove the bisector
 pinpoints the injected round exactly.  Injection composes with crash,
-loss, and jammer schedules but not with edge flips, whose operand
-rebuilds would silently drop the wrapper mid-run.
+loss, and jammer schedules but not with edge flips: the fault layer
+rebuilds the operand after each flip, which drops the wrapper mid-run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -38,11 +38,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.analysis.simsan.core import SanitizerConfig
+from repro.errors import ConfigurationError, SanitizerError
 from repro.params import ProtocolParams
-from repro.sim.core.array_protocol import RoundPlan
 from repro.sim.core.batch import ArrayEngine, select_kernel_operand
-from repro.sim.core.channel import ChannelRound, KernelOperand, pack_mask
+from repro.sim.core.channel import KernelOperand
 from repro.sim.faults import FaultSchedule, sample_fault_schedule
 from repro.sim.runners import broadcast_spec
 from repro.sim.topology import TOPOLOGY_NAMES, RadioNetwork, from_spec
@@ -52,12 +52,11 @@ __all__ = [
     "ReplaySpec",
     "WrongFeedbackOperand",
     "bisect_run",
-    "first_divergent_round",
     "main",
-    "replay_digests",
+    "write_bundle",
 ]
 
-BUNDLE_SCHEMA = "simsan-bundle-1"
+BUNDLE_SCHEMA = "simsan-bundle-2"
 
 #: The fixed reference backend — the BLAS matmul operand, the simplest
 #: kernel and the one the differential checker certifies against.
@@ -66,7 +65,7 @@ REFERENCE_BACKEND = "dense"
 
 @dataclass(frozen=True)
 class ReplaySpec:
-    """Everything needed to deterministically replay one run."""
+    """Everything needed to deterministically reproduce one run."""
 
     protocol: str
     topology: str
@@ -133,14 +132,19 @@ def _fault_schedule(
 
 
 def _build_engine(
-    spec: ReplaySpec, backend: str, inject_wrong_at: int | None
+    spec: ReplaySpec, inject_wrong_at: int | None
 ) -> tuple[ArrayEngine, int]:
-    """One fresh engine on the named backend, plus its round budget."""
+    """One sanitized engine on the suspect backend, plus its round budget.
+
+    ``full_diff_max_n`` is the network size, so every round is compared
+    whole on the dense reference: sampled rows could miss the first
+    divergent round and report a later one.
+    """
     network = from_spec(spec.topology, spec.n)
     base = (
         ProtocolParams.paper() if spec.preset == "paper" else ProtocolParams.fast()
     )
-    params = base.with_overrides(channel_backend=backend)
+    params = base.with_overrides(channel_backend=spec.backend)
     bspec = broadcast_spec(spec.protocol)
     budget = (
         spec.budget
@@ -163,141 +167,62 @@ def _build_engine(
         params=params,
         kernel_operand=operand,
         faults=faults,
+        sanitize=SanitizerConfig(full_diff_max_n=network.n),
     )
     return engine, budget
-
-
-def _round_digest(plan: RoundPlan, channel: ChannelRound) -> bytes:
-    """Backend-independent fingerprint of one raw kernel round."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pack_mask(plan.transmit)).tobytes())
-    h.update(np.ascontiguousarray(pack_mask(plan.listen)).tobytes())
-    h.update(np.ascontiguousarray(channel.counts, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(pack_mask(channel.clean)).tobytes())
-    senders = np.where(channel.clean, channel.senders, 0).astype(np.int64)
-    h.update(np.ascontiguousarray(senders).tobytes())
-    return h.digest()
-
-
-def replay_digests(
-    spec: ReplaySpec,
-    *,
-    backend: str,
-    inject_wrong_at: int | None = None,
-    capture_at: int | None = None,
-) -> tuple[list[bytes], dict | None]:
-    """Replay one run on ``backend``; per-round digests plus an optional capture.
-
-    ``capture_at`` snapshots the repro-bundle ingredients (packed plan
-    masks, adjacency version) just before that round's
-    feedback is applied — the state a debugger needs to re-resolve the
-    divergent round in isolation.
-    """
-    engine, budget = _build_engine(spec, backend, inject_wrong_at)
-    digests: list[bytes] = []
-    captured: dict | None = None
-    while engine.round_index < budget and not engine.protocol.done():
-        current = engine.round_index
-        plan = engine.begin_round()
-        channel = engine.resolve_round()
-        digests.append(_round_digest(plan, channel))
-        if capture_at is not None and current == capture_at:
-            fault_state = engine.fault_state
-            captured = {
-                "round": current,
-                "transmit_packed": pack_mask(plan.transmit).tolist(),
-                "listen_packed": pack_mask(plan.listen).tolist(),
-                "adjacency_version": (
-                    0 if fault_state is None else fault_state.adjacency_version
-                ),
-                "digest": digests[-1].hex(),
-            }
-        engine.complete_round(channel)
-        if capture_at is not None and current >= capture_at:
-            break
-    return digests, captured
-
-
-def first_divergent_round(active: list[bytes], reference: list[bytes]) -> int | None:
-    """Binary-search the longest agreeing prefix; first differing index or None.
-
-    Digest sequences agree on a prefix and (if the backends diverge)
-    disagree forever after — once one round's feedback differs, the
-    protocols' subsequent masks differ too — so "all of the first ``k``
-    rounds agree" is monotone in ``k`` and bisectable.  Replays of
-    different lengths with an agreeing common prefix diverge at the
-    shorter length (one run ended while the other continued).
-    """
-    m = min(len(active), len(reference))
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if active[:mid] == reference[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo < m:
-        return lo
-    return None if len(active) == len(reference) else m
 
 
 @dataclass(frozen=True)
 class BisectOutcome:
     """Result of one bisection: where the backends first disagreed."""
 
-    spec: ReplaySpec
-    divergent_round: int | None
-    active_rounds: int
-    reference_rounds: int
+    #: rounds run, the divergent one included.
+    rounds: int
+    #: the first ``diff.*`` finding, or ``None`` when every round matched.
+    error: SanitizerError | None
+
+    @property
+    def divergent_round(self) -> int | None:
+        return None if self.error is None else self.error.round_index
 
 
 def bisect_run(
     spec: ReplaySpec, *, inject_wrong_at: int | None = None
 ) -> BisectOutcome:
-    """Replay ``spec`` on its backend and the dense reference; locate divergence."""
-    active, _ = replay_digests(
-        spec, backend=spec.backend, inject_wrong_at=inject_wrong_at
-    )
-    reference, _ = replay_digests(spec, backend=REFERENCE_BACKEND)
-    return BisectOutcome(
-        spec=spec,
-        divergent_round=first_divergent_round(active, reference),
-        active_rounds=len(active),
-        reference_rounds=len(reference),
-    )
+    """Run ``spec`` sanitized on its backend; the first ``diff.*`` finding.
+
+    Any other sanitizer finding is not a backend divergence and propagates.
+    """
+    engine, budget = _build_engine(spec, inject_wrong_at)
+    try:
+        engine.run(budget, stop_when=lambda eng: eng.protocol.done())
+    except SanitizerError as exc:
+        if not exc.check.startswith("diff."):
+            raise
+        return BisectOutcome(rounds=exc.round_index + 1, error=exc)
+    return BisectOutcome(rounds=engine.round_index, error=None)
 
 
-def write_bundle(
-    spec: ReplaySpec,
-    divergent_round: int,
-    out_dir: Path,
-    *,
-    inject_wrong_at: int | None = None,
-) -> Path:
-    """Re-replay to the divergent round and dump the repro bundle as JSON."""
-    _, active_capture = replay_digests(
-        spec,
-        backend=spec.backend,
-        inject_wrong_at=inject_wrong_at,
-        capture_at=divergent_round,
-    )
-    _, reference_capture = replay_digests(
-        spec, backend=REFERENCE_BACKEND, capture_at=divergent_round
-    )
+def write_bundle(spec: ReplaySpec, error: SanitizerError, out_dir: Path) -> Path:
+    """Dump the repro bundle of a ``diff.*`` finding as JSON."""
+    details = dict(error.details)
     bundle = {
         "schema": BUNDLE_SCHEMA,
         "spec": asdict(spec),
         "reference_backend": REFERENCE_BACKEND,
-        "divergent_round": divergent_round,
-        "active": active_capture,
-        "reference": reference_capture,
+        "check": error.check,
+        "divergent_round": error.round_index,
+        "transmit_packed": details.pop("transmit_packed"),
+        "listen_packed": details.pop("listen_packed"),
+        "adjacency_version": details.pop("adjacency_version"),
+        "finding": details,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / (
         f"simsan-bundle-{spec.protocol}-{spec.topology}-n{spec.n}"
-        f"-seed{spec.seed}-{spec.backend}-round{divergent_round}.json"
+        f"-seed{spec.seed}-{spec.backend}-round{error.round_index}.json"
     )
-    path.write_text(json.dumps(bundle, indent=2, default=int) + "\n")
+    path.write_text(json.dumps(bundle, indent=2) + "\n")
     return path
 
 
@@ -305,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.simsan.bisect",
         description=(
-            "Replay a sanitized run on its backend and the dense reference, "
-            "binary-search to the first divergent round, and dump a repro "
-            "bundle."
+            "Run a spec sanitized on its backend, every round checked whole "
+            "against the dense reference; report the first divergent round "
+            "and dump a repro bundle."
         ),
     )
     parser.add_argument("--protocol", default="decay", help="broadcast protocol name")
@@ -368,19 +293,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         outcome = bisect_run(spec, inject_wrong_at=args.inject_wrong_at)
     except ConfigurationError as exc:
         parser.exit(2, f"error: {exc}\n")
-    if outcome.divergent_round is None:
+    if outcome.error is None:
         print(
             f"no divergence: {spec.backend} and {REFERENCE_BACKEND} agree on "
-            f"all {outcome.active_rounds} rounds "
+            f"all {outcome.rounds} rounds "
             f"({spec.protocol} on {spec.topology}-{spec.n}, seed {spec.seed})"
         )
         return 0
-    bundle = write_bundle(
-        spec,
-        outcome.divergent_round,
-        args.out_dir,
-        inject_wrong_at=args.inject_wrong_at,
-    )
+    bundle = write_bundle(spec, outcome.error, args.out_dir)
     print(
         f"first divergent round: {outcome.divergent_round} "
         f"({spec.backend} vs {REFERENCE_BACKEND}, {spec.protocol} on "

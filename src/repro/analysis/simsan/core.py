@@ -20,9 +20,10 @@ invoked from the engine's round hooks:
   (:func:`~repro.sim.core.stats.conservation_violation`).
 
 Every violation raises a structured :class:`~repro.errors.SanitizerError`
-carrying the check id, round, seed, backend, and topology — enough for
-``python -m repro.analysis.simsan.bisect`` to replay the run and
-binary-search differential mismatches to their first divergent round.
+carrying the check id, round, seed, backend, and topology.  A ``diff.*``
+error also carries the round's packed plan masks and adjacency version:
+``python -m repro.analysis.simsan.bisect`` runs a spec with the full
+differential check and writes its repro bundle from the first one.
 
 The harness holds no reference to the engine; the engine passes each
 hook exactly the arrays it is about to act on, so a sanitized run checks
@@ -44,6 +45,7 @@ from repro.analysis.simsan.checks import (
 )
 from repro.analysis.simsan.differential import DifferentialChecker
 from repro.errors import SanitizerError
+from repro.sim.core.channel import pack_mask
 from repro.sim.core.stats import SimResult, conservation_violation
 from repro.sim.rng import stream
 
@@ -250,7 +252,13 @@ class Sanitizer:
                 self._diff_version = version
         finding = diff.check(plan.transmit, plan.listen, channel)
         if finding is not None:
+            # The round's repro bundle, packed only on this failure path.
             check, message, details = finding
+            details.update(
+                transmit_packed=pack_mask(plan.transmit).tolist(),
+                listen_packed=pack_mask(plan.listen).tolist(),
+                adjacency_version=self._diff_version,
+            )
             self._fail(check, message, round_index=round_index, details=details)
 
     def on_round_complete(

@@ -130,7 +130,12 @@ class DifferentialChecker:
                     "diff.feedback",
                     f"{label} mask disagrees with the dense reference at "
                     f"node {node}",
-                    {"mask": label, "node": node},
+                    {
+                        "mask": label,
+                        "node": node,
+                        "active": bool(active[node]),
+                        "reference": bool(ref[node]),
+                    },
                 )
         mismatch = reference.clean & (reference.senders != channel.senders)
         if mismatch.any():
@@ -187,14 +192,18 @@ class DifferentialChecker:
                 bool(channel.silent[node]),
             )
             if expected != actual:
-                label = ("clean", "collided", "silent")[
-                    next(i for i in range(3) if expected[i] != actual[i])
-                ]
+                which = next(k for k in range(3) if expected[k] != actual[k])
+                label = ("clean", "collided", "silent")[which]
                 return (
                     "diff.feedback",
                     f"{label} mask disagrees with the CSR reference at "
                     f"sampled node {node}",
-                    {"mask": label, "node": node},
+                    {
+                        "mask": label,
+                        "node": node,
+                        "active": actual[which],
+                        "reference": expected[which],
+                    },
                 )
             if expected[0]:
                 sender = int(neighbours[np.flatnonzero(transmit[neighbours])[0]])

@@ -87,10 +87,11 @@ class SanitizerError(SimulationError):
 
     ``check`` is the registered check id (e.g. ``"diff.counts"``,
     ``"conserve.traffic"``); ``round_index``/``seed``/``backend``/
-    ``topology`` localize the violating round precisely enough for
-    ``python -m repro.analysis.simsan.bisect`` to replay it; ``details``
-    carries check-specific context (mismatching nodes, expected/actual
-    values) as plain JSON-able data.
+    ``topology`` localize the violating round; ``details`` carries
+    check-specific context (mismatching nodes, expected/actual values)
+    as plain JSON-able data.  A ``diff.*`` error's details also hold the
+    round's packed plan masks and adjacency version: the repro bundle
+    ``python -m repro.analysis.simsan.bisect`` writes from it.
     """
 
     def __init__(

@@ -29,7 +29,7 @@ A standalone :class:`ArrayEngine` is a one-row group over its own state
 (protocol, traffic counters, :class:`~repro.sim.faults.FaultState`),
 built on its first round.  Its ``begin_round`` / ``resolve_round`` /
 ``complete_round`` split exposes that group's three phases to tooling
-(the sanitizer's bisector, the benchmark's tracer); it records
+(the benchmark's tracer); it records
 :class:`~repro.sim.core.stats.RoundStats` traces when ``trace=True`` and
 stops early on a caller's predicate.
 
@@ -375,9 +375,9 @@ class ArrayEngine:
     def fault_state(self) -> FaultState | None:
         """The live fault-layer state, or ``None`` on fault-free runs.
 
-        Read-only introspection for tooling (the sanitizer's bisector
-        records its adjacency version in repro bundles); mutating it
-        mid-run is undefined behaviour.
+        Read-only introspection for tooling (the benchmark's tracer
+        times its round hooks); mutating it mid-run is undefined
+        behaviour.
         """
         return self._fault_state
 

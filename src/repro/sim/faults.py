@@ -326,8 +326,8 @@ class FaultState:
 
         Two calls observing the same version are guaranteed to see the
         same current adjacency — the sanitizer's differential checker
-        keys its reference-operand rebuilds on this, and the bisector
-        records it in repro bundles.
+        keys its reference-operand rebuilds on this, and its ``diff.*``
+        errors carry it into the bisector's repro bundles.
         """
         return self._adjacency_version
 

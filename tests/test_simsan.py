@@ -3,8 +3,9 @@
 Three layers: clean sanitized runs across backends, engines, and fault
 schedules must pass with zero violations; deliberately corrupted engines
 must be caught with the right check id and round number; and the
-bisector must localize an injected wrong-feedback backend to exactly the
-injected round, dumping a well-formed repro bundle.
+bisector's one sanitized run must localize an injected wrong-feedback
+backend to exactly the injected round, at any size, and write the repro
+bundle its ``diff.*`` error carries.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from oracles import run_oracle
 from repro.analysis.simsan import (
     CHECKS,
+    DifferentialChecker,
     Sanitizer,
     SanitizerConfig,
     cache_discipline_violation,
@@ -27,7 +29,6 @@ from repro.analysis.simsan.bisect import (
     ReplaySpec,
     WrongFeedbackOperand,
     bisect_run,
-    first_divergent_round,
     write_bundle,
 )
 from repro.analysis.simsan.bisect import main as bisect_main
@@ -35,6 +36,7 @@ from repro.errors import BroadcastFailure, SanitizerError
 from repro.params import ProtocolParams
 from repro.sim.core.array_protocol import RoundPlan
 from repro.sim.core.batch import ArrayEngine, select_kernel_operand
+from repro.sim.core.channel import pack_mask, resolve_channel
 from repro.sim.core.stats import conservation_violation
 from repro.sim.faults import sample_fault_schedule
 from repro.sim.runners import broadcast_spec, run_broadcast, run_broadcast_batch
@@ -256,6 +258,29 @@ def test_wrong_feedback_operand_caught_at_injected_round():
     assert err.backend == "sparse"
 
 
+@pytest.mark.parametrize("full_max_n", [36, 8], ids=["full", "sampled"])
+def test_feedback_finding_carries_active_and_reference(full_max_n):
+    # Both differential modes report a feedback mismatch alike, so a
+    # bundle's finding reads the same whichever mode found it.
+    net = from_spec("grid", 36, seed=0)
+    transmit = np.zeros(36, dtype=bool)
+    transmit[[0, 14]] = True
+    channel = resolve_channel(
+        select_kernel_operand(net, _params("sparse")), transmit, ~transmit
+    )
+    node = int(np.flatnonzero(channel.clean)[0])
+    clean, silent = channel.clean.copy(), channel.silent.copy()
+    clean[node], silent[node] = False, True
+    checker = DifferentialChecker(
+        *net.csr(), full_max_n=full_max_n, sample_rows=36, rng=np.random.default_rng(0)
+    )
+    check, _, details = checker.check(
+        transmit, ~transmit, dataclasses.replace(channel, clean=clean, silent=silent)
+    )
+    assert check == "diff.feedback"
+    assert details == {"mask": "clean", "node": node, "active": False, "reference": True}
+
+
 def test_unsanitized_engine_accepts_the_same_corruption():
     # The control: without the sanitizer the skewed counter goes unnoticed,
     # which is exactly why the detection tests above prove anything.
@@ -330,64 +355,126 @@ def test_conservation_violation_predicate():
 # The divergence bisector
 # --------------------------------------------------------------------- #
 
-@pytest.fixture
-def sanitizer_env_off(monkeypatch):
-    # An injected divergence must reach the bisector's digests; a sanitizer
-    # opted in by REPRO_SANITIZE would stop the replay at the corrupted
-    # round first.
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+def test_sanitizer_error_carries_the_round_bundle():
+    # A diff.* finding holds the repro bundle of its round: the packed
+    # plan masks the kernel resolved and the adjacency version it ran on.
+    net = from_spec("gnp", 60, seed=3, p=0.15)
+    faults = sample_fault_schedule(net, seed=3, horizon=400, edge_flip_rate=0.05)
+    params = _params("sparse")
+    engine = ArrayEngine(
+        net,
+        broadcast_spec("ghk").array_factory(),
+        seed=3,
+        params=params,
+        faults=faults,
+        sanitize=True,
+    )
+    state = engine.fault_state
+    while state.adjacency_version == 0:
+        engine.step()
+    while True:
+        wrong = WrongFeedbackOperand(state.operand, wrong_from=0)
+        state._operand = wrong  # corrupt the current adjacency's operand
+        plan = engine.begin_round()
+        channel = engine.resolve_round()
+        if state.operand is wrong:  # no edge flip rebuilt it this round
+            break
+        engine.complete_round(channel)
+    round_index = engine.round_index
+    with pytest.raises(SanitizerError) as excinfo:
+        engine.complete_round(channel)
+    err = excinfo.value
+    assert err.check == "diff.counts"
+    assert err.round_index == round_index
+    assert err.details["transmit_packed"] == pack_mask(plan.transmit).tolist()
+    assert err.details["listen_packed"] == pack_mask(plan.listen).tolist()
+    assert err.details["adjacency_version"] == state.adjacency_version > 0
+    assert err.details["active"] == err.details["reference"] + 1
 
 
-def test_first_divergent_round_helper():
-    a = [b"a", b"b", b"c"]
-    assert first_divergent_round(a, list(a)) is None
-    assert first_divergent_round(a, [b"a", b"x", b"c"]) == 1
-    assert first_divergent_round(a, [b"x", b"b", b"c"]) == 0
-    assert first_divergent_round(a, a[:2]) == 2  # shorter run diverges at its end
-    assert first_divergent_round([], []) is None
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clean_bisection_runs_as_long_as_the_dense_reference(backend):
+    # No injection, no divergence: the sanitized run on the suspect
+    # backend goes to the end, the same rounds an unsanitized dense run takes.
+    spec = ReplaySpec(protocol="ghk", topology="grid", n=36, seed=4, backend=backend)
+    outcome = bisect_run(spec)
+    assert outcome.error is None and outcome.divergent_round is None
+    net = from_spec("grid", 36)
+    params = _params("dense")
+    reference = ArrayEngine(
+        net, broadcast_spec("ghk").array_factory(), seed=4, params=params, sanitize=False
+    )
+    budget = broadcast_spec("ghk").budget_for(params, net, net.n, {})
+    reference.run(budget, stop_when=lambda eng: eng.protocol.done())
+    assert outcome.rounds == reference.round_index > 0
 
 
 def test_backends_agree_without_injection():
-    spec = ReplaySpec(protocol="ghk", topology="grid", n=36, seed=4, backend="sparse")
-    outcome = bisect_run(spec)
-    assert outcome.divergent_round is None
-    assert outcome.active_rounds == outcome.reference_rounds > 0
+    spec = ReplaySpec(protocol="decay", topology="gnp", n=60, seed=3, backend="sparse")
+    for knobs in (
+        {"crash_rate": 0.1},
+        {"loss_rate": 0.2},
+        {"jammers": 4},
+        {"edge_flip_rate": 0.05},
+    ):
+        outcome = bisect_run(dataclasses.replace(spec, **knobs))
+        assert outcome.divergent_round is None
+        assert outcome.rounds > 0
 
 
-@pytest.mark.usefixtures("sanitizer_env_off")
-@pytest.mark.parametrize("inject_at", [0, 5])
-def test_bisector_pinpoints_injected_round_exactly(inject_at):
-    spec = ReplaySpec(protocol="ghk", topology="grid", n=36, seed=4, backend="sparse")
+@pytest.mark.parametrize(
+    "spec, inject_at",
+    [
+        (ReplaySpec("ghk", "grid", 36, 4, "sparse"), 0),
+        (ReplaySpec("ghk", "grid", 36, 4, "sparse"), 5),
+        (ReplaySpec("ghk", "grid", 36, 4, "bitpacked"), 3),
+        (ReplaySpec("decay", "grid", 25, 1, "bitpacked"), 2),
+        (ReplaySpec("ghk", "grid", 49, 2, "bitpacked"), 7),
+        # Above the sanitizer's default full-mode size (2048) only sampled
+        # rows are compared, which first notice this injection at round
+        # 22; the bisector must force the whole-round comparison.
+        (ReplaySpec("ghk", "grid", 2500, 0, "sparse"), 3),
+    ],
+    ids=["0", "5", "grid36-bitpacked-3", "decay-grid25-2", "grid49-7", "grid2500-sparse-3"],
+)
+def test_bisector_pinpoints_injected_round_exactly(spec, inject_at):
     outcome = bisect_run(spec, inject_wrong_at=inject_at)
     assert outcome.divergent_round == inject_at
+    assert outcome.error.check == "diff.counts"
+    assert outcome.rounds == inject_at + 1
 
 
-@pytest.mark.usefixtures("sanitizer_env_off")
 def test_bundle_contents(tmp_path):
     spec = ReplaySpec(
         protocol="ghk", topology="grid", n=36, seed=4, backend="bitpacked"
     )
     outcome = bisect_run(spec, inject_wrong_at=3)
     assert outcome.divergent_round == 3
-    path = write_bundle(spec, 3, tmp_path, inject_wrong_at=3)
+    path = write_bundle(spec, outcome.error, tmp_path)
     bundle = json.loads(path.read_text())
-    assert bundle["schema"] == "simsan-bundle-1"
-    assert bundle["spec"]["backend"] == "bitpacked"
+    assert bundle["schema"] == "simsan-bundle-2"
+    assert bundle["spec"] == dataclasses.asdict(spec)
     assert bundle["reference_backend"] == "dense"
+    assert bundle["check"] == "diff.counts"
     assert bundle["divergent_round"] == 3
-    for side in ("active", "reference"):
-        capture = bundle[side]
-        assert capture["round"] == 3
-        assert capture["transmit_packed"] and capture["listen_packed"]
-        assert capture["adjacency_version"] == 0
-    # Same seed, same protocol: the divergence is in the channel feedback,
-    # visible in the digests, while the round-3 plans still agree (the
-    # corruption only lands when round 3 resolves).
-    assert bundle["active"]["digest"] != bundle["reference"]["digest"]
-    assert bundle["active"]["transmit_packed"] == bundle["reference"]["transmit_packed"]
+    assert bundle["adjacency_version"] == 0
+    # The corruption lands when round 3 resolves, so round 3's plan is
+    # the one an honest dense run makes.
+    net = from_spec("grid", 36)
+    honest = ArrayEngine(
+        net, broadcast_spec("ghk").array_factory(), seed=4, params=_params("dense"),
+        sanitize=False,
+    )
+    for _ in range(3):
+        honest.step()
+    plan = honest.begin_round()
+    assert bundle["transmit_packed"] == pack_mask(plan.transmit).tolist()
+    assert bundle["listen_packed"] == pack_mask(plan.listen).tolist()
+    finding = bundle["finding"]
+    assert finding["node"] == 0
+    assert finding["active"] == finding["reference"] + 1
 
 
-@pytest.mark.usefixtures("sanitizer_env_off")
 def test_bisect_cli_exit_codes(tmp_path, capsys):
     base = [
         "--protocol", "decay", "--topology", "grid", "--n", "25",
@@ -398,7 +485,9 @@ def test_bisect_cli_exit_codes(tmp_path, capsys):
     assert bisect_main([*base, "--inject-wrong-at", "2"]) == 1
     out = capsys.readouterr().out
     assert "first divergent round: 2" in out
-    assert "simsan-bundle-decay-grid-n25-seed1-bitpacked-round2.json" in out
+    name = "simsan-bundle-decay-grid-n25-seed1-bitpacked-round2.json"
+    assert name in out
+    assert json.loads((tmp_path / name).read_text())["divergent_round"] == 2
 
 
 def test_bisect_cli_rejects_injection_with_edge_flips(tmp_path):

@@ -1,7 +1,7 @@
 """Source rules that keep every simulated run a pure function of its seed.
 
 A run must depend only on (topology, protocol, seed), so the simulator
-source under ``src/repro/sim`` obeys five rules, checked here on its AST
+source under ``src/repro/sim`` obeys six rules, checked here on its AST
 with ``import … as`` and ``from … import … as`` aliases resolved:
 
 * global-rng (all of ``sim/``): no stdlib ``random``; ``numpy.random`` only
@@ -22,6 +22,14 @@ with ``import … as`` and ``from … import … as`` aliases resolved:
   ``BitOperand`` are called only in ``core/channel.py`` and inside the
   factories ``select_kernel_operand``/``operand_from_csr``, which own the
   channel-backend policy.
+* backend-branch (all of ``sim/``): no comparison reads a name or
+  attribute ending in ``backend`` (``_backend``, ``channel_backend``)
+  outside ``core/channel.py`` and ``core/batch.py``, which hold the
+  kernels and the backend policy.  The sanitizer's differential check re-resolves
+  every kernel round on the dense reference, and the bisector is one
+  sanitized run; a backend branch in fault perception, or in the
+  adjacency an edge flip rebuilds, would make backends diverge where
+  that check cannot see.
 """
 
 import ast
@@ -40,6 +48,8 @@ FACTORIES = {"select_kernel_operand", "operand_from_csr"}
 #: that may use it (``None``: any).
 STREAM_SCOPES = {"topology.py": None, "faults.py": "sample_fault_schedule"}
 STREAM = "repro.sim.rng.stream"
+#: The files that may branch on the channel backend.
+BACKEND_POLICY = {"core/channel.py", "core/batch.py"}
 
 
 def _bound(node: ast.Import | ast.ImportFrom, rel: str) -> dict[str, str]:
@@ -79,6 +89,11 @@ def _is_set(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id in {"set", "frozenset"}
     )
+
+
+def _names_backend(node: ast.AST) -> bool:
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name.endswith("backend")
 
 
 def violations(rel: str, source: str) -> list[tuple[str, int, str]]:
@@ -129,6 +144,12 @@ def violations(rel: str, source: str) -> list[tuple[str, int, str]]:
                 and scope not in FACTORIES
             ):
                 found.append(("operand-build", node.lineno, origin))
+        if (
+            isinstance(node, ast.Compare)
+            and rel not in BACKEND_POLICY
+            and any(_names_backend(part) for part in ast.walk(node))
+        ):
+            found.append(("backend-branch", node.lineno, ast.unparse(node)))
         if core and _is_set(node) and not (
             isinstance(parent, ast.Call)
             and isinstance(parent.func, ast.Name)
@@ -215,6 +236,12 @@ def test_sim_files_are_found():
             "from .rng import stream\ndef sample_fault_schedule(seed):\n    return stream(seed, 3)",
             None,
         ),
+        ("faults.py", 'if self._backend != "dense":\n    pass', "backend-branch"),
+        ("decay.py", 'x = 1 if ctx.params.channel_backend == "sparse" else 0', "backend-branch"),
+        ("core/stats.py", 'ok = "bitpacked" in (op.backend,)', "backend-branch"),
+        ("core/stats.py", 'ok = backend in ("dense", "bitpacked")', "backend-branch"),
+        ("core/batch.py", 'if backend == "sparse":\n    pass', None),
+        ("faults.py", "operand = operand_from_csr(self._backend, *self._csr)", None),
     ],
 )
 def test_rule_fires(rel, source, rule):
