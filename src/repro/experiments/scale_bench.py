@@ -2,7 +2,8 @@
 
 For every (family, n) cell the harness runs the same seed batch once per
 channel backend — dense matmul, sparse CSR, and bit-packed popcount — and
-reports wall-clock rounds/sec plus the peak memory a short probe run
+reports wall-clock rounds/sec (over repeated runs totalling at least
+:data:`MIN_TIMED_SECONDS`) plus the peak memory a short probe run
 allocates (``tracemalloc``), so the record answers the scaling questions
 directly: how much faster is the CSR kernel on sparse topologies, how far
 past the dense wall does the bit-packed kernel carry dense-density
@@ -57,6 +58,7 @@ from repro.sim.topology import TOPOLOGY_NAMES, RadioNetwork, from_spec
 
 __all__ = [
     "DEFAULT_SIZES",
+    "MIN_TIMED_SECONDS",
     "PROBE_ROUNDS",
     "SCALE_BACKENDS",
     "SCALE_TOPOLOGIES",
@@ -80,6 +82,10 @@ SCALE_TOPOLOGIES: tuple[str, ...] = ("line", "grid", "gnp", "unit_disk")
 #: (operand construction plus per-round temporaries) without paying the
 #: tracer's overhead during the timed run.
 PROBE_ROUNDS = 32
+
+#: A cell's timed run repeats until the runs total this long, so one host
+#: stall in a ~20 ms run cannot decide its rounds/sec.
+MIN_TIMED_SECONDS = 0.5
 
 
 def _operand_bytes(backend: str, n: int) -> int:
@@ -215,16 +221,21 @@ def bench_scale(
                     probe_peak_bytes(protocol, nets, params, seeds) / (1 << 20), 2
                 )
                 telemetry: dict = {}
-                t0 = time.perf_counter()
-                batch = run_broadcast_batch(
-                    protocol, nets, seeds=range(seeds), params=params,
-                    telemetry=telemetry,
-                )
-                seconds = time.perf_counter() - t0
+                seconds, repeats = 0.0, 0
+                while seconds < MIN_TIMED_SECONDS:
+                    t0 = time.perf_counter()
+                    batch = run_broadcast_batch(
+                        protocol, nets, seeds=range(seeds), params=params,
+                        telemetry=telemetry,
+                    )
+                    seconds += time.perf_counter() - t0
+                    repeats += 1
                 rounds = sum(r.sim.rounds_run for r in batch)
+                seconds /= repeats  # one run's, like ``rounds`` and the phases
                 entry.update(
                     seconds=round(seconds, 3),
                     rounds=rounds,
+                    repeats=repeats,
                     rounds_per_sec=rounds_per_sec(rounds, seconds),
                     phase_seconds=telemetry["phase_seconds"],
                     completed=sum(

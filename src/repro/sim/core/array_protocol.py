@@ -17,10 +17,10 @@ step ``B`` same-config instances as one (:meth:`ArrayProtocol.fuse`): one
 ``B`` is.  A protocol opts in by declaring its per-node state in
 :attr:`ArrayProtocol.node_state`; it must then read its
 :class:`ArrayContext` in :meth:`~ArrayProtocol.setup` only, and find each
-copy's source from its state rather than from ``ctx.source``.  Retiring a
-copy writes its slice back to that instance's own protocol object
-(:meth:`~ArrayProtocol.export`), so callers read per-instance objects
-exactly as if they had run alone.
+copy's source from its state rather than from ``ctx.source``.  Fusing
+moves the instances' state arrays into the fused one; retiring a copy
+hands its rows back (:meth:`~ArrayProtocol.export`), so callers read
+per-instance objects exactly as if they had run alone.
 
 Per-node randomness is a pure function: :class:`CoinDeck` returns each
 drawing node's coin ``u(row key, purpose, node, round)``
@@ -151,9 +151,10 @@ class ArrayProtocol(ABC):
         """One instance on the disjoint union of ``parts``' networks.
 
         Copy ``b``'s nodes become flat nodes ``b·n .. (b+1)·n - 1``; the
-        parts must share a :meth:`fusion_key`.  Every other attribute,
-        ``ctx`` included, comes from the first part — which is why a
-        fusable protocol reads its context in :meth:`setup` only.
+        parts must share a :meth:`fusion_key`, and their state arrays
+        *move* here until :meth:`export` hands them back.  Every other
+        attribute, ``ctx`` included, comes from the first part — which is
+        why a fusable protocol reads its context in :meth:`setup` only.
         """
         fused = copy.copy(parts[0])
         for name in cls.node_state:
@@ -162,15 +163,17 @@ class ArrayProtocol(ABC):
                 setattr(fused, name, CoinDeck.concat(values))
             else:
                 setattr(fused, name, np.concatenate(values))
+                for part in parts:
+                    delattr(part, name)
         return fused
 
     def export(self, nodes: np.ndarray, into: Sequence[ArrayProtocol]) -> None:
-        """Write the state of copies of a fused instance into their own objects.
+        """Hand copies of a fused instance their state back, in their own objects.
 
         ``nodes`` is a ``(len(into), n)`` array: row ``j`` holds the flat
-        nodes of the copy whose state goes to ``into[j]``.  A
-        :class:`CoinDeck` has no state to write: each copy's deck keeps
-        its own key.
+        nodes of the copy whose state goes to ``into[j]``, which binds each
+        state attribute to its freshly gathered rows.  A :class:`CoinDeck`
+        has no state to hand back: each copy's deck keeps its own key.
         """
         flat = nodes.reshape(-1)
         for name in self.node_state:
@@ -179,7 +182,7 @@ class ArrayProtocol(ABC):
                 continue
             rows = value[flat].reshape(nodes.shape + value.shape[1:])
             for target, row in zip(into, rows):
-                getattr(target, name)[...] = row
+                setattr(target, name, row)
 
     def compact(self, src: np.ndarray, dst: np.ndarray, size: int) -> None:
         """Move the state of flat nodes ``src`` onto ``dst``, keep the first ``size``.

@@ -19,11 +19,12 @@ transmitters and one ``bincount`` of length ``B·n`` on the sparse one — one
 fault pass (a shared crash mask, jam cover and edge-flip timeline, loss
 coins keyed by each row's own seed), one ``on_feedback``
 per part with flat sender ids, one ``(4, B·n)`` counter update and one
-vectorized done/budget check, whatever ``B`` is.  A row leaves the group
-the moment its instance completes or exhausts its budget: its state is
-written back to its own engine and protocol object, so a straggler never
-costs the finished instances anything and results read exactly as if
-each instance had run alone — bit for bit.
+vectorized done/budget check, whatever ``B`` is.  A running group is the
+only holder of its rows' traffic counters and protocol state; a row
+leaves it the moment its instance completes or exhausts its budget, and
+its state goes to its own engine and protocol object, so a straggler
+never costs the finished instances anything and results read exactly as
+if each instance had run alone — bit for bit.
 
 A standalone :class:`ArrayEngine` is a one-row group over its own state
 (protocol, traffic counters, :class:`~repro.sim.faults.FaultState`),
@@ -234,8 +235,8 @@ def _check_round_count(name: str, value: object) -> None:
 class ArrayEngine:
     """Synchronous array-native simulator for one protocol run on one network.
 
-    The engine holds one run's state; its rounds run as a one-row
-    :class:`_FusedGroup` over that state (see the module docstring).
+    The engine holds one run's state (a batch's fused group, while it
+    runs); its rounds run as a one-row :class:`_FusedGroup` over that state.
     """
 
     def __init__(
@@ -282,11 +283,11 @@ class ArrayEngine:
             else select_kernel_operand(network, self.params)
         )
         self._round = 0
-        # Per-node streaming traffic counters (rows: transmissions, clean
-        # receptions, collisions heard, awake slots).  O(n) memory for the
-        # whole run; the SimResult scalar totals are sums of these rows,
-        # so per-node and scalar accounting cannot drift apart.
-        self._traffic = np.zeros((4, network.n), dtype=np.int64)
+        # Per-node traffic counters (rows: transmissions, clean receptions,
+        # collisions heard, awake slots), made on first use (_counters()).
+        # The SimResult scalar totals are sums of these rows, so per-node
+        # and scalar accounting cannot drift apart.
+        self._traffic: np.ndarray | None = None
         # Trace collection is itself just the first round observer.
         self._trace_observer = TraceObserver() if trace else None
         chain: list[RoundObserver] = [] if self._trace_observer is None else [
@@ -339,6 +340,12 @@ class ArrayEngine:
                 streams=self.streams,
             )
         )
+
+    def _counters(self) -> np.ndarray:
+        """The traffic counters, zeroed on first use."""
+        if self._traffic is None:
+            self._traffic = np.zeros((4, self.network.n), dtype=np.int64)
+        return self._traffic
 
     @property
     def round_index(self) -> int:
@@ -469,7 +476,7 @@ class ArrayEngine:
         fault_state = self._fault_state
         start = (
             self._round,
-            self._traffic.copy(),
+            self._counters().copy(),
             0 if fault_state is None else fault_state.counters[0].copy(),
             len(history),
         )
@@ -497,7 +504,7 @@ class ArrayEngine:
         """Freeze the window since ``start`` (round, traffic and fault
         counters, trace length); scalar totals are sums of the per-node rows."""
         start_round, start_traffic, start_faults, start_history = start
-        counters = self._traffic - start_traffic
+        counters = self._counters() - start_traffic
         history = self._trace_observer.history if self._trace_observer else []
         state = self._fault_state
         result = SimResult(
@@ -721,8 +728,8 @@ class _Part:
     #: the engines of these rows, in row order.
     engines: list[ArrayEngine]
     #: whether ``protocol`` is a fused instance over the rows' disjoint
-    #: union (its state is written back per row) rather than the one
-    #: engine's own object.
+    #: union (it holds the rows' state and hands each row its own back at
+    #: retirement) rather than the one engine's own object.
     fused: bool
 
     def done(self) -> np.ndarray:
@@ -737,12 +744,12 @@ class _FusedGroup:
 
     A batch's items of one fusion key and start round, or a standalone
     engine's one row.  Rows are ordered by part; a part is a run of rows
-    sharing one protocol object (see :class:`_Part`).  The row state the
-    engines keep — round, traffic counters, fault counters — is held here
-    with a row axis and written back to a row's engine when it retires; a
-    lone row counts straight into its engine's own arrays and
-    :class:`FaultState`.  Rows whose engines hold different (sparse)
-    operands resolve on one union operand over those graphs.
+    sharing one protocol object (see :class:`_Part`).  The row state —
+    round, traffic counters (held only here), fault counters — has a row
+    axis here and goes to a row's engine when it retires; a lone row
+    counts straight into its engine's own arrays and :class:`FaultState`.
+    Rows whose engines hold different (sparse) operands resolve on one
+    union operand over those graphs.
     """
 
     def __init__(
@@ -784,11 +791,14 @@ class _FusedGroup:
         states = [e.fault_state for e in self.engines if e.fault_state is not None]
         self.faults = FaultState.fuse(states) if states else None
         # ``(4, rows·n)`` over flat nodes; a lone row's is its engine's own.
-        self.traffic = (
-            lead._traffic
-            if len(self.engines) == 1
-            else np.concatenate([engine._traffic for engine in self.engines], axis=1)
-        )
+        # Only engines stepped before the group have counts to carry in.
+        if len(self.engines) == 1:
+            self.traffic = lead._counters()
+        else:
+            self.traffic = np.zeros((4, len(self.engines) * self.n), dtype=np.int64)
+            for b, engine in enumerate(self.engines):
+                if engine._traffic is not None:
+                    self.traffic[:, b * self.n : (b + 1) * self.n] = engine._traffic
         budget = dict(zip(engines, budgets))
         self.budgets = np.array([budget.get(engine, 0) for engine in self.engines])
         self.first_budget = int(self.budgets.min())
@@ -988,7 +998,7 @@ class _FusedGroup:
         return stats
 
     def _retire(self, finished: np.ndarray, done: np.ndarray) -> list[tuple[int, bool]]:
-        """Write the finished rows back to their engines and drop them from the group.
+        """Hand the finished rows' state to their engines and drop them from the group.
 
         A fused part exports all its leaving rows in one call, then fills
         each hole a retired row leaves with one of its last surviving rows,
@@ -1005,7 +1015,8 @@ class _FusedGroup:
             for k in leaving:
                 b, engine = start + k, part.engines[k]
                 engine._round = self.round
-                engine._traffic[...] = self.traffic[:, b * n : (b + 1) * n]
+                # In place: a standalone group of this engine counts into it.
+                engine._counters()[...] = self.traffic[:, b * n : (b + 1) * n]
                 if self.faults is not None and engine.fault_state is not None:
                     self.faults.export(b, engine.fault_state)
                 retired.append((self.names[engine], bool(done[b])))

@@ -338,9 +338,13 @@ class SparseOperand:
         ends = np.cumsum(degrees)
         # Expansion slot j of transmitter t is CSR slot
         # starts[t] + j - (ends[t] - degrees[t]); adding j in place keeps
-        # two slot-sized arrays live, not three.
+        # two slot-sized arrays live, not three, and the ramp j is in the
+        # narrowest type that holds it and adds in place (not uint64).
         slots = np.repeat(starts - ends + degrees, degrees)
-        slots += np.arange(slots.size)
+        ramp = np.min_scalar_type(slots.size)
+        if not np.can_cast(ramp, slots.dtype):
+            ramp = slots.dtype
+        slots += np.arange(slots.size, dtype=ramp)
         neighbours = self.indices[slots]
         del slots
         if transmit.ndim > 1:

@@ -451,6 +451,56 @@ class TestBatchEngine:
             own = CoinDeck(SeededStreams(item.seed, net.n), Purpose.DECAY_STAY)
             assert item.protocol._coins.keys.tolist() == own.keys.tolist()
 
+    def test_running_group_is_the_only_holder_of_row_state(self):
+        # While a fused group runs, no item's protocol keeps a state array
+        # and no item's engine has traffic counters of its own; retirement
+        # hands each its rows, and the results are those of solo runs.
+        net = from_spec("grid", 16, seed=0)
+        items = self._decay_items([(net, seed) for seed in range(4)])
+        holders = []
+
+        def watch(i, stats):
+            if stats.round_index == 1:
+                protocol = items[i].protocol
+                arrays = [
+                    name for name in type(protocol).node_state
+                    if isinstance(vars(protocol).get(name), np.ndarray)
+                ]
+                holders.append((i, arrays, batch.engines[i]._traffic is not None))
+
+        batch = BatchEngine(items, observers=[watch])
+        outcomes = batch.run()
+        assert batch.group_sizes() == [4]
+        assert holders == [(i, [], False) for i in range(4)]
+        for item, outcome in zip(items, outcomes, strict=True):
+            alone, protocol = self._alone(item)
+            assert outcome.sim == alone
+            assert item.protocol.informed_rounds() == protocol.informed_rounds()
+
+    def test_standalone_step_after_run_counts_into_the_engine(self):
+        # Engines stepped before run() keep their own one-row group, whose
+        # counters are the engine's: retirement must fill those in place,
+        # so a standalone step after the batch still counts every round.
+        net = from_spec("grid", 16, seed=0)
+        schedule = FaultSchedule(crashes=(NodeCrash(5, 1, 6),), loss_rate=0.2)
+        items = self._decay_items([(net, seed) for seed in range(4)], budget=6)
+        for item in items:
+            item.faults = schedule
+        batch = BatchEngine(items)
+        for engine in batch.engines[:2]:
+            engine.step()
+            engine.step()
+        batch.run()
+        engine = batch.engines[0]
+        assert engine.round_index == 6
+        engine.step()
+        alone = ArrayEngine(net, DecayArrayProtocol(), seed=0, params=FAST, faults=schedule)
+        for _ in range(7):
+            alone.step()
+        got, want = engine.snapshot(), alone.snapshot()
+        assert got.rounds_run == want.rounds_run == 7
+        assert got == want
+
 
 class TestRunBroadcastAPI:
     def test_seed_count_mismatch_rejected(self):

@@ -283,6 +283,45 @@ class TestUnionOperand:
             SparseOperand(*line(4).csr()).select_rows([0])
 
 
+def _reference_push(op, transmit):
+    """``prepare_transmit`` with the slot ramp as a plain int64 ``arange``."""
+    flat = np.flatnonzero(transmit)
+    senders = flat % op.n if transmit.ndim > 1 else flat
+    rows = senders if op.row_base is None else senders + op.row_base[flat // op.n]
+    starts = op.indptr[rows]
+    degrees = op.indptr[rows + 1] - starts
+    ends = np.cumsum(degrees)
+    slots = np.repeat(starts - ends + degrees, degrees) + np.arange(ends[-1], dtype=np.int64)
+    keys = op.indices[slots].astype(np.intp) + np.repeat(flat - senders, degrees)
+    return keys, senders, ends
+
+
+@pytest.mark.parametrize("slots", [255, 256, 257, 65535, 65536, 65537])
+@pytest.mark.parametrize("union", [False, True])
+def test_push_ramp_dtype_edges_match_the_int64_reference(slots, union):
+    # The slot ramp takes the narrowest dtype holding the push size, so
+    # pushes of 255/256 and 65535/65536 slots cross its uint8 → uint16 →
+    # uint32 edges, and 257 and 65537 are the first sizes whose ramp would
+    # wrap in the narrower type.  A star's hub has slots - 1 neighbours, a
+    # line's end node one.
+    hub = SparseOperand(*star(slots).csr())
+    transmit = np.zeros(slots, dtype=bool)
+    transmit[[0, 1]] = True  # the hub and one leaf: slots - 1 + 1
+    op = hub
+    if union:
+        # Row 0 runs on the line (graph 1), row 1 on the star (graph 0).
+        op = SparseOperand.union([hub, SparseOperand(*line(slots).csr())], np.array([1, 0]))
+        transmit = np.zeros((2, slots), dtype=bool)
+        transmit[0, 0] = transmit[1, 0] = True  # the line's end, the star's hub
+    push = op.prepare_transmit(transmit)
+    keys, senders, ends = _reference_push(op, transmit)
+    assert ends[-1] == slots
+    assert np.array_equal(push.keys, keys) and push.keys.dtype == np.intp
+    assert np.array_equal(push.senders, senders)
+    assert np.array_equal(push.ends, ends)
+    assert push.shape == transmit.shape
+
+
 def test_dense_sender_pass_skips_rows_without_a_clean_listener(monkeypatch):
     op = DenseOperand(line(5).adjacency_matrix())
     rows_seen = []

@@ -1,8 +1,10 @@
 """Tests for the science sweep, the speed benches and their bench records."""
 
+import itertools
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.engine_bench import main as engine_main
 from repro.experiments.kernel_bench import _operand_bytes
 from repro.experiments.kernel_bench import main as kernel_main
 from repro.experiments.record import SCHEMA_VERSION
+from repro.experiments import scale_bench
 from repro.experiments.scale_bench import main as scale_main
 from repro.sim.core import BitOperand, SparseOperand
 from repro.sim.topology import from_spec
@@ -501,6 +504,18 @@ class TestScaleBench:
         small, large = record["results"]
         assert small["n"] == 16 and "rounds" in small
         assert large["n"] == 32 and "cell ceiling at n=16" in large["skipped"]
+
+    def test_cells_time_repeated_runs_totalling_the_minimum(self, monkeypatch):
+        # On a clock that ticks 0.25 s per reading, each run reads 0.25 s,
+        # so a cell repeats until its runs total MIN_TIMED_SECONDS (0.5).
+        ticks = itertools.count()
+        clock = SimpleNamespace(perf_counter=lambda: 0.25 * next(ticks))
+        monkeypatch.setattr(scale_bench, "time", clock)
+        record = bench_scale(sizes=(16,), topologies=("line",), seeds=1, backends=("sparse",))
+        (entry,) = record["results"]
+        assert scale_bench.MIN_TIMED_SECONDS == 0.5
+        assert entry["repeats"] == 2 and entry["seconds"] == 0.25
+        assert entry["rounds_per_sec"] == round(2 * entry["rounds"] / 0.5, 1)
 
     def test_validation(self):
         with pytest.raises(AnalysisError, match="sizes"):
