@@ -1,4 +1,4 @@
-"""Experiment harnesses: the science sweep, the speed benches and the gate.
+"""Experiment harnesses: the science sweep and the speed benches.
 
 :mod:`repro.experiments.sweep` runs the science: a declarative matrix of
 (protocol × topology × n × k × fault × seeds) blocks, stored in each
@@ -7,17 +7,17 @@ record's own header, produces the exact, seed-determined rounds of
 (k-message pipelining) and ``BENCH_faults.json`` (fault injection), and
 ``--check`` replays a record bit for bit.
 
-Speed is measured apart from the science: :mod:`repro.experiments.engine_bench`
-times the batch engine per protocol, :mod:`repro.experiments.scale_bench`
-compares the dense, sparse and bit-packed channel backends across sizes
-(rounds/sec and peak memory), and :mod:`repro.experiments.kernel_bench`
-isolates the per-round kernel reductions per backend.
+Speed is measured apart from the science: :mod:`repro.experiments.scale_bench`
+times whole runs per protocol and channel backend across sizes (rounds/sec
+and peak memory; ``BENCH_scale.json`` and ``BENCH_engine.json``), and
+:mod:`repro.experiments.kernel_bench` isolates the per-round kernel
+reductions per backend (``BENCH_kernel.json``).
 
 Every record is stamped through :mod:`repro.experiments.record`
-(``schema_version``, ``created_utc``); :mod:`repro.experiments.trajectory`
-merges the committed record history into one longitudinal report, and
-:mod:`repro.experiments.perf_gate` re-measures a smoke slice and fails on
-throughput or memory regression against the committed records.
+(``schema_version``, ``created_utc``).  Speed regressions are gated by the
+perfbench benchmark and CI's ``--max-seconds`` smoke ceilings, not by the
+committed speed records; their seed-determined fields replay in
+``tests/test_sweep_replay.py``.
 """
 
 import importlib
@@ -31,10 +31,8 @@ _EXPORTS = {
     "resolve_params": "record",
     "write_bench": "record",
     "run_matrix": "sweep",
-    "bench_engines": "engine_bench",
     "bench_scale": "scale_bench",
     "bench_kernel": "kernel_bench",
-    "build_trajectory": "trajectory",
 }
 
 __all__ = sorted(_EXPORTS)

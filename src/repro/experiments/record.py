@@ -2,15 +2,10 @@
 
 Every bench module builds its record through :func:`bench_record`, so the
 header boilerplate (``bench`` kind, ``schema_version``, ``paper``,
-``created_utc``) is stamped in exactly one place — and the longitudinal
-perf gate (:mod:`repro.experiments.perf_gate`) can key on
-``schema_version`` to refuse comparing records whose shapes have drifted
-apart.
-
-Bump :data:`SCHEMA_VERSION` whenever a bench record's *meaning* changes —
-renamed metrics, changed units, a different measurement protocol — and
-regenerate the committed records in the same PR; the perf gate fails
-loudly on a version mismatch instead of producing a nonsense comparison.
+``created_utc``, ``sanitized``) is stamped in exactly one place.
+``schema_version`` and ``sanitized`` are plain metadata: no reader checks
+them.  The records are checked by replay instead — ``sweep --check`` and
+``tests/test_sweep_replay.py`` re-run their seed-determined fields.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from repro.errors import AnalysisError
 from repro.params import ProtocolParams
 
 __all__ = [
-    "DEFAULT_PROTOCOLS",
     "PAPER_ID",
     "SCHEMA_VERSION",
     "bench_record",
@@ -37,13 +31,9 @@ __all__ = [
 PAPER_ID = "conf_podc_GhaffariHK13"
 
 #: Version of the bench-record schemas.  v2 introduced the shared header
-#: (this module) plus traffic/telemetry fields; v1 records (no
-#: ``schema_version`` key) predate the perf gate and cannot be gated.
+#: (this module) plus traffic/telemetry fields; v1 records have no
+#: ``schema_version`` key.
 SCHEMA_VERSION = 2
-
-#: The protocols the speed benches time by default: the Decay baseline and
-#: the paper's collision-detection broadcast.
-DEFAULT_PROTOCOLS: tuple[str, ...] = ("decay", "ghk")
 
 
 def resolve_params(preset: str, backend: str = "auto") -> ProtocolParams:
@@ -72,8 +62,8 @@ def bench_record(bench: str, **fields) -> dict:
 
     Key order is deliberate — header first, the caller's fields after, so
     committed records stay diffable across PRs.  The header stamps whether
-    the process ran under ``REPRO_SANITIZE``: sanitized numbers measure
-    the sanitizer, not the engine, so the perf gate refuses them.
+    the process ran under ``REPRO_SANITIZE``: sanitized timings measure
+    the sanitizer, not the engine.
     """
     return {
         "bench": bench,

@@ -1,16 +1,23 @@
 """Channel-backend scaling sweep (``BENCH_scale.json``).
 
-For every (family, n) cell the harness runs the same seed batch once per
-channel backend — dense matmul, sparse CSR, and bit-packed popcount — and
-reports wall-clock rounds/sec (over repeated runs totalling at least
-:data:`MIN_TIMED_SECONDS`) plus the peak memory a short probe run
-allocates (``tracemalloc``), so the record answers the scaling questions
-directly: how much faster is the CSR kernel on sparse topologies, how far
-past the dense wall does the bit-packed kernel carry dense-density
-graphs, and how much smaller are their footprints::
+For every (family, n, protocol) cell the harness runs the same seed batch
+once per channel backend — dense matmul, sparse CSR, and bit-packed
+popcount — and reports wall-clock rounds/sec (over repeated runs
+totalling at least :data:`MIN_TIMED_SECONDS`) plus the peak memory a
+short probe run allocates (``tracemalloc``), so the record answers the
+scaling questions directly: how much faster is the CSR kernel on sparse
+topologies, how far past the dense wall does the bit-packed kernel carry
+dense-density graphs, and how much smaller are their footprints::
 
     python -m repro.experiments.scale_bench --n 256 1024 4096 16384 65536 \
         --out BENCH_scale.json
+
+The protocol axis (``--protocols``, default ``ghk``) also makes the batch
+engine's throughput record one invocation of this bench::
+
+    python -m repro.experiments.scale_bench --n 256 --topologies grid \
+        --protocols decay ghk --seeds 30 --backends dense \
+        --out BENCH_engine.json
 
 Kernel operands have knowable sizes — ``8·n²`` bytes dense,
 ``8·n·ceil(n/64)`` bit-packed — so cells whose estimated operand exceeds
@@ -19,7 +26,7 @@ the bench's memory ceiling, and the sizes the other backends complete
 beyond it are exactly the regime the skipped path cannot reach.
 ``--max-cell-seconds`` is the analogous time ceiling: once a backend
 exceeds it at some n, larger n for that family are skipped for that
-backend.
+backend and protocol.
 
 When dense and another backend both run a cell, the non-dense entry
 records ``speedup_vs_dense`` (rounds/sec ratio), ``memory_ratio_vs_dense``
@@ -31,8 +38,9 @@ honest.
 
 ``--max-seconds`` turns the run into a smoke test: exit non-zero when any
 executed cell needs longer than the ceiling (CI uses this with
-``--backends sparse`` at n=4096 and ``--backends bitpacked`` at n=65536
-to catch scaling regressions without gating merges).
+``--backends sparse`` at n=4096, ``--backends bitpacked`` at n=65536 and
+both protocols on dense grid n=128 to catch speed regressions without
+gating merges).
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ __all__ = [
     "PROBE_ROUNDS",
     "SCALE_BACKENDS",
     "SCALE_TOPOLOGIES",
+    "batch_outcome",
     "bench_scale",
     "main",
     "probe_peak_bytes",
@@ -121,6 +130,22 @@ def _run_signature(result) -> tuple:
     return ("delivered", result.rounds_to_delivery, tuple(result.informed_rounds), totals)
 
 
+def batch_outcome(batch) -> dict:
+    """The seed-determined fields a cell records for one batch of runs.
+
+    ``rounds`` counts the rounds actually executed (the budget for a failed
+    run), so ``rounds_per_sec`` is execution throughput, not success-biased.
+    """
+    return {
+        "rounds": sum(r.sim.rounds_run for r in batch),
+        "completed": sum(not isinstance(r, BroadcastFailure) for r in batch),
+        "rounds_to_delivery": [
+            None if isinstance(r, BroadcastFailure) else r.rounds_to_delivery
+            for r in batch
+        ],
+    }
+
+
 def probe_peak_bytes(
     protocol: str,
     nets: Sequence[RadioNetwork],
@@ -129,8 +154,11 @@ def probe_peak_bytes(
 ) -> int:
     """Peak bytes allocated by a short run of this cell (operand + rounds).
 
-    Public because the perf gate re-measures committed cells with exactly
-    this probe — same rounds, same tracer — so the two numbers compare.
+    The networks, and so their CSR adjacency, are built before the tracer
+    starts: a sparse cell's peak leaves the adjacency out, and the CSR *is*
+    that backend's operand.  An adjacency-size change shows instead in
+    ``tests/test_sweep_replay.py``, which rebuilds every committed
+    ``BENCH_kernel.json`` operand up to n=4096 and compares its bytes.
     """
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -148,7 +176,7 @@ def bench_scale(
     *,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     topologies: tuple[str, ...] = SCALE_TOPOLOGIES,
-    protocol: str = "ghk",
+    protocols: tuple[str, ...] = ("ghk",),
     seeds: int = 1,
     preset: str = "fast",
     backends: tuple[str, ...] = ("dense", "sparse"),
@@ -171,17 +199,18 @@ def bench_scale(
             "backends must be a non-empty subset of "
             f"{'/'.join(SCALE_BACKENDS)}, got {list(backends)}"
         )
-    if protocol not in runners.BROADCAST_PROTOCOL_NAMES:
+    unknown = [p for p in protocols if p not in runners.BROADCAST_PROTOCOL_NAMES]
+    if unknown or not protocols:
         raise AnalysisError(
-            f"unknown protocol {protocol!r}; "
-            f"choose from {runners.BROADCAST_PROTOCOL_NAMES}"
+            "protocols must be a non-empty subset of "
+            f"{runners.BROADCAST_PROTOCOL_NAMES}, got {list(protocols)}"
         )
     resolve_params(preset)  # validates the preset name up front
 
     results = []
     for family in topologies:
-        #: backend -> size at which this family exceeded the time ceiling.
-        timed_out: dict[str, int] = {}
+        #: (protocol, backend) -> size at which it exceeded the time ceiling.
+        timed_out: dict[tuple[str, str], int] = {}
         for n in sorted(sizes):
             try:
                 t0 = time.perf_counter()
@@ -192,89 +221,84 @@ def bench_scale(
             except TopologyError as exc:
                 raise AnalysisError(f"cannot build {family} with n={n}: {exc}") from exc
             edges = nets[0].num_edges
-            cell: dict[str, dict] = {}
-            signatures: dict[str, list[tuple]] = {}
-            for backend in backends:
-                entry = {
-                    "topology": family,
-                    "n": n,
-                    "edges": edges,
-                    "backend": backend,
-                    "build_seconds": round(build_seconds, 3),
-                }
-                results.append(entry)
-                operand_bytes = _operand_bytes(backend, n)
-                if operand_bytes > max_dense_bytes:
-                    entry["skipped"] = (
-                        f"{backend} kernel operand needs {operand_bytes >> 20} "
-                        f"MiB > {max_dense_bytes >> 20} MiB ceiling"
+            for protocol in protocols:
+                cell: dict[str, dict] = {}
+                signatures: dict[str, list[tuple]] = {}
+                for backend in backends:
+                    entry = {
+                        "protocol": protocol,
+                        "topology": family,
+                        "n": n,
+                        "edges": edges,
+                        "backend": backend,
+                        "build_seconds": round(build_seconds, 3),
+                    }
+                    results.append(entry)
+                    operand_bytes = _operand_bytes(backend, n)
+                    if operand_bytes > max_dense_bytes:
+                        entry["skipped"] = (
+                            f"{backend} kernel operand needs {operand_bytes >> 20} "
+                            f"MiB > {max_dense_bytes >> 20} MiB ceiling"
+                        )
+                        continue
+                    if (protocol, backend) in timed_out:
+                        entry["skipped"] = (
+                            f"{backend} already exceeded the {max_cell_seconds}s "
+                            f"cell ceiling at n={timed_out[protocol, backend]}"
+                        )
+                        continue
+                    params = resolve_params(preset, backend)
+                    entry["peak_mib"] = round(
+                        probe_peak_bytes(protocol, nets, params, seeds) / (1 << 20), 2
                     )
-                    continue
-                if backend in timed_out:
-                    entry["skipped"] = (
-                        f"{backend} already exceeded the {max_cell_seconds}s "
-                        f"cell ceiling at n={timed_out[backend]}"
+                    telemetry: dict = {}
+                    seconds, repeats = 0.0, 0
+                    while seconds < MIN_TIMED_SECONDS:
+                        t0 = time.perf_counter()
+                        batch = run_broadcast_batch(
+                            protocol, nets, seeds=range(seeds), params=params,
+                            telemetry=telemetry,
+                        )
+                        seconds += time.perf_counter() - t0
+                        repeats += 1
+                    outcome = batch_outcome(batch)
+                    seconds /= repeats  # one run's, like ``rounds`` and the phases
+                    entry.update(
+                        seconds=round(seconds, 3),
+                        rounds=outcome["rounds"],
+                        repeats=repeats,
+                        rounds_per_sec=rounds_per_sec(outcome["rounds"], seconds),
+                        phase_seconds=telemetry["phase_seconds"],
+                        completed=outcome["completed"],
+                        runs=seeds,
+                        rounds_to_delivery=outcome["rounds_to_delivery"],
                     )
-                    continue
-                params = resolve_params(preset, backend)
-                entry["peak_mib"] = round(
-                    probe_peak_bytes(protocol, nets, params, seeds) / (1 << 20), 2
-                )
-                telemetry: dict = {}
-                seconds, repeats = 0.0, 0
-                while seconds < MIN_TIMED_SECONDS:
-                    t0 = time.perf_counter()
-                    batch = run_broadcast_batch(
-                        protocol, nets, seeds=range(seeds), params=params,
-                        telemetry=telemetry,
+                    cell[backend] = entry
+                    signatures[backend] = [_run_signature(r) for r in batch]
+                    if max_cell_seconds is not None and seconds > max_cell_seconds:
+                        timed_out[protocol, backend] = n
+                dense = cell.get("dense")
+                for backend, entry in cell.items():
+                    if backend == "dense" or dense is None:
+                        continue
+                    if dense["rounds_per_sec"] and entry["rounds_per_sec"]:
+                        entry["speedup_vs_dense"] = round(
+                            entry["rounds_per_sec"] / dense["rounds_per_sec"], 2
+                        )
+                    if entry["peak_mib"]:
+                        entry["memory_ratio_vs_dense"] = round(
+                            dense["peak_mib"] / entry["peak_mib"], 2
+                        )
+                    # Full-run signatures (status, per-node arrival rounds,
+                    # channel totals), not just rounds-to-delivery.
+                    entry["results_match_dense"] = (
+                        signatures[backend] == signatures["dense"]
                     )
-                    seconds += time.perf_counter() - t0
-                    repeats += 1
-                rounds = sum(r.sim.rounds_run for r in batch)
-                seconds /= repeats  # one run's, like ``rounds`` and the phases
-                entry.update(
-                    seconds=round(seconds, 3),
-                    rounds=rounds,
-                    repeats=repeats,
-                    rounds_per_sec=rounds_per_sec(rounds, seconds),
-                    phase_seconds=telemetry["phase_seconds"],
-                    completed=sum(
-                        not isinstance(r, BroadcastFailure) for r in batch
-                    ),
-                    runs=seeds,
-                    rounds_to_delivery=[
-                        None
-                        if isinstance(r, BroadcastFailure)
-                        else r.rounds_to_delivery
-                        for r in batch
-                    ],
-                )
-                cell[backend] = entry
-                signatures[backend] = [_run_signature(r) for r in batch]
-                if max_cell_seconds is not None and seconds > max_cell_seconds:
-                    timed_out[backend] = n
-            dense = cell.get("dense")
-            for backend, entry in cell.items():
-                if backend == "dense" or dense is None:
-                    continue
-                if dense["rounds_per_sec"] and entry["rounds_per_sec"]:
-                    entry["speedup_vs_dense"] = round(
-                        entry["rounds_per_sec"] / dense["rounds_per_sec"], 2
-                    )
-                if entry["peak_mib"]:
-                    entry["memory_ratio_vs_dense"] = round(
-                        dense["peak_mib"] / entry["peak_mib"], 2
-                    )
-                # Full-run signatures (status, per-node arrival rounds,
-                # channel totals), not just rounds-to-delivery.
-                entry["results_match_dense"] = (
-                    signatures[backend] == signatures["dense"]
-                )
 
     return bench_record(
         "scale",
         preset=preset,
-        protocol=protocol,
+        protocols=list(protocols),
         seeds=seeds,
         sizes=sorted(sizes),
         topologies=list(topologies),
@@ -307,10 +331,12 @@ def main(argv: list[str] | None = None) -> int:
         help=f"families to sweep (default: {' '.join(SCALE_TOPOLOGIES)})",
     )
     parser.add_argument(
-        "--protocol",
-        default="ghk",
+        "--protocols",
+        nargs="+",
+        default=["ghk"],
         choices=runners.BROADCAST_PROTOCOL_NAMES,
-        help="broadcast protocol to time (default: ghk)",
+        metavar="PROTO",
+        help="broadcast protocols to time (default: ghk)",
     )
     parser.add_argument("--seeds", type=int, default=1, help="seeds per cell")
     parser.add_argument("--preset", choices=("paper", "fast"), default="fast")
@@ -350,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         record = bench_scale(
             sizes=tuple(args.n),
             topologies=tuple(args.topologies),
-            protocol=args.protocol,
+            protocols=tuple(args.protocols),
             seeds=args.seeds,
             preset=args.preset,
             backends=tuple(args.backends),
@@ -362,7 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     path = write_bench(record, args.out)
     for entry in record["results"]:
-        label = f"{entry['topology']:>10s} n={entry['n']:<6d} {entry['backend']:>6s}"
+        label = (
+            f"{entry['protocol']:>5s} {entry['topology']:>10s} n={entry['n']:<6d} "
+            f"{entry['backend']:>9s}"
+        )
         if "skipped" in entry:
             print(f"{label}: skipped ({entry['skipped']})")
             continue

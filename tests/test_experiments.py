@@ -10,20 +10,20 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import (
-    bench_engines,
     bench_kernel,
     bench_scale,
     run_matrix,
     sweep,
     write_bench,
 )
-from repro.experiments.engine_bench import main as engine_main
 from repro.experiments.kernel_bench import _operand_bytes
 from repro.experiments.kernel_bench import main as kernel_main
 from repro.experiments.record import SCHEMA_VERSION
 from repro.experiments import scale_bench
+from repro.experiments.scale_bench import batch_outcome
 from repro.experiments.scale_bench import main as scale_main
 from repro.sim.core import BitOperand, SparseOperand
+from repro.sim.runners import run_broadcast_batch
 from repro.sim.topology import from_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,49 +257,61 @@ class TestCLI:
 
 
 class TestEngineBench:
+    """The engine record: one scale_bench run timing both protocols on the
+    dense backend over one family (``BENCH_engine.json``)."""
+
     @pytest.fixture(scope="class")
     def record(self):
-        return bench_engines(n=16, seeds=2, topology="line", preset="fast")
+        return bench_scale(
+            sizes=(16,), topologies=("line",), protocols=("decay", "ghk"),
+            seeds=2, backends=("dense",),
+        )
 
     def test_record_header(self, record):
-        assert record["bench"] == "engine"
+        assert record["bench"] == "scale"
         assert record["schema_version"] == SCHEMA_VERSION
         assert record["paper"] == "conf_podc_GhaffariHK13"
-        assert record["topology"] == "line"
+        assert record["topologies"] == ["line"]
         assert record["protocols"] == ["decay", "ghk"]
+        assert record["backends"] == ["dense"]
 
     def test_array_entries_count_executed_rounds(self, record):
+        assert [e["protocol"] for e in record["results"]] == ["decay", "ghk"]
+        # One network set per (family, n), built once for every protocol.
+        assert len({(e["edges"], e["build_seconds"]) for e in record["results"]}) == 1
         for entry in record["results"]:
-            assert "object" not in entry
-            assert entry["array"]["rounds"] > 0
-            assert entry["array"]["completed"] == entry["array"]["runs"] == 2
+            assert entry["rounds"] > 0
+            assert entry["completed"] == entry["runs"] == 2
 
     def test_array_entries_carry_phase_timers(self, record):
         for entry in record["results"]:
-            phases = entry["array"]["phase_seconds"]
+            phases = entry["phase_seconds"]
             assert set(phases) == {"act", "channel", "feedback"}
             assert all(v >= 0.0 for v in phases.values())
 
     def test_validation(self):
-        with pytest.raises(AnalysisError, match="at least one node"):
-            bench_engines(n=0)
+        engine = dict(topologies=("line",), protocols=("decay", "ghk"),
+                      backends=("dense",))
+        with pytest.raises(AnalysisError, match="sizes must be positive"):
+            bench_scale(sizes=(0,), **engine)
         with pytest.raises(AnalysisError, match="at least one seed"):
-            bench_engines(seeds=0)
-        with pytest.raises(AnalysisError, match="unknown topology"):
-            bench_engines(topology="moebius")
-        with pytest.raises(AnalysisError, match="unknown protocols"):
-            bench_engines(protocols=("gossip",))
-        with pytest.raises(AnalysisError, match="unknown preset"):
-            bench_engines(preset="slow")
+            bench_scale(sizes=(8,), seeds=0, **engine)
+        with pytest.raises(AnalysisError, match="unknown topologies"):
+            bench_scale(sizes=(8,), **{**engine, "topologies": ("moebius",)})
+        with pytest.raises(AnalysisError, match="protocols"):
+            bench_scale(sizes=(8,), **{**engine, "protocols": ("gossip",)})
+        with pytest.raises(AnalysisError, match="preset"):
+            bench_scale(sizes=(8,), preset="slow", **engine)
         with pytest.raises(AnalysisError, match="cannot build"):
-            bench_engines(n=2, topology="ring")
+            bench_scale(sizes=(2,), **{**engine, "topologies": ("ring",)})
 
     def test_cli_writes_record_and_smoke_ceiling_passes(self, tmp_path, capsys):
         out = tmp_path / "BENCH_engine.json"
-        rc = engine_main(
+        rc = scale_main(
             [
-                "--n", "12", "--seeds", "2", "--topology", "line",
-                "--protocols", "decay", "--out", str(out), "--max-seconds", "120",
+                "--n", "12", "--seeds", "2", "--topologies", "line",
+                "--protocols", "decay", "--backends", "dense",
+                "--out", str(out), "--max-seconds", "120",
             ]
         )
         assert rc == 0
@@ -310,18 +322,21 @@ class TestEngineBench:
         assert str(out) in stdout
 
     def test_cli_smoke_ceiling_failure(self, tmp_path, capsys):
-        rc = engine_main(
+        rc = scale_main(
             [
-                "--n", "12", "--seeds", "2", "--topology", "line",
-                "--protocols", "decay", "--out", str(tmp_path / "b.json"),
-                "--max-seconds", "0",
+                "--n", "12", "--seeds", "2", "--topologies", "line",
+                "--protocols", "decay", "--backends", "dense",
+                "--out", str(tmp_path / "b.json"), "--max-seconds", "0",
             ]
         )
         assert rc == 1
         assert "SMOKE FAIL" in capsys.readouterr().err
 
     def test_cli_reports_bench_errors(self, tmp_path, capsys):
-        rc = engine_main(["--n", "0", "--out", str(tmp_path / "b.json")])
+        rc = scale_main(
+            ["--n", "0", "--protocols", "decay", "ghk", "--backends", "dense",
+             "--out", str(tmp_path / "b.json")]
+        )
         assert rc == 2
         assert "bench error" in capsys.readouterr().err
 
@@ -433,11 +448,19 @@ class TestScaleBench:
         assert record["paper"] == "conf_podc_GhaffariHK13"
         assert record["sizes"] == [16, 32]
         assert record["backends"] == ["dense", "sparse"]
-        assert record["protocol"] == "ghk"
+        assert record["protocols"] == ["ghk"]
 
     def test_one_entry_per_family_size_backend(self, record):
         keys = {(e["topology"], e["n"], e["backend"]) for e in record["results"]}
         assert len(keys) == len(record["results"]) == 2 * 2 * 2
+        assert {e["protocol"] for e in record["results"]} == {"ghk"}
+
+    def test_outcome_counts_the_budget_of_a_failed_run(self):
+        nets = [from_spec("line", 24, seed=seed) for seed in range(2)]
+        batch = run_broadcast_batch("decay", nets, seeds=range(2), budget=3)
+        assert batch_outcome(batch) == {
+            "rounds": 6, "completed": 0, "rounds_to_delivery": [None, None],
+        }
 
     def test_executed_cells_report_throughput_and_memory(self, record):
         for entry in record["results"]:
@@ -526,8 +549,10 @@ class TestScaleBench:
             bench_scale(sizes=(8,), topologies=("torus",))
         with pytest.raises(AnalysisError, match="backends"):
             bench_scale(sizes=(8,), backends=("csr",))
-        with pytest.raises(AnalysisError, match="protocol"):
-            bench_scale(sizes=(8,), protocol="gossip")
+        with pytest.raises(AnalysisError, match="protocols"):
+            bench_scale(sizes=(8,), protocols=("gossip",))
+        with pytest.raises(AnalysisError, match="protocols"):
+            bench_scale(sizes=(8,), protocols=())
         with pytest.raises(AnalysisError, match="preset"):
             bench_scale(sizes=(8,), preset="slow")
         with pytest.raises(AnalysisError, match="cannot build"):
@@ -539,6 +564,7 @@ class TestScaleBench:
             [
                 "--n", "16",
                 "--topologies", "line",
+                "--protocols", "decay", "ghk",
                 "--seeds", "1",
                 "--max-seconds", "120",
                 "--out", str(out),
@@ -547,6 +573,7 @@ class TestScaleBench:
         assert rc == 0
         record = json.loads(out.read_text())
         assert record["bench"] == "scale"
+        assert record["protocols"] == ["decay", "ghk"]
         stdout = capsys.readouterr().out
         assert "smoke OK" in stdout
         assert "speedup-vs-dense" in stdout
@@ -608,8 +635,8 @@ class TestKernelBench:
         assert [e["operand_ratio_vs_dense"] for e in bit] == [64.0, 64.0]
 
     def test_operand_mib_is_the_operands_real_footprint(self):
-        # perf_gate compares operand_mib exactly, so the arithmetic must
-        # count precisely the arrays each operand holds.
+        # The committed operand_mib replays exactly (test_sweep_replay), so
+        # the arithmetic must count precisely the arrays each operand holds.
         net = from_spec("gnp", 128, seed=3)
         sparse = SparseOperand(*net.csr())
         bit = BitOperand(*net.csr())

@@ -542,31 +542,3 @@ class TestRobustnessBenchRecord:
             run_matrix([self.fault_block(fault=[["meteor", 1]])])
         with pytest.raises(AnalysisError):
             run_matrix([self.fault_block(seeds=0)])
-
-
-def test_trajectory_flattens_faults_records():
-    from repro.experiments.trajectory import DEFAULT_RECORDS, record_metrics
-
-    assert "BENCH_faults.json" in DEFAULT_RECORDS
-    record = {
-        "bench": "sweep",
-        "results": [
-            {
-                "protocol": "ghk",
-                "topology": "grid",
-                "n": 36,
-                "k": 1,
-                "fault": ["loss", 0.3],
-                "failures": 1,
-                "rounds_mean": 45.5,
-                "energy_mean": None,
-                "speedup_vs_baseline": 0.5,
-            }
-        ],
-    }
-    metrics = record_metrics(record)
-    assert metrics == {
-        "ghk/grid/n=36/k=1/loss=0.3/failures": 1,
-        "ghk/grid/n=36/k=1/loss=0.3/rounds_mean": 45.5,
-        "ghk/grid/n=36/k=1/loss=0.3/speedup_vs_baseline": 0.5,
-    }
